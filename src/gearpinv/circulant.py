@@ -6,6 +6,7 @@ import math
 
 import numpy as np
 
+from .graphs import _require_wheel_size
 from .rational import rational
 
 
@@ -29,44 +30,26 @@ def circ(first_row) -> np.ndarray:
 
 
 def unit_root_powers(size: int) -> np.ndarray:
-    """Powers ``w**0 .. w**(size-1)`` of ``w = exp(2*pi*i/size)``.
-
-    Computed by repeated multiplication; every 64 steps the running
-    power is pulled back onto the unit circle so the modulus cannot
-    drift over long runs.
-    """
+    """Powers ``w**0 .. w**(size-1)`` of ``w = exp(2*pi*i/size)``."""
     if size < 1:
         raise ValueError("size must be positive")
-    angle = 2.0 * math.pi / size
-    base = complex(math.cos(angle), math.sin(angle))
-    powers = np.empty(size, dtype=np.complex128)
-    powers[0] = 1.0
-    w = 1.0 + 0.0j
-    for j in range(1, size):
-        w = w * base
-        if j % 64 == 0:
-            w = w / abs(w)
-        powers[j] = w
-    return powers
+    return np.exp(2j * np.pi * np.arange(size) / size)
 
 
 def circ_eigen(first_row) -> list[tuple[complex, np.ndarray]]:
     """Eigenpairs ``(sigma_m, v_m)`` of the circulant, ``m = 0..size-1``.
 
     ``sigma_m`` is the first row paired with the m-th character,
-    ``sigma_m = sum_p c_p w**(p*m)``, and ``v_m = (w**(m*r))_r``.  The
-    vectors for distinct ``m`` are mutually orthogonal.
+    ``sigma_m = sum_p c_p w**(p*m)`` (an inverse DFT scaled by the
+    size), and ``v_m = (w**(m*r))_r``.  The vectors for distinct ``m``
+    are mutually orthogonal.
     """
     coeffs = [float(rational(x)) for x in first_row]
     size = len(coeffs)
     powers = unit_root_powers(size)
+    sigmas = size * np.fft.ifft(coeffs)
     indices = np.arange(size)
-    pairs = []
-    for m in range(size):
-        sigma = complex(sum(coeffs[p] * powers[(p * m) % size] for p in range(size)))
-        vector = powers[(indices * m) % size]
-        pairs.append((sigma, vector))
-    return pairs
+    return [(complex(sigmas[m]), powers[(indices * m) % size]) for m in range(size)]
 
 
 def t_spectrum(n: int) -> list[float]:
@@ -75,8 +58,7 @@ def t_spectrum(n: int) -> list[float]:
     One eigenvalue ``4(n-3)`` for the constant vector, then
     ``-8*cos(pi*m/(n-1))**2`` for ``m = 1..n-2``.
     """
-    if n < 4:
-        raise ValueError("n must be ≥ 4")
+    _require_wheel_size(n)
     size = n - 1
     values = [4.0 * (n - 3)]
     values += [-8.0 * math.cos(math.pi * m / size) ** 2 for m in range(1, size)]
@@ -89,8 +71,7 @@ def s_spectrum(n: int) -> list[complex]:
     One eigenvalue ``3n - 7``, then ``-2(1 + w**(-m))`` for
     ``m = 1..n-2`` with ``w = exp(2*pi*i/(n-1))``.
     """
-    if n < 4:
-        raise ValueError("n must be ≥ 4")
+    _require_wheel_size(n)
     size = n - 1
     powers = unit_root_powers(size)
     values: list[complex] = [complex(3 * n - 7)]

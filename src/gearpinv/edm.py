@@ -16,7 +16,7 @@ import numpy as np
 
 from .eigen import jacobi_eigh
 from .pinv import rational_pinv
-from .rational import is_exact, rational_identity
+from .rational import is_exact, is_psd, rational_identity
 
 
 def centering_projector(m: int) -> np.ndarray:
@@ -39,6 +39,9 @@ def _as_rational_square(matrix) -> np.ndarray:
 def gram_from_edm(matrix) -> np.ndarray:
     """Doubly centered Gram matrix ``-1/2 P D P`` (exact).
 
+    Computed in O(m^2) from row means: for symmetric D the entry is
+    ``D[i, j] - r[i] - r[j] + g``, with r the row means and g their mean.
+
     Raises
     ------
     ValueError
@@ -50,8 +53,9 @@ def gram_from_edm(matrix) -> np.ndarray:
         raise ValueError("matrix must be hollow (zero diagonal)")
     if (mat != mat.T).any():
         raise ValueError("matrix must be symmetric")
-    proj = centering_projector(m)
-    return Fraction(-1, 2) * (proj @ mat @ proj)
+    means = np.array([Fraction(sum(row), m) for row in mat], dtype=object)
+    grand = Fraction(sum(means), m)
+    return Fraction(-1, 2) * (mat - means[:, None] - means[None, :] + grand)
 
 
 @dataclass(frozen=True)
@@ -66,33 +70,35 @@ class EdmReport:
     beta: float
 
 
-def is_edm(matrix, tol: float = 1e-9) -> EdmReport:
+def is_edm(matrix) -> EdmReport:
     """Check whether an exact square matrix is a distance matrix.
 
-    The Gram spectrum is evaluated in floating point, so ``tol`` sets
-    how negative the smallest eigenvalue may be before the verdict
-    flips.  ``beta`` reports ``1' D+ 1`` from the exact pseudoinverse.
+    The verdict is exact: the Gram matrix is tested for positive
+    semidefiniteness by fraction-free elimination, so no tolerance is
+    involved.  ``min_gram_eigenvalue`` is the smallest Gram eigenvalue
+    in floating point, reported for information only.  ``beta`` reports
+    ``1' D+ 1`` from the exact pseudoinverse.
     """
     mat = _as_rational_square(matrix)
     m = mat.shape[0]
     hollow = all(mat[i, i] == 0 for i in range(m))
     symmetric = not (mat != mat.T).any()
     if hollow and symmetric:
-        proj = centering_projector(m)
-        gram = Fraction(-1, 2) * (proj @ mat @ proj)
+        gram = gram_from_edm(mat)
         values, _ = jacobi_eigh(gram.astype(float))
         min_eig = float(values[0])
+        psd = is_psd(gram)
     else:
         min_eig = float("nan")
+        psd = False
     ones = np.full(m, Fraction(1), dtype=object)
     mass = float(ones @ (rational_pinv(mat) @ ones))
-    verdict = hollow and symmetric and min_eig >= -tol
     return EdmReport(
         order=m,
         is_hollow=hollow,
         is_symmetric=symmetric,
         min_gram_eigenvalue=min_eig,
-        is_edm=verdict,
+        is_edm=psd,
         beta=mass,
     )
 
@@ -111,7 +117,7 @@ def balaji_bapat_pinv(matrix) -> np.ndarray:
         If the input is not hollow symmetric, or ``1' D+ 1 <= 0``.
     """
     gram = gram_from_edm(matrix)
-    mat = _as_rational_square(matrix)
+    mat = np.asarray(matrix, dtype=object)
     m = mat.shape[0]
     ones = np.full(m, Fraction(1), dtype=object)
     u = rational_pinv(mat) @ ones

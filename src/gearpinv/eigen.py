@@ -1,28 +1,18 @@
-"""Symmetric eigensolver based on cyclic Jacobi rotations.
+"""Symmetric eigensolver and numerical rank.
 
-Each sweep visits every strict upper-triangle position once and rotates
-it to zero.  Sweeps stop when the off-diagonal Frobenius mass falls
-below ``tol`` times the Frobenius norm of the input; 100 sweeps is a
-hard cap, far beyond what quadratic convergence needs at the orders
-handled here (a few hundred at most).
+``jacobi_eigh`` keeps its historical name (it is part of the public API)
+but delegates to LAPACK through ``numpy.linalg.eigh``.
 """
 
 from __future__ import annotations
 
-import math
-
 import numpy as np
 
 
-def _off_norm(a: np.ndarray) -> float:
-    strict = a - np.diag(np.diag(a))
-    return float(np.linalg.norm(strict))
-
-
-def jacobi_eigh(matrix, tol: float = 1e-12, max_sweeps: int = 100):
+def jacobi_eigh(matrix):
     """Eigenvalues (ascending) and orthonormal eigenvectors as columns.
 
-    The input must be symmetric; a copy is worked on.  Returns a pair
+    The input must be symmetric; it is not modified.  Returns a pair
     ``(values, vectors)`` with ``vectors[:, i]`` belonging to
     ``values[i]``.
     """
@@ -31,47 +21,7 @@ def jacobi_eigh(matrix, tol: float = 1e-12, max_sweeps: int = 100):
         raise ValueError("matrix must be square")
     if not np.allclose(a, a.T, atol=1e-12 * (1.0 + np.abs(a).max())):
         raise ValueError("matrix must be symmetric")
-    size = a.shape[0]
-    vectors = np.eye(size)
-    if size == 1:
-        return np.diag(a).copy(), vectors
-    scale = float(np.linalg.norm(a))
-    if scale == 0.0:
-        return np.zeros(size), vectors
-    for _ in range(max_sweeps):
-        if _off_norm(a) <= tol * scale:
-            break
-        for p in range(size - 1):
-            for q in range(p + 1, size):
-                apq = a[p, q]
-                if abs(apq) <= 1e-300:
-                    continue
-                theta = (a[q, q] - a[p, p]) / (2.0 * apq)
-                if abs(theta) > 1e150:
-                    t = 1.0 / (2.0 * theta)
-                else:
-                    t = math.copysign(1.0, theta) / (
-                        abs(theta) + math.sqrt(theta * theta + 1.0)
-                    )
-                c = 1.0 / math.sqrt(t * t + 1.0)
-                s = t * c
-                col_p = a[:, p].copy()
-                col_q = a[:, q].copy()
-                a[:, p] = c * col_p - s * col_q
-                a[:, q] = s * col_p + c * col_q
-                row_p = a[p, :].copy()
-                row_q = a[q, :].copy()
-                a[p, :] = c * row_p - s * row_q
-                a[q, :] = s * row_p + c * row_q
-                a[p, q] = 0.0
-                a[q, p] = 0.0
-                vec_p = vectors[:, p].copy()
-                vec_q = vectors[:, q].copy()
-                vectors[:, p] = c * vec_p - s * vec_q
-                vectors[:, q] = s * vec_p + c * vec_q
-    values = np.diag(a).copy()
-    order = np.argsort(values, kind="stable")
-    return values[order], vectors[:, order]
+    return np.linalg.eigh(a)
 
 
 def numerical_rank(eigenvalues, rel: float = 1e-8) -> int:

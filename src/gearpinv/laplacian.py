@@ -14,12 +14,8 @@ from fractions import Fraction
 
 import numpy as np
 
+from .graphs import _require_wheel_size
 from .rational import rational_vector, rational_zeros
-
-
-def _require_wheel_size(n: int) -> None:
-    if n < 4:
-        raise ValueError("n must be ≥ 4")
 
 
 def a_matrix(n: int) -> np.ndarray:
@@ -114,13 +110,8 @@ def special_laplacian(n: int) -> np.ndarray:
     order = 2 * n - 1
     half = (n - 2) // 2 if n % 2 == 0 else (n - 3) // 2
     total = np.zeros((order, order))
-    carry = np.zeros((order, order))
     for k in range(1, half + 1):
-        # Kahan step: carry holds what the last addition dropped.
-        term = b_matrix(n, k) - carry
-        bumped = total + term
-        carry = (bumped - total) - term
-        total = bumped
+        total += b_matrix(n, k)
     exact = a_matrix(n)
     if n % 2 == 1:
         exact = exact + h_matrix(n)

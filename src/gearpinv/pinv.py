@@ -15,13 +15,9 @@ from fractions import Fraction
 
 import numpy as np
 
+from .graphs import _require_wheel_size
 from .laplacian import special_laplacian
 from .rational import invert, is_exact, rref
-
-
-def _require_wheel_size(n: int) -> None:
-    if n < 4:
-        raise ValueError("n must be ≥ 4")
 
 
 def u_vector(n: int) -> np.ndarray:

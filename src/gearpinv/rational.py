@@ -46,10 +46,6 @@ def rational_zeros(rows: int, cols: int) -> np.ndarray:
     return np.full((rows, cols), ZERO, dtype=object)
 
 
-def to_float(matrix: np.ndarray) -> np.ndarray:
-    return matrix.astype(float)
-
-
 def is_exact(matrix: np.ndarray) -> bool:
     """True when the dtype carries exact entries (object or integer)."""
     return matrix.dtype == object or np.issubdtype(matrix.dtype, np.integer)
@@ -159,3 +155,44 @@ def invert(matrix) -> np.ndarray:
     if pivot_cols != list(range(n)):
         raise ValueError("matrix is singular")
     return reduced[:, n:]
+
+
+def is_psd(matrix) -> bool:
+    """Exact test of positive semidefiniteness for a symmetric matrix.
+
+    The whole matrix is scaled by one positive common denominator (row
+    by row scaling would break symmetry), then reduced by symmetric
+    fraction-free elimination with diagonal pivots.  Each pivot is the
+    largest remaining diagonal: a negative one means not PSD, and a zero
+    one means PSD exactly when the remaining block is zero.  Every
+    remaining entry is a minor of the input whose sign matches the
+    Schur complement's, because all earlier pivots were positive.
+
+    Raises
+    ------
+    ValueError
+        If the matrix is not square and symmetric.
+    """
+    mat = np.asarray(matrix, dtype=object)
+    if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
+        raise ValueError("matrix must be square")
+    if (mat != mat.T).any():
+        raise ValueError("matrix must be symmetric")
+    entries = [[rational(x) for x in row] for row in mat]
+    scale = lcm(*(e.denominator for row in entries for e in row))
+    rows = [[int(e * scale) for e in row] for row in entries]
+    remaining = list(range(len(rows)))
+    prev = 1
+    while remaining:
+        k = max(remaining, key=lambda i: rows[i][i])
+        piv = rows[k][k]
+        if piv <= 0:
+            return piv == 0 and not any(rows[i][j] for i in remaining for j in remaining)
+        remaining.remove(k)
+        pivot_row = rows[k]
+        for i in remaining:
+            row, x = rows[i], rows[i][k]
+            for j in remaining:
+                row[j] = (piv * row[j] - x * pivot_row[j]) // prev
+        prev = piv
+    return True

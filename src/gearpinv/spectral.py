@@ -13,12 +13,7 @@ import math
 import numpy as np
 
 from .circulant import circulant, unit_root_powers
-from .graphs import rim_to_sub_row
-
-
-def _require_wheel_size(n: int) -> None:
-    if n < 4:
-        raise ValueError("n must be ≥ 4")
+from .graphs import _require_wheel_size, rim_to_sub_row
 
 
 def null_basis(n: int) -> list[np.ndarray]:

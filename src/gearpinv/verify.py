@@ -101,7 +101,7 @@ def run_checks(n: int, tol: float = 1e-9) -> list[CheckResult]:
     results.append(CheckResult("penrose", report.all_exact, report.max_residual))
 
     # 9. Distance matrix is Euclidean and the Gram route reproduces the oracle.
-    verdict = is_edm(dist_rational, tol)
+    verdict = is_edm(dist_rational)
     residual = _sup(balaji_bapat_pinv(dist_rational) - oracle_float)
     results.append(CheckResult("edm", verdict.is_edm and residual <= tol, residual))
 

@@ -1,5 +1,6 @@
 """Distance-matrix recognition and the Gram-route pseudoinverse."""
 
+import random
 from fractions import Fraction
 
 import numpy as np
@@ -14,6 +15,16 @@ from gearpinv.edm import (
 from gearpinv.graphs import gear_distance_closed
 from gearpinv.rational import rational_matrix, rational_zeros
 from gearpinv.trees import graham_lovasz_inverse, tree_distance
+
+
+def integer_point_edm(seed: int, m: int, dim: int, reach: int) -> np.ndarray:
+    """Squared distances of m seeded integer points in [-reach, reach]^dim."""
+    rng = random.Random(seed)
+    points = [[rng.randint(-reach, reach) for _ in range(dim)] for _ in range(m)]
+    return np.array(
+        [[sum((a - b) ** 2 for a, b in zip(p, q)) for q in points] for p in points],
+        dtype=object,
+    )
 
 
 def test_centering_projector_golden():
@@ -62,6 +73,31 @@ def test_gram_validation():
         gram_from_edm(rational_matrix([[1, 0], [0, 1]]))
     with pytest.raises(ValueError, match="symmetric"):
         gram_from_edm(rational_matrix([[0, 1], [2, 0]]))
+
+
+@pytest.mark.parametrize("n", range(4, 17))
+def test_gram_matches_projector_product_on_gears(n):
+    dist = gear_distance_closed(n).astype(object)
+    proj = centering_projector(dist.shape[0])
+    assert (gram_from_edm(dist) == Fraction(-1, 2) * (proj @ dist @ proj)).all()
+
+
+def test_gram_matches_projector_product_on_rational_trees(weighted_tree_corpus):
+    for tree in weighted_tree_corpus:
+        dist = tree_distance(tree)
+        proj = centering_projector(dist.shape[0])
+        assert (gram_from_edm(dist) == Fraction(-1, 2) * (proj @ dist @ proj)).all()
+
+
+@pytest.mark.parametrize("m", [20, 30, 40])
+@pytest.mark.parametrize("dim", [2, 3, 4])
+def test_integer_point_edms_decided_exactly(m, dim):
+    dist = integer_point_edm(1000 * m + dim, m, dim, reach=3000)
+    assert is_edm(dist).is_edm
+    i, j = random.Random(m + dim).sample(range(m), 2)
+    dist[i, j] += 1
+    dist[j, i] += 1
+    assert not is_edm(dist).is_edm
 
 
 @pytest.mark.parametrize("n", [4, 5, 6, 8, 11])

@@ -1,4 +1,4 @@
-"""Cyclic Jacobi eigensolver against known answers and numpy."""
+"""Symmetric eigensolver against known answers and numpy."""
 
 import numpy as np
 import pytest

@@ -10,12 +10,12 @@ from hypothesis import strategies as st
 from gearpinv.rational import (
     det,
     invert,
+    is_psd,
     rational,
     rational_identity,
     rational_matrix,
     rational_vector,
     rref,
-    to_float,
 )
 
 F = Fraction
@@ -47,9 +47,31 @@ def test_rational_matrix_shape_and_entries():
         rational_matrix([[1, 2], [3]])
 
 
-def test_to_float():
-    m = rational_matrix([["1/2", 2]])
-    assert np.allclose(to_float(m), [[0.5, 2.0]])
+def test_is_psd_golden():
+    assert is_psd(rational_matrix([[1, 1], [1, 1]]))
+    assert is_psd(rational_matrix([[0, 0], [0, 0]]))
+    assert is_psd(rational_matrix([["1/3", "1/6"], ["1/6", "1/12"]]))
+    assert not is_psd(rational_matrix([[1, 0], [0, -1]]))
+    # A zero pivot with a nonzero remaining entry: indefinite.
+    assert not is_psd(rational_matrix([[0, 1], [1, 0]]))
+    assert not is_psd(rational_matrix([[1, 1], [1, "999/1000"]]))
+    with pytest.raises(ValueError, match="symmetric"):
+        is_psd(rational_matrix([[1, 2], [0, 1]]))
+    with pytest.raises(ValueError, match="square"):
+        is_psd(rational_matrix([[1, 2]]))
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(1, 5).flatmap(lambda k: st.tuples(square(k), st.integers(0, k - 1))))
+def test_is_psd_on_gram_products(data):
+    rows, drop = data
+    b = rational_matrix(rows)
+    gram = b @ b.T
+    assert is_psd(gram)
+    # A negative diagonal entry rules out semidefiniteness.
+    if gram[drop, drop] > 0:
+        gram[drop, drop] = -gram[drop, drop]
+        assert not is_psd(gram)
 
 
 def test_rref_known_matrix():
