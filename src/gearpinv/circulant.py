@@ -17,11 +17,11 @@ def circulant(first_row) -> np.ndarray:
     dtype follows the input (ints give an integer matrix, Fractions an
     object matrix).
     """
-    row = list(first_row)
-    size = len(row)
-    if size == 0:
-        raise ValueError("first row must be nonempty")
-    return np.array([[row[(s - r) % size] for s in range(size)] for r in range(size)])
+    row = np.asarray(first_row)
+    if row.ndim != 1 or row.size == 0:
+        raise ValueError("first row must be a nonempty sequence")
+    index = np.arange(row.size)
+    return row[(index[None, :] - index[:, None]) % row.size]
 
 
 def circ(first_row) -> np.ndarray:

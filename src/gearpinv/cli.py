@@ -23,17 +23,16 @@ from __future__ import annotations
 
 import argparse
 import json
+import re
 import sys
 from fractions import Fraction
 
-import numpy as np
-
 from . import __version__
 from .edm import balaji_bapat_pinv
-from .graphs import bfs_distances, build_gear, build_wheel, gear_distance_closed
+from .graphs import bfs_distances, build_wheel, gear_distance_closed
 from .laplacian import a_matrix, b_matrix, h_matrix, special_laplacian
 from .pinv import gear_pinv_formula, rational_pinv
-from .spectral import lambda_pairs, q_vector, theta
+from .spectral import lambda_pairs, max_eigen_residual, theta
 from .trees import tree_distance, unit_tree, weighted_tree
 from .verify import run_checks
 
@@ -84,6 +83,22 @@ def _pick_format(requested, exact_payload: bool) -> str:
     return requested
 
 
+# An integer, a ratio of integers or a plain decimal; no exponent, so a
+# weight can never ask for a huge power of ten.
+_WEIGHT = re.compile(r"\s*[+-]?(\d+(/\d+)?|\d*\.\d+)\s*")
+
+
+def _parse_weight(weight) -> Fraction:
+    if isinstance(weight, bool) or not isinstance(weight, (int, str)):
+        raise DomainError("weights must be ints or strings like '3/2'")
+    if isinstance(weight, str) and not _WEIGHT.fullmatch(weight):
+        raise DomainError(f"bad weight {weight!r}: expected a string like '3/2'")
+    try:
+        return Fraction(weight)
+    except ZeroDivisionError as exc:
+        raise DomainError(f"bad weight {weight!r}: zero denominator") from exc
+
+
 def _parse_edges(text: str):
     try:
         raw = json.loads(text)
@@ -92,14 +107,16 @@ def _parse_edges(text: str):
         raise DomainError(f"cannot parse edge list: {exc}") from exc
     if not items:
         raise DomainError("edge list is empty")
-    if all(len(e) == 2 for e in items):
+    if not (all(len(e) == 2 for e in items) or all(len(e) == 3 for e in items)):
+        raise DomainError("edges must all be [a, b] or all [a, b, weight]")
+    for edge in items:
+        for vertex in edge[:2]:
+            # bool is a subclass of int, so JSON true/false need the exact type.
+            if type(vertex) is not int or vertex < 1:
+                raise DomainError(f"vertex ids must be integers from 1, got {vertex!r}")
+    if len(items[0]) == 2:
         return unit_tree(items)
-    if all(len(e) == 3 for e in items):
-        for _, _, w in items:
-            if isinstance(w, float):
-                raise DomainError("weights must be ints or strings like '3/2'")
-        return weighted_tree(items)
-    raise DomainError("edges must all be [a, b] or all [a, b, weight]")
+    return weighted_tree([(a, b, _parse_weight(w)) for a, b, w in items])
 
 
 def cmd_gen(args) -> tuple[dict, int]:
@@ -145,22 +162,12 @@ def cmd_pinv(args) -> tuple[dict, int]:
 def cmd_spectrum(args) -> tuple[dict, int]:
     n = args.n
     fmt = _pick_format(args.format, False)
-    dist = gear_distance_closed(n).astype(float)
-    residual = 0.0
     pairs = lambda_pairs(n)
-    for value, vector in pairs:
-        residual = max(residual, float(np.max(np.abs(dist @ vector - value * vector))))
-    thetas = []
-    for k in range(1, n - 1):
-        value = theta(n, k)
-        thetas.append(value)
-        q = q_vector(n, k)
-        residual = max(residual, float(np.max(np.abs(dist @ q - value * q))))
     payload = {
         "lambda": [pairs[0][0], pairs[1][0]],
-        "theta": thetas,
+        "theta": [theta(n, k) for k in range(1, n - 1)],
         "null_multiplicity": n - 1,
-        "max_residual": residual,
+        "max_residual": max_eigen_residual(n),
     }
     return _document("spectrum", n, fmt, payload, parity=_parity(n)), 0
 

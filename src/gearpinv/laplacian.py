@@ -14,6 +14,7 @@ from fractions import Fraction
 
 import numpy as np
 
+from .circulant import circulant
 from .graphs import _require_wheel_size
 from .rational import rational_vector, rational_zeros
 
@@ -105,14 +106,32 @@ def special_laplacian(n: int) -> np.ndarray:
     Positive semidefinite with zero row sums and rank ``n - 1``; the
     nonzero spectrum is ``(2n-1)/(n+4)`` together with the values
     ``-2/theta(n, k)``.
+
+    Built in floating point from three circulant first rows, each a sum
+    of the :func:`b_matrix` cosine rows over the lower half of the k
+    range, taken as one matrix product in O(n^2).  The rank-one part of
+    :func:`a_matrix` and, for odd n, :func:`h_matrix` are added in float;
+    writing the dense output dominates the cost.
     """
     _require_wheel_size(n)
-    order = 2 * n - 1
-    half = (n - 2) // 2 if n % 2 == 0 else (n - 3) // 2
-    total = np.zeros((order, order))
-    for k in range(1, half + 1):
-        total += b_matrix(n, k)
-    exact = a_matrix(n)
+    size = n - 1
+    ks = np.arange(1, (n - 2) // 2 + 1)
+    phi = np.cos(np.pi * ks / size)
+    sub_weight = 2.0 / (size * (2.0 * phi + 1.0 / (2.0 * phi)) ** 2)
+    rim_weight = sub_weight / (4.0 * phi * phi)
+    # Reducing k*j mod n-1 keeps the cosine arguments in [0, 2*pi).
+    cosines = np.cos(2.0 * np.pi * (np.outer(ks, np.arange(size)) % size) / size)
+    rim_row, sub_row = np.stack([rim_weight, sub_weight]) @ cosines
+    mix_row = rim_row + np.roll(rim_row, -1)
     if n % 2 == 1:
-        exact = exact + h_matrix(n)
-    return total + exact.astype(float)
+        rim_row += np.where(np.arange(size) % 2 == 0, 1.0, -1.0) / size
+    out = np.zeros((2 * n - 1, 2 * n - 1))
+    out[1:n, 1:n] = circulant(rim_row)
+    out[1:n, n:] = circulant(mix_row)
+    out[n:, 1:n] = out[1:n, n:].T
+    out[n:, n:] = circulant(sub_row)
+    y = np.concatenate(
+        [[1.0], np.full(size, (n - 2) / (3 * size)), np.full(size, -(n + 1) / (3 * size))]
+    )
+    out += (9 * size / (n + 4) ** 2) * np.outer(y, y)
+    return out

@@ -12,8 +12,8 @@ import math
 
 import numpy as np
 
-from .circulant import circulant, unit_root_powers
-from .graphs import _require_wheel_size, rim_to_sub_row
+from .circulant import unit_root_powers
+from .graphs import _require_wheel_size, gear_distance_closed
 
 
 def null_basis(n: int) -> list[np.ndarray]:
@@ -93,7 +93,22 @@ def q_vector(n: int, k: int) -> np.ndarray:
     assert phi != 0.0
     powers = unit_root_powers(size)
     v = powers[(np.arange(size) * k) % size]
-    s_block = circulant(rim_to_sub_row(n)).astype(np.complex128)
-    out[1:n] = -(s_block @ v) / (8.0 * phi * phi)
+    # v is a character, so S v = sigma v with the mixed block's eigenvalue
+    # sigma = -2(1 + w**(-k)) from circulant.s_spectrum.
+    sigma = -2.0 * (1.0 + powers[(-k) % size])
+    out[1:n] = -sigma * v / (8.0 * phi * phi)
     out[n:] = v
     return out
+
+
+def max_eigen_residual(n: int) -> float:
+    """Largest entry of ``D x - value * x`` over the closed-form eigenpairs.
+
+    Covers the two lambda pairs and all ``n - 2`` theta pairs in one
+    product ``D X - X diag(values)``.
+    """
+    pairs = lambda_pairs(n) + [(theta(n, k), q_vector(n, k)) for k in range(1, n - 1)]
+    values = np.array([value for value, _ in pairs])
+    vectors = np.column_stack([vector for _, vector in pairs])
+    dist = gear_distance_closed(n).astype(float)
+    return float(np.max(np.abs(dist @ vectors - vectors * values)))

@@ -21,7 +21,7 @@ from .eigen import jacobi_eigh, numerical_rank
 from .graphs import bfs_distances, build_gear, gear_distance_closed
 from .laplacian import special_laplacian
 from .pinv import beta, gear_pinv_formula, penrose_check, rational_pinv, u_vector
-from .spectral import lambda_pairs, null_basis, q_vector, theta
+from .spectral import lambda_pairs, max_eigen_residual, null_basis, theta
 
 
 @dataclass(frozen=True)
@@ -54,13 +54,7 @@ def run_checks(n: int, tol: float = 1e-9) -> list[CheckResult]:
     analytic += [0.0] * (n - 1)
     dense_values, _ = jacobi_eigh(dist.astype(float))
     spectrum_gap = _sup(np.sort(np.asarray(analytic)) - dense_values)
-    pair_residual = 0.0
-    dist_float = dist.astype(float)
-    for value, vector in lambda_pairs(n):
-        pair_residual = max(pair_residual, _sup(dist_float @ vector - value * vector))
-    for k in range(1, n - 1):
-        q = q_vector(n, k)
-        pair_residual = max(pair_residual, _sup(dist_float @ q - theta(n, k) * q))
+    pair_residual = max_eigen_residual(n)
     passed = spectrum_gap <= 10 * tol and pair_residual <= tol
     results.append(CheckResult("spectrum", passed, max(spectrum_gap, pair_residual)))
 

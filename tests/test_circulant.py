@@ -29,6 +29,14 @@ def test_circulant_shift_convention():
     assert np.array_equal(m, [[0, 1, 2], [2, 0, 1], [1, 2, 0]])
 
 
+def test_circulant_dtype_follows_the_row():
+    assert circulant([0, 1, 2]).dtype == np.int64
+    m = circulant([Fraction(1, 2), Fraction(3)])
+    assert m.dtype == object
+    assert m[1, 0] == Fraction(3) and isinstance(m[1, 0], Fraction)
+    assert circulant(np.array([0.5, 1.5])).dtype == np.float64
+
+
 def test_circulant_rejects_empty():
     with pytest.raises(ValueError):
         circulant([])

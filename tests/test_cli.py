@@ -110,6 +110,30 @@ def test_gen_edge_list_errors():
         assert fragment in err
 
 
+@pytest.mark.parametrize(
+    "edges, fragment",
+    [
+        ('[[1,2,"1/0"]]', "zero denominator"),
+        ("[[1.5,2]]", "vertex ids"),
+        ("[[1,2,true]]", "weights must be"),
+        ("[[true,2]]", "vertex ids"),
+        ('[["1",2]]', "vertex ids"),
+        ("[[0,1]]", "vertex ids"),
+        ("[[1,2,null]]", "weights must be"),
+        ('[[1,2,"abc"]]', "bad weight"),
+        ('[[1,2,"1e999999999"]]', "bad weight"),
+        ('[[1,2,"-1"]]', "positive"),
+        ('["ab"]', "vertex ids"),
+        ("5", "cannot parse"),
+    ],
+)
+def test_gen_tree_distance_rejects_bad_ids_and_weights(edges, fragment):
+    code, out, err = run_cli("gen", "tree-distance", "--edges", edges)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:") and fragment in err
+
+
 def test_pinv_oracle_rational_golden():
     doc = run_doc("pinv", "--n", "5", "--method", "oracle")
     assert doc["format"] == "rational"
@@ -155,6 +179,12 @@ def test_spectrum_document():
     assert len(payload["theta"]) == 6
     assert payload["null_multiplicity"] == 7
     assert payload["max_residual"] <= 1e-9
+
+
+@pytest.mark.parametrize("n", [70, 150, 300])
+def test_spectrum_residual_stays_small_at_large_n(n):
+    doc = run_doc("spectrum", "--n", str(n))
+    assert doc["payload"]["max_residual"] <= 1e-9
 
 
 def test_spectrum_rejects_rational_format():

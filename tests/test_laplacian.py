@@ -150,6 +150,25 @@ def test_special_laplacian_golden_n6(golden_laplacian_6):
     assert np.max(gap) < 1e-12
 
 
+def _dense_sum_reference(n):
+    """The assembly as a dense sum of its parts: a + (h) + sum of b_matrix."""
+    total = np.zeros((2 * n - 1, 2 * n - 1))
+    for k in range(1, (n - 2) // 2 + 1):
+        total += b_matrix(n, k)
+    exact = a_matrix(n)
+    if n % 2 == 1:
+        exact = exact + h_matrix(n)
+    return total + exact.astype(float)
+
+
+@pytest.mark.parametrize(
+    "n", list(range(4, 61)) + [101, 150, 151, 200, 251, 300, 400]
+)
+def test_special_laplacian_matches_dense_sum_of_parts(n):
+    gap = np.max(np.abs(special_laplacian(n) - _dense_sum_reference(n)))
+    assert gap <= 1e-12
+
+
 def test_special_laplacian_row_sums_and_psd():
     for n in range(4, 15):
         lap = special_laplacian(n)

@@ -5,9 +5,17 @@ import math
 import numpy as np
 import pytest
 
+from gearpinv import spectral
+from gearpinv.circulant import circulant
 from gearpinv.eigen import jacobi_eigh, numerical_rank
-from gearpinv.graphs import gear_distance_closed
-from gearpinv.spectral import lambda_pairs, null_basis, q_vector, theta
+from gearpinv.graphs import gear_distance_closed, rim_to_sub_row
+from gearpinv.spectral import (
+    lambda_pairs,
+    max_eigen_residual,
+    null_basis,
+    q_vector,
+    theta,
+)
 
 
 def test_null_basis_first_vector_n4():
@@ -95,6 +103,27 @@ def test_q_eigen_residuals():
         for k in range(1, n - 1):
             q = q_vector(n, k)
             assert np.max(np.abs(dist @ q - theta(n, k) * q)) < 1e-9
+
+
+def test_q_vector_cycle_block_matches_dense_mixed_block():
+    # The cycle block is -S v / (8 cos^2) with S the mixed distance block;
+    # q_vector applies S through its eigenvalue instead of a dense product.
+    for n in range(4, 25):
+        size = n - 1
+        s_block = circulant(rim_to_sub_row(n)).astype(float)
+        for k in range(1, n - 1):
+            if n % 2 == 1 and 2 * k == size:
+                continue
+            q = q_vector(n, k)
+            phi = math.cos(math.pi * k / size)
+            dense = -(s_block @ q[n:]) / (8.0 * phi * phi)
+            assert np.max(np.abs(q[1:n] - dense)) < 1e-12 * max(1.0, np.max(np.abs(dense)))
+
+
+def test_max_eigen_residual_sees_a_wrong_eigenvalue(monkeypatch):
+    assert max_eigen_residual(12) < 1e-12
+    monkeypatch.setattr(spectral, "theta", lambda n, k: theta(n, k) + 1e-6)
+    assert max_eigen_residual(12) > 1e-7
 
 
 def test_q_vectors_mutually_orthogonal():
