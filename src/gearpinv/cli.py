@@ -37,8 +37,19 @@ from .trees import tree_distance, unit_tree, weighted_tree
 from .verify import run_checks
 
 
+# Largest n the exact routes (verify, pinv --method oracle|k4) accept.  Their
+# cost grows about like n^4 (m^3 operations on integers that widen with m):
+# verify --n 80 takes 25 s on a 2-core machine, --n 100 about a minute.
+MAX_EXACT_N = 80
+
+
 class DomainError(ValueError):
     """Bad argument values that argparse cannot catch."""
+
+
+def _require_exact_size(n: int) -> None:
+    if n > MAX_EXACT_N:
+        raise DomainError(f"n = {n} is above {MAX_EXACT_N}, the exact routes' ceiling")
 
 
 def fraction_str(value) -> str:
@@ -144,6 +155,8 @@ def cmd_gen(args) -> tuple[dict, int]:
 
 
 def cmd_pinv(args) -> tuple[dict, int]:
+    if args.method in ("oracle", "k4"):
+        _require_exact_size(args.n)
     if args.method == "oracle":
         matrix = rational_pinv(gear_distance_closed(args.n).astype(object))
         fmt = _pick_format(args.format, True)
@@ -196,6 +209,7 @@ def cmd_laplacian(args) -> tuple[dict, int]:
 
 
 def cmd_verify(args) -> tuple[dict, int]:
+    _require_exact_size(args.n)
     results = run_checks(args.n, tol=args.tol)
     checks = [
         {"name": r.name, "pass": r.passed, "residual": r.residual} for r in results

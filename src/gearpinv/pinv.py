@@ -17,7 +17,7 @@ import numpy as np
 
 from .graphs import _require_wheel_size
 from .laplacian import special_laplacian
-from .rational import invert, is_exact, rref
+from .rational import dot, invert, is_exact, rref
 
 
 def u_vector(n: int) -> np.ndarray:
@@ -77,9 +77,9 @@ def rational_pinv(matrix) -> np.ndarray:
     c_factor, f_factor = rank_factorization(mat)
     if c_factor.shape[1] == 0:
         return np.full((n, m), Fraction(0), dtype=object)
-    gram_f = invert(f_factor @ f_factor.T)
-    gram_c = invert(c_factor.T @ c_factor)
-    return f_factor.T @ gram_f @ gram_c @ c_factor.T
+    gram_f = invert(dot(f_factor, f_factor.T))
+    gram_c = invert(dot(c_factor.T, c_factor))
+    return dot(f_factor.T, gram_f, gram_c, c_factor.T)
 
 
 @dataclass(frozen=True)
@@ -120,15 +120,13 @@ def penrose_check(matrix, candidate) -> PenroseReport:
     if m_mat.shape != x_mat.T.shape:
         raise ValueError("candidate shape must be the transpose of the input shape")
     exact = is_exact(m_mat) and is_exact(x_mat)
-    if exact:
-        m_mat = m_mat.astype(object)
-        x_mat = x_mat.astype(object)
-    mx = m_mat @ x_mat
-    xm = x_mat @ m_mat
+    mul = dot if exact else np.dot
+    mx = mul(m_mat, x_mat)
+    xm = mul(x_mat, m_mat)
     return PenroseReport(
         exact=exact,
-        mxm=_max_abs(mx @ m_mat - m_mat),
-        xmx=_max_abs(xm @ x_mat - x_mat),
+        mxm=_max_abs(mul(mx, m_mat) - m_mat),
+        xmx=_max_abs(mul(xm, x_mat) - x_mat),
         mx_symmetry=_max_abs(mx - mx.T),
         xm_symmetry=_max_abs(xm - xm.T),
     )

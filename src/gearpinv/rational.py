@@ -1,9 +1,12 @@
-"""Exact dense linear algebra over Fraction entries.
+"""Exact dense linear algebra over rational matrices.
 
-Matrices are numpy object arrays whose entries are fractions.Fraction
-values (always in lowest terms, which Fraction guarantees).  Reductions
-run fraction-free on denominator-cleared integer rows, so intermediate
-growth stays bounded by minor sizes.
+Public functions take and return numpy object arrays of
+fractions.Fraction values.  Inside, an exact matrix is an integer
+object array with one positive common denominator (``scaled`` and
+``unscaled``): a product is an integer product (``dot``), and every
+reduction is one fraction-free Gauss-Jordan pass (``_gauss_jordan``)
+whose entries stay minors of the input.  Each Fraction is built once,
+when a result leaves the integer form.
 """
 
 from __future__ import annotations
@@ -14,7 +17,6 @@ from math import lcm
 import numpy as np
 
 ZERO = Fraction(0)
-ONE = Fraction(1)
 
 
 def rational(value) -> Fraction:
@@ -36,10 +38,7 @@ def rational_vector(values) -> np.ndarray:
 
 
 def rational_identity(order: int) -> np.ndarray:
-    out = rational_zeros(order, order)
-    for i in range(order):
-        out[i, i] = ONE
-    return out
+    return unscaled(np.eye(order, dtype=int), 1)
 
 
 def rational_zeros(rows: int, cols: int) -> np.ndarray:
@@ -51,110 +50,99 @@ def is_exact(matrix: np.ndarray) -> bool:
     return matrix.dtype == object or np.issubdtype(matrix.dtype, np.integer)
 
 
-def _integer_rows(matrix) -> list[list[int]]:
-    # Clear denominators row by row; row scaling never moves pivots or rank.
-    out = []
-    for row in np.asarray(matrix, dtype=object):
-        entries = [rational(x) for x in row]
-        scale = lcm(*(e.denominator for e in entries))
-        out.append([int(e * scale) for e in entries])
-    return out
+def scaled(matrix) -> tuple[np.ndarray, int]:
+    """Split an exact matrix into integers over one positive common denominator."""
+    mat = np.asarray(matrix, dtype=object)
+    entries = [rational(x) for x in mat.flat]
+    den = lcm(*(e.denominator for e in entries))
+    ints = [e.numerator * (den // e.denominator) for e in entries]
+    return np.array(ints, dtype=object).reshape(mat.shape), den
 
 
-def _forward_eliminate(rows: list[list[int]]) -> tuple[list[int], int]:
-    """Fraction-free echelon pass in place.  Returns (pivot columns, sign).
+def unscaled(ints, den: int) -> np.ndarray:
+    """The Fraction matrix ``ints / den``, each entry built once in lowest terms."""
+    ints = np.asarray(ints, dtype=object)
+    entries = [Fraction(x, den) for x in ints.flat]
+    return np.array(entries, dtype=object).reshape(ints.shape)
 
-    Two-step Bareiss updates keep every intermediate entry an exact minor
-    of the input, so the divisions below are exact.  Pivot rows are picked
-    by the widest numerator in the column, which in practice keeps the
-    minors from ballooning on the structured matrices handled here.
+
+def dot(*factors) -> np.ndarray:
+    """Exact product of rational matrices: one integer product, normalized once."""
+    product, den = scaled(factors[0])
+    for factor in factors[1:]:
+        ints, scale = scaled(factor)
+        product, den = product.dot(ints), den * scale
+    return unscaled(product, den)
+
+
+def _gauss_jordan(rows: list[list[int]]) -> tuple[list[int], int, int]:
+    """Fraction-free Gauss-Jordan pass in place.  Returns (pivot columns, sign, d).
+
+    The two-step Bareiss update runs on every row but the pivot row,
+    above it as well as below, so every entry stays an exact minor of
+    the input and the divisions are exact.  At the end every pivot
+    equals d, the last pivot (1 at rank zero), and the other entries of
+    the pivot columns are zero: the reduced row echelon form is
+    ``rows / d``, and for square input of full rank the determinant is
+    ``sign * d``.  Pivot rows are picked by the widest numerator in the
+    column, which in practice keeps the minors from ballooning on the
+    structured matrices handled here.
     """
-    m = len(rows)
-    n = len(rows[0]) if m else 0
     pivot_cols: list[int] = []
     sign = 1
     prev = 1
-    rank = 0
-    for col in range(n):
-        best = -1
-        width = -1
-        for r in range(rank, m):
-            e = rows[r][col]
-            if e != 0 and abs(e).bit_length() > width:
-                best, width = r, abs(e).bit_length()
-        if best < 0:
+    for col in range(len(rows[0]) if rows else 0):
+        rank = len(pivot_cols)
+        if rank == len(rows):
+            break
+        best = max(range(rank, len(rows)), key=lambda r: abs(rows[r][col]).bit_length())
+        if rows[best][col] == 0:
             continue
         if best != rank:
             rows[rank], rows[best] = rows[best], rows[rank]
             sign = -sign
         piv_row = rows[rank]
         piv = piv_row[col]
-        for r in range(rank + 1, m):
-            row = rows[r]
-            x = row[col]
-            head = [0] * col
-            rows[r] = head + [
-                (piv * row[s] - x * piv_row[s]) // prev for s in range(col, n)
-            ]
+        for r, row in enumerate(rows):
+            if r != rank:
+                x = row[col]
+                rows[r] = [(piv * a - x * b) // prev for a, b in zip(row, piv_row)]
         prev = piv
         pivot_cols.append(col)
-        rank += 1
-        if rank == m:
-            break
-    return pivot_cols, sign
+    return pivot_cols, sign, prev
 
 
 def rref(matrix) -> tuple[np.ndarray, list[int]]:
     """Reduced row echelon form and the pivot column indices."""
-    mat = np.asarray(matrix, dtype=object)
-    m, n = mat.shape
-    rows = _integer_rows(mat)
-    pivot_cols, _ = _forward_eliminate(rows)
-    rank = len(pivot_cols)
-    reduced = [[ZERO] * n for _ in range(m)]
-    for i in range(rank):
-        piv = rows[i][pivot_cols[i]]
-        reduced[i] = [Fraction(x, piv) for x in rows[i]]
-    for i in reversed(range(rank)):
-        base = reduced[i]
-        c = pivot_cols[i]
-        for j in range(i):
-            f = reduced[j][c]
-            if f:
-                reduced[j] = [a - f * b for a, b in zip(reduced[j], base)]
-    return np.array(reduced, dtype=object), pivot_cols
+    ints, _ = scaled(matrix)
+    rows = ints.tolist()
+    pivot_cols, _, d = _gauss_jordan(rows)
+    return unscaled(np.array(rows, dtype=object).reshape(ints.shape), d), pivot_cols
 
 
 def det(matrix) -> Fraction:
     """Exact determinant by fraction-free elimination."""
-    mat = np.asarray(matrix, dtype=object)
-    m, n = mat.shape
+    ints, scale = scaled(matrix)
+    m, n = ints.shape
     if m != n:
         raise ValueError("determinant needs a square matrix")
-    scale = ONE
-    rows = []
-    for row in mat:
-        entries = [rational(x) for x in row]
-        s = lcm(*(e.denominator for e in entries))
-        scale *= s
-        rows.append([int(e * s) for e in entries])
-    pivot_cols, sign = _forward_eliminate(rows)
-    if len(pivot_cols) < n:
-        return ZERO
-    return Fraction(sign * rows[n - 1][n - 1], 1) / scale
+    pivot_cols, sign, d = _gauss_jordan(ints.tolist())
+    return Fraction(sign * d, scale**n) if len(pivot_cols) == n else ZERO
 
 
 def invert(matrix) -> np.ndarray:
     """Exact inverse; raises on singular input."""
-    mat = np.asarray(matrix, dtype=object)
-    m, n = mat.shape
+    ints, scale = scaled(matrix)
+    m, n = ints.shape
     if m != n:
         raise ValueError("inverse needs a square matrix")
-    augmented = np.hstack([mat, rational_identity(n)])
-    reduced, pivot_cols = rref(augmented)
+    # With A = scale * matrix in integers, [A | I] reduces to [d I | d A^-1].
+    rows = [row + [int(i == j) for j in range(n)] for i, row in enumerate(ints.tolist())]
+    pivot_cols, _, d = _gauss_jordan(rows)
     if pivot_cols != list(range(n)):
         raise ValueError("matrix is singular")
-    return reduced[:, n:]
+    inverse = np.array([row[n:] for row in rows], dtype=object).reshape(n, n)
+    return unscaled(inverse * scale, d)
 
 
 def is_psd(matrix) -> bool:
@@ -178,9 +166,7 @@ def is_psd(matrix) -> bool:
         raise ValueError("matrix must be square")
     if (mat != mat.T).any():
         raise ValueError("matrix must be symmetric")
-    entries = [[rational(x) for x in row] for row in mat]
-    scale = lcm(*(e.denominator for row in entries for e in row))
-    rows = [[int(e * scale) for e in row] for row in entries]
+    rows = scaled(mat)[0].tolist()
     remaining = list(range(len(rows)))
     prev = 1
     while remaining:

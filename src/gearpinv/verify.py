@@ -4,9 +4,10 @@ Each check pits an independently computed quantity against the formula
 route for one gear size.  Exact checks (integer or rational arithmetic)
 pass only on residual zero; floating-point checks compare against the
 caller's tolerance, with two documented adjustments: sorted-spectrum
-comparison widens the tolerance tenfold (multiset matching accumulates
-rounding from two eigensolver runs) and row-sum checks tighten it
-tenfold (sums of a few dozen doubles deserve better).
+comparison widens the tolerance tenfold (the dense eigensolver's values
+are accurate only to a few ulps of the norm of D, which grows with n)
+and row-sum checks tighten it tenfold (sums of a few dozen doubles
+deserve better).
 """
 
 from __future__ import annotations

@@ -14,8 +14,10 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from gearpinv import __version__
+from gearpinv import __version__, cli
 from gearpinv.cli import main, serialize_matrix
 from gearpinv.pinv import rational_pinv
 
@@ -246,6 +248,79 @@ def test_verify_rejects_small_n():
     code, _, err = run_cli("verify", "--n", "2")
     assert code == 2
     assert "error:" in err
+
+
+def _refuse(*args, **kwargs):
+    raise AssertionError("the cost guard must refuse before any exact work")
+
+
+@pytest.mark.parametrize(
+    "argv", [("verify",), ("pinv", "--method", "oracle"), ("pinv", "--method", "k4")]
+)
+def test_exact_routes_refuse_n_above_ceiling(monkeypatch, argv):
+    for name in ("run_checks", "rational_pinv", "balaji_bapat_pinv"):
+        monkeypatch.setattr(cli, name, _refuse)
+    code, out, err = run_cli(*argv, "--n", str(cli.MAX_EXACT_N + 1))
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:") and str(cli.MAX_EXACT_N) in err
+
+
+def test_verify_accepts_n_at_ceiling(monkeypatch):
+    monkeypatch.setattr(cli, "run_checks", lambda n, tol: [])
+    code, _, err = run_cli("verify", "--n", str(cli.MAX_EXACT_N))
+    assert code == 0, err
+
+
+_json_values = st.recursive(
+    st.none() | st.booleans() | st.integers(-3, 12) | st.floats() | st.text(max_size=4),
+    lambda children: st.lists(children, max_size=4),
+    max_leaves=12,
+)
+_weights = st.integers(-2, 5) | st.sampled_from(["3/2", "1/0", "-1", "0.5", "x", "1e9"])
+_edges = st.lists(
+    st.tuples(st.integers(-1, 8), st.integers(-1, 8))
+    | st.tuples(st.integers(-1, 8), st.integers(-1, 8), _weights),
+    max_size=6,
+)
+
+
+@st.composite
+def commands(draw):
+    command = draw(st.sampled_from(["gen", "pinv", "spectrum", "laplacian", "verify"]))
+    argv = [command]
+    if command == "gen":
+        argv.append(
+            draw(st.sampled_from(["gear-distance", "wheel-distance", "tree-distance"]))
+        )
+        if draw(st.booleans()):
+            text = draw(st.one_of(_edges.map(json.dumps), _json_values.map(json.dumps),
+                                  st.text(max_size=8)))
+            argv += ["--edges", text]
+    if draw(st.integers(0, 9)):
+        argv += ["--n", str(draw(st.integers(-3, 20)))]
+    if command == "pinv" and draw(st.booleans()):
+        argv += ["--method", draw(st.sampled_from(["formula", "oracle", "k4"]))]
+    if command == "laplacian":
+        argv += ["--part", draw(st.sampled_from(["a", "h", "b", "full"]))]
+        if draw(st.booleans()):
+            argv += ["--k", str(draw(st.integers()))]
+    if command == "verify" and draw(st.booleans()):
+        argv += ["--tol", str(draw(st.floats()))]
+    if draw(st.booleans()):
+        argv += ["--format", draw(st.sampled_from(["rational", "decimal"]))]
+    return argv
+
+
+@settings(max_examples=120, deadline=None)
+@given(commands())
+def test_main_never_raises_on_generated_commands(argv):
+    code, out, err = run_cli(*argv)
+    assert code in (0, 1, 2)
+    if code == 2:
+        assert out == ""
+    else:
+        json.loads(out)
 
 
 def test_no_subcommand_exits_two():

@@ -1,4 +1,4 @@
-"""Exact elimination, determinant, and inverse on Fraction matrices."""
+"""Exact elimination, determinant, inverse and products on Fraction matrices."""
 
 from fractions import Fraction
 
@@ -7,8 +7,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from gearpinv.pinv import rational_pinv
 from gearpinv.rational import (
     det,
+    dot,
     invert,
     is_psd,
     rational,
@@ -187,3 +189,88 @@ def test_rational_vector():
     v = rational_vector([1, "2/4"])
     assert v[1] == F(1, 2)
     assert v.dtype == object
+
+
+@pytest.mark.parametrize(
+    "compute, expected",
+    [
+        (lambda: rational_pinv(np.empty((0, 3), dtype=object)).shape, (3, 0)),
+        (lambda: det(np.empty((0, 0), dtype=object)), 1),
+        (lambda: invert(np.empty((0, 0), dtype=object)).shape, (0, 0)),
+        (lambda: rref(np.empty((0, 3), dtype=object))[0].shape, (0, 3)),
+    ],
+    ids=["rational_pinv-0x3", "det-0x0", "invert-0x0", "rref-0x3"],
+)
+def test_empty_shapes(compute, expected):
+    assert compute() == expected
+
+
+def _textbook_rref(rows) -> tuple[list[list[Fraction]], list[int]]:
+    # Gauss-Jordan over Fraction with the first nonzero entry as pivot:
+    # the reference the fraction-free kernel must reproduce exactly.
+    mat = [[F(x) for x in row] for row in rows]
+    pivots: list[int] = []
+    for col in range(len(mat[0])):
+        top = len(pivots)
+        below = [i for i in range(top, len(mat)) if mat[i][col] != 0]
+        if not below:
+            continue
+        mat[top], mat[below[0]] = mat[below[0]], mat[top]
+        mat[top] = [x / mat[top][col] for x in mat[top]]
+        for i in range(len(mat)):
+            if i != top:
+                f = mat[i][col]
+                mat[i] = [a - f * b for a, b in zip(mat[i], mat[top])]
+        pivots.append(col)
+    return mat, pivots
+
+
+def rectangular(m, n, elements=entries):
+    return st.lists(
+        st.lists(elements, min_size=n, max_size=n), min_size=m, max_size=m
+    )
+
+
+@st.composite
+def wide_or_tall(draw):
+    m, n = draw(st.sampled_from([(3, 5), (5, 3)]))
+    if draw(st.booleans()):
+        return draw(rectangular(m, n))
+    # Forced low rank: a product through an inner dimension below min(m, n).
+    k = draw(st.integers(1, min(m, n) - 1))
+    a = rational_matrix(draw(rectangular(m, k)))
+    b = rational_matrix(draw(rectangular(k, n)))
+    return (a @ b).tolist()
+
+
+@settings(max_examples=80, deadline=None)
+@given(wide_or_tall())
+def test_rref_matches_textbook_gauss_jordan(rows):
+    reduced, pivots = rref(rational_matrix(rows))
+    expected, expected_pivots = _textbook_rref(rows)
+    assert pivots == expected_pivots
+    assert reduced.tolist() == expected
+
+
+mixed = st.one_of(
+    st.integers(-30, 30), st.fractions(min_value=-9, max_value=9, max_denominator=7)
+)
+
+
+@st.composite
+def chain(draw):
+    p, q, r, s = (draw(st.integers(1, 4)) for _ in range(4))
+    return [
+        np.array(draw(rectangular(rows, cols, mixed)), dtype=object)
+        for rows, cols in ((p, q), (q, r), (r, s))
+    ]
+
+
+@settings(max_examples=60, deadline=None)
+@given(chain())
+def test_dot_matches_object_matmul(factors):
+    a, b, c = factors
+    product = dot(a, b, c)
+    assert product.shape == (a @ b @ c).shape
+    assert (product == a @ b @ c).all()
+    assert all(isinstance(x, Fraction) for x in product.flat)
