@@ -2,9 +2,9 @@
 
 A hollow symmetric matrix D is a squared-distance matrix of points
 exactly when the doubly centered Gram matrix ``-1/2 P D P`` is positive
-semidefinite, with P the centering projector.  When additionally
-``1' D+ 1 > 0``, the pseudoinverse of D splits into a Gram part and a
-rank-one correction.
+semidefinite, with P the centering projector.  When D is also
+spherical (``1' D+ 1 > 0``), D+ is a Gram part plus a rank-one
+correction, both read off the pseudoinverse of the Gram matrix.
 """
 
 from __future__ import annotations
@@ -16,15 +16,14 @@ import numpy as np
 
 from .eigen import jacobi_eigh
 from .pinv import rational_pinv
-from .rational import is_exact, is_psd, rational_identity
+from .rational import dot, is_exact, is_psd, rational_identity
 
 
 def centering_projector(m: int) -> np.ndarray:
     """Rational projector ``I - J/m`` onto the mean-zero subspace."""
     if m < 1:
         raise ValueError("order must be positive")
-    out = rational_identity(m) - np.full((m, m), Fraction(1, m), dtype=object)
-    return out
+    return rational_identity(m) - np.full((m, m), Fraction(1, m), dtype=object)
 
 
 def _as_rational_square(matrix) -> np.ndarray:
@@ -104,26 +103,29 @@ def is_edm(matrix) -> EdmReport:
 
 
 def balaji_bapat_pinv(matrix) -> np.ndarray:
-    """Pseudoinverse of a distance matrix through its Gram matrix.
+    """Pseudoinverse of a spherical distance matrix through its Gram matrix.
 
     Evaluates ``-1/2 G+ + u u'/(1'u)`` in floating point, where G is the
-    centered Gram matrix and ``u = D+ 1``; both G+ and u come from the
-    exact rational route.  Requires ``1' D+ 1 > 0``, which holds for
-    gear and tree distance matrices but not for every distance matrix.
+    centered Gram matrix and ``u = D+ 1``; u is read off the exact G+, so
+    no pseudoinverse of D is formed.  Requires D spherical, which for a
+    distance matrix means ``1' D+ 1 > 0``: true for gear and tree
+    distance matrices, not for every distance matrix.
 
     Raises
     ------
     ValueError
-        If the input is not hollow symmetric, or ``1' D+ 1 <= 0``.
+        If D is not hollow symmetric, or not spherical with ``1' D+ 1 > 0``.
     """
     gram = gram_from_edm(matrix)
-    mat = np.asarray(matrix, dtype=object)
-    m = mat.shape[0]
-    ones = np.full(m, Fraction(1), dtype=object)
-    u = rational_pinv(mat) @ ones
-    mass = ones @ u
-    if mass <= 0:
-        raise ValueError("formula needs 1' D+ 1 > 0")
-    gram_pinv = rational_pinv(gram).astype(float)
-    u_float = u.astype(float)
-    return -0.5 * gram_pinv + np.outer(u_float, u_float) / float(mass)
+    gram_pinv = rational_pinv(gram)
+    # Every hollow symmetric D equals g1' + 1g' - 2G with g = diag(G), so
+    # for w = 1/m + G+ g / 2 we get Dw = (I - GG+) g + c 1.  That is
+    # constant, Dw = k 1, exactly when D is spherical, and then
+    # u = D+ 1 = w/k and 1' D+ 1 = 1/k.
+    w = Fraction(1, len(gram)) + dot(gram_pinv, gram.diagonal()) / 2
+    dw = dot(matrix, w)
+    k = dw[0]
+    if (dw != k).any() or k <= 0:
+        raise ValueError("formula needs a spherical D with 1' D+ 1 > 0")
+    w_float = w.astype(float)
+    return -0.5 * gram_pinv.astype(float) + np.outer(w_float, w_float) / float(k)

@@ -56,6 +56,12 @@ def _require_wheel_size(n: int) -> None:
         raise ValueError("n must be ≥ 4")
 
 
+def _require_pair_index(n: int, k: int) -> None:
+    _require_wheel_size(n)
+    if not 1 <= k <= n - 2:
+        raise ValueError("k must satisfy 1 ≤ k ≤ n-2")
+
+
 def build_wheel(n: int) -> Graph:
     """Wheel on ``n`` vertices: hub 1 joined to the cycle ``2..n``.
 

@@ -15,7 +15,7 @@ from fractions import Fraction
 import numpy as np
 
 from .circulant import circulant
-from .graphs import _require_wheel_size
+from .graphs import _require_pair_index, _require_wheel_size
 from .rational import rational_vector, rational_zeros
 
 
@@ -59,9 +59,7 @@ def c_matrices(n: int, k: int) -> tuple[np.ndarray, np.ndarray]:
     and ``C_shift[r, s] = cos(2*pi*(r-s-1)*k/(n-1))``.  C is symmetric;
     both are real parts of character outer products.
     """
-    _require_wheel_size(n)
-    if not 1 <= k <= n - 2:
-        raise ValueError("k must satisfy 1 ≤ k ≤ n-2")
+    _require_pair_index(n, k)
     size = n - 1
     idx = np.arange(size)
     diff = idx[:, None] - idx[None, :]
@@ -82,9 +80,7 @@ def b_matrix(n: int, k: int) -> np.ndarray:
         For odd n at ``k = (n-1)/2`` where ``cos(pi*k/(n-1)) = 0`` and
         this block degenerates (the alternating block takes over).
     """
-    _require_wheel_size(n)
-    if not 1 <= k <= n - 2:
-        raise ValueError("k must satisfy 1 ≤ k ≤ n-2")
+    _require_pair_index(n, k)
     if n % 2 == 1 and 2 * k == n - 1:
         raise ValueError("cos(pi*k/(n-1)) vanishes: no cosine block at this k")
     size = n - 1

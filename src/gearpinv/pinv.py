@@ -58,10 +58,7 @@ def rank_factorization(matrix) -> tuple[np.ndarray, np.ndarray]:
     """
     mat = np.asarray(matrix, dtype=object)
     reduced, pivot_cols = rref(mat)
-    rank = len(pivot_cols)
-    c_factor = mat[:, pivot_cols].copy()
-    f_factor = reduced[:rank, :].copy()
-    return c_factor, f_factor
+    return mat[:, pivot_cols], reduced[: len(pivot_cols)].copy()
 
 
 def rational_pinv(matrix) -> np.ndarray:

@@ -23,7 +23,8 @@ def rational(value) -> Fraction:
     """Coerce ints, strings like '3/5', and Fractions to Fraction."""
     if isinstance(value, Fraction):
         return value
-    return Fraction(value)
+    # A numpy integer would stay the Fraction's fixed-width numerator.
+    return Fraction(int(value) if isinstance(value, np.integer) else value)
 
 
 def rational_matrix(rows) -> np.ndarray:
@@ -53,7 +54,8 @@ def is_exact(matrix: np.ndarray) -> bool:
 def scaled(matrix) -> tuple[np.ndarray, int]:
     """Split an exact matrix into integers over one positive common denominator."""
     mat = np.asarray(matrix, dtype=object)
-    entries = [rational(x) for x in mat.flat]
+    # Every other type, numpy integers included, goes through rational.
+    entries = [x if type(x) in (int, Fraction) else rational(x) for x in mat.flat]
     den = lcm(*(e.denominator for e in entries))
     ints = [e.numerator * (den // e.denominator) for e in entries]
     return np.array(ints, dtype=object).reshape(mat.shape), den

@@ -13,7 +13,7 @@ import math
 import numpy as np
 
 from .circulant import unit_root_powers
-from .graphs import _require_wheel_size, gear_distance_closed
+from .graphs import _require_pair_index, _require_wheel_size, gear_distance_closed
 
 
 def null_basis(n: int) -> list[np.ndarray]:
@@ -64,9 +64,7 @@ def theta(n: int, k: int) -> float:
 
     Always in ``[-10, -2]``, and symmetric under ``k -> n-1-k``.
     """
-    _require_wheel_size(n)
-    if not 1 <= k <= n - 2:
-        raise ValueError("k must satisfy 1 ≤ k ≤ n-2")
+    _require_pair_index(n, k)
     return -8.0 * math.cos(math.pi * k / (n - 1)) ** 2 - 2.0
 
 
@@ -80,9 +78,7 @@ def q_vector(n: int, k: int) -> np.ndarray:
     vanishes and the eigenvector degenerates to an alternating sign
     pattern on the cycle block with zero subdivision block.
     """
-    _require_wheel_size(n)
-    if not 1 <= k <= n - 2:
-        raise ValueError("k must satisfy 1 ≤ k ≤ n-2")
+    _require_pair_index(n, k)
     size = n - 1
     out = np.zeros(2 * n - 1, dtype=np.complex128)
     if n % 2 == 1 and 2 * k == size:

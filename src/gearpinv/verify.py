@@ -17,11 +17,12 @@ from fractions import Fraction
 
 import numpy as np
 
-from .edm import balaji_bapat_pinv, gram_from_edm, is_edm
+from .edm import balaji_bapat_pinv, gram_from_edm
 from .eigen import jacobi_eigh, numerical_rank
 from .graphs import bfs_distances, build_gear, gear_distance_closed
 from .laplacian import special_laplacian
 from .pinv import beta, gear_pinv_formula, penrose_check, rational_pinv, u_vector
+from .rational import is_psd
 from .spectral import lambda_pairs, max_eigen_residual, null_basis, theta
 
 
@@ -95,9 +96,8 @@ def run_checks(n: int, tol: float = 1e-9) -> list[CheckResult]:
     report = penrose_check(dist_rational, oracle)
     results.append(CheckResult("penrose", report.all_exact, report.max_residual))
 
-    # 9. Distance matrix is Euclidean and the Gram route reproduces the oracle.
-    verdict = is_edm(dist_rational)
+    # 9. The Gram matrix of check 6 is PSD and the Gram route reproduces the oracle.
     residual = _sup(balaji_bapat_pinv(dist_rational) - oracle_float)
-    results.append(CheckResult("edm", verdict.is_edm and residual <= tol, residual))
+    results.append(CheckResult("edm", is_psd(gram) and residual <= tol, residual))
 
     return results

@@ -6,6 +6,8 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+import gearpinv.edm
+import gearpinv.verify
 from gearpinv.edm import (
     balaji_bapat_pinv,
     centering_projector,
@@ -13,8 +15,9 @@ from gearpinv.edm import (
     is_edm,
 )
 from gearpinv.graphs import gear_distance_closed
+from gearpinv.pinv import rational_pinv
 from gearpinv.rational import rational_matrix, rational_zeros
-from gearpinv.trees import graham_lovasz_inverse, tree_distance
+from gearpinv.trees import graham_lovasz_inverse, tree_distance, weighted_tree_inverse
 
 
 def integer_point_edm(seed: int, m: int, dim: int, reach: int) -> np.ndarray:
@@ -137,10 +140,14 @@ def test_gram_route_matches_oracle_on_gears(n, gear_oracle):
     assert np.abs(got - want).max() <= 1e-9
 
 
-def test_gram_route_matches_tree_inverse(unit_tree_corpus):
+def test_gram_route_matches_tree_inverse(unit_tree_corpus, weighted_tree_corpus):
     for tree in unit_tree_corpus[:6]:
         got = balaji_bapat_pinv(tree_distance(tree))
         want = graham_lovasz_inverse(tree).astype(float)
+        assert np.abs(got - want).max() <= 1e-9
+    for tree in weighted_tree_corpus:
+        got = balaji_bapat_pinv(tree_distance(tree))
+        want = weighted_tree_inverse(tree).astype(float)
         assert np.abs(got - want).max() <= 1e-9
 
 
@@ -149,3 +156,57 @@ def test_gram_route_needs_positive_mass():
         balaji_bapat_pinv(rational_zeros(3, 3))
     with pytest.raises(ValueError, match="1' D\\+ 1 > 0"):
         balaji_bapat_pinv(rational_matrix([[0, -1], [-1, 0]]))
+    # Hollow symmetric but not an EDM; the route used to return a wrong matrix.
+    with pytest.raises(ValueError, match="1' D\\+ 1 > 0"):
+        balaji_bapat_pinv(rational_matrix([[0, 0, 8], [0, 0, 6], [8, 6, 0]]))
+    # Three collinear points: an EDM, but not spherical.
+    with pytest.raises(ValueError, match="1' D\\+ 1 > 0"):
+        balaji_bapat_pinv(rational_matrix([[0, 1, 4], [1, 0, 1], [4, 1, 0]]))
+
+
+def test_gram_route_is_right_or_raises_on_hollow_symmetric_input():
+    rng = random.Random(5)
+    returned = 0
+    for _ in range(200):
+        m = rng.randint(3, 6)
+        dist = np.zeros((m, m), dtype=object)
+        for i in range(m):
+            for j in range(i + 1, m):
+                dist[i, j] = dist[j, i] = rng.randint(-3, 9)
+        try:
+            got = balaji_bapat_pinv(dist)
+        except ValueError:
+            continue
+        returned += 1
+        assert np.abs(got - rational_pinv(dist).astype(float)).max() <= 1e-9
+    assert returned >= 100
+
+
+def _recording(calls):
+    def record(matrix):
+        calls.append(np.asarray(matrix, dtype=object))
+        return rational_pinv(matrix)
+
+    return record
+
+
+def _count_equal(calls, dist):
+    return sum(arg.shape == dist.shape and (arg == dist).all() for arg in calls)
+
+
+@pytest.mark.parametrize("n", [4, 7, 10])
+def test_gram_route_never_takes_the_pseudoinverse_of_d(n, monkeypatch):
+    calls = []
+    monkeypatch.setattr(gearpinv.edm, "rational_pinv", _recording(calls))
+    dist = gear_distance_closed(n)
+    balaji_bapat_pinv(dist)
+    assert calls and _count_equal(calls, dist) == 0
+
+
+def test_verify_takes_the_pseudoinverse_of_d_once(monkeypatch):
+    calls = []
+    monkeypatch.setattr(gearpinv.edm, "rational_pinv", _recording(calls))
+    monkeypatch.setattr(gearpinv.verify, "rational_pinv", _recording(calls))
+    results = gearpinv.verify.run_checks(8)
+    assert all(result.passed for result in results)
+    assert _count_equal(calls, gear_distance_closed(8)) == 1

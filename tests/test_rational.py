@@ -41,6 +41,14 @@ def test_rational_coercion():
     assert rational(F(2, 4)) == F(1, 2)
 
 
+def test_numpy_integers_become_python_ints():
+    assert type(rational(np.int64(7)).numerator) is int
+    # 2**40 over the common denominator 2**30 needs 70 bits.
+    a = np.array([[np.int64(2**40), F(1, 2**30)]], dtype=object)
+    b = np.array([[np.int64(2**40)], [np.int64(1)]], dtype=object)
+    assert dot(a, b)[0, 0] == F(2**80) + F(1, 2**30)
+
+
 def test_rational_matrix_shape_and_entries():
     m = rational_matrix([[1, "1/2"], [0, 3]])
     assert m.dtype == object
