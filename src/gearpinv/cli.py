@@ -39,7 +39,7 @@ from .verify import run_checks
 
 # Largest n the exact routes (verify, pinv --method oracle|k4) accept.  Their
 # cost grows about like n^4 (m^3 operations on integers that widen with m):
-# verify --n 80 takes 25 s on a 2-core machine, --n 100 about a minute.
+# verify --n 80 takes about 11 s on a 2-core machine, --n 100 about 27 s.
 MAX_EXACT_N = 80
 
 
@@ -53,10 +53,7 @@ def _require_exact_size(n: int) -> None:
 
 
 def fraction_str(value) -> str:
-    frac = Fraction(value)
-    if frac.denominator == 1:
-        return str(frac.numerator)
-    return f"{frac.numerator}/{frac.denominator}"
+    return str(Fraction(value))
 
 
 def serialize_matrix(matrix, fmt: str):
@@ -158,7 +155,7 @@ def cmd_pinv(args) -> tuple[dict, int]:
     if args.method in ("oracle", "k4"):
         _require_exact_size(args.n)
     if args.method == "oracle":
-        matrix = rational_pinv(gear_distance_closed(args.n).astype(object))
+        matrix = rational_pinv(gear_distance_closed(args.n))
         fmt = _pick_format(args.format, True)
     elif args.method == "k4":
         matrix = balaji_bapat_pinv(gear_distance_closed(args.n))

@@ -16,7 +16,7 @@ import numpy as np
 
 from .eigen import jacobi_eigh
 from .pinv import rational_pinv
-from .rational import dot, is_exact, is_psd, rational_identity
+from .rational import dot, is_exact, is_psd, rational_identity, scaled, unscaled
 
 
 def centering_projector(m: int) -> np.ndarray:
@@ -28,8 +28,8 @@ def centering_projector(m: int) -> np.ndarray:
 
 def _as_rational_square(matrix) -> np.ndarray:
     mat = np.asarray(matrix)
-    if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
-        raise ValueError("matrix must be square")
+    if mat.ndim != 2 or mat.shape[0] != mat.shape[1] or not len(mat):
+        raise ValueError("matrix must be square with positive order")
     if not is_exact(mat):
         raise ValueError("matrix entries must be exact (int or Fraction)")
     return mat.astype(object)
@@ -38,23 +38,23 @@ def _as_rational_square(matrix) -> np.ndarray:
 def gram_from_edm(matrix) -> np.ndarray:
     """Doubly centered Gram matrix ``-1/2 P D P`` (exact).
 
-    Computed in O(m^2) from row means: for symmetric D the entry is
-    ``D[i, j] - r[i] - r[j] + g``, with r the row means and g their mean.
+    Computed in O(m^2) on integers: for D = A/s with row sums R and total
+    T of A, ``2 m^2 s G[i, j] = m (R[i] + R[j]) - m^2 A[i, j] - T``.
 
     Raises
     ------
     ValueError
-        If the input is not square, symmetric, and hollow.
+        If the input is not square, nonempty, symmetric and hollow.
     """
-    mat = _as_rational_square(matrix)
-    m = mat.shape[0]
-    if any(mat[i, i] != 0 for i in range(m)):
+    ints, scale = scaled(_as_rational_square(matrix))
+    m = len(ints)
+    if ints.diagonal().any():
         raise ValueError("matrix must be hollow (zero diagonal)")
-    if (mat != mat.T).any():
+    if (ints != ints.T).any():
         raise ValueError("matrix must be symmetric")
-    means = np.array([Fraction(sum(row), m) for row in mat], dtype=object)
-    grand = Fraction(sum(means), m)
-    return Fraction(-1, 2) * (mat - means[:, None] - means[None, :] + grand)
+    rows = ints.sum(axis=1)
+    numerators = m * (rows[:, None] + rows[None, :]) - m * m * ints - rows.sum()
+    return unscaled(numerators, 2 * m * m * scale)
 
 
 @dataclass(frozen=True)
@@ -82,23 +82,18 @@ def is_edm(matrix) -> EdmReport:
     m = mat.shape[0]
     hollow = all(mat[i, i] == 0 for i in range(m))
     symmetric = not (mat != mat.T).any()
+    min_eig, psd = float("nan"), False
     if hollow and symmetric:
         gram = gram_from_edm(mat)
-        values, _ = jacobi_eigh(gram.astype(float))
-        min_eig = float(values[0])
+        min_eig = float(jacobi_eigh(gram.astype(float))[0][0])
         psd = is_psd(gram)
-    else:
-        min_eig = float("nan")
-        psd = False
-    ones = np.full(m, Fraction(1), dtype=object)
-    mass = float(ones @ (rational_pinv(mat) @ ones))
     return EdmReport(
         order=m,
         is_hollow=hollow,
         is_symmetric=symmetric,
         min_gram_eigenvalue=min_eig,
         is_edm=psd,
-        beta=mass,
+        beta=float(rational_pinv(mat).sum()),
     )
 
 
@@ -117,7 +112,11 @@ def balaji_bapat_pinv(matrix) -> np.ndarray:
         If D is not hollow symmetric, or not spherical with ``1' D+ 1 > 0``.
     """
     gram = gram_from_edm(matrix)
-    gram_pinv = rational_pinv(gram)
+    return _gram_route(matrix, gram, rational_pinv(gram))
+
+
+def _gram_route(matrix, gram, gram_pinv) -> np.ndarray:
+    """``balaji_bapat_pinv`` from D, its Gram matrix G and the exact G+."""
     # Every hollow symmetric D equals g1' + 1g' - 2G with g = diag(G), so
     # for w = 1/m + G+ g / 2 we get Dw = (I - GG+) g + c 1.  That is
     # constant, Dw = k 1, exactly when D is spherical, and then

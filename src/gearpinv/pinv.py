@@ -17,7 +17,7 @@ import numpy as np
 
 from .graphs import _require_wheel_size
 from .laplacian import special_laplacian
-from .rational import dot, invert, is_exact, rref
+from .rational import dot, invert, is_exact, rref, scaled
 
 
 def u_vector(n: int) -> np.ndarray:
@@ -106,24 +106,30 @@ class PenroseReport:
         return self.max_residual <= tol
 
 
-def _max_abs(matrix) -> float:
-    return float(max(abs(x) for x in np.asarray(matrix).flat))
+def _max_abs(ints, den) -> float:
+    return float(max((abs(x) for x in np.asarray(ints).flat), default=0) / den)
 
 
 def penrose_check(matrix, candidate) -> PenroseReport:
-    """Evaluate MXM=M, XMX=X and symmetry of MX and XM."""
+    """Evaluate MXM=M, XMX=X and symmetry of MX and XM.
+
+    Exact M = A/a and X = B/b are split once into integers, so the
+    residuals ABA - abA, BAB - abB, AB - (AB)' and BA - (BA)' are
+    integers over a^2 b, ab^2, ab and ab.  Float inputs take a = b = 1.
+    """
     m_mat = np.asarray(matrix)
     x_mat = np.asarray(candidate)
     if m_mat.shape != x_mat.T.shape:
         raise ValueError("candidate shape must be the transpose of the input shape")
     exact = is_exact(m_mat) and is_exact(x_mat)
-    mul = dot if exact else np.dot
-    mx = mul(m_mat, x_mat)
-    xm = mul(x_mat, m_mat)
+    split = scaled if exact else (lambda mat: (mat, 1))
+    (a_ints, a), (b_ints, b) = split(m_mat), split(x_mat)
+    ab = a * b
+    mx, xm = a_ints.dot(b_ints), b_ints.dot(a_ints)
     return PenroseReport(
         exact=exact,
-        mxm=_max_abs(mul(mx, m_mat) - m_mat),
-        xmx=_max_abs(mul(xm, x_mat) - x_mat),
-        mx_symmetry=_max_abs(mx - mx.T),
-        xm_symmetry=_max_abs(xm - xm.T),
+        mxm=_max_abs(mx.dot(a_ints) - ab * a_ints, a * ab),
+        xmx=_max_abs(xm.dot(b_ints) - ab * b_ints, ab * b),
+        mx_symmetry=_max_abs(mx - mx.T, ab),
+        xm_symmetry=_max_abs(xm - xm.T, ab),
     )

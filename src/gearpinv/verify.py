@@ -13,11 +13,10 @@ deserve better).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 
 import numpy as np
 
-from .edm import balaji_bapat_pinv, gram_from_edm
+from .edm import _gram_route, gram_from_edm
 from .eigen import jacobi_eigh, numerical_rank
 from .graphs import bfs_distances, build_gear, gear_distance_closed
 from .laplacian import special_laplacian
@@ -41,8 +40,7 @@ def run_checks(n: int, tol: float = 1e-9) -> list[CheckResult]:
     """Run the full check suite for one gear size."""
     results: list[CheckResult] = []
     dist = gear_distance_closed(n)
-    dist_rational = dist.astype(object)
-    oracle = rational_pinv(dist_rational)
+    oracle = rational_pinv(dist)
     oracle_float = oracle.astype(float)
     lap = special_laplacian(n)
 
@@ -66,11 +64,10 @@ def run_checks(n: int, tol: float = 1e-9) -> list[CheckResult]:
 
     # 4. The u vector solves D u = 1 inside the row space, with mass 2/(n-1).
     u = u_vector(n)
-    ones = np.full(2 * n - 1, Fraction(1), dtype=object)
-    worst = max(abs(x) for x in (dist_rational @ u - ones))
+    worst = max(abs(x) for x in (dist @ u - 1))
     for vec in null_basis(n):
         worst = max(worst, abs(vec.astype(object) @ u))
-    worst = max(worst, abs((ones @ u) - beta(n)))
+    worst = max(worst, abs(u.sum() - beta(n)))
     results.append(CheckResult("beta", worst == 0, float(worst)))
 
     # 5. Assembled matrix is PSD with zero row sums and rank n-1.
@@ -84,8 +81,9 @@ def run_checks(n: int, tol: float = 1e-9) -> list[CheckResult]:
     )
 
     # 6. Assembled matrix equals the exact pseudoinverse of -1/2 P D P.
-    gram = gram_from_edm(dist_rational)
-    residual = _sup(lap - rational_pinv(gram).astype(float))
+    gram = gram_from_edm(dist)
+    gram_pinv = rational_pinv(gram)
+    residual = _sup(lap - gram_pinv.astype(float))
     results.append(CheckResult("laplacian-identity", residual <= tol, residual))
 
     # 7. Formula route against the exact oracle.
@@ -93,11 +91,11 @@ def run_checks(n: int, tol: float = 1e-9) -> list[CheckResult]:
     results.append(CheckResult("formula-vs-oracle", residual <= tol, residual))
 
     # 8. The oracle satisfies all four Penrose conditions exactly.
-    report = penrose_check(dist_rational, oracle)
+    report = penrose_check(dist, oracle)
     results.append(CheckResult("penrose", report.all_exact, report.max_residual))
 
-    # 9. The Gram matrix of check 6 is PSD and the Gram route reproduces the oracle.
-    residual = _sup(balaji_bapat_pinv(dist_rational) - oracle_float)
+    # 9. Check 6's Gram matrix is PSD and the Gram route from its G+ matches the oracle.
+    residual = _sup(_gram_route(dist, gram, gram_pinv) - oracle_float)
     results.append(CheckResult("edm", is_psd(gram) and residual <= tol, residual))
 
     return results

@@ -67,6 +67,12 @@ def test_gram_row_sums_and_trace(n):
     assert sum(gram[i, i] for i in range(m)) == mass / (2 * m)
 
 
+@pytest.mark.parametrize("func", [gram_from_edm, is_edm])
+def test_empty_matrix_rejected(func):
+    with pytest.raises(ValueError, match="positive order"):
+        func(rational_zeros(0, 0))
+
+
 def test_gram_validation():
     with pytest.raises(ValueError, match="square"):
         gram_from_edm(rational_matrix([[0, 1, 2], [1, 0, 1]]))
@@ -204,9 +210,19 @@ def test_gram_route_never_takes_the_pseudoinverse_of_d(n, monkeypatch):
 
 
 def test_verify_takes_the_pseudoinverse_of_d_once(monkeypatch):
-    calls = []
+    calls, gram_calls = [], []
+
+    def counted_gram(matrix):
+        gram_calls.append(matrix)
+        return gram_from_edm(matrix)
+
     monkeypatch.setattr(gearpinv.edm, "rational_pinv", _recording(calls))
     monkeypatch.setattr(gearpinv.verify, "rational_pinv", _recording(calls))
+    monkeypatch.setattr(gearpinv.edm, "gram_from_edm", counted_gram)
+    monkeypatch.setattr(gearpinv.verify, "gram_from_edm", counted_gram)
     results = gearpinv.verify.run_checks(8)
     assert all(result.passed for result in results)
-    assert _count_equal(calls, gear_distance_closed(8)) == 1
+    dist = gear_distance_closed(8)
+    assert _count_equal(calls, dist) == 1
+    assert _count_equal(calls, gram_from_edm(dist)) == 1
+    assert len(gram_calls) == 1

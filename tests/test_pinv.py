@@ -1,5 +1,6 @@
 """Closed-form pseudoinverse, exact oracle, and Penrose checks."""
 
+from dataclasses import astuple
 from fractions import Fraction
 
 import numpy as np
@@ -16,7 +17,12 @@ from gearpinv.pinv import (
     rational_pinv,
     u_vector,
 )
-from gearpinv.rational import rational_identity, rational_matrix
+from gearpinv.rational import (
+    is_exact,
+    rational_identity,
+    rational_matrix,
+    rational_zeros,
+)
 from gearpinv.spectral import null_basis
 
 entries = st.fractions(min_value=-9, max_value=9, max_denominator=5)
@@ -214,6 +220,40 @@ def test_penrose_check_flags_exact_violations(gear_oracle):
     assert report.exact
     assert not report.all_exact
     assert report.max_residual > 0
+
+
+def reference_penrose_check(matrix, candidate):
+    """Textbook residuals: each Penrose condition in Fraction or float arithmetic."""
+    m_mat = np.asarray(matrix)
+    x_mat = np.asarray(candidate)
+    exact = is_exact(m_mat) and is_exact(x_mat)
+    mx = np.dot(m_mat, x_mat)
+    xm = np.dot(x_mat, m_mat)
+    residuals = (
+        np.dot(mx, m_mat) - m_mat,
+        np.dot(xm, x_mat) - x_mat,
+        mx - mx.T,
+        xm - xm.T,
+    )
+    return (exact, *(float(max(abs(x) for x in r.flat)) for r in residuals))
+
+
+@settings(deadline=None, max_examples=60)
+@given(matrices(), st.data())
+def test_penrose_check_matches_reference(rows, data):
+    m = rational_matrix(rows)
+    row = st.lists(entries, min_size=m.shape[0], max_size=m.shape[0])
+    x = rational_matrix(data.draw(st.lists(row, min_size=m.shape[1], max_size=m.shape[1])))
+    for candidate in (x, rational_pinv(m), x.astype(float)):
+        report = penrose_check(m, candidate)
+        assert astuple(report) == reference_penrose_check(m, candidate)
+
+
+def test_penrose_check_on_empty_input():
+    m = rational_zeros(0, 3)
+    report = penrose_check(m, rational_pinv(m))
+    assert report.exact
+    assert astuple(report) == (True, 0.0, 0.0, 0.0, 0.0)
 
 
 def test_small_n_rejected():
