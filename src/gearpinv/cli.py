@@ -1,6 +1,7 @@
 """Command line interface.
 
-Every command prints one JSON document to stdout with the shape
+Every command prints one JSON document to stdout, as one compact line,
+with the shape
 
     {"kind": ..., "n": ..., "format": ..., "payload": ...,
      "metadata": {...}, "checks": [...]}
@@ -8,7 +9,8 @@ Every command prints one JSON document to stdout with the shape
 and exits 0 on success, 1 when a verification check fails, and 2 on
 usage or domain errors.  Exact payloads serialize as canonical fraction
 strings like "-3/50"; floating payloads serialize as JSON numbers that
-round-trip to the same double.
+round-trip to the same double.  Pipe the output through
+``python -m json.tool`` to pretty-print it.
 
 Examples:
     gearpinv gen gear-distance --n 6
@@ -23,15 +25,19 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import re
 import sys
 from fractions import Fraction
+
+import numpy as np
 
 from . import __version__
 from .edm import balaji_bapat_pinv
 from .graphs import bfs_distances, build_wheel, gear_distance_closed
 from .laplacian import a_matrix, b_matrix, h_matrix, special_laplacian
 from .pinv import gear_pinv_formula, rational_pinv
+from .rational import scaled
 from .spectral import lambda_pairs, max_eigen_residual, theta
 from .trees import tree_distance, unit_tree, weighted_tree
 from .verify import run_checks
@@ -42,39 +48,59 @@ from .verify import run_checks
 # verify --n 80 takes about 11 s on a 2-core machine, --n 100 about 27 s.
 MAX_EXACT_N = 80
 
+# Largest n the dense commands (gen, pinv --method formula, spectrum,
+# laplacian) accept.  Their output has (2n - 1)^2 entries; the slowest,
+# laplacian --part a --n 1000 (an exact Fraction outer product), takes about
+# 24 s and 1 GB of memory on a 2-core machine.
+MAX_DENSE_N = 1000
+
 
 class DomainError(ValueError):
     """Bad argument values that argparse cannot catch."""
 
 
-def _require_exact_size(n: int) -> None:
-    if n > MAX_EXACT_N:
-        raise DomainError(f"n = {n} is above {MAX_EXACT_N}, the exact routes' ceiling")
+def _require_size(n: int, ceiling: int, routes: str) -> None:
+    if n > ceiling:
+        raise DomainError(f"n = {n} is above {ceiling}, the {routes}' ceiling")
 
 
-def fraction_str(value) -> str:
-    return str(Fraction(value))
+def _matrix_json(keys: np.ndarray, values_of) -> str:
+    """JSON text of a matrix whose entries are determined by ``keys``.
+
+    ``values_of`` maps the sorted distinct keys to the JSON values they
+    stand for, so each distinct entry is formatted once.  The encoder
+    writes all of them in one call; no token contains ", ".
+    """
+    distinct, inverse = np.unique(keys.ravel(), return_inverse=True)
+    values = values_of(distinct)
+    tokens = json.dumps(values)[1:-1].split(", ") if values else []
+    rows = np.array(tokens, dtype=object)[inverse].reshape(keys.shape).tolist()
+    return "[" + ", ".join(["[" + ", ".join(row) + "]" for row in rows]) + "]"
 
 
-def serialize_matrix(matrix, fmt: str):
+def serialize_matrix(matrix, fmt: str) -> str:
+    """The JSON text of a matrix payload: fraction strings or round-trip floats."""
     if fmt == "rational":
-        return [[fraction_str(x) for x in row] for row in matrix]
-    return [[float(x) for x in row] for row in matrix]
+        ints, den = scaled(matrix)
+        return _matrix_json(ints, lambda keys: [str(Fraction(k, den)) for k in keys])
+    # Bit patterns as keys keep -0.0 apart from 0.0.
+    bits = np.asarray(matrix, dtype=float).view(np.int64)
+    return _matrix_json(bits, lambda keys: keys.view(float).tolist())
 
 
-def _document(kind, n, fmt, payload, parity=None, tolerance=None, checks=()):
-    return {
-        "kind": kind,
-        "n": n,
-        "format": fmt,
+def _document(kind, n, fmt, payload: str, parity=None, tolerance=None, checks=()) -> str:
+    """One compact line of JSON; ``payload`` is already JSON text."""
+    fields = {
+        "kind": json.dumps(kind),
+        "n": json.dumps(n),
+        "format": json.dumps(fmt),
         "payload": payload,
-        "metadata": {
-            "version": __version__,
-            "parity": parity,
-            "tolerance": tolerance,
-        },
-        "checks": list(checks),
+        "metadata": json.dumps(
+            {"version": __version__, "parity": parity, "tolerance": tolerance}
+        ),
+        "checks": json.dumps(list(checks)),
     }
+    return "{" + ", ".join(f'"{key}": {text}' for key, text in fields.items()) + "}"
 
 
 def _parity(n: int) -> str:
@@ -127,7 +153,7 @@ def _parse_edges(text: str):
     return weighted_tree([(a, b, _parse_weight(w)) for a, b, w in items])
 
 
-def cmd_gen(args) -> tuple[dict, int]:
+def cmd_gen(args) -> tuple[str, int]:
     if args.kind == "tree-distance":
         if args.edges is None:
             raise DomainError("tree-distance needs --edges")
@@ -140,6 +166,7 @@ def cmd_gen(args) -> tuple[dict, int]:
         return doc, 0
     if args.n is None:
         raise DomainError(f"{args.kind} needs --n")
+    _require_size(args.n, MAX_DENSE_N, "dense commands")
     fmt = _pick_format(args.format, True)
     if args.kind == "gear-distance":
         matrix = gear_distance_closed(args.n)
@@ -151,9 +178,11 @@ def cmd_gen(args) -> tuple[dict, int]:
     return doc, 0
 
 
-def cmd_pinv(args) -> tuple[dict, int]:
+def cmd_pinv(args) -> tuple[str, int]:
     if args.method in ("oracle", "k4"):
-        _require_exact_size(args.n)
+        _require_size(args.n, MAX_EXACT_N, "exact routes")
+    else:
+        _require_size(args.n, MAX_DENSE_N, "dense commands")
     if args.method == "oracle":
         matrix = rational_pinv(gear_distance_closed(args.n))
         fmt = _pick_format(args.format, True)
@@ -169,8 +198,9 @@ def cmd_pinv(args) -> tuple[dict, int]:
     return doc, 0
 
 
-def cmd_spectrum(args) -> tuple[dict, int]:
+def cmd_spectrum(args) -> tuple[str, int]:
     n = args.n
+    _require_size(n, MAX_DENSE_N, "dense commands")
     fmt = _pick_format(args.format, False)
     pairs = lambda_pairs(n)
     payload = {
@@ -179,11 +209,12 @@ def cmd_spectrum(args) -> tuple[dict, int]:
         "null_multiplicity": n - 1,
         "max_residual": max_eigen_residual(n),
     }
-    return _document("spectrum", n, fmt, payload, parity=_parity(n)), 0
+    return _document("spectrum", n, fmt, json.dumps(payload), parity=_parity(n)), 0
 
 
-def cmd_laplacian(args) -> tuple[dict, int]:
+def cmd_laplacian(args) -> tuple[str, int]:
     n = args.n
+    _require_size(n, MAX_DENSE_N, "dense commands")
     if args.part == "a":
         matrix = a_matrix(n)
         exact = True
@@ -205,8 +236,10 @@ def cmd_laplacian(args) -> tuple[dict, int]:
     return doc, 0
 
 
-def cmd_verify(args) -> tuple[dict, int]:
-    _require_exact_size(args.n)
+def cmd_verify(args) -> tuple[str, int]:
+    if not 0 <= args.tol < math.inf:
+        raise DomainError(f"--tol must be a finite number at least 0, got {args.tol}")
+    _require_size(args.n, MAX_EXACT_N, "exact routes")
     results = run_checks(args.n, tol=args.tol)
     checks = [
         {"name": r.name, "pass": r.passed, "residual": r.residual} for r in results
@@ -215,7 +248,9 @@ def cmd_verify(args) -> tuple[dict, int]:
         "verify-report",
         args.n,
         "decimal",
-        {"checks_passed": sum(r.passed for r in results), "checks_total": len(results)},
+        json.dumps(
+            {"checks_passed": sum(r.passed for r in results), "checks_total": len(results)}
+        ),
         parity=_parity(args.n),
         tolerance=args.tol,
         checks=checks,
@@ -280,7 +315,7 @@ def main(argv=None) -> int:
     except (DomainError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    print(json.dumps(doc, indent=2))
+    print(doc)
     return code
 
 

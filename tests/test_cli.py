@@ -168,9 +168,92 @@ def test_pinv_round_trips_through_gen():
         [[Fraction(entry) for entry in row] for row in dist_doc["payload"]],
         dtype=object,
     )
-    rebuilt = serialize_matrix(rational_pinv(parsed), "rational")
+    rebuilt = json.loads(serialize_matrix(rational_pinv(parsed), "rational"))
     oracle_doc = run_doc("pinv", "--n", "5", "--method", "oracle")
     assert rebuilt == oracle_doc["payload"]
+
+
+def _reference_payload(matrix, fmt):
+    """The payload text the JSON encoder writes for the plain nested lists."""
+    if fmt == "rational":
+        return json.dumps([[str(Fraction(x)) for x in row] for row in matrix])
+    return json.dumps([[float(x) for x in row] for row in matrix])
+
+
+_NASTY = [-0.0, 0.0, math.nan, math.inf, -math.inf, 1e-300, -2.5, 5e-324, 1.0]
+
+
+@pytest.mark.parametrize(
+    "matrix, fmt",
+    [
+        (np.array([[-0.0, 0.0, math.nan], [math.inf, -math.inf, -0.0]]), "decimal"),
+        (np.array([[1.0, 1.0], [1.0, 1.0]]), "decimal"),
+        (np.zeros((0, 0)), "decimal"),
+        (np.zeros((0, 3)), "decimal"),
+        (np.zeros((3, 0)), "decimal"),
+        (np.array([[3, -1], [0, 2**40]]), "decimal"),
+        (
+            np.array([[Fraction(1, 3), Fraction(-2, 7)], [Fraction(0), Fraction(10**30, 3)]],
+                     dtype=object),
+            "decimal",
+        ),
+        (np.array([[1, -2], [3, 0]], dtype=np.int64), "rational"),
+        (np.array([[1, -2], [3, 10**30]], dtype=object), "rational"),
+        (np.array([[np.int64(4), np.int64(-4)], [np.int64(0), np.int64(4)]], dtype=object),
+         "rational"),
+        (
+            np.array([[Fraction(1, 2**70 + 1), Fraction(-3, 2**90)], [Fraction(5), 7]],
+                     dtype=object),
+            "rational",
+        ),
+        (np.zeros((0, 0), dtype=object), "rational"),
+        (np.zeros((2, 0), dtype=int), "rational"),
+    ],
+)
+def test_serialize_matrix_equals_encoder_on_reference_lists(matrix, fmt):
+    assert serialize_matrix(matrix, fmt) == _reference_payload(matrix, fmt)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 5), st.integers(0, 5), st.data())
+def test_serialize_matrix_equals_encoder_on_generated_floats(rows, cols, data):
+    values = data.draw(st.lists(st.sampled_from(_NASTY) | st.floats(), min_size=rows * cols,
+                                max_size=rows * cols))
+    matrix = np.array(values, dtype=float).reshape(rows, cols)
+    assert serialize_matrix(matrix, "decimal") == _reference_payload(matrix, "decimal")
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 4), st.integers(1, 4), st.data())
+def test_serialize_matrix_equals_encoder_on_generated_fractions(rows, cols, data):
+    entries = st.fractions(max_denominator=2**80) | st.integers(-(2**70), 2**70)
+    values = data.draw(st.lists(entries, min_size=rows * cols, max_size=rows * cols))
+    matrix = np.array(values, dtype=object).reshape(rows, cols)
+    for fmt in ("rational", "decimal"):
+        assert serialize_matrix(matrix, fmt) == _reference_payload(matrix, fmt)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("gen", "gear-distance", "--n", "5"),
+        ("gen", "wheel-distance", "--n", "6", "--format", "decimal"),
+        ("gen", "tree-distance", "--edges", '[[1,2,"1/2"],[2,3,2]]'),
+        ("pinv", "--n", "6"),
+        ("pinv", "--n", "5", "--method", "oracle"),
+        ("pinv", "--n", "5", "--method", "k4"),
+        ("spectrum", "--n", "8"),
+        ("laplacian", "--n", "7", "--part", "h"),
+        ("laplacian", "--n", "6", "--part", "b", "--k", "1"),
+        ("laplacian", "--n", "6"),
+        ("verify", "--n", "6"),
+    ],
+)
+def test_every_command_prints_one_compact_line(argv):
+    code, out, err = run_cli(*argv)
+    assert code == 0, err
+    assert out.count("\n") == 1
+    assert out == json.dumps(json.loads(out)) + "\n"
 
 
 def test_spectrum_document():
@@ -244,6 +327,21 @@ def test_verify_document_passes(n):
         assert check["residual"] >= 0.0
 
 
+@pytest.mark.parametrize("tol", ["nan", "-1", "inf", "1e400", "-0.5"])
+def test_verify_rejects_bad_tolerance(monkeypatch, tol):
+    monkeypatch.setattr(cli, "run_checks", _refuse)
+    code, out, err = run_cli("verify", "--n", "6", "--tol", tol)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:") and "--tol" in err
+
+
+def test_verify_accepts_zero_tolerance(monkeypatch):
+    monkeypatch.setattr(cli, "run_checks", lambda n, tol: [])
+    code, _, err = run_cli("verify", "--n", "6", "--tol", "0")
+    assert code == 0, err
+
+
 def test_verify_rejects_small_n():
     code, _, err = run_cli("verify", "--n", "2")
     assert code == 2
@@ -264,6 +362,36 @@ def test_exact_routes_refuse_n_above_ceiling(monkeypatch, argv):
     assert code == 2
     assert out == ""
     assert err.startswith("error:") and str(cli.MAX_EXACT_N) in err
+
+
+_DENSE_BUILDERS = (
+    "gear_distance_closed", "bfs_distances", "build_wheel", "gear_pinv_formula",
+    "lambda_pairs", "theta", "max_eigen_residual",
+    "a_matrix", "h_matrix", "b_matrix", "special_laplacian",
+)
+
+
+@pytest.mark.parametrize("n", [cli.MAX_DENSE_N + 1, 10**6])
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("gen", "gear-distance"),
+        ("gen", "wheel-distance"),
+        ("pinv",),
+        ("spectrum",),
+        ("laplacian",),
+        ("laplacian", "--part", "a"),
+        ("laplacian", "--part", "h"),
+        ("laplacian", "--part", "b", "--k", "1"),
+    ],
+)
+def test_dense_commands_refuse_n_above_ceiling(monkeypatch, argv, n):
+    for name in _DENSE_BUILDERS:
+        monkeypatch.setattr(cli, name, _refuse)
+    code, out, err = run_cli(*argv, "--n", str(n))
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:") and str(cli.MAX_DENSE_N) in err
 
 
 def test_verify_accepts_n_at_ceiling(monkeypatch):
