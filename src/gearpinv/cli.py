@@ -37,7 +37,7 @@ from .edm import balaji_bapat_pinv
 from .graphs import bfs_distances, build_wheel, gear_distance_closed
 from .laplacian import a_matrix, b_matrix, h_matrix, special_laplacian
 from .pinv import gear_pinv_formula, rational_pinv
-from .rational import scaled
+from .rational import is_exact, scaled
 from .spectral import lambda_pairs, max_eigen_residual, theta
 from .trees import tree_distance, unit_tree, weighted_tree
 from .verify import run_checks
@@ -50,8 +50,8 @@ MAX_EXACT_N = 80
 
 # Largest n the dense commands (gen, pinv --method formula, spectrum,
 # laplacian) accept.  Their output has (2n - 1)^2 entries; the slowest,
-# laplacian --part a --n 1000 (an exact Fraction outer product), takes about
-# 24 s and 1 GB of memory on a 2-core machine.
+# laplacian --part a --n 1000 (an exact payload written entry by entry),
+# takes about 7 s and 530 MB of memory on a 2-core machine.
 MAX_DENSE_N = 1000
 
 
@@ -153,29 +153,30 @@ def _parse_edges(text: str):
     return weighted_tree([(a, b, _parse_weight(w)) for a, b, w in items])
 
 
+def _matrix_document(args, n: int, matrix: np.ndarray, parity=None) -> tuple[str, int]:
+    """The document of a matrix command; the format follows the payload."""
+    fmt = _pick_format(args.format, is_exact(matrix))
+    return _document("matrix", n, fmt, serialize_matrix(matrix, fmt), parity=parity), 0
+
+
 def cmd_gen(args) -> tuple[str, int]:
     if args.kind == "tree-distance":
         if args.edges is None:
             raise DomainError("tree-distance needs --edges")
+        if args.n is not None:
+            raise DomainError("tree-distance takes no --n: the edges fix the size")
         tree = _parse_edges(args.edges)
-        fmt = _pick_format(args.format, True)
-        matrix = tree_distance(tree)
-        doc = _document(
-            "matrix", tree.num_vertices, fmt, serialize_matrix(matrix, fmt)
-        )
-        return doc, 0
+        return _matrix_document(args, tree.num_vertices, tree_distance(tree))
     if args.n is None:
         raise DomainError(f"{args.kind} needs --n")
+    if args.edges is not None:
+        raise DomainError(f"{args.kind} takes no --edges")
     _require_size(args.n, MAX_DENSE_N, "dense commands")
-    fmt = _pick_format(args.format, True)
     if args.kind == "gear-distance":
         matrix = gear_distance_closed(args.n)
     else:
         matrix = bfs_distances(build_wheel(args.n))
-    doc = _document(
-        "matrix", args.n, fmt, serialize_matrix(matrix, fmt), parity=_parity(args.n)
-    )
-    return doc, 0
+    return _matrix_document(args, args.n, matrix, _parity(args.n))
 
 
 def cmd_pinv(args) -> tuple[str, int]:
@@ -185,17 +186,11 @@ def cmd_pinv(args) -> tuple[str, int]:
         _require_size(args.n, MAX_DENSE_N, "dense commands")
     if args.method == "oracle":
         matrix = rational_pinv(gear_distance_closed(args.n))
-        fmt = _pick_format(args.format, True)
     elif args.method == "k4":
         matrix = balaji_bapat_pinv(gear_distance_closed(args.n))
-        fmt = _pick_format(args.format, False)
     else:
         matrix = gear_pinv_formula(args.n)
-        fmt = _pick_format(args.format, False)
-    doc = _document(
-        "matrix", args.n, fmt, serialize_matrix(matrix, fmt), parity=_parity(args.n)
-    )
-    return doc, 0
+    return _matrix_document(args, args.n, matrix, _parity(args.n))
 
 
 def cmd_spectrum(args) -> tuple[str, int]:
@@ -215,31 +210,26 @@ def cmd_spectrum(args) -> tuple[str, int]:
 def cmd_laplacian(args) -> tuple[str, int]:
     n = args.n
     _require_size(n, MAX_DENSE_N, "dense commands")
+    if args.part != "b" and args.k is not None:
+        raise DomainError(f"--k applies only to part b, not part {args.part}")
     if args.part == "a":
         matrix = a_matrix(n)
-        exact = True
     elif args.part == "h":
         matrix = h_matrix(n)
-        exact = True
     elif args.part == "b":
         if args.k is None:
             raise DomainError("part b needs --k")
         matrix = b_matrix(n, args.k)
-        exact = False
     else:
         matrix = special_laplacian(n)
-        exact = False
-    fmt = _pick_format(args.format, exact)
-    doc = _document(
-        "matrix", n, fmt, serialize_matrix(matrix, fmt), parity=_parity(n)
-    )
-    return doc, 0
+    return _matrix_document(args, n, matrix, _parity(n))
 
 
 def cmd_verify(args) -> tuple[str, int]:
     if not 0 <= args.tol < math.inf:
         raise DomainError(f"--tol must be a finite number at least 0, got {args.tol}")
     _require_size(args.n, MAX_EXACT_N, "exact routes")
+    fmt = _pick_format(args.format, False)
     results = run_checks(args.n, tol=args.tol)
     checks = [
         {"name": r.name, "pass": r.passed, "residual": r.residual} for r in results
@@ -247,7 +237,7 @@ def cmd_verify(args) -> tuple[str, int]:
     doc = _document(
         "verify-report",
         args.n,
-        "decimal",
+        fmt,
         json.dumps(
             {"checks_passed": sum(r.passed for r in results), "checks_total": len(results)}
         ),
@@ -265,9 +255,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p, need_n=True):
-        if need_n:
-            p.add_argument("--n", type=int, required=True, help="wheel size, at least 4")
+    def add_common(p):
+        p.add_argument("--n", type=int, required=True, help="wheel size, at least 4")
         p.add_argument("--format", choices=["rational", "decimal"], default=None)
 
     p_gen = sub.add_parser("gen", help="emit a distance matrix")

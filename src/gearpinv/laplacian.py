@@ -5,18 +5,49 @@ where D is the gear distance matrix and P the centering projector.  It
 assembles from a rank-one rational part, cosine circulant blocks (one
 per eigenvalue pair of the distance matrix), and, for odd n, an
 alternating-sign rational block.
+
+Each piece is defined once, in ``_rank_one`` and ``_pair_weights``; the
+parts and :func:`special_laplacian` are built from them.  Vertex 0 is
+the hub, 1..n-1 the cycle and n..2n-2 the subdivision.
 """
 
 from __future__ import annotations
 
 import math
-from fractions import Fraction
 
 import numpy as np
 
 from .circulant import circulant
 from .graphs import _require_pair_index, _require_wheel_size
-from .rational import rational_vector, rational_zeros
+from .rational import unscaled
+
+
+def _rank_one(n: int) -> tuple[list[int], int, np.ndarray]:
+    """The rank-one part ``v v' / den`` by vertex class: (v, den, classes).
+
+    v is 3(n-1) on the hub (class 0), n-2 on the cycle (class 1) and
+    -(n+1) on the subdivision (class 2); ``den = (n+4)^2 (n-1)``.
+    """
+    classes = np.repeat([0, 1, 2], [1, n - 1, n - 1])
+    return [3 * (n - 1), n - 2, -(n + 1)], (n + 4) ** 2 * (n - 1), classes
+
+
+def _class_outer(values, den: int, classes: np.ndarray) -> np.ndarray:
+    """Exact ``x x' / den`` with x = values[classes]: one Fraction per distinct entry."""
+    column = np.array(values, dtype=object)
+    return unscaled(np.outer(column, column), den)[np.ix_(classes, classes)]
+
+
+def _pair_weights(n: int, k):
+    """Subdivision block weight of pair index k and its ratio to the cycle weight.
+
+    With ``phi = cos(pi k/(n-1))`` the weight is
+    ``2 / ((n-1) (2 phi + 1/(2 phi))^2)`` and the ratio ``4 phi^2``;
+    k may be an array.
+    """
+    size = n - 1
+    phi = np.cos(np.pi * k / size)
+    return 2.0 / (size * (2.0 * phi + 1.0 / (2.0 * phi)) ** 2), 4.0 * phi * phi
 
 
 def a_matrix(n: int) -> np.ndarray:
@@ -24,14 +55,11 @@ def a_matrix(n: int) -> np.ndarray:
 
     The generating vector is 1 on the hub, (n-2)/(3(n-1)) on the cycle
     block, and -(n+1)/(3(n-1)) on the subdivision block; it is
-    orthogonal to the all-ones vector.
+    orthogonal to the all-ones vector.  Built from its integer form in
+    ``_rank_one``, one Fraction per pair of vertex classes.
     """
     _require_wheel_size(n)
-    rim = Fraction(n - 2, 3 * (n - 1))
-    sub = Fraction(-(n + 1), 3 * (n - 1))
-    y = rational_vector([1] + [rim] * (n - 1) + [sub] * (n - 1))
-    scale = Fraction(9 * (n - 1), (n + 4) ** 2)
-    return scale * np.outer(y, y)
+    return _class_outer(*_rank_one(n))
 
 
 def h_matrix(n: int) -> np.ndarray:
@@ -44,12 +72,9 @@ def h_matrix(n: int) -> np.ndarray:
     _require_wheel_size(n)
     if n % 2 == 0:
         raise ValueError("the alternating block exists only for odd n")
-    out = rational_zeros(2 * n - 1, 2 * n - 1)
-    unit = Fraction(1, n - 1)
-    for r in range(n - 1):
-        for s in range(n - 1):
-            out[1 + r, 1 + s] = unit if (r + s) % 2 == 0 else -unit
-    return out
+    classes = np.zeros(2 * n - 1, dtype=int)  # hub and subdivision: 0
+    classes[1:n] = 1 + np.arange(n - 1) % 2
+    return _class_outer([0, 1, -1], n - 1, classes)
 
 
 def c_matrices(n: int, k: int) -> tuple[np.ndarray, np.ndarray]:
@@ -72,7 +97,8 @@ def b_matrix(n: int, k: int) -> np.ndarray:
 
     Symmetric, zero on the hub row and column, with row sums that vanish
     up to rounding.  Invariant under ``k -> n-1-k``, so assembly only
-    ever uses the lower half of the k range.
+    ever uses the lower half of the k range.  The block weights come
+    from ``_pair_weights``.
 
     Raises
     ------
@@ -83,17 +109,14 @@ def b_matrix(n: int, k: int) -> np.ndarray:
     _require_pair_index(n, k)
     if n % 2 == 1 and 2 * k == n - 1:
         raise ValueError("cos(pi*k/(n-1)) vanishes: no cosine block at this k")
-    size = n - 1
-    phi = math.cos(math.pi * k / size)
-    scale = 2.0 / (size * (2.0 * phi + 1.0 / (2.0 * phi)) ** 2)
+    sub_weight, quarter = _pair_weights(n, k)
     c_plain, c_shift = c_matrices(n, k)
-    quarter = 4.0 * phi * phi
     out = np.zeros((2 * n - 1, 2 * n - 1))
     out[1:n, 1:n] = c_plain / quarter
     out[1:n, n:] = (c_plain + c_shift) / quarter
     out[n:, 1:n] = (c_plain + c_shift.T) / quarter
     out[n:, n:] = c_plain
-    return scale * out
+    return sub_weight * out
 
 
 def special_laplacian(n: int) -> np.ndarray:
@@ -105,16 +128,17 @@ def special_laplacian(n: int) -> np.ndarray:
 
     Built in floating point from three circulant first rows, each a sum
     of the :func:`b_matrix` cosine rows over the lower half of the k
-    range, taken as one matrix product in O(n^2).  The rank-one part of
-    :func:`a_matrix` and, for odd n, :func:`h_matrix` are added in float;
-    writing the dense output dominates the cost.
+    range, weighted by ``_pair_weights`` and taken as one matrix product
+    in O(n^2).  The rank-one part of :func:`a_matrix`, from the same
+    ``_rank_one`` vector, and, for odd n, the alternating row of
+    :func:`h_matrix` are added in float; writing the dense output
+    dominates the cost.
     """
     _require_wheel_size(n)
     size = n - 1
     ks = np.arange(1, (n - 2) // 2 + 1)
-    phi = np.cos(np.pi * ks / size)
-    sub_weight = 2.0 / (size * (2.0 * phi + 1.0 / (2.0 * phi)) ** 2)
-    rim_weight = sub_weight / (4.0 * phi * phi)
+    sub_weight, quarter = _pair_weights(n, ks)
+    rim_weight = sub_weight / quarter
     # Reducing k*j mod n-1 keeps the cosine arguments in [0, 2*pi).
     cosines = np.cos(2.0 * np.pi * (np.outer(ks, np.arange(size)) % size) / size)
     rim_row, sub_row = np.stack([rim_weight, sub_weight]) @ cosines
@@ -126,8 +150,8 @@ def special_laplacian(n: int) -> np.ndarray:
     out[1:n, n:] = circulant(mix_row)
     out[n:, 1:n] = out[1:n, n:].T
     out[n:, n:] = circulant(sub_row)
-    y = np.concatenate(
-        [[1.0], np.full(size, (n - 2) / (3 * size)), np.full(size, -(n + 1) / (3 * size))]
-    )
-    out += (9 * size / (n + 4) ** 2) * np.outer(y, y)
+    # The rank-one part in float: 9(n-1)/(n+4)^2 * y y' with y = v / v[0].
+    values, den, classes = _rank_one(n)
+    y = (np.array(values) / values[0])[classes]
+    out += (values[0] ** 2 / den) * np.outer(y, y)
     return out

@@ -34,10 +34,6 @@ def rational_matrix(rows) -> np.ndarray:
     return out
 
 
-def rational_vector(values) -> np.ndarray:
-    return np.array([rational(x) for x in values], dtype=object)
-
-
 def rational_identity(order: int) -> np.ndarray:
     return unscaled(np.eye(order, dtype=int), 1)
 

@@ -106,29 +106,19 @@ def graham_lovasz_inverse(tree: WeightedTree) -> np.ndarray:
     """Exact inverse of the distance matrix of a unit-weight tree.
 
     ``-L/2 + t t' / (2(m-1))`` where L is the graph Laplacian and t has
-    entry ``2 - degree`` at each vertex.
+    entry ``2 - degree`` at each vertex: :func:`weighted_tree_inverse`
+    with every weight 1, so the total weight is m - 1.
     """
     if not tree.is_unit():
         raise ValueError("tree has non-unit weights: use weighted_tree_inverse")
-    m = tree.num_vertices
-    if m < 2:
-        raise ValueError("the inverse needs at least two vertices")
-    tau = _leaf_adjusted_degrees(tree)
-    lap = rational_zeros(m, m)
-    for a, b, _ in tree.edges:
-        lap[a - 1, a - 1] += 1
-        lap[b - 1, b - 1] += 1
-        lap[a - 1, b - 1] -= 1
-        lap[b - 1, a - 1] -= 1
-    return -Fraction(1, 2) * lap + Fraction(1, 2 * (m - 1)) * np.outer(tau, tau)
+    return weighted_tree_inverse(tree)
 
 
 def weighted_tree_inverse(tree: WeightedTree) -> np.ndarray:
     """Exact inverse of the distance matrix of a weighted tree.
 
     The Laplacian carries reciprocal weights; the rank-one part divides
-    by twice the total edge weight.  With unit weights this reduces to
-    :func:`graham_lovasz_inverse`.
+    by twice the total edge weight.
     """
     m = tree.num_vertices
     if m < 2:

@@ -309,6 +309,27 @@ def test_laplacian_cosine_part_rejects_vanishing_cosine():
     assert "vanishes" in err
 
 
+@pytest.mark.parametrize(
+    "argv, fragment",
+    [
+        (("verify", "--n", "5", "--format", "rational"), "needs an exact payload"),
+        (("gen", "tree-distance", "--edges", "[[1,2],[2,3]]", "--n", "7"), "no --n"),
+        (("gen", "gear-distance", "--n", "5", "--edges", "[[1,2]]"), "no --edges"),
+        (("gen", "wheel-distance", "--n", "5", "--edges", "[[1,2]]"), "no --edges"),
+        (("laplacian", "--n", "6", "--part", "a", "--k", "2"), "--k"),
+        (("laplacian", "--n", "7", "--part", "h", "--k", "2"), "--k"),
+        (("laplacian", "--n", "6", "--part", "full", "--k", "2"), "--k"),
+        (("laplacian", "--n", "6", "--k", "2"), "--k"),
+    ],
+)
+def test_ignored_options_are_refused(monkeypatch, argv, fragment):
+    monkeypatch.setattr(cli, "run_checks", _refuse)
+    code, out, err = run_cli(*argv)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:") and fragment in err
+
+
 def test_laplacian_full_document():
     doc = run_doc("laplacian", "--n", "5")
     assert doc["format"] == "decimal"

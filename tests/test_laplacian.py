@@ -38,6 +38,33 @@ def test_a_matrix_symmetric_rank_one_zero_row_sums():
                 assert a[0, 0] * a[i, j] == a[0, j] * a[i, 0]
 
 
+def _textbook_a(n):
+    """A entry by entry: 9(n-1)/(n+4)^2 * y_i y_j, y as in the paper."""
+    y = [Fraction(1)] + [Fraction(n - 2, 3 * (n - 1))] * (n - 1)
+    y += [Fraction(-(n + 1), 3 * (n - 1))] * (n - 1)
+    scale = Fraction(9 * (n - 1), (n + 4) ** 2)
+    return [[scale * yi * yj for yj in y] for yi in y]
+
+
+def _textbook_h(n):
+    """H entry by entry: (-1)^(r+s)/(n-1) on the cycle block, zero elsewhere."""
+    out = [[Fraction(0)] * (2 * n - 1) for _ in range(2 * n - 1)]
+    for r in range(n - 1):
+        for s in range(n - 1):
+            out[1 + r][1 + s] = Fraction((-1) ** (r + s), n - 1)
+    return out
+
+
+@pytest.mark.parametrize("n", range(4, 41))
+def test_exact_parts_equal_textbook_entries(n):
+    parts = [(a_matrix(n), _textbook_a(n))]
+    if n % 2 == 1:
+        parts.append((h_matrix(n), _textbook_h(n)))
+    for built, textbook in parts:
+        assert built.tolist() == textbook
+        assert all(type(x) is Fraction for x in built.flat)
+
+
 def test_c_matrices_entrywise_definition():
     for n, k in [(6, 1), (6, 2), (9, 4), (7, 5)]:
         plain, shifted = c_matrices(n, k)

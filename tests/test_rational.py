@@ -16,7 +16,6 @@ from gearpinv.rational import (
     rational,
     rational_identity,
     rational_matrix,
-    rational_vector,
     rref,
 )
 
@@ -191,12 +190,6 @@ def test_invert_against_product(rows):
     inv = invert(m)
     assert (m @ inv == eye).all()
     assert (inv @ m == eye).all()
-
-
-def test_rational_vector():
-    v = rational_vector([1, "2/4"])
-    assert v[1] == F(1, 2)
-    assert v.dtype == object
 
 
 @pytest.mark.parametrize(
