@@ -16,7 +16,7 @@ import numpy as np
 
 from .eigen import jacobi_eigh
 from .pinv import rational_pinv
-from .rational import dot, is_exact, is_psd, rational_identity, scaled, unscaled
+from .rational import dot, is_exact, is_psd, rational_identity, rref, scaled, unscaled
 
 
 def centering_projector(m: int) -> np.ndarray:
@@ -76,7 +76,7 @@ def is_edm(matrix) -> EdmReport:
     semidefiniteness by fraction-free elimination, so no tolerance is
     involved.  ``min_gram_eigenvalue`` is the smallest Gram eigenvalue
     in floating point, reported for information only.  ``beta`` reports
-    ``1' D+ 1`` from the exact pseudoinverse.
+    ``1' D+ 1`` exactly, from one solve of ``D x = 1`` (see ``_ones_mass``).
     """
     mat = _as_rational_square(matrix)
     m = mat.shape[0]
@@ -93,8 +93,25 @@ def is_edm(matrix) -> EdmReport:
         is_symmetric=symmetric,
         min_gram_eigenvalue=min_eig,
         is_edm=psd,
-        beta=float(rational_pinv(mat).sum()),
+        beta=float(_ones_mass(mat, symmetric)),
     )
+
+
+def _ones_mass(mat, symmetric: bool) -> Fraction:
+    """``1' D+ 1`` for an exact square D, with no pseudoinverse when D x = 1 solves.
+
+    For symmetric D and any solution x of ``D x = 1``, ``1' D+ 1 =
+    x' D D+ D x = x' D x = 1' x``.  The reduced form of ``[D | 1]`` gives
+    one: when its last column is no pivot column, x is that column on
+    the pivot rows and zero elsewhere.  A non-symmetric D, or 1 outside
+    range(D), takes the exact pseudoinverse.
+    """
+    m = len(mat)
+    if symmetric:
+        reduced, pivot_cols = rref(np.hstack([mat, np.ones((m, 1), dtype=object)]))
+        if m not in pivot_cols:
+            return reduced[: len(pivot_cols), m].sum()
+    return rational_pinv(mat).sum()
 
 
 def balaji_bapat_pinv(matrix) -> np.ndarray:

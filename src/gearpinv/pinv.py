@@ -64,16 +64,21 @@ def rank_factorization(matrix) -> tuple[np.ndarray, np.ndarray]:
 def rational_pinv(matrix) -> np.ndarray:
     """Exact Moore-Penrose inverse of a rational matrix.
 
-    With M = C F a rank factorization, the pseudoinverse is
-    ``F' (F F')^-1 (C' C)^-1 C'``; both inner matrices are invertible
-    because the factors have full rank.  All four Penrose conditions
-    hold exactly for the result.
+    The rank comes from the reduced row echelon form.  A square matrix
+    of full rank then gets its inverse from one ``invert``; any other
+    matrix goes on with M = C F, a rank factorization, and the
+    pseudoinverse is ``F' (F F')^-1 (C' C)^-1 C'``; both inner matrices
+    are invertible because the factors have full rank.  All four Penrose
+    conditions hold exactly for the result.
     """
     mat = np.asarray(matrix, dtype=object)
     m, n = mat.shape
     c_factor, f_factor = rank_factorization(mat)
-    if c_factor.shape[1] == 0:
+    rank = c_factor.shape[1]
+    if rank == 0:
         return np.full((n, m), Fraction(0), dtype=object)
+    if rank == m == n:
+        return invert(mat)
     gram_f = invert(dot(f_factor, f_factor.T))
     gram_c = invert(dot(c_factor.T, c_factor))
     return dot(f_factor.T, gram_f, gram_c, c_factor.T)

@@ -49,6 +49,10 @@ def is_exact(matrix: np.ndarray) -> bool:
 
 def scaled(matrix) -> tuple[np.ndarray, int]:
     """Split an exact matrix into integers over one positive common denominator."""
+    mat = np.asarray(matrix)
+    if np.issubdtype(mat.dtype, np.integer):
+        # tolist turns every numpy integer into a Python int in one call.
+        return np.array(mat.tolist(), dtype=object).reshape(mat.shape), 1
     mat = np.asarray(matrix, dtype=object)
     # Every other type, numpy integers included, goes through rational.
     entries = [x if type(x) in (int, Fraction) else rational(x) for x in mat.flat]

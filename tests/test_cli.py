@@ -208,6 +208,10 @@ _NASTY = [-0.0, 0.0, math.nan, math.inf, -math.inf, 1e-300, -2.5, 5e-324, 1.0]
         ),
         (np.zeros((0, 0), dtype=object), "rational"),
         (np.zeros((2, 0), dtype=int), "rational"),
+        # Keys at both ends of int64, then one past it and an unsigned 64-bit key.
+        (np.array([[2**63 - 1, -(2**63)], [0, 1]], dtype=object), "rational"),
+        (np.array([[2**63 - 1, -(2**63)], [2**63, 1]], dtype=object), "rational"),
+        (np.array([[2**64 - 1, 0]], dtype=np.uint64), "rational"),
     ],
 )
 def test_serialize_matrix_equals_encoder_on_reference_lists(matrix, fmt):

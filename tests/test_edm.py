@@ -30,6 +30,10 @@ def integer_point_edm(seed: int, m: int, dim: int, reach: int) -> np.ndarray:
     )
 
 
+def _refuse(matrix):
+    raise AssertionError("is_edm took a pseudoinverse")
+
+
 def test_centering_projector_golden():
     proj = centering_projector(2)
     half = Fraction(1, 2)
@@ -100,7 +104,8 @@ def test_gram_matches_projector_product_on_rational_trees(weighted_tree_corpus):
 
 @pytest.mark.parametrize("m", [20, 30, 40])
 @pytest.mark.parametrize("dim", [2, 3, 4])
-def test_integer_point_edms_decided_exactly(m, dim):
+def test_integer_point_edms_decided_exactly(m, dim, monkeypatch):
+    monkeypatch.setattr(gearpinv.edm, "rational_pinv", _refuse)
     dist = integer_point_edm(1000 * m + dim, m, dim, reach=3000)
     assert is_edm(dist).is_edm
     i, j = random.Random(m + dim).sample(range(m), 2)
@@ -109,8 +114,9 @@ def test_integer_point_edms_decided_exactly(m, dim):
     assert not is_edm(dist).is_edm
 
 
-@pytest.mark.parametrize("n", [4, 5, 6, 8, 11])
-def test_gear_distances_are_edms(n):
+@pytest.mark.parametrize("n", range(4, 17))
+def test_gear_distances_are_edms(n, monkeypatch):
+    monkeypatch.setattr(gearpinv.edm, "rational_pinv", _refuse)
     report = is_edm(gear_distance_closed(n))
     assert report.is_edm
     assert report.is_hollow and report.is_symmetric
@@ -129,6 +135,42 @@ def test_negative_entry_is_not_an_edm():
     assert report.min_gram_eigenvalue < -1e-9
     # 1' D+ 1 is still reported: here D+ = D, so the mass is -2.
     assert report.beta == pytest.approx(-2.0)
+
+
+def _hollow_symmetric(rng):
+    m = rng.randint(3, 6)
+    dist = np.zeros((m, m), dtype=object)
+    for i in range(m):
+        for j in range(i + 1, m):
+            dist[i, j] = dist[j, i] = rng.randint(-3, 9)
+    return dist
+
+
+@pytest.mark.parametrize(
+    "rows, beta",
+    [
+        # Symmetric, but 1 is outside range(D); D+ = D here.
+        ([[0, 1, 0], [1, 0, 0], [0, 0, 0]], 2.0),
+        # Not symmetric: D^-1 = [[0, 1/2], [1, 0]].
+        ([[0, 1], [2, 0]], 1.5),
+    ],
+)
+def test_is_edm_falls_back_to_the_pseudoinverse(rows, beta, monkeypatch):
+    calls = []
+    monkeypatch.setattr(gearpinv.edm, "rational_pinv", _recording(calls))
+    assert is_edm(rational_matrix(rows)).beta == beta
+    assert len(calls) == 1
+
+
+def test_is_edm_beta_equals_pseudoinverse_mass(monkeypatch):
+    calls = []
+    monkeypatch.setattr(gearpinv.edm, "rational_pinv", _recording(calls))
+    rng = random.Random(11)
+    for _ in range(200):
+        dist = _hollow_symmetric(rng)
+        assert is_edm(dist).beta == float(rational_pinv(dist).sum())
+    # Both branches ran: 190 solves and 10 fallbacks.
+    assert len(calls) == 10
 
 
 def test_is_edm_flags_shape_defects():
@@ -174,11 +216,7 @@ def test_gram_route_is_right_or_raises_on_hollow_symmetric_input():
     rng = random.Random(5)
     returned = 0
     for _ in range(200):
-        m = rng.randint(3, 6)
-        dist = np.zeros((m, m), dtype=object)
-        for i in range(m):
-            for j in range(i + 1, m):
-                dist[i, j] = dist[j, i] = rng.randint(-3, 9)
+        dist = _hollow_symmetric(rng)
         try:
             got = balaji_bapat_pinv(dist)
         except ValueError:

@@ -5,9 +5,10 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+import gearpinv.pinv
 from gearpinv.graphs import gear_distance_closed
 from gearpinv.pinv import (
     beta,
@@ -18,12 +19,16 @@ from gearpinv.pinv import (
     u_vector,
 )
 from gearpinv.rational import (
+    det,
+    dot,
+    invert,
     is_exact,
     rational_identity,
     rational_matrix,
     rational_zeros,
 )
 from gearpinv.spectral import null_basis
+from gearpinv.trees import tree_distance, unit_tree
 
 entries = st.fractions(min_value=-9, max_value=9, max_denominator=5)
 
@@ -147,6 +152,53 @@ def test_rational_pinv_rank_one_outer_product():
 def test_rational_pinv_inverse_when_nonsingular():
     m = rational_matrix([[1, 2], [3, 4]])
     assert (m @ rational_pinv(m) == rational_identity(2)).all()
+
+
+def _factorization_formula(matrix):
+    """F' (F F')^-1 (C' C)^-1 C' from a rank factorization M = C F."""
+    c_factor, f_factor = rank_factorization(matrix)
+    gram_f = invert(dot(f_factor, f_factor.T))
+    gram_c = invert(dot(c_factor.T, c_factor))
+    return dot(f_factor.T, gram_f, gram_c, c_factor.T)
+
+
+def _same_fractions(got, want):
+    return got.shape == want.shape and all(
+        type(a) is Fraction and a == b for a, b in zip(got.flat, want.flat)
+    )
+
+
+def test_rational_pinv_inverts_a_nonsingular_input_once(monkeypatch):
+    calls = []
+
+    def recording(matrix):
+        calls.append(np.asarray(matrix, dtype=object))
+        return invert(matrix)
+
+    monkeypatch.setattr(gearpinv.pinv, "invert", recording)
+    dist = tree_distance(unit_tree([(1, 2), (2, 3), (2, 4), (4, 5)]))
+    rational_pinv(dist)
+    # One call, on D itself: neither Gram matrix of the factors is inverted.
+    assert len(calls) == 1
+    assert calls[0].shape == dist.shape and (calls[0] == dist).all()
+
+
+def test_rational_pinv_full_rank_matches_factorization_on_trees(
+    unit_tree_corpus, weighted_tree_corpus
+):
+    for tree in unit_tree_corpus + weighted_tree_corpus:
+        dist = tree_distance(tree)
+        assert _same_fractions(rational_pinv(dist), _factorization_formula(dist))
+
+
+@settings(deadline=None, max_examples=60)
+@given(st.integers(min_value=1, max_value=5).flatmap(
+    lambda k: st.lists(st.lists(entries, min_size=k, max_size=k), min_size=k, max_size=k)
+))
+def test_rational_pinv_full_rank_matches_factorization(rows):
+    m = rational_matrix(rows)
+    assume(det(m) != 0)
+    assert _same_fractions(rational_pinv(m), _factorization_formula(m))
 
 
 @settings(deadline=None, max_examples=60)

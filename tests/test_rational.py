@@ -17,6 +17,7 @@ from gearpinv.rational import (
     rational_identity,
     rational_matrix,
     rref,
+    scaled,
 )
 
 F = Fraction
@@ -46,6 +47,18 @@ def test_numpy_integers_become_python_ints():
     a = np.array([[np.int64(2**40), F(1, 2**30)]], dtype=object)
     b = np.array([[np.int64(2**40)], [np.int64(1)]], dtype=object)
     assert dot(a, b)[0, 0] == F(2**80) + F(1, 2**30)
+
+
+@pytest.mark.parametrize("dtype", [np.int8, np.int64, np.uint64])
+@pytest.mark.parametrize("shape", [(2, 3), (0, 3), (3, 0)])
+def test_scaled_integer_dtypes_give_python_ints(dtype, shape):
+    mat = np.arange(np.prod(shape), dtype=dtype).reshape(shape)
+    ints, den = scaled(mat)
+    assert den == 1 and ints.dtype == object and ints.shape == shape
+    assert all(type(x) is int for x in ints.flat)
+    generic, _ = scaled(mat.astype(object))
+    assert (ints == generic).all()
+    assert scaled(np.array([2**64 - 1], dtype=np.uint64))[0][0] == 2**64 - 1
 
 
 def test_rational_matrix_shape_and_entries():

@@ -88,9 +88,29 @@ def test_weighted_inverse_exact_on_corpus(weighted_tree_corpus):
         assert (dist @ inv == eye).all()
 
 
+def _unit_closed_form(tree):
+    """-L/2 + tau tau' / (2(m-1)) entry by entry, read off the edge list."""
+    m = tree.num_vertices
+    degree = [0] * (m + 1)
+    adjacent = set()
+    for a, b, _ in tree.edges:
+        degree[a] += 1
+        degree[b] += 1
+        adjacent |= {(a, b), (b, a)}
+
+    def entry(i, j):
+        lap = degree[i] if i == j else -int((i, j) in adjacent)
+        tau_i, tau_j = 2 - degree[i], 2 - degree[j]
+        return Fraction(-lap, 2) + Fraction(tau_i * tau_j, 2 * (m - 1))
+
+    return np.array(
+        [[entry(i, j) for j in range(1, m + 1)] for i in range(1, m + 1)], dtype=object
+    )
+
+
 def test_weighted_inverse_reduces_to_unit_form(unit_tree_corpus):
-    for tree in unit_tree_corpus[:8]:
-        assert (weighted_tree_inverse(tree) == graham_lovasz_inverse(tree)).all()
+    for tree in unit_tree_corpus:
+        assert (graham_lovasz_inverse(tree) == _unit_closed_form(tree)).all()
 
 
 def test_graham_pollak_small_cases():
