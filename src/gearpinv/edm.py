@@ -16,7 +16,7 @@ import numpy as np
 
 from .eigen import jacobi_eigh
 from .pinv import rational_pinv
-from .rational import dot, is_exact, is_psd, rational_identity, rref, scaled, unscaled
+from .rational import _gauss_jordan, dot, is_exact, is_psd, rational_identity, scaled, unscaled
 
 
 def centering_projector(m: int) -> np.ndarray:
@@ -101,16 +101,18 @@ def _ones_mass(mat, symmetric: bool) -> Fraction:
     """``1' D+ 1`` for an exact square D, with no pseudoinverse when D x = 1 solves.
 
     For symmetric D and any solution x of ``D x = 1``, ``1' D+ 1 =
-    x' D D+ D x = x' D x = 1' x``.  The reduced form of ``[D | 1]`` gives
-    one: when its last column is no pivot column, x is that column on
-    the pivot rows and zero elsewhere.  A non-symmetric D, or 1 outside
-    range(D), takes the exact pseudoinverse.
+    x' D D+ D x = x' D x = 1' x``.  With D = A/s in integers, the
+    fraction-free pass over ``[A | s 1]`` gives one: when its last
+    column is no pivot column, x is that column over the pivot rows,
+    divided by the last pivot, and zero elsewhere.  A non-symmetric D,
+    or 1 outside range(D), takes the exact pseudoinverse.
     """
-    m = len(mat)
     if symmetric:
-        reduced, pivot_cols = rref(np.hstack([mat, np.ones((m, 1), dtype=object)]))
-        if m not in pivot_cols:
-            return reduced[: len(pivot_cols), m].sum()
+        ints, scale = scaled(mat)
+        rows = [row + [scale] for row in ints.tolist()]
+        pivot_cols, _, d = _gauss_jordan(rows)
+        if len(mat) not in pivot_cols:
+            return Fraction(sum(row[-1] for row in rows[: len(pivot_cols)]), d)
     return rational_pinv(mat).sum()
 
 

@@ -1,14 +1,13 @@
 """Building blocks of the closed-form pseudoinverse for gear graphs.
 
 The target matrix L is the Moore-Penrose inverse of ``-1/2 * P D P``
-where D is the gear distance matrix and P the centering projector.  It
-assembles from a rank-one rational part, cosine circulant blocks (one
-per eigenvalue pair of the distance matrix), and, for odd n, an
-alternating-sign rational block.
-
-Each piece is defined once, in ``_rank_one`` and ``_pair_weights``; the
-parts and :func:`special_laplacian` are built from them.  Vertex 0 is
-the hub, 1..n-1 the cycle and n..2n-2 the subdivision.
+where D is the gear distance matrix and P the centering projector.  The
+paper assembles it from a rank-one rational part (:func:`a_matrix`),
+cosine circulant blocks, one per eigenvalue pair of the distance matrix
+(:func:`b_matrix`), and, for odd n, an alternating-sign rational block
+(:func:`h_matrix`); :func:`special_laplacian` takes all but the first
+as one FFT.  Vertex 0 is the hub, 1..n-1 the cycle and n..2n-2 the
+subdivision.
 """
 
 from __future__ import annotations
@@ -17,7 +16,7 @@ import math
 
 import numpy as np
 
-from .circulant import circulant
+from .circulant import circulant, s_spectrum, t_spectrum
 from .graphs import _require_pair_index, _require_wheel_size
 from .rational import unscaled
 
@@ -36,18 +35,6 @@ def _class_outer(values, den: int, classes: np.ndarray) -> np.ndarray:
     """Exact ``x x' / den`` with x = values[classes]: one Fraction per distinct entry."""
     column = np.array(values, dtype=object)
     return unscaled(np.outer(column, column), den)[np.ix_(classes, classes)]
-
-
-def _pair_weights(n: int, k):
-    """Subdivision block weight of pair index k and its ratio to the cycle weight.
-
-    With ``phi = cos(pi k/(n-1))`` the weight is
-    ``2 / ((n-1) (2 phi + 1/(2 phi))^2)`` and the ratio ``4 phi^2``;
-    k may be an array.
-    """
-    size = n - 1
-    phi = np.cos(np.pi * k / size)
-    return 2.0 / (size * (2.0 * phi + 1.0 / (2.0 * phi)) ** 2), 4.0 * phi * phi
 
 
 def a_matrix(n: int) -> np.ndarray:
@@ -96,9 +83,11 @@ def b_matrix(n: int, k: int) -> np.ndarray:
     """Contribution of the k-th eigenvalue pair to the assembled matrix.
 
     Symmetric, zero on the hub row and column, with row sums that vanish
-    up to rounding.  Invariant under ``k -> n-1-k``, so assembly only
-    ever uses the lower half of the k range.  The block weights come
-    from ``_pair_weights``.
+    up to rounding.  Invariant under ``k -> n-1-k``, so the paper's
+    assembly sums it over the lower half of the k range only.  With
+    ``phi = cos(pi k/(n-1))`` the subdivision block weight is ``2 /
+    ((n-1) (2 phi + 1/(2 phi))^2)`` and the cycle weight is that over
+    ``4 phi^2``.
 
     Raises
     ------
@@ -109,7 +98,10 @@ def b_matrix(n: int, k: int) -> np.ndarray:
     _require_pair_index(n, k)
     if n % 2 == 1 and 2 * k == n - 1:
         raise ValueError("cos(pi*k/(n-1)) vanishes: no cosine block at this k")
-    sub_weight, quarter = _pair_weights(n, k)
+    size = n - 1
+    phi = math.cos(math.pi * k / size)
+    quarter = 4.0 * phi * phi
+    sub_weight = 2.0 / (size * (2.0 * phi + 1.0 / (2.0 * phi)) ** 2)
     c_plain, c_shift = c_matrices(n, k)
     out = np.zeros((2 * n - 1, 2 * n - 1))
     out[1:n, 1:n] = c_plain / quarter
@@ -126,25 +118,23 @@ def special_laplacian(n: int) -> np.ndarray:
     nonzero spectrum is ``(2n-1)/(n+4)`` together with the values
     ``-2/theta(n, k)``.
 
-    Built in floating point from three circulant first rows, each a sum
-    of the :func:`b_matrix` cosine rows over the lower half of the k
-    range, weighted by ``_pair_weights`` and taken as one matrix product
-    in O(n^2).  The rank-one part of :func:`a_matrix`, from the same
-    ``_rank_one`` vector, and, for odd n, the alternating row of
-    :func:`h_matrix` are added in float; writing the dense output
-    dominates the cost.
+    Built in floating point.  On each character k != 0 of the cycle and
+    the subdivision, D acts as its rank-one block symbol ``S_k`` (from
+    ``s_spectrum`` and ``t_spectrum``) with trace ``theta_k``, so L acts
+    as ``-2 S_k / theta_k^2``.  One FFT of those symbols gives the three
+    circulant first rows in O(n log n), the alternating row of
+    :func:`h_matrix` included for odd n.  The rank-one part of
+    :func:`a_matrix`, from ``_rank_one``, is added in float; writing the
+    dense output dominates the cost.
     """
     _require_wheel_size(n)
     size = n - 1
-    ks = np.arange(1, (n - 2) // 2 + 1)
-    sub_weight, quarter = _pair_weights(n, ks)
-    rim_weight = sub_weight / quarter
-    # Reducing k*j mod n-1 keeps the cosine arguments in [0, 2*pi).
-    cosines = np.cos(2.0 * np.pi * (np.outer(ks, np.arange(size)) % size) / size)
-    rim_row, sub_row = np.stack([rim_weight, sub_weight]) @ cosines
-    mix_row = rim_row + np.roll(rim_row, -1)
-    if n % 2 == 1:
-        rim_row += np.where(np.arange(size) % 2 == 0, 1.0, -1.0) / size
+    sigma, tau = np.array(s_spectrum(n)), np.array(t_spectrum(n))
+    weights = -2.0 / (tau - 2.0) ** 2
+    weights[0] = 0.0  # the constant character is the rank-one part's
+    symbols = weights * np.stack([np.full(size, -2.0), sigma, tau])
+    # A circulant's first row is the FFT of its eigenvalues over its order.
+    rim_row, mix_row, sub_row = np.fft.fft(symbols).real / size
     out = np.zeros((2 * n - 1, 2 * n - 1))
     out[1:n, 1:n] = circulant(rim_row)
     out[1:n, n:] = circulant(mix_row)

@@ -68,16 +68,14 @@ def rational_pinv(matrix) -> np.ndarray:
     of full rank then gets its inverse from one ``invert``; any other
     matrix goes on with M = C F, a rank factorization, and the
     pseudoinverse is ``F' (F F')^-1 (C' C)^-1 C'``; both inner matrices
-    are invertible because the factors have full rank.  All four Penrose
+    are invertible because the factors have full rank; at rank zero they
+    are empty and the product is the zero matrix.  All four Penrose
     conditions hold exactly for the result.
     """
     mat = np.asarray(matrix, dtype=object)
     m, n = mat.shape
     c_factor, f_factor = rank_factorization(mat)
-    rank = c_factor.shape[1]
-    if rank == 0:
-        return np.full((n, m), Fraction(0), dtype=object)
-    if rank == m == n:
+    if c_factor.shape[1] == m == n:
         return invert(mat)
     gram_f = invert(dot(f_factor, f_factor.T))
     gram_c = invert(dot(c_factor.T, c_factor))

@@ -2,13 +2,14 @@
 
 from __future__ import annotations
 
+import math
 from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
 
-from .rational import det, rational, rational_zeros
+from .rational import rational, rational_zeros
 
 
 @dataclass(frozen=True)
@@ -136,10 +137,13 @@ def weighted_tree_inverse(tree: WeightedTree) -> np.ndarray:
 
 
 def graham_pollak_det(tree: WeightedTree) -> Fraction:
-    """Exact determinant of the tree distance matrix.
+    """Exact determinant of the tree distance matrix, from its closed form.
 
-    For unit weights on m vertices this always comes out to
-    ``(-1)**(m-1) * (m-1) * 2**(m-2)``: it depends on the size of the
-    tree but not on its shape.
+    On m vertices with edge weights w it is ``(-1)**(m-1) * 2**(m-2) *
+    sum(w) * prod(w)`` (Bapat, Kirkland & Neumann, 2005), zero for a
+    single vertex.  For unit weights this is ``(-1)**(m-1) * (m-1) *
+    2**(m-2)``: it depends on the size of the tree but not on its shape.
     """
-    return det(tree_distance(tree))
+    m = tree.num_vertices
+    weights = [w for _, _, w in tree.edges]
+    return (-1) ** (m - 1) * Fraction(2) ** (m - 2) * sum(weights) * math.prod(weights)

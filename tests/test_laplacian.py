@@ -215,6 +215,18 @@ def test_special_laplacian_nonzero_spectrum():
         assert np.max(np.abs(np.sort(expected) - values)) < 1e-8
 
 
+@pytest.mark.parametrize("n", [600, 601, 999, 1000])
+def test_special_laplacian_kernel_and_eigenvectors_at_large_n(n):
+    lap = special_laplacian(n)
+    # Row sums within about 70 ulps of max|L|, which is near 0.27 here.
+    assert np.max(np.abs(lap.sum(axis=1))) <= 4e-15
+    ks = range(1, n - 1)
+    q = np.column_stack([q_vector(n, k) for k in ks])
+    values = np.array([-2.0 / theta(n, k) for k in ks])
+    residual = np.max(np.abs(lap @ q - q * values), axis=0)
+    assert (residual <= 1e-14 * np.max(np.abs(q), axis=0)).all()
+
+
 def test_spectral_projections_sum_to_cosine_blocks():
     # Rebuilding the cosine contributions from the eigenvectors themselves
     # must reproduce the half-range assembly; this pins the normalization

@@ -129,9 +129,11 @@ def test_rank_factorization_reproduces_input(rows):
 def test_rational_pinv_identity_and_zero():
     eye = rational_identity(4)
     assert (rational_pinv(eye) == eye).all()
-    zero = rational_matrix([[0, 0, 0], [0, 0, 0]])
-    assert rational_pinv(zero).shape == (3, 2)
-    assert not rational_pinv(zero).astype(bool).any()
+    for rows, cols in ((2, 3), (3, 3)):
+        pinv = rational_pinv(rational_matrix([[0] * cols] * rows))
+        assert pinv.shape == (cols, rows)
+        assert not pinv.astype(bool).any()
+        assert all(type(x) is Fraction for x in pinv.flat)
 
 
 def test_rational_pinv_rectangular_golden():

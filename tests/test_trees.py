@@ -5,7 +5,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from gearpinv.rational import rational_identity, rational_matrix
+from gearpinv.rational import det, rational_identity, rational_matrix
 from gearpinv.trees import (
     WeightedTree,
     graham_lovasz_inverse,
@@ -126,6 +126,13 @@ def test_graham_pollak_closed_form_on_corpus(unit_tree_corpus):
         m = tree.num_vertices
         expected = Fraction((-1) ** (m - 1) * (m - 1) * 2 ** (m - 2))
         assert graham_pollak_det(tree) == expected
+
+
+def test_graham_pollak_equals_eliminated_determinant(weighted_tree_corpus):
+    for tree in weighted_tree_corpus:
+        got = graham_pollak_det(tree)
+        assert type(got) is Fraction
+        assert got == det(tree_distance(tree))
 
 
 def test_distance_depends_only_on_weights_along_path():
