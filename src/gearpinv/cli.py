@@ -45,13 +45,14 @@ from .verify import run_checks
 
 # Largest n the exact routes (verify, pinv --method oracle|k4) accept.  Their
 # cost grows about like n^4 (m^3 operations on integers that widen with m):
-# verify --n 80 takes about 11 s on a 2-core machine, --n 100 about 27 s.
+# verify --n 80 takes about 8 s on a 2-core machine, --n 100 about 27 s.
 MAX_EXACT_N = 80
 
 # Largest n the dense commands (gen, pinv --method formula, spectrum,
 # laplacian) accept.  Their output has (2n - 1)^2 entries; the slowest,
 # laplacian --part a --n 1000 (an exact payload written entry by entry),
-# takes about 5 s and 410 MB of memory on a 2-core machine.
+# takes about 5 s and 410 MB of memory on a 2-core machine.  gen
+# tree-distance takes trees of up to that largest order, 2n - 1 vertices.
 MAX_DENSE_N = 1000
 
 
@@ -171,6 +172,7 @@ def cmd_gen(args) -> tuple[str, int]:
         if args.n is not None:
             raise DomainError("tree-distance takes no --n: the edges fix the size")
         tree = _parse_edges(args.edges)
+        _require_size(tree.num_vertices, 2 * MAX_DENSE_N - 1, "dense commands")
         return _matrix_document(args, tree.num_vertices, tree_distance(tree))
     if args.n is None:
         raise DomainError(f"{args.kind} needs --n")

@@ -67,19 +67,18 @@ def rational_pinv(matrix) -> np.ndarray:
     The rank comes from the reduced row echelon form.  A square matrix
     of full rank then gets its inverse from one ``invert``; any other
     matrix goes on with M = C F, a rank factorization, and the
-    pseudoinverse is ``F' (F F')^-1 (C' C)^-1 C'``; both inner matrices
-    are invertible because the factors have full rank; at rank zero they
-    are empty and the product is the zero matrix.  All four Penrose
-    conditions hold exactly for the result.
+    pseudoinverse is ``F' (C' M F')^-1 C'`` with one inverse of rank
+    order: ``C' M F' = (C' C)(F F')`` is invertible because both factors
+    have full rank.  At rank zero the factors are empty and the product
+    is the zero matrix.  All four Penrose conditions hold exactly for
+    the result.
     """
     mat = np.asarray(matrix, dtype=object)
     m, n = mat.shape
     c_factor, f_factor = rank_factorization(mat)
     if c_factor.shape[1] == m == n:
         return invert(mat)
-    gram_f = invert(dot(f_factor, f_factor.T))
-    gram_c = invert(dot(c_factor.T, c_factor))
-    return dot(f_factor.T, gram_f, gram_c, c_factor.T)
+    return dot(f_factor.T, invert(dot(c_factor.T, mat, f_factor.T)), c_factor.T)
 
 
 @dataclass(frozen=True)

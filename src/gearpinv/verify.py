@@ -21,7 +21,7 @@ from .eigen import jacobi_eigh, numerical_rank
 from .graphs import bfs_distances, build_gear, gear_distance_closed
 from .laplacian import special_laplacian
 from .pinv import beta, gear_pinv_formula, penrose_check, rational_pinv, u_vector
-from .rational import is_psd
+from .rational import dot, is_psd
 from .spectral import lambda_pairs, max_eigen_residual, null_basis, theta
 
 
@@ -64,10 +64,8 @@ def run_checks(n: int, tol: float = 1e-9) -> list[CheckResult]:
 
     # 4. The u vector solves D u = 1 inside the row space, with mass 2/(n-1).
     u = u_vector(n)
-    worst = max(abs(x) for x in (dist @ u - 1))
-    for vec in null_basis(n):
-        worst = max(worst, abs(vec.astype(object) @ u))
-    worst = max(worst, abs(u.sum() - beta(n)))
+    residuals = [*(dot(dist, u) - 1), *dot(np.array(null_basis(n)), u), u.sum() - beta(n)]
+    worst = max(abs(x) for x in residuals)
     results.append(CheckResult("beta", worst == 0, float(worst)))
 
     # 5. Assembled matrix is PSD with zero row sums and rank n-1.

@@ -392,7 +392,7 @@ def test_exact_routes_refuse_n_above_ceiling(monkeypatch, argv):
 _DENSE_BUILDERS = (
     "gear_distance_closed", "bfs_distances", "build_wheel", "gear_pinv_formula",
     "lambda_pairs", "theta", "max_eigen_residual",
-    "a_matrix", "h_matrix", "b_matrix", "special_laplacian",
+    "a_matrix", "h_matrix", "b_matrix", "special_laplacian", "tree_distance",
 )
 
 
@@ -417,6 +417,24 @@ def test_dense_commands_refuse_n_above_ceiling(monkeypatch, argv, n):
     assert code == 2
     assert out == ""
     assert err.startswith("error:") and str(cli.MAX_DENSE_N) in err
+
+
+def _path_edges(vertices: int) -> str:
+    return json.dumps([[v, v + 1] for v in range(1, vertices)])
+
+
+def test_gen_tree_distance_refuses_trees_above_dense_order(monkeypatch):
+    # The ceiling is the largest matrix order the dense commands emit.
+    bound = 2 * cli.MAX_DENSE_N - 1
+    for name in _DENSE_BUILDERS:
+        monkeypatch.setattr(cli, name, _refuse)
+    code, out, err = run_cli("gen", "tree-distance", "--edges", _path_edges(bound + 1))
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:") and str(bound) in err
+    monkeypatch.setattr(cli, "tree_distance", lambda tree: np.zeros((1, 1), dtype=int))
+    code, _, err = run_cli("gen", "tree-distance", "--edges", _path_edges(bound))
+    assert code == 0, err
 
 
 def test_verify_accepts_n_at_ceiling(monkeypatch):

@@ -9,6 +9,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import gearpinv.pinv
+from gearpinv.edm import gram_from_edm
 from gearpinv.graphs import gear_distance_closed
 from gearpinv.pinv import (
     beta,
@@ -185,12 +186,36 @@ def test_rational_pinv_inverts_a_nonsingular_input_once(monkeypatch):
     assert calls[0].shape == dist.shape and (calls[0] == dist).all()
 
 
-def test_rational_pinv_full_rank_matches_factorization_on_trees(
-    unit_tree_corpus, weighted_tree_corpus
+def test_rational_pinv_inverts_a_rank_deficient_input_once(monkeypatch):
+    calls = []
+
+    def recording(matrix):
+        calls.append(np.asarray(matrix, dtype=object))
+        return invert(matrix)
+
+    monkeypatch.setattr(gearpinv.pinv, "invert", recording)
+    left = rational_matrix([[1, "1/2"], [2, -1], [0, 3], ["-2/3", 1], [4, 0]])
+    right = rational_matrix([[1, 0, "2/5", -3], [0, 2, 1, "1/4"]])
+    # A 5x4 product of rank 2, and the gear distance matrix at n = 7: rank 7, order 13.
+    for matrix, rank in ((dot(left, right), 2), (gear_distance_closed(7), 7)):
+        calls.clear()
+        rational_pinv(matrix)
+        # One call, on the rank-order matrix C' M F'.
+        assert len(calls) == 1
+        assert calls[0].shape == (rank, rank)
+
+
+def test_rational_pinv_matches_factorization_on_trees_and_gears(
+    unit_tree_corpus, weighted_tree_corpus, gear_oracle, gram_oracle
 ):
     for tree in unit_tree_corpus + weighted_tree_corpus:
         dist = tree_distance(tree)
         assert _same_fractions(rational_pinv(dist), _factorization_formula(dist))
+    # Gear D and its Gram matrix G are rank deficient: rank n and n - 1 of order 2n - 1.
+    for n in range(4, 17):
+        dist = gear_distance_closed(n)
+        assert _same_fractions(gear_oracle(n), _factorization_formula(dist))
+        assert _same_fractions(gram_oracle(n), _factorization_formula(gram_from_edm(dist)))
 
 
 @settings(deadline=None, max_examples=60)
@@ -222,8 +247,9 @@ def test_rational_pinv_on_forced_low_rank(a_rows, b_rows):
     if a.shape[1] != b.shape[0]:
         return
     m = a @ b
-    report = penrose_check(m, rational_pinv(m))
-    assert report.all_exact
+    pinv = rational_pinv(m)
+    assert penrose_check(m, pinv).all_exact
+    assert _same_fractions(pinv, _factorization_formula(m))
 
 
 def test_penrose_check_identity():
