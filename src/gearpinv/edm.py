@@ -16,7 +16,7 @@ import numpy as np
 
 from .eigen import jacobi_eigh
 from .pinv import rational_pinv
-from .rational import _gauss_jordan, dot, is_exact, is_psd, rational_identity, scaled, unscaled
+from .rational import _gauss_jordan, _psd_rows, dot, is_exact, rational_identity, scaled, unscaled
 
 
 def centering_projector(m: int) -> np.ndarray:
@@ -47,14 +47,17 @@ def gram_from_edm(matrix) -> np.ndarray:
         If the input is not square, nonempty, symmetric and hollow.
     """
     ints, scale = scaled(_as_rational_square(matrix))
-    m = len(ints)
     if ints.diagonal().any():
         raise ValueError("matrix must be hollow (zero diagonal)")
     if (ints != ints.T).any():
         raise ValueError("matrix must be symmetric")
-    rows = ints.sum(axis=1)
-    numerators = m * (rows[:, None] + rows[None, :]) - m * m * ints - rows.sum()
-    return unscaled(numerators, 2 * m * m * scale)
+    return unscaled(_gram_numerators(ints), 2 * len(ints) ** 2 * scale)
+
+
+def _gram_numerators(ints) -> np.ndarray:
+    """The integers ``2 m^2 s G`` of ``gram_from_edm`` for D = A/s, from A."""
+    m, rows = len(ints), ints.sum(axis=1)
+    return m * (rows[:, None] + rows[None, :]) - m * m * ints - rows.sum()
 
 
 @dataclass(frozen=True)
@@ -72,46 +75,41 @@ class EdmReport:
 def is_edm(matrix) -> EdmReport:
     """Check whether an exact square matrix is a distance matrix.
 
-    The verdict is exact: the Gram matrix is tested for positive
+    The verdict is exact: the Gram numerators ``2 m^2 s G``, read off
+    D = A/s split into integers once, are tested for positive
     semidefiniteness by fraction-free elimination, so no tolerance is
     involved.  ``min_gram_eigenvalue`` is the smallest Gram eigenvalue
     in floating point, reported for information only.  ``beta`` reports
     ``1' D+ 1`` exactly, from one solve of ``D x = 1`` (see ``_ones_mass``).
     """
     mat = _as_rational_square(matrix)
-    m = mat.shape[0]
-    hollow = all(mat[i, i] == 0 for i in range(m))
-    symmetric = not (mat != mat.T).any()
+    ints, scale = scaled(mat)
+    m = len(ints)
+    hollow, symmetric = not ints.diagonal().any(), not (ints != ints.T).any()
     min_eig, psd = float("nan"), False
     if hollow and symmetric:
-        gram = gram_from_edm(mat)
-        min_eig = float(jacobi_eigh(gram.astype(float))[0][0])
-        psd = is_psd(gram)
-    return EdmReport(
-        order=m,
-        is_hollow=hollow,
-        is_symmetric=symmetric,
-        min_gram_eigenvalue=min_eig,
-        is_edm=psd,
-        beta=float(_ones_mass(mat, symmetric)),
-    )
+        gram, den = _gram_numerators(ints), 2 * m * m * scale
+        # Dividing Python ints rounds correctly, exactly as float(Fraction) does.
+        min_eig = float(jacobi_eigh(np.array([x / den for x in gram.flat]).reshape(m, m))[0][0])
+        psd = _psd_rows(gram.tolist())
+    beta = float(_ones_mass(mat, ints, scale, symmetric))
+    return EdmReport(m, hollow, symmetric, min_eig, psd, beta)
 
 
-def _ones_mass(mat, symmetric: bool) -> Fraction:
-    """``1' D+ 1`` for an exact square D, with no pseudoinverse when D x = 1 solves.
+def _ones_mass(mat, ints, scale: int, symmetric: bool) -> Fraction:
+    """``1' D+ 1`` for D = A/s, with no pseudoinverse when D x = 1 solves.
 
     For symmetric D and any solution x of ``D x = 1``, ``1' D+ 1 =
-    x' D D+ D x = x' D x = 1' x``.  With D = A/s in integers, the
-    fraction-free pass over ``[A | s 1]`` gives one: when its last
-    column is no pivot column, x is that column over the pivot rows,
-    divided by the last pivot, and zero elsewhere.  A non-symmetric D,
-    or 1 outside range(D), takes the exact pseudoinverse.
+    x' D D+ D x = x' D x = 1' x``.  The fraction-free pass over
+    ``[A | s 1]`` gives one: when its last column is no pivot column, x
+    is that column over the pivot rows, divided by the last pivot, and
+    zero elsewhere.  A non-symmetric D, or 1 outside range(D), takes the
+    exact pseudoinverse of D, given as ``mat``.
     """
     if symmetric:
-        ints, scale = scaled(mat)
         rows = [row + [scale] for row in ints.tolist()]
         pivot_cols, _, d = _gauss_jordan(rows)
-        if len(mat) not in pivot_cols:
+        if len(rows) not in pivot_cols:
             return Fraction(sum(row[-1] for row in rows[: len(pivot_cols)]), d)
     return rational_pinv(mat).sum()
 

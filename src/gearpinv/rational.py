@@ -6,7 +6,9 @@ object array with one positive common denominator (``scaled`` and
 ``unscaled``): a product is an integer product (``dot``), and every
 reduction is one fraction-free Gauss-Jordan pass (``_gauss_jordan``)
 whose entries stay minors of the input.  Each Fraction is built once,
-when a result leaves the integer form.
+when a result leaves the integer form.  One elimination modulo a prime
+(``_full_rank_mod_p``) can prove a square matrix nonsingular; it only
+chooses a route and never decides an answer.
 """
 
 from __future__ import annotations
@@ -147,12 +149,36 @@ def invert(matrix) -> np.ndarray:
     return unscaled(inverse * scale, d)
 
 
+# A prime below 2**31, so residues and their products fit in int64.
+_PROBE_PRIME = 2**31 - 1
+
+
+def _full_rank_mod_p(ints) -> bool:
+    """True when the square integer matrix is nonsingular modulo ``_PROBE_PRIME``.
+
+    True proves the determinant nonzero over the rationals; False proves
+    nothing, as the prime may divide a nonzero determinant.
+    """
+    rows = np.asarray(ints % _PROBE_PRIME, dtype=np.int64)
+    for col in range(len(rows)):
+        nonzero = np.flatnonzero(rows[col:, col])
+        if not len(nonzero):
+            return False
+        rows[[col, col + nonzero[0]]] = rows[[col + nonzero[0], col]]
+        inverse = pow(int(rows[col, col]), -1, _PROBE_PRIME)
+        pivot_row = rows[col, col:] * inverse % _PROBE_PRIME
+        below = rows[col + 1 :, col:]
+        below[:] = (below - np.outer(below[:, 0], pivot_row)) % _PROBE_PRIME
+    return True
+
+
 def is_psd(matrix) -> bool:
     """Exact test of positive semidefiniteness for a symmetric matrix.
 
     The whole matrix is scaled by one positive common denominator (row
     by row scaling would break symmetry), then reduced by symmetric
-    fraction-free elimination with diagonal pivots.  Each pivot is the
+    fraction-free elimination with diagonal pivots (``_psd_rows``, which
+    ``is_edm`` runs on its own integer Gram matrix).  Each pivot is the
     largest remaining diagonal: a negative one means not PSD, and a zero
     one means PSD exactly when the remaining block is zero.  Every
     remaining entry is a minor of the input whose sign matches the
@@ -168,7 +194,11 @@ def is_psd(matrix) -> bool:
         raise ValueError("matrix must be square")
     if (mat != mat.T).any():
         raise ValueError("matrix must be symmetric")
-    rows = scaled(mat)[0].tolist()
+    return _psd_rows(scaled(mat)[0].tolist())
+
+
+def _psd_rows(rows: list[list[int]]) -> bool:
+    """``is_psd`` of the integer rows of a positive multiple of a symmetric matrix, in place."""
     remaining = list(range(len(rows)))
     prev = 1
     while remaining:

@@ -9,7 +9,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .rational import rational, rational_zeros
+from .rational import rational, rational_zeros, unscaled
 
 
 @dataclass(frozen=True)
@@ -99,10 +99,6 @@ def tree_distance(tree: WeightedTree) -> np.ndarray:
     return out
 
 
-def _leaf_adjusted_degrees(tree: WeightedTree) -> np.ndarray:
-    return np.array([rational(2 - d) for d in tree.degrees()], dtype=object)
-
-
 def graham_lovasz_inverse(tree: WeightedTree) -> np.ndarray:
     """Exact inverse of the distance matrix of a unit-weight tree.
 
@@ -118,22 +114,25 @@ def graham_lovasz_inverse(tree: WeightedTree) -> np.ndarray:
 def weighted_tree_inverse(tree: WeightedTree) -> np.ndarray:
     """Exact inverse of the distance matrix of a weighted tree.
 
-    The Laplacian carries reciprocal weights; the rank-one part divides
-    by twice the total edge weight.
+    ``-L/2 + t t' / (2T)``: the Laplacian L carries reciprocal weights, t
+    has entry ``2 - degree`` at each vertex and T = tn/td is the total
+    edge weight.  With q the lcm of the weight numerators, Lq = q L has
+    integer entries, and the inverse is the integer matrix ``q td t t' -
+    tn Lq`` over ``2 q tn``, made Fractions once.
     """
     m = tree.num_vertices
     if m < 2:
         raise ValueError("the inverse needs at least two vertices")
-    tau = _leaf_adjusted_degrees(tree)
-    lap = rational_zeros(m, m)
-    total = Fraction(0)
+    weights = [w for _, _, w in tree.edges]
+    q = math.lcm(*(w.numerator for w in weights))
+    total = sum(weights)
+    tau = np.array([2 - d for d in tree.degrees()])
+    ints = np.outer(tau, tau).astype(object) * (q * total.denominator)
     for a, b, w in tree.edges:
-        total += w
-        lap[a - 1, a - 1] += 1 / w
-        lap[b - 1, b - 1] += 1 / w
-        lap[a - 1, b - 1] -= 1 / w
-        lap[b - 1, a - 1] -= 1 / w
-    return -Fraction(1, 2) * lap + Fraction(1, 2) / total * np.outer(tau, tau)
+        x = total.numerator * (q // w.numerator) * w.denominator
+        ints[[a - 1, b - 1], [a - 1, b - 1]] -= x
+        ints[[a - 1, b - 1], [b - 1, a - 1]] += x
+    return unscaled(ints, 2 * q * total.numerator)
 
 
 def graham_pollak_det(tree: WeightedTree) -> Fraction:

@@ -18,7 +18,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gearpinv import __version__, cli
-from gearpinv.cli import main, serialize_matrix
+from gearpinv.cli import build_parser, main, serialize_matrix
 from gearpinv.pinv import rational_pinv
 
 
@@ -492,6 +492,25 @@ def test_main_never_raises_on_generated_commands(argv):
         assert out == ""
     else:
         json.loads(out)
+
+
+def test_reused_parser_matches_a_fresh_one(monkeypatch):
+    commands = (
+        ["gen", "gear-distance", "--n", "5"],
+        ["spectrum", "--n", "6"],
+        ["pinv", "--n", "5", "--part", "a"],
+    )
+    fresh = []
+    for argv in commands:
+        cli._parser.cache_clear()
+        fresh.append(run_cli(*argv))
+    assert [code for code, _, _ in fresh] == [0, 0, 2]
+    assert "unrecognized arguments: --part a" in fresh[2][2]
+    built = []
+    monkeypatch.setattr(cli, "build_parser", lambda: built.append(1) or build_parser())
+    cli._parser.cache_clear()
+    assert [run_cli(*argv) for argv in commands] == fresh
+    assert len(built) == 1
 
 
 def test_no_subcommand_exits_two():

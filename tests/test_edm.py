@@ -9,14 +9,16 @@ import pytest
 import gearpinv.edm
 import gearpinv.verify
 from gearpinv.edm import (
+    EdmReport,
     balaji_bapat_pinv,
     centering_projector,
     gram_from_edm,
     is_edm,
 )
+from gearpinv.eigen import jacobi_eigh
 from gearpinv.graphs import gear_distance_closed
 from gearpinv.pinv import rational_pinv
-from gearpinv.rational import rational_matrix, rational_zeros
+from gearpinv.rational import is_psd, rational_matrix, rational_zeros
 from gearpinv.trees import graham_lovasz_inverse, tree_distance, weighted_tree_inverse
 
 
@@ -135,6 +137,28 @@ def test_negative_entry_is_not_an_edm():
     assert report.min_gram_eigenvalue < -1e-9
     # 1' D+ 1 is still reported: here D+ = D, so the mass is -2.
     assert report.beta == pytest.approx(-2.0)
+
+
+def test_is_edm_matches_the_fraction_gram_route(unit_tree_corpus, weighted_tree_corpus):
+    rng = random.Random(3)
+    inputs = [gear_distance_closed(n) for n in range(4, 17)]
+    inputs += [tree_distance(tree) for tree in unit_tree_corpus + weighted_tree_corpus]
+    for seed in range(50):
+        m, dim = rng.randint(2, 25), rng.randint(1, 4)
+        inputs.append(integer_point_edm(seed, m, dim, reach=rng.choice([3, 10, 100, 3000])))
+    inputs += [_hollow_symmetric(rng) for _ in range(20)]
+    # Gram numerators far above 2**53, where only exact division rounds right.
+    inputs += [integer_point_edm(seed, 12, 3, reach=10**9) * Fraction(1, 7) for seed in range(3)]
+    verdicts = set()
+    for dist in inputs:
+        gram = gram_from_edm(dist)
+        min_eig = float(jacobi_eigh(gram.astype(float))[0][0])
+        want = EdmReport(len(dist), True, True, min_eig, is_psd(gram), float(rational_pinv(dist).sum()))
+        got = is_edm(dist)
+        assert got == want
+        assert got.min_gram_eigenvalue.hex() == want.min_gram_eigenvalue.hex()
+        verdicts.add(got.is_edm)
+    assert verdicts == {True, False}
 
 
 def _hollow_symmetric(rng):

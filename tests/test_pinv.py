@@ -20,6 +20,8 @@ from gearpinv.pinv import (
     u_vector,
 )
 from gearpinv.rational import (
+    _PROBE_PRIME,
+    _full_rank_mod_p,
     det,
     dot,
     invert,
@@ -27,6 +29,8 @@ from gearpinv.rational import (
     rational_identity,
     rational_matrix,
     rational_zeros,
+    rref,
+    scaled,
 )
 from gearpinv.spectral import null_basis
 from gearpinv.trees import tree_distance, unit_tree
@@ -171,38 +175,58 @@ def _same_fractions(got, want):
     )
 
 
-def test_rational_pinv_inverts_a_nonsingular_input_once(monkeypatch):
-    calls = []
+@pytest.fixture
+def kernel_calls(monkeypatch):
+    """The inputs of every ``rref`` and ``invert`` call that ``rational_pinv`` makes."""
+    calls = {"rref": [], "invert": []}
 
-    def recording(matrix):
-        calls.append(np.asarray(matrix, dtype=object))
-        return invert(matrix)
+    def recording(name, func):
+        def record(matrix):
+            calls[name].append(np.asarray(matrix, dtype=object))
+            return func(matrix)
 
-    monkeypatch.setattr(gearpinv.pinv, "invert", recording)
+        return record
+
+    monkeypatch.setattr(gearpinv.pinv, "rref", recording("rref", rref))
+    monkeypatch.setattr(gearpinv.pinv, "invert", recording("invert", invert))
+    return calls
+
+
+def test_rational_pinv_inverts_a_nonsingular_input_once(kernel_calls):
     dist = tree_distance(unit_tree([(1, 2), (2, 3), (2, 4), (4, 5)]))
     rational_pinv(dist)
-    # One call, on D itself: neither Gram matrix of the factors is inverted.
-    assert len(calls) == 1
-    assert calls[0].shape == dist.shape and (calls[0] == dist).all()
+    # The probe proves D nonsingular: no rref, and one invert, on D itself.
+    assert kernel_calls["rref"] == []
+    assert len(kernel_calls["invert"]) == 1
+    call = kernel_calls["invert"][0]
+    assert call.shape == dist.shape and (call == dist).all()
 
 
-def test_rational_pinv_inverts_a_rank_deficient_input_once(monkeypatch):
-    calls = []
+def test_rational_pinv_falls_back_when_the_probe_prime_divides_the_determinant(kernel_calls):
+    # diag(p, 1) is singular modulo the probe's prime p but not over Q.
+    matrix = rational_matrix([[_PROBE_PRIME, 0], [0, 1]])
+    assert not _full_rank_mod_p(scaled(matrix)[0])
+    expected = rational_matrix([[Fraction(1, _PROBE_PRIME), 0], [0, 1]])
+    assert _same_fractions(rational_pinv(matrix), expected)
+    # rref finds the full rank, and the input still gets one invert.
+    assert len(kernel_calls["rref"]) == 1
+    assert len(kernel_calls["invert"]) == 1
+    assert (kernel_calls["invert"][0] == matrix).all()
 
-    def recording(matrix):
-        calls.append(np.asarray(matrix, dtype=object))
-        return invert(matrix)
 
-    monkeypatch.setattr(gearpinv.pinv, "invert", recording)
+def test_rational_pinv_inverts_a_rank_deficient_input_once(kernel_calls):
     left = rational_matrix([[1, "1/2"], [2, -1], [0, 3], ["-2/3", 1], [4, 0]])
     right = rational_matrix([[1, 0, "2/5", -3], [0, 2, 1, "1/4"]])
     # A 5x4 product of rank 2, and the gear distance matrix at n = 7: rank 7, order 13.
     for matrix, rank in ((dot(left, right), 2), (gear_distance_closed(7), 7)):
-        calls.clear()
+        kernel_calls["rref"].clear()
+        kernel_calls["invert"].clear()
         rational_pinv(matrix)
-        # One call, on the rank-order matrix C' M F'.
-        assert len(calls) == 1
-        assert calls[0].shape == (rank, rank)
+        # One rref of the input, and one invert, of the rank-order matrix C' M F'.
+        assert len(kernel_calls["rref"]) == 1
+        assert kernel_calls["rref"][0].shape == matrix.shape
+        assert len(kernel_calls["invert"]) == 1
+        assert kernel_calls["invert"][0].shape == (rank, rank)
 
 
 def test_rational_pinv_matches_factorization_on_trees_and_gears(

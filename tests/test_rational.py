@@ -9,6 +9,8 @@ from hypothesis import strategies as st
 
 from gearpinv.pinv import rational_pinv
 from gearpinv.rational import (
+    _PROBE_PRIME,
+    _full_rank_mod_p,
     det,
     dot,
     invert,
@@ -94,6 +96,18 @@ def test_is_psd_on_gram_products(data):
     if gram[drop, drop] > 0:
         gram[drop, drop] = -gram[drop, drop]
         assert not is_psd(gram)
+
+
+# Small entries make singular matrices common; multiples of the probe's
+# prime make matrices singular modulo it only, and 2**70 + 5 overflows int64.
+probe_entries = st.integers(-3, 3) | st.sampled_from([_PROBE_PRIME, -2 * _PROBE_PRIME, 2**70 + 5])
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.integers(0, 6).flatmap(lambda k: square(k, probe_entries)))
+def test_probe_is_nonsingularity_modulo_its_prime(rows):
+    ints = np.array(rows, dtype=object).reshape(len(rows), len(rows))
+    assert _full_rank_mod_p(ints) == (det(ints) % _PROBE_PRIME != 0)
 
 
 def test_rref_known_matrix():

@@ -113,6 +113,29 @@ def test_weighted_inverse_reduces_to_unit_form(unit_tree_corpus):
         assert (graham_lovasz_inverse(tree) == _unit_closed_form(tree)).all()
 
 
+def _fraction_closed_form(tree):
+    """-L/2 + tau tau' / (2 sum(w)), assembled with per-entry Fraction arithmetic."""
+    m = tree.num_vertices
+    tau = np.array([Fraction(2 - d) for d in tree.degrees()], dtype=object)
+    lap = np.full((m, m), Fraction(0), dtype=object)
+    total = Fraction(0)
+    for a, b, w in tree.edges:
+        total += w
+        lap[a - 1, a - 1] += 1 / w
+        lap[b - 1, b - 1] += 1 / w
+        lap[a - 1, b - 1] -= 1 / w
+        lap[b - 1, a - 1] -= 1 / w
+    return -Fraction(1, 2) * lap + Fraction(1, 2) / total * np.outer(tau, tau)
+
+
+def test_weighted_inverse_matches_fraction_assembly(unit_tree_corpus, weighted_tree_corpus):
+    pairs = [unit_tree([(1, 2)]), weighted_tree([(1, 2, "3/7")])]
+    for tree in unit_tree_corpus + weighted_tree_corpus + pairs:
+        got, want = weighted_tree_inverse(tree), _fraction_closed_form(tree)
+        assert got.shape == want.shape
+        assert all(type(x) is Fraction and x == y for x, y in zip(got.flat, want.flat))
+
+
 def test_graham_pollak_small_cases():
     assert graham_pollak_det(unit_tree([(1, 2)])) == -1
     assert graham_pollak_det(unit_tree([(1, 2), (2, 3)])) == 4

@@ -1,0 +1,216 @@
+"""Time gearpinv's exact stages at fixed sizes and write BENCH_<LABEL>.json.
+
+Usage, from anywhere:
+
+    python3 tools/bench_stages.py LABEL [N ...]
+
+The script times the gearpinv source of the checkout it sits in
+(``src/`` beside ``tools/``) and writes ``BENCH_<LABEL>.json`` at that
+checkout's root.  N are gear sizes, 40 and 60 by default.  For each N,
+with D the gear distance matrix (order 2N - 1) and G its Gram matrix,
+it takes the best of three in-process runs of rational_pinv(D),
+rational_pinv(G), is_psd(G), is_edm(D), penrose_check(D, D+) and
+gram_from_edm(D).  Then it times three ops shaped like the benchmark's
+``oracle`` workload: a rational-weight tree on 40 vertices (its distance
+matrix, pseudoinverse, closed-form inverse and determinant), the EDM of
+40 integer points (is_edm and the pseudoinverse) and a rank-10 40x30
+product (the pseudoinverse).
+
+Every result is checked exactly, outside the timed runs; the script
+exits 1 if one is wrong.  Each record carries the input's order and
+rank and the largest numerator and denominator bit lengths over the
+input and the result.  The file also records the commit of the
+checkout, whether its ``src/`` differs from that commit, nproc, and the
+Python and numpy versions.
+"""
+
+from __future__ import annotations
+
+import functools
+import json
+import os
+import platform
+import random
+import re
+import subprocess
+import sys
+import time
+from fractions import Fraction
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+sys.path.insert(0, str(ROOT / "src"))
+
+import numpy as np  # noqa: E402
+
+from gearpinv.edm import gram_from_edm, is_edm  # noqa: E402
+from gearpinv.graphs import gear_distance_closed  # noqa: E402
+from gearpinv.pinv import beta, penrose_check, rational_pinv, u_vector  # noqa: E402
+from gearpinv.rational import det, dot, is_psd, rational, rational_identity  # noqa: E402
+from gearpinv.trees import (  # noqa: E402
+    graham_pollak_det,
+    tree_distance,
+    weighted_tree,
+    weighted_tree_inverse,
+)
+
+DEFAULT_SIZES = (40, 60)
+REPEATS = 3
+OP_SIZE = 40
+
+
+def _bits(*values) -> tuple[int, int]:
+    """Largest numerator and denominator bit lengths over the matrices given."""
+    num = den = 0
+    for value in values:
+        if isinstance(value, np.ndarray):
+            for x in map(rational, value.flat):
+                num = max(num, x.numerator.bit_length())
+                den = max(den, x.denominator.bit_length())
+    return num, den
+
+
+def _rank(matrix, pinv) -> int:
+    """rank M = trace(M M+), exact for an exact pseudoinverse."""
+    return int(sum(rational(x) * y for x, y in zip(matrix.flat, pinv.T.flat)))
+
+
+def _best_of(func, *args):
+    times, result = [], None
+    for _ in range(REPEATS):
+        start = time.perf_counter()
+        result = func(*args)
+        times.append(time.perf_counter() - start)
+    return min(times), times, result
+
+
+class Bench:
+    def __init__(self):
+        self.records: list[dict] = []
+        self.wrong: list[str] = []
+
+    def time(self, name: str, func, *args, size, order: int, rank: int, bits=()):
+        best, times, result = _best_of(func, *args)
+        num, den = _bits(*bits)
+        self.records.append({
+            "name": name, "size": size, "order": order, "rank": rank, "best_s": best,
+            "times_s": times, "max_num_bits": num, "max_den_bits": den,
+        })
+        return result
+
+    def check(self, name: str, ok: bool) -> None:
+        if not ok:
+            self.wrong.append(name)
+            print(f"wrong result: {name}", file=sys.stderr)
+
+
+def gear_stages(bench: Bench, n: int) -> None:
+    dist = gear_distance_closed(n)
+    gram = gram_from_edm(dist)
+    dist_pinv, gram_pinv = rational_pinv(dist), rational_pinv(gram)
+    rank_d, rank_g = _rank(dist, dist_pinv), _rank(gram, gram_pinv)
+    label = f"gear n={n}"
+
+    stage = functools.partial(bench.time, size=n, order=2 * n - 1)
+    stage("gram_from_edm(D)", gram_from_edm, dist, rank=rank_d, bits=(dist, gram))
+    stage("rational_pinv(D)", rational_pinv, dist, rank=rank_d, bits=(dist, dist_pinv))
+    stage("rational_pinv(G)", rational_pinv, gram, rank=rank_g, bits=(gram, gram_pinv))
+    psd = stage("is_psd(G)", is_psd, gram, rank=rank_g, bits=(gram,))
+    report = stage("is_edm(D)", is_edm, dist, rank=rank_d, bits=(dist,))
+    penrose = stage("penrose_check(D, D+)", penrose_check, dist, dist_pinv, rank=rank_d,
+                    bits=(dist, dist_pinv))
+
+    # The paper's identity D+ = -G+/2 + ((n-1)/2) u u' ties the two pseudoinverses together.
+    u = u_vector(n)
+    bench.check(f"{label}: D+ = -G+/2 + ((n-1)/2) u u'",
+                (dist_pinv == -gram_pinv / 2 + Fraction(n - 1, 2) * np.outer(u, u)).all())
+    bench.check(f"{label}: penrose_check(D, D+) all exact", penrose.all_exact)
+    bench.check(f"{label}: ranks n and n - 1", (rank_d, rank_g) == (n, n - 1))
+    bench.check(f"{label}: G has zero row sums", not gram.sum(axis=1).any())
+    bench.check(f"{label}: is_psd(G)", psd is True)
+    bench.check(f"{label}: is_edm(D) with beta = 2/(n-1)",
+                report.is_edm and report.beta == float(beta(n)) and report.order == 2 * n - 1)
+
+
+def oracle_ops(bench: Bench, rng: random.Random) -> None:
+    m = OP_SIZE
+    weights = [Fraction(1 + i % 9, 1 + 4 * i % 9) for i in range(m - 1)]
+    rng.shuffle(weights)
+    tree = weighted_tree([(rng.randrange(1, v + 1), v + 1, weights[v - 1]) for v in range(1, m)])
+
+    def tree_op():
+        dist = tree_distance(tree)
+        return dist, rational_pinv(dist), weighted_tree_inverse(tree), graham_pollak_det(tree)
+
+    dist, pinv, inverse, determinant = tree_op()
+    bench.time("oracle tree op", tree_op, size=m, order=m, rank=m, bits=(dist, pinv))
+    bench.check("tree: D+ equals the closed-form inverse and D D+ = I",
+                (pinv == inverse).all() and (dot(dist, inverse) == rational_identity(m)).all())
+    bench.check("tree: Graham-Pollak determinant", determinant == det(dist))
+
+    points = [[rng.randint(-1000, 1000) for _ in range(3)] for _ in range(m)]
+    edm = np.array([[sum((a - b) ** 2 for a, b in zip(p, q)) for q in points] for p in points],
+                   dtype=object)
+
+    def edm_op():
+        return is_edm(edm), rational_pinv(edm)
+
+    report, pinv = edm_op()
+    bench.time("oracle edm op", edm_op, size=m, order=m, rank=_rank(edm, pinv), bits=(edm, pinv))
+    bench.check("edm: is_edm and exact Penrose conditions",
+                report.is_edm and penrose_check(edm, pinv).all_exact)
+
+    def fraction():
+        return Fraction(rng.randint(-9, 9), rng.randint(1, 9))
+
+    left = np.array([[fraction() for _ in range(10)] for _ in range(m)], dtype=object)
+    right = np.array([[fraction() for _ in range(30)] for _ in range(10)], dtype=object)
+    product = left.dot(right)
+    pinv = rational_pinv(product)
+    bench.time("oracle product op", rational_pinv, product, size=f"{m}x30", order=m,
+               rank=_rank(product, pinv), bits=(product, pinv))
+    bench.check("product: exact Penrose conditions", penrose_check(product, pinv).all_exact)
+
+
+def _git(*args) -> str:
+    proc = subprocess.run(["git", "-C", str(ROOT), *args], capture_output=True, text=True)
+    return proc.stdout.strip() if proc.returncode == 0 else ""
+
+
+def main(argv: list[str]) -> int:
+    if not argv or not re.fullmatch(r"[\w.-]+", argv[0]) or not all(a.isdigit() for a in argv[1:]):
+        print("usage: bench_stages.py LABEL [N ...]  (LABEL of letters, digits, '.', '-', '_')",
+              file=sys.stderr)
+        return 2
+    label, sizes = argv[0], [int(a) for a in argv[1:]] or list(DEFAULT_SIZES)
+    if min(sizes) < 4:
+        print("error: gear sizes start at 4", file=sys.stderr)
+        return 2
+    bench = Bench()
+    for n in sizes:
+        gear_stages(bench, n)
+        print(f"n = {n} done", file=sys.stderr)
+    oracle_ops(bench, random.Random(f"bench_stages/{OP_SIZE}"))
+    out = ROOT / f"BENCH_{label}.json"
+    out.write_text(json.dumps({
+        "label": label,
+        "commit": _git("rev-parse", "HEAD") or "unknown",
+        "src_modified": bool(_git("status", "--porcelain", "--", "src")),
+        "nproc": len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count(),
+        "python": platform.python_version(),
+        "numpy": np.__version__,
+        "repeats": REPEATS,
+        "correct": not bench.wrong,
+        "wrong": bench.wrong,
+        "records": bench.records,
+    }, indent=1) + "\n")
+    for record in bench.records:
+        print(f"{record['name']:22s} {str(record['size']):6s} order {record['order']!s:4s} "
+              f"rank {record['rank']!s:4s} best {record['best_s']:.4f} s  "
+              f"bits {record['max_num_bits']}/{record['max_den_bits']}")
+    print(f"wrote {out}")
+    return 1 if bench.wrong else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))
