@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd
 
 import numpy as np
 
@@ -91,7 +92,8 @@ def is_edm(matrix) -> EdmReport:
         gram, den = _gram_numerators(ints), 2 * m * m * scale
         # Dividing Python ints rounds correctly, exactly as float(Fraction) does.
         min_eig = float(jacobi_eigh(np.array([x / den for x in gram.flat]).reshape(m, m))[0][0])
-        psd = _psd_rows(gram.tolist())
+        # A positive factor keeps the verdict; the content would widen every minor.
+        psd = _psd_rows((gram // (gcd(*gram.flat) or 1)).tolist())
     beta = float(_ones_mass(mat, ints, scale, symmetric))
     return EdmReport(m, hollow, symmetric, min_eig, psd, beta)
 

@@ -12,13 +12,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
 
 import numpy as np
 
 from .graphs import _require_wheel_size
 from .laplacian import special_laplacian
-from .rational import _full_rank_mod_p, invert, is_exact, rref, scaled, unscaled
+from .rational import _full_rank_mod_p, dot, invert, is_exact, rref, scaled
 
 
 def u_vector(n: int) -> np.ndarray:
@@ -66,30 +65,21 @@ def rational_pinv(matrix) -> np.ndarray:
     """Exact Moore-Penrose inverse of a rational matrix.
 
     A square matrix that one elimination modulo a prime proves
-    nonsingular gets one ``invert``.  That probe only picks the route:
-    any other matrix gets its rank from ``rref``, and a square one of
-    full rank after all still gets ``invert``.  Otherwise M = C F is a
-    rank factorization and M+ = ``F' (C' M F')^-1 C'``, where ``C' M F' =
-    (C' C)(F F')`` is invertible.  In integers, M = A/s, F = f/d and
-    C = c/s give C' M F' = K/(s^2 d) with K = c' A f', inverted after its
-    content is divided out, so M+ = s f' K^-1 c' is made Fractions once.  At rank zero the factors are empty and M+
-    is the zero matrix.  All four Penrose conditions hold exactly.
+    nonsingular gets its inverse from one ``invert``.  That probe only
+    picks the route: any other matrix, including a nonsingular one whose
+    determinant the prime divides, goes on with M = C F, a rank
+    factorization from ``rref``, and the pseudoinverse is
+    ``F' (C' M F')^-1 C'`` with one inverse of rank order: ``C' M F' =
+    (C' C)(F F')`` is invertible because both factors have full rank.
+    At rank zero the factors are empty and the product is the zero
+    matrix.  All four Penrose conditions hold exactly for the result.
     """
     mat = np.asarray(matrix, dtype=object)
     m, n = mat.shape
-    ints, scale = scaled(mat)
-    if m == n and _full_rank_mod_p(ints):
+    if m == n and _full_rank_mod_p(scaled(mat)[0]):
         return invert(mat)
-    reduced, pivot_cols = rref(mat)
-    if len(pivot_cols) == m == n:
-        return invert(mat)
-    f_ints, _ = scaled(reduced[: len(pivot_cols)])
-    c_ints = ints[:, pivot_cols]
-    k_ints = c_ints.T.dot(ints).dot(f_ints.T)
-    # K's content (about s) would widen every minor of the elimination.
-    content = gcd(*k_ints.flat) or 1
-    k_inverse, k_den = scaled(invert(k_ints // content))
-    return unscaled(scale * f_ints.T.dot(k_inverse).dot(c_ints.T), k_den * content)
+    c_factor, f_factor = rank_factorization(mat)
+    return dot(f_factor.T, invert(dot(c_factor.T, mat, f_factor.T)), c_factor.T)
 
 
 @dataclass(frozen=True)

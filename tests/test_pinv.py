@@ -208,10 +208,8 @@ def test_rational_pinv_falls_back_when_the_probe_prime_divides_the_determinant(k
     assert not _full_rank_mod_p(scaled(matrix)[0])
     expected = rational_matrix([[Fraction(1, _PROBE_PRIME), 0], [0, 1]])
     assert _same_fractions(rational_pinv(matrix), expected)
-    # rref finds the full rank, and the input still gets one invert.
+    # The probe only picks the route: the input goes through rref.
     assert len(kernel_calls["rref"]) == 1
-    assert len(kernel_calls["invert"]) == 1
-    assert (kernel_calls["invert"][0] == matrix).all()
 
 
 def test_rational_pinv_inverts_a_rank_deficient_input_once(kernel_calls):
