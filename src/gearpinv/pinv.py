@@ -4,8 +4,9 @@ Two independent routes are provided.  The formula route evaluates the
 closed form ``-1/2 L + ((n-1)/2) u u'`` in floating point, where L is
 the assembled pseudoinverse of the centered distance matrix and u is
 the rational image of the all-ones vector.  The oracle route computes
-the pseudoinverse of any rational matrix exactly through a rank
-factorization, with no reference to gear structure at all.
+the pseudoinverse of any rational matrix exactly, from residues modulo
+primes when it is square and nonsingular and through a rank
+factorization otherwise, with no reference to gear structure at all.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ import numpy as np
 
 from .graphs import _require_wheel_size
 from .laplacian import special_laplacian
-from .rational import _full_rank_mod_p, dot, invert, is_exact, rref, scaled
+from .rational import _modular_inverse, dot, invert, is_exact, rref, scaled
 
 
 def u_vector(n: int) -> np.ndarray:
@@ -64,20 +65,21 @@ def rank_factorization(matrix) -> tuple[np.ndarray, np.ndarray]:
 def rational_pinv(matrix) -> np.ndarray:
     """Exact Moore-Penrose inverse of a rational matrix.
 
-    A square matrix that one elimination modulo a prime proves
-    nonsingular gets its inverse from one ``invert``.  That probe only
-    picks the route: any other matrix, including a nonsingular one whose
-    determinant the prime divides, goes on with M = C F, a rank
-    factorization from ``rref``, and the pseudoinverse is
-    ``F' (C' M F')^-1 C'`` with one inverse of rank order: ``C' M F' =
-    (C' C)(F F')`` is invertible because both factors have full rank.
-    At rank zero the factors are empty and the product is the zero
-    matrix.  All four Penrose conditions hold exactly for the result.
+    A square matrix is inverted from its residues modulo primes
+    (``rational._modular_inverse``), with a certificate proving the
+    result, unless the first prime finds it singular.  Any other
+    matrix, including a nonsingular one whose determinant the first
+    prime divides, goes on with M = C F, a rank factorization from
+    ``rref``, and the pseudoinverse is ``F' (C' M F')^-1 C'`` with one
+    inverse of rank order: ``C' M F' = (C' C)(F F')`` is invertible
+    because both factors have full rank.  At rank zero the factors are
+    empty and the product is the zero matrix.  All four Penrose
+    conditions hold exactly for the result.
     """
     mat = np.asarray(matrix, dtype=object)
     m, n = mat.shape
-    if m == n and _full_rank_mod_p(scaled(mat)[0]):
-        return invert(mat)
+    if m == n and (inverse := _modular_inverse(mat)) is not None:
+        return inverse
     c_factor, f_factor = rank_factorization(mat)
     return dot(f_factor.T, invert(dot(c_factor.T, mat, f_factor.T)), c_factor.T)
 

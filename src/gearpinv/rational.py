@@ -6,15 +6,23 @@ object array with one positive common denominator (``scaled`` and
 ``unscaled``): a product is an integer product (``dot``), and every
 reduction is one fraction-free Gauss-Jordan pass (``_gauss_jordan``)
 whose entries stay minors of the input.  Each Fraction is built once,
-when a result leaves the integer form.  One elimination modulo a prime
-(``_full_rank_mod_p``) can prove a square matrix nonsingular; it only
-chooses a route and never decides an answer.
+when a result leaves the integer form.
+
+A nonsingular square matrix can also be inverted from residues
+(``_modular_inverse``): Gauss-Jordan modulo 31-bit primes in int64
+numpy, the Chinese remainder theorem, rational reconstruction and a
+certificate that involves no probability.  Its cost follows the size of
+the inverse rather than of the minors on the way to it, so it wins
+where the inverse is small, as for tree distance matrices.  ``invert``
+stays fraction-free: the inverse of C'MF' in ``pinv.rational_pinv`` is
+as wide as its determinant, and from residues it measured slower
+(CHANGES.md, the entry on the certified multi-modular inverse).
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import lcm
+from math import gcd, isqrt, lcm, log2, prod
 
 import numpy as np
 
@@ -149,27 +157,191 @@ def invert(matrix) -> np.ndarray:
     return unscaled(inverse * scale, d)
 
 
-# A prime below 2**31, so residues and their products fit in int64.
-_PROBE_PRIME = 2**31 - 1
-
-
-def _full_rank_mod_p(ints) -> bool:
-    """True when the square integer matrix is nonsingular modulo ``_PROBE_PRIME``.
-
-    True proves the determinant nonzero over the rationals; False proves
-    nothing, as the prime may divide a nonzero determinant.
-    """
-    rows = np.asarray(ints % _PROBE_PRIME, dtype=np.int64)
-    for col in range(len(rows)):
-        nonzero = np.flatnonzero(rows[col:, col])
-        if not len(nonzero):
+def _is_prime(candidate: int) -> bool:
+    """Deterministic Miller-Rabin: bases 2, 7 and 61 decide every integer below 4759123141."""
+    if candidate < 2:
+        return False
+    for base in (2, 7, 61):
+        if candidate % base == 0:
+            return candidate == base
+    odd, twos = candidate - 1, 0
+    while odd % 2 == 0:
+        odd, twos = odd // 2, twos + 1
+    for base in (2, 7, 61):
+        x = pow(base, odd, candidate)
+        if x in (1, candidate - 1):
+            continue
+        for _ in range(twos - 1):
+            x = x * x % candidate
+            if x == candidate - 1:
+                break
+        else:
             return False
-        rows[[col, col + nonzero[0]]] = rows[[col + nonzero[0], col]]
-        inverse = pow(int(rows[col, col]), -1, _PROBE_PRIME)
-        pivot_row = rows[col, col:] * inverse % _PROBE_PRIME
-        below = rows[col + 1 :, col:]
-        below[:] = (below - np.outer(below[:, 0], pivot_row)) % _PROBE_PRIME
     return True
+
+
+def _primes():
+    """The odd primes below 2**31, largest first: residues and their products fit in int64."""
+    return (p for p in range(2**31 - 1, 2, -2) if _is_prime(p))
+
+
+# Primes eliminated together after the first: a stack of them takes
+# about 3 * _BATCH * n**2 int64 words for an n x n matrix.
+_BATCH = 8
+
+
+def _inverses_mod(ints, primes: list[int]) -> tuple[list[int], np.ndarray]:
+    """Gauss-Jordan inversion modulo each prime at once, in place, in int64 numpy.
+
+    Returns the primes modulo which the square integer matrix A is
+    nonsingular and A's inverse modulo each, stacked in the same order.
+    A prime modulo which A is singular is dropped at its first column
+    with no pivot, and the pass returns there when no prime is left.
+    Each step swaps the pivot row into place and stores, in the column
+    it clears, the column of [A | I]'s right half that the step fills;
+    the swaps are undone on the columns at the end.
+    """
+    n = len(ints)
+    mods = np.array(primes, dtype=np.int64)[:, None, None]
+    work = np.array([ints % p for p in primes], dtype=np.int64).reshape(len(primes), n, n)
+    pivots: list[np.ndarray] = []
+    stack = np.arange(len(primes))
+    for col in range(n):
+        # The largest residue in the column is nonzero unless all are.
+        piv = col + work[:, col:, col].argmax(axis=1)
+        pivot_rows = work[stack, piv]
+        values = pivot_rows[:, col].tolist()
+        if not all(values):
+            found = pivot_rows[:, col] != 0
+            primes = [p for p, keep in zip(primes, found) if keep]
+            if not primes:
+                return [], work[found]
+            work, mods, pivots = work[found], mods[found], [p[found] for p in pivots]
+            piv, pivot_rows, stack = piv[found], pivot_rows[found], np.arange(len(primes))
+            values = pivot_rows[:, col].tolist()
+        work[stack, piv] = work[stack, col]
+        pivots.append(piv)
+        pivot_rows[:, col] = 1
+        pivot_rows *= np.array([pow(x, -1, p) for x, p in zip(values, primes)])[:, None]
+        pivot_rows %= mods[:, 0]
+        factors = work[:, :, col, None].copy()
+        work[:, :, col] = 0
+        work -= factors * pivot_rows[:, None, :]
+        work %= mods
+        # Row col held the row swapped out to piv: its update is discarded.
+        work[:, col] = pivot_rows
+    # Column col now holds the inverse's column of the row moved to col.
+    order = np.tile(np.arange(n), (len(primes), 1))
+    for col, piv in enumerate(pivots):
+        order[stack, col], order[stack, piv] = order[stack, piv], order[stack, col]
+    return primes, np.take_along_axis(work, np.argsort(order, axis=1)[:, None, :], axis=2)
+
+
+def _crt(residues: np.ndarray, primes: list[int]) -> tuple[np.ndarray, int]:
+    """The integer matrix X in [0, P) with X = residues[i] modulo primes[i], and P.
+
+    Garner's mixed-radix digits are found in int64; only the final
+    Horner pass, over n**2 entries, works on Python integers.
+    """
+    digits: list[np.ndarray] = []
+    for residue, p in zip(residues, primes):
+        digit = residue
+        for previous, q in zip(digits, primes):
+            digit = (digit - previous) % p * pow(q, -1, p) % p
+        digits.append(digit)
+    value = digits[-1].astype(object)
+    for digit, p in zip(digits[-2::-1], primes[-2::-1]):
+        value = value * p + digit.astype(object)
+    return value, prod(primes)
+
+
+def _common_denominator(value: int, modulus: int, den: int, bound: int) -> int | None:
+    """den * e, with (den * e * value) mod modulus in [-bound, bound].
+
+    e is the denominator that Wang's rational reconstruction (1981)
+    finds for den * value: the extended Euclidean remainder sequence of
+    (modulus, den * value), stopped at the first remainder within
+    bound.  None when e exceeds bound // den or shares a factor with
+    that remainder.
+    """
+    r0, r1 = modulus, den * value % modulus
+    t0, t1 = 0, 1
+    while r1 > bound:
+        quotient = r0 // r1
+        r0, r1 = r1, r0 - quotient * r1
+        t0, t1 = t1, t0 - quotient * t1
+    if t1 == 0 or abs(t1) > bound // den or gcd(r1, t1) != 1:
+        return None
+    return den * abs(t1)
+
+
+def _reconstruct(value: np.ndarray, modulus: int) -> tuple[np.ndarray, int] | None:
+    """Integers Y and d > 0 with Y = d X modulo ``modulus``, |Y| < modulus/2.
+
+    d is built up entry by entry (Monagan, 2004): an entry whose d X is
+    already within sqrt(modulus/2) of 0 adds nothing, and the first
+    entry that is not grows d by its own reconstructed denominator.
+    None when d would pass sqrt(modulus/2): more primes are needed.
+    """
+    bound = isqrt(modulus // 2)
+    den = 1
+    pending = value.ravel()
+    while len(pending):
+        residue = pending * den % modulus
+        pending = pending[(residue > bound) & (residue < modulus - bound)]
+        if len(pending):
+            den = _common_denominator(pending[0], modulus, den, bound)
+            if den is None:
+                return None
+    ints = value * den % modulus
+    return np.where(ints > modulus // 2, ints - modulus, ints), den
+
+
+def _residual_bound(ints, inverse, den: int) -> int:
+    """n max|A| max|Y| + d, a bound on the entries of R = A Y - d I.
+
+    When Y = d A^-1 modulo a product P of primes, R is 0 modulo P, so a
+    bound below P proves R = 0, that is A Y = d I exactly.
+    """
+    largest = max((abs(x) for x in ints.flat), default=0)
+    biggest = max((abs(x) for x in inverse.flat), default=0)
+    return len(ints) * largest * biggest + den
+
+
+def _modular_inverse(matrix) -> np.ndarray | None:
+    """Exact inverse of a square rational matrix from its residues; None proves nothing.
+
+    With A = scale * matrix in integers, the first prime is eliminated
+    alone, and None is returned at its first column with no pivot: A
+    may be singular, or the prime may divide det A.  Otherwise further
+    primes, skipping those modulo which A is singular, are eliminated in
+    stacks of at most ``_BATCH``.  After each stack the residues are
+    combined and reconstructed as Y over d, and Y / d is returned once
+    ``_residual_bound`` proves A Y = d I.  A reconstruction that is not
+    proved yet asks for as many primes as its bound lacks; one that
+    fails asks for twice as many as the last stack.
+    """
+    ints, scale = scaled(matrix)
+    primes = _primes()
+    used, residues = _inverses_mod(ints, [next(primes)])
+    if not used:
+        return None
+    batch = 1
+    while True:
+        value, modulus = _crt(residues, used)
+        found = _reconstruct(value, modulus)
+        if found is None:
+            batch = min(_BATCH, 2 * batch)
+        else:
+            inverse, den = found
+            bound = _residual_bound(ints, inverse, den)
+            if bound < modulus:
+                return unscaled(inverse * scale, den)
+            # Each prime adds more than 30.99 bits: the first 690000 are above 2**30.99.
+            batch = min(_BATCH, 1 + int((log2(bound) - log2(modulus)) / 30.99))
+        more, stack = _inverses_mod(ints, [next(primes) for _ in range(batch)])
+        used += more
+        residues = np.concatenate([residues, stack])
 
 
 def is_psd(matrix) -> bool:

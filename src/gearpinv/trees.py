@@ -9,7 +9,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .rational import rational, rational_zeros, unscaled
+from .rational import rational, unscaled
 
 
 @dataclass(frozen=True)
@@ -81,13 +81,18 @@ def weighted_tree(edges) -> WeightedTree:
 
 
 def tree_distance(tree: WeightedTree) -> np.ndarray:
-    """Rational matrix of path weights between all vertex pairs."""
+    """Rational matrix of path weights between all vertex pairs.
+
+    The walks sum integer weights over the lcm of the weight
+    denominators, and the Fractions are built once, by ``unscaled``.
+    """
     m = tree.num_vertices
-    nbrs = tree.adjacency()
-    out = rational_zeros(m, m)
+    den = math.lcm(*(w.denominator for _, _, w in tree.edges))
+    nbrs = [[(v, w.numerator * (den // w.denominator)) for v, w in lst] for lst in tree.adjacency()]
+    rows = []
     for source in range(1, m + 1):
-        dist: list[Fraction | None] = [None] * (m + 1)
-        dist[source] = Fraction(0)
+        dist: list[int | None] = [None] * (m + 1)
+        dist[source] = 0
         queue = deque([source])
         while queue:
             v = queue.popleft()
@@ -95,8 +100,8 @@ def tree_distance(tree: WeightedTree) -> np.ndarray:
                 if dist[w] is None:
                     dist[w] = dist[v] + weight
                     queue.append(w)
-        out[source - 1, :] = dist[1:]
-    return out
+        rows.append(dist[1:])
+    return unscaled(np.array(rows, dtype=object).reshape(m, m), den)
 
 
 def graham_lovasz_inverse(tree: WeightedTree) -> np.ndarray:

@@ -20,8 +20,8 @@ from gearpinv.pinv import (
     u_vector,
 )
 from gearpinv.rational import (
-    _PROBE_PRIME,
-    _full_rank_mod_p,
+    _inverses_mod,
+    _primes,
     det,
     dot,
     invert,
@@ -194,22 +194,42 @@ def kernel_calls(monkeypatch):
 
 def test_rational_pinv_inverts_a_nonsingular_input_once(kernel_calls):
     dist = tree_distance(unit_tree([(1, 2), (2, 3), (2, 4), (4, 5)]))
-    rational_pinv(dist)
-    # The probe proves D nonsingular: no rref, and one invert, on D itself.
-    assert kernel_calls["rref"] == []
-    assert len(kernel_calls["invert"]) == 1
-    call = kernel_calls["invert"][0]
-    assert call.shape == dist.shape and (call == dist).all()
+    # The inverse comes from residues modulo primes: no rref and no invert.
+    inverse = rational_pinv(dist)
+    assert kernel_calls["rref"] == [] and kernel_calls["invert"] == []
+    assert _same_fractions(inverse, invert(dist))
+
+
+def _diagonal(*entries):
+    return rational_matrix([[x if i == j else 0 for j in range(len(entries))]
+                            for i, x in enumerate(entries)])
+
+
+def _first_primes(count):
+    primes = _primes()
+    return [next(primes) for _ in range(count)]
 
 
 def test_rational_pinv_falls_back_when_the_probe_prime_divides_the_determinant(kernel_calls):
-    # diag(p, 1) is singular modulo the probe's prime p but not over Q.
-    matrix = rational_matrix([[_PROBE_PRIME, 0], [0, 1]])
-    assert not _full_rank_mod_p(scaled(matrix)[0])
-    expected = rational_matrix([[Fraction(1, _PROBE_PRIME), 0], [0, 1]])
-    assert _same_fractions(rational_pinv(matrix), expected)
-    # The probe only picks the route: the input goes through rref.
-    assert len(kernel_calls["rref"]) == 1
+    # diag(p1, 1) and diag(p1 p2, 1) are singular modulo the first prime p1 but not over Q.
+    p1, p2 = _first_primes(2)
+    for top in (p1, p1 * p2):
+        kernel_calls["rref"].clear()
+        matrix = _diagonal(top, 1)
+        assert _inverses_mod(scaled(matrix)[0], [p1])[0] == []
+        assert _same_fractions(rational_pinv(matrix), _diagonal(Fraction(1, top), 1))
+        # The first prime only picks the route: the input goes through rref.
+        assert len(kernel_calls["rref"]) == 1
+
+
+def test_rational_pinv_skips_primes_that_divide_the_determinant(kernel_calls):
+    # diag(p2 p3, 1) is nonsingular modulo p1 and p4 only: p2 and p3 are dropped.
+    p1, p2, p3, p4 = _first_primes(4)
+    matrix = _diagonal(p2 * p3, 1)
+    kept, inverses = _inverses_mod(scaled(matrix)[0], [p1, p2, p3, p4])
+    assert kept == [p1, p4] and len(inverses) == 2
+    assert _same_fractions(rational_pinv(matrix), _diagonal(Fraction(1, p2 * p3), 1))
+    assert kernel_calls["rref"] == [] and kernel_calls["invert"] == []
 
 
 def test_rational_pinv_inverts_a_rank_deficient_input_once(kernel_calls):

@@ -1,16 +1,23 @@
 """Exact elimination, determinant, inverse and products on Fraction matrices."""
 
 from fractions import Fraction
+from math import isqrt
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+import gearpinv.rational
 from gearpinv.pinv import rational_pinv
 from gearpinv.rational import (
-    _PROBE_PRIME,
-    _full_rank_mod_p,
+    _BATCH,
+    _crt,
+    _inverses_mod,
+    _is_prime,
+    _primes,
+    _reconstruct,
+    _residual_bound,
     det,
     dot,
     invert,
@@ -98,16 +105,96 @@ def test_is_psd_on_gram_products(data):
         assert not is_psd(gram)
 
 
-# Small entries make singular matrices common; multiples of the probe's
-# prime make matrices singular modulo it only, and 2**70 + 5 overflows int64.
-probe_entries = st.integers(-3, 3) | st.sampled_from([_PROBE_PRIME, -2 * _PROBE_PRIME, 2**70 + 5])
+def _first_primes(count):
+    primes = _primes()
+    return [next(primes) for _ in range(count)]
+
+
+P1, P2, P3 = _first_primes(3)
+
+# Small entries make singular matrices common; multiples of the first
+# primes make matrices singular modulo them only, and 2**70 + 5
+# overflows int64.
+probe_entries = st.integers(-3, 3) | st.sampled_from([P1, -2 * P1, P1 * P2, 2**70 + 5])
 
 
 @settings(max_examples=80, deadline=None)
 @given(st.integers(0, 6).flatmap(lambda k: square(k, probe_entries)))
 def test_probe_is_nonsingularity_modulo_its_prime(rows):
+    # The first prime's elimination keeps the prime exactly when it does
+    # not divide det A, and then yields A's inverse modulo it.
     ints = np.array(rows, dtype=object).reshape(len(rows), len(rows))
-    assert _full_rank_mod_p(ints) == (det(ints) % _PROBE_PRIME != 0)
+    kept, inverses = _inverses_mod(ints, [P1])
+    assert (kept == [P1]) == (det(ints) % P1 != 0)
+    if kept:
+        product = ints.dot(inverses[0].astype(object)) % P1
+        assert (product == np.eye(len(rows), dtype=int)).all()
+
+
+def test_primes_match_trial_division():
+    def trial(k):
+        return k > 1 and all(k % f for f in range(2, isqrt(k) + 1))
+
+    # The first 60 on-demand primes, then every integer up to 5000: the
+    # strong pseudoprimes to base 2 there (2047, 3277, 4033, 4681) are composite.
+    expected = [k for k in range(2**31 - 1, 2**31 - 2000, -1) if trial(k)]
+    assert _first_primes(len(expected)) == expected and len(expected) > 60
+    assert [k for k in range(5000) if _is_prime(k)] == [k for k in range(5000) if trial(k)]
+
+
+def _hilbert(order):
+    return np.array([[F(1, i + j + 1) for j in range(order)] for i in range(order)], dtype=object)
+
+
+def test_hilbert_inverse_from_many_primes(monkeypatch):
+    def recording(ints, primes):
+        stacks.append(len(primes))
+        return _inverses_mod(ints, primes)
+
+    monkeypatch.setattr(gearpinv.rational, "_inverses_mod", recording)
+    # Order 12 takes 3 primes; orders 20 and 30 fail to reconstruct
+    # after 3 and 7 primes, so the stacks double up to _BATCH.
+    for order, least in ((12, 3), (20, 7), (30, 15)):
+        stacks = []
+        hilbert = _hilbert(order)
+        inverse = rational_pinv(hilbert)
+        assert stacks[0] == 1 and sum(stacks) >= least and max(stacks) <= _BATCH
+        assert all(type(x) is F for x in inverse.flat)
+        assert (inverse == invert(hilbert)).all()
+
+
+nonsingular_entries = (
+    st.integers(-3, 3)
+    | st.fractions(min_value=-9, max_value=9, max_denominator=P1)
+    | st.sampled_from([P1, -2 * P2, P1 * P2 * P3, F(1, P2), 2**70 + 5, -(2**70) + 1])
+)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.integers(1, 6).flatmap(lambda k: square(k, nonsingular_entries)))
+def test_modular_inverse_equals_bareiss(rows):
+    matrix = rational_matrix(rows)
+    assume(det(matrix) != 0)
+    inverse = rational_pinv(matrix)
+    assert all(type(x) is F for x in inverse.flat)
+    assert (inverse == invert(matrix)).all()
+
+
+def test_certificate_refuses_a_lift_that_matches_every_residue():
+    matrix = _hilbert(5)
+    ints, _ = scaled(matrix)
+    primes, inverses = _inverses_mod(ints, _first_primes(4))
+    value, modulus = _crt(inverses, primes)
+    inverse, den = _reconstruct(value, modulus)
+    assert _residual_bound(ints, inverse, den) < modulus
+    assert (ints.dot(inverse) == den * np.eye(5, dtype=int)).all()
+    # Y + P E agrees with Y modulo every prime used, but A (Y + P E) != d I,
+    # and its bound is no longer below P.
+    lifted = inverse.copy()
+    lifted[2, 3] += modulus
+    assert ((lifted - den * value) % modulus == 0).all()
+    assert not (ints.dot(lifted) == den * np.eye(5, dtype=int)).all()
+    assert _residual_bound(ints, lifted, den) >= modulus
 
 
 def test_rref_known_matrix():

@@ -1,11 +1,13 @@
 """Tree distance matrices, closed-form inverses, and the determinant law."""
 
+from collections import deque
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from gearpinv.rational import det, rational_identity, rational_matrix
+from gearpinv.pinv import rational_pinv
+from gearpinv.rational import det, invert, rational_identity, rational_matrix
 from gearpinv.trees import (
     WeightedTree,
     graham_lovasz_inverse,
@@ -163,3 +165,41 @@ def test_distance_depends_only_on_weights_along_path():
     dist = tree_distance(t)
     assert dist[0, 3] == Fraction(4)
     assert dist[0, 2] == Fraction(1)
+
+
+def _fraction_walk(tree):
+    """Path weights by Fraction additions from every source: the reference for tree_distance."""
+    m = tree.num_vertices
+    nbrs = tree.adjacency()
+    out = np.full((m, m), Fraction(0), dtype=object)
+    for source in range(1, m + 1):
+        dist = {source: Fraction(0)}
+        queue = deque([source])
+        while queue:
+            v = queue.popleft()
+            for w, weight in nbrs[v]:
+                if w not in dist:
+                    dist[w] = dist[v] + weight
+                    queue.append(w)
+        out[source - 1] = [dist[v] for v in range(1, m + 1)]
+    return out
+
+
+def _same_fractions(got, want):
+    return got.shape == want.shape and all(
+        type(x) is Fraction and x == y for x, y in zip(got.flat, want.flat)
+    )
+
+
+def test_tree_distance_matches_fraction_walk(unit_tree_corpus, weighted_tree_corpus):
+    mixed = weighted_tree([(1, 2, "3/7"), (2, 3, "5/6"), (2, 4, 2), (4, 5, "1/9")])
+    for tree in unit_tree_corpus + weighted_tree_corpus + [mixed, WeightedTree(1, ())]:
+        assert _same_fractions(tree_distance(tree), _fraction_walk(tree))
+
+
+def test_rational_pinv_equals_closed_form_and_bareiss(unit_tree_corpus, weighted_tree_corpus):
+    for tree in unit_tree_corpus + weighted_tree_corpus:
+        dist = tree_distance(tree)
+        inverse = rational_pinv(dist)
+        assert _same_fractions(inverse, weighted_tree_inverse(tree))
+        assert _same_fractions(inverse, invert(dist))

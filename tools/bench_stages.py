@@ -10,11 +10,12 @@ checkout's root.  N are gear sizes, 40 and 60 by default.  For each N,
 with D the gear distance matrix (order 2N - 1) and G its Gram matrix,
 it takes the best of three in-process runs of rational_pinv(D),
 rational_pinv(G), is_psd(G), is_edm(D), penrose_check(D, D+) and
-gram_from_edm(D).  Then it times three ops shaped like the benchmark's
-``oracle`` workload: a rational-weight tree on 40 vertices (its distance
-matrix, pseudoinverse, closed-form inverse and determinant), the EDM of
-40 integer points (is_edm and the pseudoinverse) and a rank-10 40x30
-product (the pseudoinverse).
+gram_from_edm(D), and of rational_pinv(T) for the distance matrix T of
+a seeded rational-weight tree of the same order.  Then it times three
+ops shaped like the benchmark's ``oracle`` workload: a rational-weight
+tree on 40 vertices (its distance matrix, pseudoinverse, closed-form
+inverse and determinant), the EDM of 40 integer points (is_edm and the
+pseudoinverse) and a rank-10 40x30 product (the pseudoinverse).
 
 Every result is checked exactly, outside the timed runs; the script
 exits 1 if one is wrong.  Each record carries the input's order and
@@ -131,12 +132,24 @@ def gear_stages(bench: Bench, n: int) -> None:
     bench.check(f"{label}: is_edm(D) with beta = 2/(n-1)",
                 report.is_edm and report.beta == float(beta(n)) and report.order == 2 * n - 1)
 
+    tree = _rational_tree(random.Random(f"bench_stages/tree/{n}"), 2 * n - 1)
+    tree_dist, tree_inverse = tree_distance(tree), weighted_tree_inverse(tree)
+    tree_pinv = stage("rational_pinv(T)", rational_pinv, tree_dist, rank=2 * n - 1,
+                      bits=(tree_dist, tree_inverse))
+    bench.check(f"{label}: rational_pinv(T) equals the closed-form tree inverse",
+                all(type(x) is Fraction and x == y for x, y in zip(tree_pinv.flat, tree_inverse.flat)))
+
+
+def _rational_tree(rng: random.Random, m: int):
+    """A random tree on m vertices; the weights 1, 2/5, 1/3, 1, 5/8, 2, 1, 4, 3/2 repeat, shuffled."""
+    weights = [Fraction(1 + i % 9, 1 + 4 * i % 9) for i in range(m - 1)]
+    rng.shuffle(weights)
+    return weighted_tree([(rng.randrange(1, v + 1), v + 1, weights[v - 1]) for v in range(1, m)])
+
 
 def oracle_ops(bench: Bench, rng: random.Random) -> None:
     m = OP_SIZE
-    weights = [Fraction(1 + i % 9, 1 + 4 * i % 9) for i in range(m - 1)]
-    rng.shuffle(weights)
-    tree = weighted_tree([(rng.randrange(1, v + 1), v + 1, weights[v - 1]) for v in range(1, m)])
+    tree = _rational_tree(rng, m)
 
     def tree_op():
         dist = tree_distance(tree)
