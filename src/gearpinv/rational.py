@@ -9,20 +9,22 @@ whose entries stay minors of the input.  Each Fraction is built once,
 when a result leaves the integer form.
 
 A nonsingular square matrix can also be inverted from residues
-(``_modular_inverse``): Gauss-Jordan modulo 31-bit primes in int64
-numpy, the Chinese remainder theorem, rational reconstruction and a
-certificate that involves no probability.  Its cost follows the size of
-the inverse rather than of the minors on the way to it, so it wins
-where the inverse is small, as for tree distance matrices.  ``invert``
-stays fraction-free: the inverse of C'MF' in ``pinv.rational_pinv`` is
-as wide as its determinant, and from residues it measured slower
-(CHANGES.md, the entry on the certified multi-modular inverse).
+(``_modular_inverse``): one Gauss-Jordan pass in int64 numpy per 31-bit
+prime, each residue folded in by one Chinese remainder step, and after
+each prime a rational reconstruction and a certificate that involves no
+probability, so it stops at the fewest primes the certificate needs.
+Its cost follows the size of the inverse rather than of the minors on
+the way to it, so it wins where the inverse is small, as for tree
+distance matrices.  ``invert`` stays fraction-free: the inverse of
+C'MF' in ``pinv.rational_pinv`` is as wide as its determinant, and from
+residues it measured slower (CHANGES.md, the entry on the certified
+multi-modular inverse).
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd, isqrt, lcm, log2, prod
+from math import gcd, isqrt, lcm
 
 import numpy as np
 
@@ -185,74 +187,40 @@ def _primes():
     return (p for p in range(2**31 - 1, 2, -2) if _is_prime(p))
 
 
-# Primes eliminated together after the first: a stack of them takes
-# about 3 * _BATCH * n**2 int64 words for an n x n matrix.
-_BATCH = 8
+def _inverse_mod(ints, p: int) -> np.ndarray | None:
+    """A^-1 modulo the prime p for a square integer matrix A; None when p divides det A.
 
-
-def _inverses_mod(ints, primes: list[int]) -> tuple[list[int], np.ndarray]:
-    """Gauss-Jordan inversion modulo each prime at once, in place, in int64 numpy.
-
-    Returns the primes modulo which the square integer matrix A is
-    nonsingular and A's inverse modulo each, stacked in the same order.
-    A prime modulo which A is singular is dropped at its first column
-    with no pivot, and the pass returns there when no prime is left.
-    Each step swaps the pivot row into place and stores, in the column
-    it clears, the column of [A | I]'s right half that the step fills;
-    the swaps are undone on the columns at the end.
+    Gauss-Jordan inversion in place in int64 numpy, returning None at
+    the first column with no pivot.  Each step swaps the pivot row into
+    place and stores, in the column it clears, the column of [A | I]'s
+    right half that the step fills; the swaps are undone on the columns
+    at the end.
     """
     n = len(ints)
-    mods = np.array(primes, dtype=np.int64)[:, None, None]
-    work = np.array([ints % p for p in primes], dtype=np.int64).reshape(len(primes), n, n)
-    pivots: list[np.ndarray] = []
-    stack = np.arange(len(primes))
+    work = (ints % p).astype(np.int64)
+    pivots: list[int] = []
     for col in range(n):
         # The largest residue in the column is nonzero unless all are.
-        piv = col + work[:, col:, col].argmax(axis=1)
-        pivot_rows = work[stack, piv]
-        values = pivot_rows[:, col].tolist()
-        if not all(values):
-            found = pivot_rows[:, col] != 0
-            primes = [p for p, keep in zip(primes, found) if keep]
-            if not primes:
-                return [], work[found]
-            work, mods, pivots = work[found], mods[found], [p[found] for p in pivots]
-            piv, pivot_rows, stack = piv[found], pivot_rows[found], np.arange(len(primes))
-            values = pivot_rows[:, col].tolist()
-        work[stack, piv] = work[stack, col]
+        piv = col + int(work[col:, col].argmax())
+        pivot_row = work[piv].copy()
+        if not pivot_row[col]:
+            return None
+        work[piv] = work[col]
         pivots.append(piv)
-        pivot_rows[:, col] = 1
-        pivot_rows *= np.array([pow(x, -1, p) for x, p in zip(values, primes)])[:, None]
-        pivot_rows %= mods[:, 0]
-        factors = work[:, :, col, None].copy()
-        work[:, :, col] = 0
-        work -= factors * pivot_rows[:, None, :]
-        work %= mods
+        inverse = pow(int(pivot_row[col]), -1, p)
+        pivot_row[col] = 1
+        pivot_row = pivot_row * inverse % p
+        factors = work[:, col, None].copy()
+        work[:, col] = 0
+        work -= factors * pivot_row
+        work %= p
         # Row col held the row swapped out to piv: its update is discarded.
-        work[:, col] = pivot_rows
+        work[col] = pivot_row
     # Column col now holds the inverse's column of the row moved to col.
-    order = np.tile(np.arange(n), (len(primes), 1))
+    order = np.arange(n)
     for col, piv in enumerate(pivots):
-        order[stack, col], order[stack, piv] = order[stack, piv], order[stack, col]
-    return primes, np.take_along_axis(work, np.argsort(order, axis=1)[:, None, :], axis=2)
-
-
-def _crt(residues: np.ndarray, primes: list[int]) -> tuple[np.ndarray, int]:
-    """The integer matrix X in [0, P) with X = residues[i] modulo primes[i], and P.
-
-    Garner's mixed-radix digits are found in int64; only the final
-    Horner pass, over n**2 entries, works on Python integers.
-    """
-    digits: list[np.ndarray] = []
-    for residue, p in zip(residues, primes):
-        digit = residue
-        for previous, q in zip(digits, primes):
-            digit = (digit - previous) % p * pow(q, -1, p) % p
-        digits.append(digit)
-    value = digits[-1].astype(object)
-    for digit, p in zip(digits[-2::-1], primes[-2::-1]):
-        value = value * p + digit.astype(object)
-    return value, prod(primes)
+        order[col], order[piv] = order[piv], order[col]
+    return work[:, np.argsort(order)]
 
 
 def _common_denominator(value: int, modulus: int, den: int, bound: int) -> int | None:
@@ -311,37 +279,36 @@ def _residual_bound(ints, inverse, den: int) -> int:
 def _modular_inverse(matrix) -> np.ndarray | None:
     """Exact inverse of a square rational matrix from its residues; None proves nothing.
 
-    With A = scale * matrix in integers, the first prime is eliminated
-    alone, and None is returned at its first column with no pivot: A
-    may be singular, or the prime may divide det A.  Otherwise further
-    primes, skipping those modulo which A is singular, are eliminated in
-    stacks of at most ``_BATCH``.  After each stack the residues are
-    combined and reconstructed as Y over d, and Y / d is returned once
-    ``_residual_bound`` proves A Y = d I.  A reconstruction that is not
-    proved yet asks for as many primes as its bound lacks; one that
-    fails asks for twice as many as the last stack.
+    With A = scale * matrix in integers, None is returned when the
+    first prime divides det A: A may be singular, or the prime may be
+    unlucky.  Otherwise the primes are taken one at a time, skipping
+    those that divide det A, and each residue is folded into X modulo
+    the product P of the primes so far.  After each prime X is
+    reconstructed as Y over d, and Y / d is returned as soon as
+    ``_residual_bound`` proves A Y = d I, so the loop stops at the
+    fewest primes the certificate needs.
     """
     ints, scale = scaled(matrix)
     primes = _primes()
-    used, residues = _inverses_mod(ints, [next(primes)])
-    if not used:
+    modulus = next(primes)
+    value = _inverse_mod(ints, modulus)
+    if value is None:
         return None
-    batch = 1
+    value = value.astype(object)
     while True:
-        value, modulus = _crt(residues, used)
         found = _reconstruct(value, modulus)
-        if found is None:
-            batch = min(_BATCH, 2 * batch)
-        else:
+        if found is not None:
             inverse, den = found
-            bound = _residual_bound(ints, inverse, den)
-            if bound < modulus:
+            if _residual_bound(ints, inverse, den) < modulus:
                 return unscaled(inverse * scale, den)
-            # Each prime adds more than 30.99 bits: the first 690000 are above 2**30.99.
-            batch = min(_BATCH, 1 + int((log2(bound) - log2(modulus)) / 30.99))
-        more, stack = _inverses_mod(ints, [next(primes) for _ in range(batch)])
-        used += more
-        residues = np.concatenate([residues, stack])
+        residue = None
+        while residue is None:
+            p = next(primes)
+            residue = _inverse_mod(ints, p)
+        # One Chinese remainder step: X + P t is X modulo P and the residue modulo p.
+        step = (residue - (value % p).astype(np.int64)) % p * pow(modulus, -1, p) % p
+        value += modulus * step.astype(object)
+        modulus *= p
 
 
 def is_psd(matrix) -> bool:

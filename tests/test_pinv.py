@@ -9,6 +9,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import gearpinv.pinv
+import gearpinv.rational
 from gearpinv.edm import gram_from_edm
 from gearpinv.graphs import gear_distance_closed
 from gearpinv.pinv import (
@@ -20,7 +21,7 @@ from gearpinv.pinv import (
     u_vector,
 )
 from gearpinv.rational import (
-    _inverses_mod,
+    _inverse_mod,
     _primes,
     det,
     dot,
@@ -216,19 +217,27 @@ def test_rational_pinv_falls_back_when_the_probe_prime_divides_the_determinant(k
     for top in (p1, p1 * p2):
         kernel_calls["rref"].clear()
         matrix = _diagonal(top, 1)
-        assert _inverses_mod(scaled(matrix)[0], [p1])[0] == []
+        assert _inverse_mod(scaled(matrix)[0], p1) is None
         assert _same_fractions(rational_pinv(matrix), _diagonal(Fraction(1, top), 1))
         # The first prime only picks the route: the input goes through rref.
         assert len(kernel_calls["rref"]) == 1
 
 
-def test_rational_pinv_skips_primes_that_divide_the_determinant(kernel_calls):
-    # diag(p2 p3, 1) is nonsingular modulo p1 and p4 only: p2 and p3 are dropped.
+def test_rational_pinv_skips_primes_that_divide_the_determinant(kernel_calls, monkeypatch):
+    # diag(p2 p3, 1) is singular modulo p2 and p3 only: both are tried and skipped.
     p1, p2, p3, p4 = _first_primes(4)
     matrix = _diagonal(p2 * p3, 1)
-    kept, inverses = _inverses_mod(scaled(matrix)[0], [p1, p2, p3, p4])
-    assert kept == [p1, p4] and len(inverses) == 2
+    ints = scaled(matrix)[0]
+    assert _inverse_mod(ints, p2) is None and _inverse_mod(ints, p3) is None
+    calls = []
+
+    def recording(ints, p):
+        calls.append(p)
+        return _inverse_mod(ints, p)
+
+    monkeypatch.setattr(gearpinv.rational, "_inverse_mod", recording)
     assert _same_fractions(rational_pinv(matrix), _diagonal(Fraction(1, p2 * p3), 1))
+    assert calls[:4] == [p1, p2, p3, p4]
     assert kernel_calls["rref"] == [] and kernel_calls["invert"] == []
 
 

@@ -1,7 +1,7 @@
 """Exact elimination, determinant, inverse and products on Fraction matrices."""
 
 from fractions import Fraction
-from math import isqrt
+from math import isqrt, prod
 
 import numpy as np
 import pytest
@@ -11,9 +11,7 @@ from hypothesis import strategies as st
 import gearpinv.rational
 from gearpinv.pinv import rational_pinv
 from gearpinv.rational import (
-    _BATCH,
-    _crt,
-    _inverses_mod,
+    _inverse_mod,
     _is_prime,
     _primes,
     _reconstruct,
@@ -121,13 +119,13 @@ probe_entries = st.integers(-3, 3) | st.sampled_from([P1, -2 * P1, P1 * P2, 2**7
 @settings(max_examples=80, deadline=None)
 @given(st.integers(0, 6).flatmap(lambda k: square(k, probe_entries)))
 def test_probe_is_nonsingularity_modulo_its_prime(rows):
-    # The first prime's elimination keeps the prime exactly when it does
-    # not divide det A, and then yields A's inverse modulo it.
+    # The first prime's elimination fails exactly when the prime divides
+    # det A, and otherwise yields A's inverse modulo it.
     ints = np.array(rows, dtype=object).reshape(len(rows), len(rows))
-    kept, inverses = _inverses_mod(ints, [P1])
-    assert (kept == [P1]) == (det(ints) % P1 != 0)
-    if kept:
-        product = ints.dot(inverses[0].astype(object)) % P1
+    inverse = _inverse_mod(ints, P1)
+    assert (inverse is None) == (det(ints) % P1 == 0)
+    if inverse is not None:
+        product = ints.dot(inverse.astype(object)) % P1
         assert (product == np.eye(len(rows), dtype=int)).all()
 
 
@@ -146,21 +144,41 @@ def _hilbert(order):
     return np.array([[F(1, i + j + 1) for j in range(order)] for i in range(order)], dtype=object)
 
 
-def test_hilbert_inverse_from_many_primes(monkeypatch):
-    def recording(ints, primes):
-        stacks.append(len(primes))
-        return _inverses_mod(ints, primes)
+def _combined(ints, primes):
+    """X in [0, P) with X = A^-1 modulo each prime, from the closed-form CRT sum, and P."""
+    modulus = prod(primes)
+    terms = (_inverse_mod(ints, p).astype(object) * (modulus // p * pow(modulus // p, -1, p))
+             for p in primes)
+    return sum(terms) % modulus, modulus
 
-    monkeypatch.setattr(gearpinv.rational, "_inverses_mod", recording)
-    # Order 12 takes 3 primes; orders 20 and 30 fail to reconstruct
-    # after 3 and 7 primes, so the stacks double up to _BATCH.
-    for order, least in ((12, 3), (20, 7), (30, 15)):
-        stacks = []
+
+def _certified(ints, value, modulus):
+    found = _reconstruct(value, modulus)
+    return found is not None and _residual_bound(ints, *found) < modulus
+
+
+def test_hilbert_inverse_from_many_primes(monkeypatch):
+    def recording(ints, p):
+        calls.append(p)
+        return _inverse_mod(ints, p)
+
+    monkeypatch.setattr(gearpinv.rational, "_inverse_mod", recording)
+    # One elimination per prime, the first prime first, and no prime is skipped.
+    for order, count in ((12, 3), (20, 6), (30, 9)):
+        calls = []
         hilbert = _hilbert(order)
         inverse = rational_pinv(hilbert)
-        assert stacks[0] == 1 and sum(stacks) >= least and max(stacks) <= _BATCH
+        assert calls == _first_primes(count)
         assert all(type(x) is F for x in inverse.flat)
         assert (inverse == invert(hilbert)).all()
+
+
+def test_modular_inverse_stops_at_the_fewest_primes():
+    # Hilbert order 20 is not certified by the residues of 5 primes but is
+    # by those of 6, the count its inversion above uses.
+    ints, _ = scaled(_hilbert(20))
+    assert not _certified(ints, *_combined(ints, _first_primes(5)))
+    assert _certified(ints, *_combined(ints, _first_primes(6)))
 
 
 nonsingular_entries = (
@@ -183,8 +201,7 @@ def test_modular_inverse_equals_bareiss(rows):
 def test_certificate_refuses_a_lift_that_matches_every_residue():
     matrix = _hilbert(5)
     ints, _ = scaled(matrix)
-    primes, inverses = _inverses_mod(ints, _first_primes(4))
-    value, modulus = _crt(inverses, primes)
+    value, modulus = _combined(ints, _first_primes(4))
     inverse, den = _reconstruct(value, modulus)
     assert _residual_bound(ints, inverse, den) < modulus
     assert (ints.dot(inverse) == den * np.eye(5, dtype=int)).all()

@@ -11,18 +11,21 @@ with D the gear distance matrix (order 2N - 1) and G its Gram matrix,
 it takes the best of three in-process runs of rational_pinv(D),
 rational_pinv(G), is_psd(G), is_edm(D), penrose_check(D, D+) and
 gram_from_edm(D), and of rational_pinv(T) for the distance matrix T of
-a seeded rational-weight tree of the same order.  Then it times three
-ops shaped like the benchmark's ``oracle`` workload: a rational-weight
-tree on 40 vertices (its distance matrix, pseudoinverse, closed-form
-inverse and determinant), the EDM of 40 integer points (is_edm and the
-pseudoinverse) and a rank-10 40x30 product (the pseudoinverse).
+a seeded rational-weight tree of the same order.  Once, it times
+rational_pinv(H) for the Hilbert matrix H of order 30, whose inverse
+needs many primes.  Then it times three ops shaped like the benchmark's
+``oracle`` workload: a rational-weight tree on 40 vertices (its distance
+matrix, pseudoinverse, closed-form inverse and determinant), the EDM of
+40 integer points (is_edm and the pseudoinverse) and a rank-10 40x30
+product (the pseudoinverse).
 
 Every result is checked exactly, outside the timed runs; the script
 exits 1 if one is wrong.  Each record carries the input's order and
 rank and the largest numerator and denominator bit lengths over the
-input and the result.  The file also records the commit of the
-checkout, whether its ``src/`` differs from that commit, nproc, and the
-Python and numpy versions.
+input and the result; the rational_pinv(T) and rational_pinv(H) records
+also carry the number of primes the modular inverse takes.  The file
+also records the commit of the checkout, whether its ``src/`` differs
+from that commit, nproc, and the Python and numpy versions.
 """
 
 from __future__ import annotations
@@ -44,10 +47,11 @@ sys.path.insert(0, str(ROOT / "src"))
 
 import numpy as np  # noqa: E402
 
+import gearpinv.rational  # noqa: E402
 from gearpinv.edm import gram_from_edm, is_edm  # noqa: E402
 from gearpinv.graphs import gear_distance_closed  # noqa: E402
 from gearpinv.pinv import beta, penrose_check, rational_pinv, u_vector  # noqa: E402
-from gearpinv.rational import det, dot, is_psd, rational, rational_identity  # noqa: E402
+from gearpinv.rational import det, dot, invert, is_psd, rational, rational_identity  # noqa: E402
 from gearpinv.trees import (  # noqa: E402
     graham_pollak_det,
     tree_distance,
@@ -58,6 +62,7 @@ from gearpinv.trees import (  # noqa: E402
 DEFAULT_SIZES = (40, 60)
 REPEATS = 3
 OP_SIZE = 40
+HILBERT_ORDER = 30
 
 
 def _bits(*values) -> tuple[int, int]:
@@ -76,6 +81,25 @@ def _rank(matrix, pinv) -> int:
     return int(sum(rational(x) * y for x, y in zip(matrix.flat, pinv.T.flat)))
 
 
+def _primes_drawn(func, *args) -> int:
+    """How many primes ``rational._primes`` hands out while func(*args) runs."""
+    drawn = 0
+    primes = gearpinv.rational._primes
+
+    def counting():
+        nonlocal drawn
+        for p in primes():
+            drawn += 1
+            yield p
+
+    gearpinv.rational._primes = counting
+    try:
+        func(*args)
+    finally:
+        gearpinv.rational._primes = primes
+    return drawn
+
+
 def _best_of(func, *args):
     times, result = [], None
     for _ in range(REPEATS):
@@ -90,12 +114,12 @@ class Bench:
         self.records: list[dict] = []
         self.wrong: list[str] = []
 
-    def time(self, name: str, func, *args, size, order: int, rank: int, bits=()):
+    def time(self, name: str, func, *args, size, order: int, rank: int, bits=(), **extra):
         best, times, result = _best_of(func, *args)
         num, den = _bits(*bits)
         self.records.append({
             "name": name, "size": size, "order": order, "rank": rank, "best_s": best,
-            "times_s": times, "max_num_bits": num, "max_den_bits": den,
+            "times_s": times, "max_num_bits": num, "max_den_bits": den, **extra,
         })
         return result
 
@@ -135,9 +159,22 @@ def gear_stages(bench: Bench, n: int) -> None:
     tree = _rational_tree(random.Random(f"bench_stages/tree/{n}"), 2 * n - 1)
     tree_dist, tree_inverse = tree_distance(tree), weighted_tree_inverse(tree)
     tree_pinv = stage("rational_pinv(T)", rational_pinv, tree_dist, rank=2 * n - 1,
-                      bits=(tree_dist, tree_inverse))
+                      bits=(tree_dist, tree_inverse),
+                      primes=_primes_drawn(rational_pinv, tree_dist))
     bench.check(f"{label}: rational_pinv(T) equals the closed-form tree inverse",
                 all(type(x) is Fraction and x == y for x, y in zip(tree_pinv.flat, tree_inverse.flat)))
+
+
+def hilbert_stage(bench: Bench) -> None:
+    order = HILBERT_ORDER
+    hilbert = np.array([[Fraction(1, i + j + 1) for j in range(order)] for i in range(order)],
+                       dtype=object)
+    inverse = invert(hilbert)
+    pinv = bench.time("rational_pinv(H)", rational_pinv, hilbert, size=order, order=order,
+                      rank=order, bits=(hilbert, inverse),
+                      primes=_primes_drawn(rational_pinv, hilbert))
+    bench.check(f"hilbert order {order}: rational_pinv(H) equals the fraction-free inverse",
+                all(type(x) is Fraction and x == y for x, y in zip(pinv.flat, inverse.flat)))
 
 
 def _rational_tree(rng: random.Random, m: int):
@@ -203,6 +240,7 @@ def main(argv: list[str]) -> int:
     for n in sizes:
         gear_stages(bench, n)
         print(f"n = {n} done", file=sys.stderr)
+    hilbert_stage(bench)
     oracle_ops(bench, random.Random(f"bench_stages/{OP_SIZE}"))
     out = ROOT / f"BENCH_{label}.json"
     out.write_text(json.dumps({
@@ -220,7 +258,8 @@ def main(argv: list[str]) -> int:
     for record in bench.records:
         print(f"{record['name']:22s} {str(record['size']):6s} order {record['order']!s:4s} "
               f"rank {record['rank']!s:4s} best {record['best_s']:.4f} s  "
-              f"bits {record['max_num_bits']}/{record['max_den_bits']}")
+              f"bits {record['max_num_bits']}/{record['max_den_bits']}"
+              + (f"  primes {record['primes']}" if "primes" in record else ""))
     print(f"wrote {out}")
     return 1 if bench.wrong else 0
 
