@@ -46,7 +46,7 @@ from .verify import run_checks
 
 # Largest n the exact routes (verify, pinv --method oracle|k4) accept.  Their
 # cost grows about like n^4 (m^3 operations on integers that widen with m):
-# verify --n 80 takes about 8 s on a 2-core machine, --n 100 about 27 s.
+# verify --n 80 takes about 8 s on a 2-core machine, --n 100 about 26 s.
 MAX_EXACT_N = 80
 
 # Largest n the dense commands (gen, pinv --method formula, spectrum,

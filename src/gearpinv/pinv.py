@@ -7,15 +7,21 @@ the rational image of the all-ones vector.  The oracle route computes
 the pseudoinverse of any rational matrix exactly, from residues modulo
 primes when it is square and nonsingular and through a rank
 factorization otherwise, with no reference to gear structure at all.
+
+``penrose_check`` judges a candidate exactly as well: its four integer
+residuals are proven zero modulo enough primes to pass their bound, and
+only a candidate that fails gets the residuals computed in full.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
 
+from . import rational
 from .graphs import _require_wheel_size
 from .laplacian import special_laplacian
 from .rational import _modular_inverse, dot, invert, is_exact, rref, scaled
@@ -112,23 +118,69 @@ class PenroseReport:
 
 
 def _max_abs(ints, den) -> float:
-    return float(max((abs(x) for x in np.asarray(ints).flat), default=0) / den)
+    largest = max((abs(x) for x in np.asarray(ints).flat), default=0)
+    try:
+        return float(largest / den)
+    except OverflowError:
+        # An exact residual past the float range, where float input would give inf.
+        return math.inf
 
 
-def penrose_check(matrix, candidate) -> PenroseReport:
-    """Evaluate MXM=M, XMX=X and symmetry of MX and XM.
+def _dot_mod(left: np.ndarray, right: np.ndarray, p: int) -> np.ndarray:
+    """left @ right modulo the prime p < 2**31, for int64 residues in [0, p).
 
-    Exact M = A/a and X = B/b are split once into integers, so the
-    residuals ABA - abA, BAB - abB, AB - (AB)' and BA - (BA)' are
-    integers over a^2 b, ab^2, ab and ab.  Float inputs take a = b = 1.
+    Both factors are split into 16-bit halves, so each product of halves
+    is below 2**32, and a float64 BLAS sum of k of them is an integer
+    that float64 holds exactly while k < 2**21, which any input whose
+    k x k products fit in memory meets.  The blocks of the product of
+    halves are recombined in int64 in Horner form, base 2**16, each
+    step below 2**47 + k 2**32, so nothing overflows.
     """
-    m_mat = np.asarray(matrix)
-    x_mat = np.asarray(candidate)
-    if m_mat.shape != x_mat.T.shape:
-        raise ValueError("candidate shape must be the transpose of the input shape")
-    exact = is_exact(m_mat) and is_exact(x_mat)
-    split = scaled if exact else (lambda mat: (mat, 1))
-    (a_ints, a), (b_ints, b) = split(m_mat), split(x_mat)
+    m, n = left.shape[0], right.shape[1]
+    left_halves = np.concatenate([left & 0xFFFF, left >> 16]).astype(float)
+    right_halves = np.concatenate([right & 0xFFFF, right >> 16], axis=1).astype(float)
+    parts = left_halves @ right_halves
+    # left @ right = low + mid 2**16 + top 2**32 with low, mid and top the blocks below.
+    top = parts[m:, n:].astype(np.int64) % p
+    mid = ((top << 16) + (parts[:m, n:] + parts[m:, :n]).astype(np.int64)) % p
+    return ((mid << 16) + parts[:m, :n].astype(np.int64)) % p
+
+
+def _residuals_vanish(a_ints: np.ndarray, b_ints: np.ndarray, ab: int) -> bool:
+    """True when ABA - abA, BAB - abB, AB - (AB)' and BA - (BA)' are all exactly 0.
+
+    With k the larger dimension of A, |ABA - abA| is at most
+    k^2 |A|^2 |B| + ab |A|, |BAB - abB| at most k^2 |B|^2 |A| + ab |B|, and
+    both symmetry residuals at most 2k |A| |B|, which the larger of the
+    first two bounds covers: so every entry is at most
+    max(|A|, |B|) (k^2 |A| |B| + ab).  The residuals are evaluated modulo
+    one prime at a time, drawn from ``rational._primes``, until the
+    product P of the primes exceeds that bound.  A residual that is 0
+    modulo every prime is a multiple of P no larger than the bound, so
+    it is 0: no probability is involved.  False, at the first prime with
+    a residue that is not 0, means some residual is not 0 either.
+    """
+    k = max(a_ints.shape)
+    big_a, big_b = (np.abs(ints).max(initial=0) for ints in (a_ints, b_ints))
+    bound = max(big_a, big_b) * (k * k * big_a * big_b + ab)
+    primes, modulus = rational._primes(), 1
+    while modulus <= bound:
+        p = next(primes)
+        a, b = (a_ints % p).astype(np.int64), (b_ints % p).astype(np.int64)
+        mx, xm = _dot_mod(a, b, p), _dot_mod(b, a, p)
+        if not (
+            (mx == mx.T).all()
+            and (xm == xm.T).all()
+            and (_dot_mod(mx, a, p) == ab % p * a % p).all()
+            and (_dot_mod(xm, b, p) == ab % p * b % p).all()
+        ):
+            return False
+        modulus *= p
+    return True
+
+
+def _penrose_residuals(exact: bool, a_ints, a, b_ints, b) -> PenroseReport:
+    """The report from ABA - abA, BAB - abB, AB - (AB)' and BA - (BA)', computed in full."""
     ab = a * b
     mx, xm = a_ints.dot(b_ints), b_ints.dot(a_ints)
     return PenroseReport(
@@ -138,3 +190,32 @@ def penrose_check(matrix, candidate) -> PenroseReport:
         mx_symmetry=_max_abs(mx - mx.T, ab),
         xm_symmetry=_max_abs(xm - xm.T, ab),
     )
+
+
+def penrose_check(matrix, candidate) -> PenroseReport:
+    """Evaluate MXM=M, XMX=X and symmetry of MX and XM.
+
+    Exact M = A/a and X = B/b are split once into integers, so the
+    residuals ABA - abA, BAB - abB, AB - (AB)' and BA - (BA)' are
+    integers over a^2 b, ab^2, ab and ab.  They are first proven zero
+    from their residues (``_residuals_vanish``): with k the larger
+    dimension, no entry exceeds max(|A|, |B|) (k^2 |A| |B| + ab), and a
+    residual that is 0 modulo primes whose product passes that bound is
+    exactly 0.  The residue products are exact: residues below 2**31
+    are multiplied as 16-bit halves in float64 BLAS, whose sums stay
+    below 2**53, and recombined in int64 (``_dot_mod``).  When every
+    residue is 0 the report is 0.0 in every field.  Otherwise the
+    integer residuals are computed in full and the report gives their
+    exact magnitudes (``math.inf`` past the float range).  Float inputs
+    take a = b = 1 and the full residuals.
+    """
+    m_mat = np.asarray(matrix)
+    x_mat = np.asarray(candidate)
+    if m_mat.shape != x_mat.T.shape:
+        raise ValueError("candidate shape must be the transpose of the input shape")
+    if not (is_exact(m_mat) and is_exact(x_mat)):
+        return _penrose_residuals(False, m_mat, 1, x_mat, 1)
+    (a_ints, a), (b_ints, b) = scaled(m_mat), scaled(x_mat)
+    if _residuals_vanish(a_ints, b_ints, a * b):
+        return PenroseReport(True, 0.0, 0.0, 0.0, 0.0)
+    return _penrose_residuals(True, a_ints, a, b_ints, b)

@@ -1,5 +1,6 @@
 """Closed-form pseudoinverse, exact oracle, and Penrose checks."""
 
+import math
 from dataclasses import astuple
 from fractions import Fraction
 
@@ -378,6 +379,90 @@ def test_penrose_check_matches_reference(rows, data):
     for candidate in (x, rational_pinv(m), x.astype(float)):
         report = penrose_check(m, candidate)
         assert astuple(report) == reference_penrose_check(m, candidate)
+
+
+def test_penrose_check_reports_inf_past_the_float_range():
+    # The residual 10**400 - 1 over denominator 1 overflows a float, as float input would.
+    report = penrose_check(rational_matrix([[1]]), rational_matrix([[10**400]]))
+    assert astuple(report) == (True, math.inf, math.inf, 0.0, 0.0)
+    with np.errstate(over="ignore"):
+        assert penrose_check(np.array([[1.0]]), np.array([[1e200]])).xmx == math.inf
+
+
+def test_penrose_certificate_is_not_fooled_by_a_product_of_its_primes():
+    # With Q the product of the first primes the certificate draws, M = [1] and
+    # X = [1 + Q] leave the residual Q, which is 0 modulo each of those primes.
+    for count in (1, 2, 3):
+        product = math.prod(_first_primes(count))
+        report = penrose_check(rational_matrix([[1]]), rational_matrix([[1 + product]]))
+        assert report.mxm == float(product)
+        assert report.xmx == float(product * (1 + product))
+
+
+@pytest.mark.parametrize("k", [1, 2])
+def test_penrose_certificate_needs_a_prime_product_above_its_bound(k):
+    # M = p1 J and X = -p1/b J, with J the k x k all-ones matrix and
+    # b = p2 p3 p4 - k^2 p1^2, leave residuals -Q and Q in every entry, where
+    # Q = p1 p2 p3 p4 is exactly the certificate's bound: four primes prove
+    # nothing, and a bound short by any one term stops at four primes or fewer.
+    p1, p2, p3, p4 = _first_primes(4)
+    den = p2 * p3 * p4 - k * k * p1 * p1
+    m = rational_matrix([[p1] * k] * k)
+    x = rational_matrix([[Fraction(-p1, den)] * k] * k)
+    report = penrose_check(m, x)
+    assert astuple(report) == reference_penrose_check(m, x)
+    assert report.mxm == float(Fraction(p1 * p2 * p3 * p4, den))
+
+
+def test_penrose_check_flags_a_generalized_inverse_that_is_not_symmetric():
+    # X and X' both satisfy MXM = M and XMX = X; each breaks exactly one symmetry.
+    m = rational_matrix([[1, 0], [0, 0]])
+    x = rational_matrix([[1, 1], [0, 0]])
+    assert astuple(penrose_check(m, x)) == (True, 0.0, 0.0, 1.0, 0.0)
+    assert astuple(penrose_check(m, x.T)) == (True, 0.0, 0.0, 0.0, 1.0)
+
+
+@pytest.fixture
+def full_residuals(monkeypatch):
+    """Records each call of the integer path that computes the residuals in full."""
+    calls = []
+    full = gearpinv.pinv._penrose_residuals
+
+    def recording(exact, *split):
+        calls.append(exact)
+        return full(exact, *split)
+
+    monkeypatch.setattr(gearpinv.pinv, "_penrose_residuals", recording)
+    return calls
+
+
+def test_penrose_check_computes_residuals_only_for_a_failing_candidate(
+    full_residuals, gear_oracle, gram_oracle
+):
+    for n in range(4, 17):
+        dist = gear_distance_closed(n).astype(object)
+        assert penrose_check(dist, gear_oracle(n)).all_exact
+        assert penrose_check(gram_from_edm(dist), gram_oracle(n)).all_exact
+    assert full_residuals == []
+    perturbed = gear_oracle(6).copy()
+    perturbed[3, 5] += Fraction(1, 7)
+    assert not penrose_check(gear_distance_closed(6), perturbed).all_exact
+    assert full_residuals == [True]
+
+
+def test_penrose_check_matches_the_full_residuals_on_gears(gear_oracle):
+    # Gears n = 4..30 with D+, a perturbed D+ and the float formula: the
+    # certificate's report equals the one from the residuals computed in full.
+    for n in range(4, 31):
+        dist = gear_distance_closed(n).astype(object)
+        perturbed = gear_oracle(n).copy()
+        perturbed[0, -1] += Fraction(1, 10**7)
+        for candidate in (gear_oracle(n), perturbed):
+            expected = gearpinv.pinv._penrose_residuals(True, *scaled(dist), *scaled(candidate))
+            assert penrose_check(dist, candidate) == expected
+        floats = dist.astype(float), gear_pinv_formula(n)
+        assert penrose_check(*floats) == gearpinv.pinv._penrose_residuals(False, floats[0], 1,
+                                                                          floats[1], 1)
 
 
 def test_penrose_check_on_empty_input():

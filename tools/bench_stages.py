@@ -23,7 +23,8 @@ Every result is checked exactly, outside the timed runs; the script
 exits 1 if one is wrong.  Each record carries the input's order and
 rank and the largest numerator and denominator bit lengths over the
 input and the result; the rational_pinv(T) and rational_pinv(H) records
-also carry the number of primes the modular inverse takes.  The file
+also carry the number of primes the modular inverse takes, and the
+penrose_check(D, D+) records the number its certificate takes.  The file
 also records the commit of the checkout, whether its ``src/`` differs
 from that commit, nproc, and the Python and numpy versions.
 """
@@ -143,7 +144,7 @@ def gear_stages(bench: Bench, n: int) -> None:
     psd = stage("is_psd(G)", is_psd, gram, rank=rank_g, bits=(gram,))
     report = stage("is_edm(D)", is_edm, dist, rank=rank_d, bits=(dist,))
     penrose = stage("penrose_check(D, D+)", penrose_check, dist, dist_pinv, rank=rank_d,
-                    bits=(dist, dist_pinv))
+                    bits=(dist, dist_pinv), primes=_primes_drawn(penrose_check, dist, dist_pinv))
 
     # The paper's identity D+ = -G+/2 + ((n-1)/2) u u' ties the two pseudoinverses together.
     u = u_vector(n)
