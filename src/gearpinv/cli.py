@@ -45,14 +45,14 @@ from .verify import run_checks
 
 
 # Largest n the exact routes (verify, pinv --method oracle|k4) accept.  Their
-# cost grows about like n^4 (m^3 operations on integers that widen with m):
-# verify --n 80 takes about 8 s on a 2-core machine, --n 100 about 26 s.
+# cost grows about like n^4 (m^3 operations on integers that widen with m): on a
+# 2-core machine verify --n 80 takes 6 to 9 s, and run_checks(100) 18 to 26 s.
 MAX_EXACT_N = 80
 
 # Largest n the dense commands (gen, pinv --method formula, spectrum,
 # laplacian) accept.  Their output has (2n - 1)^2 entries; the slowest,
 # laplacian --part a --n 1000 (an exact payload written entry by entry),
-# takes about 5 s and 410 MB of memory on a 2-core machine.  gen
+# takes about 4 s and 410 MB of memory on a 2-core machine.  gen
 # tree-distance takes trees of up to that largest order, 2n - 1 vertices.
 MAX_DENSE_N = 1000
 

@@ -101,6 +101,24 @@ def build_gear(n: int) -> GearGraph:
     )
 
 
+def _walk(nbrs, source: int) -> list:
+    """Breadth-first path sums from ``source`` to vertices 1, 2, ...; None where not reached.
+
+    ``nbrs`` holds (vertex, weight) lists by vertex id.  On a tree each sum
+    runs along the unique path; with unit weights they are shortest paths.
+    """
+    dist = [None] * len(nbrs)
+    dist[source] = 0
+    queue = deque([source])
+    while queue:
+        v = queue.popleft()
+        for w, weight in nbrs[v]:
+            if dist[w] is None:
+                dist[w] = dist[v] + weight
+                queue.append(w)
+    return dist[1:]
+
+
 def bfs_distances(graph: Graph) -> np.ndarray:
     """All-pairs shortest path lengths by breadth-first search.
 
@@ -115,22 +133,11 @@ def bfs_distances(graph: Graph) -> np.ndarray:
         If the graph is not connected.
     """
     m = graph.num_vertices
-    nbrs = graph.adjacency()
-    out = np.zeros((m, m), dtype=np.int64)
-    for source in range(1, m + 1):
-        dist = [-1] * (m + 1)
-        dist[source] = 0
-        queue = deque([source])
-        while queue:
-            v = queue.popleft()
-            for w in nbrs[v]:
-                if dist[w] < 0:
-                    dist[w] = dist[v] + 1
-                    queue.append(w)
-        if min(dist[1:]) < 0:
-            raise ValueError("graph is not connected")
-        out[source - 1, :] = dist[1:]
-    return out
+    nbrs = [[(w, 1) for w in lst] for lst in graph.adjacency()]
+    rows = [_walk(nbrs, source) for source in range(1, m + 1)]
+    if any(None in row for row in rows):
+        raise ValueError("graph is not connected")
+    return np.array(rows, dtype=np.int64).reshape(m, m)
 
 
 def rim_to_sub_row(n: int) -> list[int]:

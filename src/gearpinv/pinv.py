@@ -10,7 +10,8 @@ factorization otherwise, with no reference to gear structure at all.
 
 ``penrose_check`` judges a candidate exactly as well: its four integer
 residuals are proven zero modulo enough primes to pass their bound, and
-only a candidate that fails gets the residuals computed in full.
+only a candidate that fails gets the residuals computed in full.  All
+arithmetic modulo primes, the oracle's and the check's, is in ``rational``.
 """
 
 from __future__ import annotations
@@ -21,10 +22,11 @@ from fractions import Fraction
 
 import numpy as np
 
-from . import rational
 from .graphs import _require_wheel_size
 from .laplacian import special_laplacian
-from .rational import _modular_inverse, dot, invert, is_exact, rref, scaled
+from .rational import (
+    _largest, _modular_inverse, _residuals_vanish, dot, invert, is_exact, rref, scaled, unscaled,
+)
 
 
 def u_vector(n: int) -> np.ndarray:
@@ -71,23 +73,25 @@ def rank_factorization(matrix) -> tuple[np.ndarray, np.ndarray]:
 def rational_pinv(matrix) -> np.ndarray:
     """Exact Moore-Penrose inverse of a rational matrix.
 
-    A square matrix is inverted from its residues modulo primes
+    The input is split once into integers, A = s M.  A square A is
+    inverted from its residues modulo primes
     (``rational._modular_inverse``), with a certificate proving the
     result, unless the first prime finds it singular.  Any other
     matrix, including a nonsingular one whose determinant the first
-    prime divides, goes on with M = C F, a rank factorization from
-    ``rref``, and the pseudoinverse is ``F' (C' M F')^-1 C'`` with one
-    inverse of rank order: ``C' M F' = (C' C)(F F')`` is invertible
+    prime divides, goes on with A = C F, a rank factorization from
+    ``rref``, and ``M+ = s A+ = F' (C' A F')^-1 (s C')`` with one
+    inverse of rank order: ``C' A F' = (C' C)(F F')`` is invertible
     because both factors have full rank.  At rank zero the factors are
     empty and the product is the zero matrix.  All four Penrose
     conditions hold exactly for the result.
     """
-    mat = np.asarray(matrix, dtype=object)
-    m, n = mat.shape
-    if m == n and (inverse := _modular_inverse(mat)) is not None:
-        return inverse
-    c_factor, f_factor = rank_factorization(mat)
-    return dot(f_factor.T, invert(dot(c_factor.T, mat, f_factor.T)), c_factor.T)
+    ints, scale = scaled(matrix)
+    m, n = ints.shape
+    if m == n and (found := _modular_inverse(ints)) is not None:
+        inverse, den = found
+        return unscaled(inverse * scale, den)
+    c_factor, f_factor = rank_factorization(ints)
+    return dot(f_factor.T, invert(dot(c_factor.T, ints, f_factor.T)), c_factor.T * scale)
 
 
 @dataclass(frozen=True)
@@ -118,65 +122,11 @@ class PenroseReport:
 
 
 def _max_abs(ints, den) -> float:
-    largest = max((abs(x) for x in np.asarray(ints).flat), default=0)
     try:
-        return float(largest / den)
+        return float(_largest(ints) / den)
     except OverflowError:
         # An exact residual past the float range, where float input would give inf.
         return math.inf
-
-
-def _dot_mod(left: np.ndarray, right: np.ndarray, p: int) -> np.ndarray:
-    """left @ right modulo the prime p < 2**31, for int64 residues in [0, p).
-
-    Both factors are split into 16-bit halves, so each product of halves
-    is below 2**32, and a float64 BLAS sum of k of them is an integer
-    that float64 holds exactly while k < 2**21, which any input whose
-    k x k products fit in memory meets.  The blocks of the product of
-    halves are recombined in int64 in Horner form, base 2**16, each
-    step below 2**47 + k 2**32, so nothing overflows.
-    """
-    m, n = left.shape[0], right.shape[1]
-    left_halves = np.concatenate([left & 0xFFFF, left >> 16]).astype(float)
-    right_halves = np.concatenate([right & 0xFFFF, right >> 16], axis=1).astype(float)
-    parts = left_halves @ right_halves
-    # left @ right = low + mid 2**16 + top 2**32 with low, mid and top the blocks below.
-    top = parts[m:, n:].astype(np.int64) % p
-    mid = ((top << 16) + (parts[:m, n:] + parts[m:, :n]).astype(np.int64)) % p
-    return ((mid << 16) + parts[:m, :n].astype(np.int64)) % p
-
-
-def _residuals_vanish(a_ints: np.ndarray, b_ints: np.ndarray, ab: int) -> bool:
-    """True when ABA - abA, BAB - abB, AB - (AB)' and BA - (BA)' are all exactly 0.
-
-    With k the larger dimension of A, |ABA - abA| is at most
-    k^2 |A|^2 |B| + ab |A|, |BAB - abB| at most k^2 |B|^2 |A| + ab |B|, and
-    both symmetry residuals at most 2k |A| |B|, which the larger of the
-    first two bounds covers: so every entry is at most
-    max(|A|, |B|) (k^2 |A| |B| + ab).  The residuals are evaluated modulo
-    one prime at a time, drawn from ``rational._primes``, until the
-    product P of the primes exceeds that bound.  A residual that is 0
-    modulo every prime is a multiple of P no larger than the bound, so
-    it is 0: no probability is involved.  False, at the first prime with
-    a residue that is not 0, means some residual is not 0 either.
-    """
-    k = max(a_ints.shape)
-    big_a, big_b = (np.abs(ints).max(initial=0) for ints in (a_ints, b_ints))
-    bound = max(big_a, big_b) * (k * k * big_a * big_b + ab)
-    primes, modulus = rational._primes(), 1
-    while modulus <= bound:
-        p = next(primes)
-        a, b = (a_ints % p).astype(np.int64), (b_ints % p).astype(np.int64)
-        mx, xm = _dot_mod(a, b, p), _dot_mod(b, a, p)
-        if not (
-            (mx == mx.T).all()
-            and (xm == xm.T).all()
-            and (_dot_mod(mx, a, p) == ab % p * a % p).all()
-            and (_dot_mod(xm, b, p) == ab % p * b % p).all()
-        ):
-            return False
-        modulus *= p
-    return True
 
 
 def _penrose_residuals(exact: bool, a_ints, a, b_ints, b) -> PenroseReport:
@@ -197,17 +147,12 @@ def penrose_check(matrix, candidate) -> PenroseReport:
 
     Exact M = A/a and X = B/b are split once into integers, so the
     residuals ABA - abA, BAB - abB, AB - (AB)' and BA - (BA)' are
-    integers over a^2 b, ab^2, ab and ab.  They are first proven zero
-    from their residues (``_residuals_vanish``): with k the larger
-    dimension, no entry exceeds max(|A|, |B|) (k^2 |A| |B| + ab), and a
-    residual that is 0 modulo primes whose product passes that bound is
-    exactly 0.  The residue products are exact: residues below 2**31
-    are multiplied as 16-bit halves in float64 BLAS, whose sums stay
-    below 2**53, and recombined in int64 (``_dot_mod``).  When every
-    residue is 0 the report is 0.0 in every field.  Otherwise the
-    integer residuals are computed in full and the report gives their
-    exact magnitudes (``math.inf`` past the float range).  Float inputs
-    take a = b = 1 and the full residuals.
+    integers over a^2 b, ab^2, ab and ab.  If they are proven zero from
+    their residues (``rational._residuals_vanish``), the report is 0.0
+    in every field.  Otherwise the integer residuals are computed in
+    full, and the report gives their exact magnitudes (``math.inf``
+    past the float range).  Float inputs take a = b = 1 and the full
+    residuals.
     """
     m_mat = np.asarray(matrix)
     x_mat = np.asarray(candidate)

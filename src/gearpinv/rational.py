@@ -1,4 +1,4 @@
-"""Exact dense linear algebra over rational matrices.
+"""Exact dense linear algebra over rational matrices, and all its arithmetic modulo primes.
 
 Public functions take and return numpy object arrays of
 fractions.Fraction values.  Inside, an exact matrix is an integer
@@ -8,22 +8,28 @@ reduction is one fraction-free Gauss-Jordan pass (``_gauss_jordan``)
 whose entries stay minors of the input.  Each Fraction is built once,
 when a result leaves the integer form.
 
-A nonsingular square matrix can also be inverted from residues
-(``_modular_inverse``): one Gauss-Jordan pass in int64 numpy per 31-bit
-prime, each residue folded in by one Chinese remainder step, and after
-each prime a rational reconstruction and a certificate that involves no
-probability, so it stops at the fewest primes the certificate needs.
-Its cost follows the size of the inverse rather than of the minors on
-the way to it, so it wins where the inverse is small, as for tree
-distance matrices.  ``invert`` stays fraction-free: the inverse of
-C'MF' in ``pinv.rational_pinv`` is as wide as its determinant, and from
-residues it measured slower (CHANGES.md, the entry on the certified
+Residues are taken modulo 31-bit primes, each searched for once per
+process (``_primes``).  A nonsingular square integer matrix can be
+inverted from residues (``_modular_inverse``): one Gauss-Jordan pass in
+int64 numpy per prime (``_inverse_mod``), each residue folded in by one
+Chinese remainder step, and after each prime a rational reconstruction
+and a certificate that involves no probability, so it stops at the
+fewest primes the certificate needs.  Its cost follows the size of the
+inverse rather than of the minors on the way to it, so it wins where
+the inverse is small, as for tree distance matrices.
+``_residuals_vanish`` proves the Penrose residuals of
+``pinv.penrose_check`` zero from exact residue products (``_dot_mod``).
+``invert`` stays fraction-free: the inverse of C'MF' in
+``pinv.rational_pinv`` is as wide as its determinant, and from residues
+it measured slower (CHANGES.md, the entry on the certified
 multi-modular inverse).
 """
 
 from __future__ import annotations
 
+import threading
 from fractions import Fraction
+from itertools import count
 from math import gcd, isqrt, lcm
 
 import numpy as np
@@ -150,13 +156,15 @@ def invert(matrix) -> np.ndarray:
     m, n = ints.shape
     if m != n:
         raise ValueError("inverse needs a square matrix")
-    # With A = scale * matrix in integers, [A | I] reduces to [d I | d A^-1].
-    rows = [row + [int(i == j) for j in range(n)] for i, row in enumerate(ints.tolist())]
+    # A = scale * matrix / g in integers, with g their gcd, keeps the minors small
+    # (C' A F' from rational_pinv carries s^2), and [A | I] reduces to [d I | d A^-1].
+    g = gcd(*ints.flat) or 1
+    rows = [row + [int(i == j) for j in range(n)] for i, row in enumerate((ints // g).tolist())]
     pivot_cols, _, d = _gauss_jordan(rows)
     if pivot_cols != list(range(n)):
         raise ValueError("matrix is singular")
     inverse = np.array([row[n:] for row in rows], dtype=object).reshape(n, n)
-    return unscaled(inverse * scale, d)
+    return unscaled(inverse * scale, d * g)
 
 
 def _is_prime(candidate: int) -> bool:
@@ -182,9 +190,23 @@ def _is_prime(candidate: int) -> bool:
     return True
 
 
+_PRIMES: list[int] = []
+_PRIMES_LOCK = threading.Lock()
+
+
 def _primes():
-    """The odd primes below 2**31, largest first: residues and their products fit in int64."""
-    return (p for p in range(2**31 - 1, 2, -2) if _is_prime(p))
+    """The odd primes below 2**31, largest first: residues and their products fit in int64.
+
+    Generators read the one list ``_PRIMES`` by index and extend it only
+    past its last prime, so any two yield the same sequence and
+    ``_is_prime`` sees each candidate at most once per process.
+    """
+    for index in count():
+        with _PRIMES_LOCK:
+            if index == len(_PRIMES):
+                start = _PRIMES[-1] - 2 if _PRIMES else 2**31 - 1
+                _PRIMES.append(next(p for p in range(start, 2, -2) if _is_prime(p)))
+        yield _PRIMES[index]
 
 
 def _inverse_mod(ints, p: int) -> np.ndarray | None:
@@ -223,6 +245,64 @@ def _inverse_mod(ints, p: int) -> np.ndarray | None:
     return work[:, np.argsort(order)]
 
 
+def _largest(ints):
+    """The largest entry in absolute value, 0 for an empty array."""
+    return np.abs(np.asarray(ints)).max(initial=0)
+
+
+def _dot_mod(left: np.ndarray, right: np.ndarray, p: int) -> np.ndarray:
+    """left @ right modulo the prime p < 2**31, for int64 residues in [0, p).
+
+    Both factors are split into 16-bit halves, so each product of halves
+    is below 2**32, and a float64 BLAS sum of k of them is an integer
+    that float64 holds exactly while k < 2**21, which any input whose
+    k x k products fit in memory meets.  The blocks of the product of
+    halves are recombined in int64 in Horner form, base 2**16, each
+    step below 2**47 + k 2**32, so nothing overflows.
+    """
+    m, n = left.shape[0], right.shape[1]
+    left_halves = np.concatenate([left & 0xFFFF, left >> 16]).astype(float)
+    right_halves = np.concatenate([right & 0xFFFF, right >> 16], axis=1).astype(float)
+    parts = left_halves @ right_halves
+    # left @ right = low + mid 2**16 + top 2**32 with low, mid and top the blocks below.
+    top = parts[m:, n:].astype(np.int64) % p
+    mid = ((top << 16) + (parts[:m, n:] + parts[m:, :n]).astype(np.int64)) % p
+    return ((mid << 16) + parts[:m, :n].astype(np.int64)) % p
+
+
+def _residuals_vanish(a_ints: np.ndarray, b_ints: np.ndarray, ab: int) -> bool:
+    """True when ABA - abA, BAB - abB, AB - (AB)' and BA - (BA)' are all exactly 0.
+
+    With k the larger dimension of A, |ABA - abA| is at most
+    k^2 |A|^2 |B| + ab |A|, |BAB - abB| at most k^2 |B|^2 |A| + ab |B|, and
+    both symmetry residuals at most 2k |A| |B|, which the larger of the
+    first two bounds covers: so every entry is at most
+    max(|A|, |B|) (k^2 |A| |B| + ab).  The residuals are evaluated modulo
+    one prime at a time, drawn from ``_primes``, until the product P of
+    the primes exceeds that bound.  A residual that is 0 modulo every
+    prime is a multiple of P no larger than the bound, so it is 0: no
+    probability is involved.  False, at the first prime with a residue
+    that is not 0, means some residual is not 0 either.
+    """
+    k = max(a_ints.shape)
+    big_a, big_b = _largest(a_ints), _largest(b_ints)
+    bound = max(big_a, big_b) * (k * k * big_a * big_b + ab)
+    primes, modulus = _primes(), 1
+    while modulus <= bound:
+        p = next(primes)
+        a, b = (a_ints % p).astype(np.int64), (b_ints % p).astype(np.int64)
+        mx, xm = _dot_mod(a, b, p), _dot_mod(b, a, p)
+        if not (
+            (mx == mx.T).all()
+            and (xm == xm.T).all()
+            and (_dot_mod(mx, a, p) == ab % p * a % p).all()
+            and (_dot_mod(xm, b, p) == ab % p * b % p).all()
+        ):
+            return False
+        modulus *= p
+    return True
+
+
 def _common_denominator(value: int, modulus: int, den: int, bound: int) -> int | None:
     """den * e, with (den * e * value) mod modulus in [-bound, bound].
 
@@ -238,7 +318,7 @@ def _common_denominator(value: int, modulus: int, den: int, bound: int) -> int |
         quotient = r0 // r1
         r0, r1 = r1, r0 - quotient * r1
         t0, t1 = t1, t0 - quotient * t1
-    if t1 == 0 or abs(t1) > bound // den or gcd(r1, t1) != 1:
+    if abs(t1) > bound // den or gcd(r1, t1) != 1:
         return None
     return den * abs(t1)
 
@@ -271,24 +351,20 @@ def _residual_bound(ints, inverse, den: int) -> int:
     When Y = d A^-1 modulo a product P of primes, R is 0 modulo P, so a
     bound below P proves R = 0, that is A Y = d I exactly.
     """
-    largest = max((abs(x) for x in ints.flat), default=0)
-    biggest = max((abs(x) for x in inverse.flat), default=0)
-    return len(ints) * largest * biggest + den
+    return len(ints) * _largest(ints) * _largest(inverse) + den
 
 
-def _modular_inverse(matrix) -> np.ndarray | None:
-    """Exact inverse of a square rational matrix from its residues; None proves nothing.
+def _modular_inverse(ints) -> tuple[np.ndarray, int] | None:
+    """Integers Y and d > 0 with A Y = d I, from residues, for a square integer matrix A.
 
-    With A = scale * matrix in integers, None is returned when the
-    first prime divides det A: A may be singular, or the prime may be
-    unlucky.  Otherwise the primes are taken one at a time, skipping
-    those that divide det A, and each residue is folded into X modulo
-    the product P of the primes so far.  After each prime X is
-    reconstructed as Y over d, and Y / d is returned as soon as
-    ``_residual_bound`` proves A Y = d I, so the loop stops at the
-    fewest primes the certificate needs.
+    None, returned when the first prime divides det A, proves nothing:
+    A may be singular, or the prime unlucky.  Otherwise the primes are
+    taken one at a time, skipping those that divide det A, and each
+    residue is folded into X modulo the product P of the primes so far.
+    After each prime X is reconstructed as Y over d, and (Y, d) is
+    returned as soon as ``_residual_bound`` proves A Y = d I, so the
+    loop stops at the fewest primes the certificate needs.
     """
-    ints, scale = scaled(matrix)
     primes = _primes()
     modulus = next(primes)
     value = _inverse_mod(ints, modulus)
@@ -297,10 +373,8 @@ def _modular_inverse(matrix) -> np.ndarray | None:
     value = value.astype(object)
     while True:
         found = _reconstruct(value, modulus)
-        if found is not None:
-            inverse, den = found
-            if _residual_bound(ints, inverse, den) < modulus:
-                return unscaled(inverse * scale, den)
+        if found is not None and _residual_bound(ints, *found) < modulus:
+            return found
         residue = None
         while residue is None:
             p = next(primes)

@@ -3,12 +3,12 @@
 from __future__ import annotations
 
 import math
-from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
 
+from .graphs import _walk
 from .rational import rational, unscaled
 
 
@@ -34,26 +34,12 @@ class WeightedTree:
                 raise ValueError(f"bad edge ({a}, {b})")
             if w <= 0:
                 raise ValueError("edge weights must be positive")
-        if m > 1 and len(self._reach(1)) != m:
+        if None in _walk(self.adjacency(), 1):
             raise ValueError("edges do not connect all vertices")
-
-    def _reach(self, start: int) -> set[int]:
-        nbrs = self.adjacency()
-        seen = {start}
-        queue = deque([start])
-        while queue:
-            v = queue.popleft()
-            for w, _ in nbrs[v]:
-                if w not in seen:
-                    seen.add(w)
-                    queue.append(w)
-        return seen
 
     def adjacency(self) -> list[list[tuple[int, Fraction]]]:
         """Neighbor lists of (vertex, weight) pairs, indexed by vertex id."""
-        nbrs: list[list[tuple[int, Fraction]]] = [
-            [] for _ in range(self.num_vertices + 1)
-        ]
+        nbrs: list[list[tuple[int, Fraction]]] = [[] for _ in range(self.num_vertices + 1)]
         for a, b, w in self.edges:
             nbrs[a].append((b, w))
             nbrs[b].append((a, w))
@@ -68,9 +54,7 @@ class WeightedTree:
 
 def unit_tree(edges) -> WeightedTree:
     """Tree with all weights 1 from (a, b) pairs; m is the largest id."""
-    pairs = [(a, b) for a, b in edges]
-    m = max((max(a, b) for a, b in pairs), default=1)
-    return WeightedTree(m, tuple((a, b, Fraction(1)) for a, b in pairs))
+    return weighted_tree([(a, b, 1) for a, b in edges])
 
 
 def weighted_tree(edges) -> WeightedTree:
@@ -86,22 +70,10 @@ def tree_distance(tree: WeightedTree) -> np.ndarray:
     The walks sum integer weights over the lcm of the weight
     denominators, and the Fractions are built once, by ``unscaled``.
     """
-    m = tree.num_vertices
     den = math.lcm(*(w.denominator for _, _, w in tree.edges))
     nbrs = [[(v, w.numerator * (den // w.denominator)) for v, w in lst] for lst in tree.adjacency()]
-    rows = []
-    for source in range(1, m + 1):
-        dist: list[int | None] = [None] * (m + 1)
-        dist[source] = 0
-        queue = deque([source])
-        while queue:
-            v = queue.popleft()
-            for w, weight in nbrs[v]:
-                if dist[w] is None:
-                    dist[w] = dist[v] + weight
-                    queue.append(w)
-        rows.append(dist[1:])
-    return unscaled(np.array(rows, dtype=object).reshape(m, m), den)
+    rows = [_walk(nbrs, source) for source in range(1, tree.num_vertices + 1)]
+    return unscaled(np.array(rows, dtype=object), den)
 
 
 def graham_lovasz_inverse(tree: WeightedTree) -> np.ndarray:

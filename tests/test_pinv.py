@@ -325,6 +325,14 @@ def test_penrose_check_float_mode():
     assert report.max_residual > 0.0
 
 
+def test_penrose_check_reports_nan_wherever_a_float_residual_has_one():
+    # The NaN is not the first entry, which a plain max() over the entries would skip.
+    candidate = np.array([[1.0, 0.0], [0.0, math.nan]])
+    report = penrose_check(np.eye(2), candidate)
+    assert all(math.isnan(value) for value in astuple(report)[1:])
+    assert not report.within(1e-9)
+
+
 def test_penrose_check_rounded_float_candidate(gear_oracle):
     # Rounding the floating formula output to denominators at most 10**6
     # recovers the exact pseudoinverse (its denominators are far smaller),

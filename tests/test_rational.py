@@ -9,7 +9,8 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import gearpinv.rational
-from gearpinv.pinv import rational_pinv
+from gearpinv.graphs import gear_distance_closed
+from gearpinv.pinv import penrose_check, rational_pinv
 from gearpinv.rational import (
     _inverse_mod,
     _is_prime,
@@ -138,6 +139,33 @@ def test_primes_match_trial_division():
     expected = [k for k in range(2**31 - 1, 2**31 - 2000, -1) if trial(k)]
     assert _first_primes(len(expected)) == expected and len(expected) > 60
     assert [k for k in range(5000) if _is_prime(k)] == [k for k in range(5000) if trial(k)]
+
+
+def test_primes_are_searched_once_per_process(monkeypatch):
+    tested = []
+    monkeypatch.setattr(gearpinv.rational, "_is_prime", lambda k: tested.append(k) or _is_prime(k))
+    monkeypatch.setattr(gearpinv.rational, "_PRIMES", [])
+    first, second = _primes(), _primes()
+    got_first, got_second = [], []
+    # Each generator in turn runs past the other and then falls behind it.
+    for burst in (3, 5, 4, 7, 2):
+        got_first += [next(first) for _ in range(burst)]
+        got_second += [next(second) for _ in range(burst + 1)]
+    got_first += [next(first) for _ in range(len(got_second) - len(got_first))]
+    expected = [k for k in range(2**31 - 1, got_first[-1] - 1, -2) if _is_prime(k)]
+    assert got_first == got_second == gearpinv.rational._PRIMES == expected
+    assert sorted(set(tested)) == sorted(tested)
+    assert tested[0] == 2**31 - 1 and tested[-1] == expected[-1]
+
+
+def test_a_second_penrose_check_searches_no_prime(monkeypatch):
+    dist = gear_distance_closed(16)
+    pinv = rational_pinv(dist)
+    assert penrose_check(dist, pinv).all_exact
+    tested = []
+    monkeypatch.setattr(gearpinv.rational, "_is_prime", lambda k: tested.append(k) or _is_prime(k))
+    assert penrose_check(dist, pinv).all_exact
+    assert tested == []
 
 
 def _hilbert(order):

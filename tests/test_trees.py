@@ -6,6 +6,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from gearpinv.graphs import Graph, bfs_distances
 from gearpinv.pinv import rational_pinv
 from gearpinv.rational import det, invert, rational_identity, rational_matrix
 from gearpinv.trees import (
@@ -203,3 +204,14 @@ def test_rational_pinv_equals_closed_form_and_bareiss(unit_tree_corpus, weighted
         inverse = rational_pinv(dist)
         assert _same_fractions(inverse, weighted_tree_inverse(tree))
         assert _same_fractions(inverse, invert(dist))
+
+
+def test_tree_distance_equals_bfs_distances_on_unit_trees(unit_tree_corpus):
+    paths = [[(v, v + 1) for v in range(1, m)] for m in range(2, 61)]
+    stars = [[(1, v) for v in range(2, m + 1)] for m in range(2, 61)]
+    edge_lists = [[(a, b) for a, b, _ in tree.edges] for tree in unit_tree_corpus]
+    for edges in edge_lists + paths + stars:
+        m = max(max(edge) for edge in edges)
+        walked = bfs_distances(Graph(m, tuple(edges)))
+        assert walked.dtype == np.int64
+        assert (tree_distance(unit_tree(edges)) == walked).all()

@@ -20,7 +20,9 @@ matrix, pseudoinverse, closed-form inverse and determinant), the EDM of
 product (the pseudoinverse).
 
 Every result is checked exactly, outside the timed runs; the script
-exits 1 if one is wrong.  Each record carries the input's order and
+exits 1 if one is wrong, if a gear size lacks one of its six stage
+records, if the rational_pinv(T) or rational_pinv(H) record is missing,
+or if a penrose_check(D, D+) record counts no prime.  Each record carries the input's order and
 rank and the largest numerator and denominator bit lengths over the
 input and the result; the rational_pinv(T) and rational_pinv(H) records
 also carry the number of primes the modular inverse takes, and the
@@ -61,6 +63,8 @@ from gearpinv.trees import (  # noqa: E402
 )
 
 DEFAULT_SIZES = (40, 60)
+GEAR_STAGES = ("gram_from_edm(D)", "rational_pinv(D)", "rational_pinv(G)", "is_psd(G)",
+               "is_edm(D)", "penrose_check(D, D+)")
 REPEATS = 3
 OP_SIZE = 40
 HILBERT_ORDER = 30
@@ -223,6 +227,19 @@ def oracle_ops(bench: Bench, rng: random.Random) -> None:
     bench.check("product: exact Penrose conditions", penrose_check(product, pinv).all_exact)
 
 
+def check_records(bench: Bench, sizes) -> None:
+    """Every gear stage at every size, the T and H records, and primes in each certificate's."""
+    have = {(record["name"], record["size"]) for record in bench.records}
+    for n in sizes:
+        for name in GEAR_STAGES:
+            bench.check(f"missing record {name} at n = {n}", (name, n) in have)
+    for name in ("rational_pinv(T)", "rational_pinv(H)"):
+        bench.check(f"missing record {name}", any(record[0] == name for record in have))
+    bench.check("a penrose_check(D, D+) record counts no prime",
+                all(record.get("primes", 0) >= 1 for record in bench.records
+                    if record["name"] == "penrose_check(D, D+)"))
+
+
 def _git(*args) -> str:
     proc = subprocess.run(["git", "-C", str(ROOT), *args], capture_output=True, text=True)
     return proc.stdout.strip() if proc.returncode == 0 else ""
@@ -243,6 +260,7 @@ def main(argv: list[str]) -> int:
         print(f"n = {n} done", file=sys.stderr)
     hilbert_stage(bench)
     oracle_ops(bench, random.Random(f"bench_stages/{OP_SIZE}"))
+    check_records(bench, sizes)
     out = ROOT / f"BENCH_{label}.json"
     out.write_text(json.dumps({
         "label": label,
