@@ -4,9 +4,11 @@ Two independent routes are provided.  The formula route evaluates the
 closed form ``-1/2 L + ((n-1)/2) u u'`` in floating point, where L is
 the assembled pseudoinverse of the centered distance matrix and u is
 the rational image of the all-ones vector.  The oracle route computes
-the pseudoinverse of any rational matrix exactly, from residues modulo
-primes when it is square and nonsingular and through a rank
-factorization otherwise, with no reference to gear structure at all.
+the pseudoinverse of any rational matrix exactly, with no reference to
+gear structure at all: from residues modulo primes when a certificate
+proves the result within the route's budget (a nonsingular square
+matrix always, and rank-deficient ones such as the gear matrices from
+rank 8), and through a rank factorization otherwise.
 
 ``penrose_check`` judges a candidate exactly as well: its four integer
 residuals are proven zero modulo enough primes to pass their bound, and
@@ -25,7 +27,7 @@ import numpy as np
 from .graphs import _require_wheel_size
 from .laplacian import special_laplacian
 from .rational import (
-    _largest, _modular_inverse, _residuals_vanish, dot, invert, is_exact, rref, scaled, unscaled,
+    _largest, _modular_pinv, _residuals_vanish, dot, invert, is_exact, rref, scaled, unscaled,
 )
 
 
@@ -73,23 +75,30 @@ def rank_factorization(matrix) -> tuple[np.ndarray, np.ndarray]:
 def rational_pinv(matrix) -> np.ndarray:
     """Exact Moore-Penrose inverse of a rational matrix.
 
-    The input is split once into integers, A = s M.  A square A is
-    inverted from its residues modulo primes
-    (``rational._modular_inverse``), with a certificate proving the
-    result, unless the first prime finds it singular.  Any other
-    matrix, including a nonsingular one whose determinant the first
-    prime divides, goes on with A = C F, a rank factorization from
-    ``rref``, and ``M+ = s A+ = F' (C' A F')^-1 (s C')`` with one
-    inverse of rank order: ``C' A F' = (C' C)(F F')`` is invertible
-    because both factors have full rank.  At rank zero the factors are
-    empty and the product is the zero matrix.  All four Penrose
-    conditions hold exactly for the result.
+    The input is split once into integers, A = s M, and M+ = s A+.
+    First A+ is sought from residues modulo primes
+    (``rational._modular_pinv``).  One pass modulo the first prime gives
+    A's rank r and pivot rows and columns.  A square A of full rank is
+    inverted prime by prime until a bound proves A Y = d I.  Any other A
+    gets A+ modulo each prime from B = A[R, :], C = A[:, Q] and
+    K = A[R, Q], as ``B' (BB')^-1 K (C'C)^-1 C'``, and a reconstruction
+    is returned once the four Penrose conditions are proven for it.
+    That route takes at most r // 4 primes, so none below rank 8 (the
+    cost comparison behind the 4 is in ``rational._modular_pinv``).
+
+    When the residues give no certified result, A = C F, a rank
+    factorization from ``rref``, gives ``M+ = s A+ = F' (C' A F')^-1 (s C')``
+    with one inverse of rank order: ``C' A F' = (C' C)(F F')`` is
+    invertible because both factors have full rank.  That happens when
+    the budget runs out, which a first prime that lowers the rank always
+    makes happen, or when a prime divides det BB' or det C'C.  At rank
+    zero the factors are empty and the product is the zero matrix.  All
+    four Penrose conditions hold exactly for the result.
     """
     ints, scale = scaled(matrix)
-    m, n = ints.shape
-    if m == n and (found := _modular_inverse(ints)) is not None:
-        inverse, den = found
-        return unscaled(inverse * scale, den)
+    if (found := _modular_pinv(ints)) is not None:
+        pinv, den = found
+        return unscaled(pinv * scale, den)
     c_factor, f_factor = rank_factorization(ints)
     return dot(f_factor.T, invert(dot(c_factor.T, ints, f_factor.T)), c_factor.T * scale)
 

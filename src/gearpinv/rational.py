@@ -9,27 +9,28 @@ whose entries stay minors of the input.  Each Fraction is built once,
 when a result leaves the integer form.
 
 Residues are taken modulo 31-bit primes, each searched for once per
-process (``_primes``).  A nonsingular square integer matrix can be
-inverted from residues (``_modular_inverse``): one Gauss-Jordan pass in
-int64 numpy per prime (``_inverse_mod``), each residue folded in by one
-Chinese remainder step, and after each prime a rational reconstruction
-and a certificate that involves no probability, so it stops at the
-fewest primes the certificate needs.  Its cost follows the size of the
-inverse rather than of the minors on the way to it, so it wins where
-the inverse is small, as for tree distance matrices.
-``_residuals_vanish`` proves the Penrose residuals of
-``pinv.penrose_check`` zero from exact residue products (``_dot_mod``).
-``invert`` stays fraction-free: the inverse of C'MF' in
-``pinv.rational_pinv`` is as wide as its determinant, and from residues
-it measured slower (CHANGES.md, the entry on the certified
-multi-modular inverse).
+process (``_primes``).  ``_modular_pinv`` builds a pseudoinverse from
+them: one Gauss-Jordan pass in int64 numpy modulo the first prime
+(``_echelon_mod``) gives the rank profile and, for a nonsingular square
+matrix, the inverse modulo that prime.  Each later prime's residue is
+folded in by one Chinese remainder step, and a rational reconstruction
+is returned only once a certificate that involves no probability proves
+it.  The cost follows the size of the result rather than of the minors
+on the way to it, so residues win where the result is small, as for
+tree and gear distance matrices; a rank-deficient matrix gets a budget
+of primes tied to its rank, and past it stays with fraction-free
+elimination.  ``_residuals_vanish`` proves Penrose residuals zero from
+exact residue products (``_dot_mod``), for ``pinv.penrose_check`` and
+as that route's certificate.  ``invert`` stays fraction-free: it serves
+the low-rank inputs the budget leaves to ``pinv.rational_pinv``'s rank
+factorization, whose wide denominators would take many primes.
 """
 
 from __future__ import annotations
 
 import threading
 from fractions import Fraction
-from itertools import count
+from itertools import chain, count, islice
 from math import gcd, isqrt, lcm
 
 import numpy as np
@@ -72,7 +73,9 @@ def scaled(matrix) -> tuple[np.ndarray, int]:
         # tolist turns every numpy integer into a Python int in one call.
         return np.array(mat.tolist(), dtype=object).reshape(mat.shape), 1
     mat = np.asarray(matrix, dtype=object)
-    # Every other type, numpy integers included, goes through rational.
+    if all(type(x) is int for x in mat.flat):
+        return mat, 1
+    # Every other type, numpy integers and bools included, goes through rational.
     entries = [x if type(x) in (int, Fraction) else rational(x) for x in mat.flat]
     den = lcm(*(e.denominator for e in entries))
     ints = [e.numerator * (den // e.denominator) for e in entries]
@@ -209,26 +212,34 @@ def _primes():
         yield _PRIMES[index]
 
 
-def _inverse_mod(ints, p: int) -> np.ndarray | None:
-    """A^-1 modulo the prime p for a square integer matrix A; None when p divides det A.
+def _echelon_mod(work: np.ndarray, p: int) -> tuple[np.ndarray, list[int], np.ndarray | None]:
+    """Gauss-Jordan pass in place on int64 residues modulo the prime p: (rows, cols, inverse).
 
-    Gauss-Jordan inversion in place in int64 numpy, returning None at
-    the first column with no pivot.  Each step swaps the pivot row into
-    place and stores, in the column it clears, the column of [A | I]'s
-    right half that the step fills; the swaps are undone on the columns
-    at the end.
+    rows and cols are the pivot rows R and pivot columns Q, so len(Q) is
+    the rank of A modulo p and A[R, Q] is nonsingular modulo p.  The
+    pass stops once the rows left below the pivots are zero.  inverse is
+    A^-1 modulo p for a square A of full rank modulo p, else None.  Each
+    step swaps the pivot row into place and stores, in the column it
+    clears, the column of [A | I]'s right half that the step fills; the
+    swaps are undone on the columns at the end.
     """
-    n = len(ints)
-    work = (ints % p).astype(np.int64)
-    pivots: list[int] = []
+    m, n = work.shape
+    order = np.arange(m)
+    cols: list[int] = []
     for col in range(n):
+        rank = len(cols)
+        if rank == m:
+            break
         # The largest residue in the column is nonzero unless all are.
-        piv = col + int(work[col:, col].argmax())
+        piv = rank + int(work[rank:, col].argmax())
         pivot_row = work[piv].copy()
         if not pivot_row[col]:
-            return None
-        work[piv] = work[col]
-        pivots.append(piv)
+            # Cleared columns hold the right half: only those from col on are left to reduce.
+            if not work[rank:, col:].any():
+                break
+            continue
+        work[piv] = work[rank]
+        order[rank], order[piv] = order[piv], order[rank]
         inverse = pow(int(pivot_row[col]), -1, p)
         pivot_row[col] = 1
         pivot_row = pivot_row * inverse % p
@@ -236,13 +247,35 @@ def _inverse_mod(ints, p: int) -> np.ndarray | None:
         work[:, col] = 0
         work -= factors * pivot_row
         work %= p
-        # Row col held the row swapped out to piv: its update is discarded.
-        work[col] = pivot_row
+        # Row rank held the row swapped out to piv: its update is discarded.
+        work[rank] = pivot_row
+        cols.append(col)
+    rows = order[: len(cols)]
     # Column col now holds the inverse's column of the row moved to col.
-    order = np.arange(n)
-    for col, piv in enumerate(pivots):
-        order[col], order[piv] = order[piv], order[col]
-    return work[:, np.argsort(order)]
+    return rows, cols, work[:, np.argsort(order)] if len(cols) == m == n else None
+
+
+def _inverse_mod(ints, p: int) -> np.ndarray | None:
+    """A^-1 modulo the prime p for a square integer matrix A; None when p divides det A."""
+    return _echelon_mod((ints % p).astype(np.int64), p)[2]
+
+
+def _pinv_mod(residues: np.ndarray, rows, cols, p: int, symmetric: bool) -> np.ndarray | None:
+    """A+ modulo the prime p from the residues of A and its rank profile R, Q.
+
+    With B = A[R, :], C = A[:, Q] and K = A[R, Q] nonsingular of the
+    rank's order, A = C K^-1 B, so A+ = Z K W with Z = B' (BB')^-1 and
+    W = (C'C)^-1 C'.  For a symmetric A with R = Q, C = B' and W = Z', so
+    BB' is the only inverse.  None when p divides det BB' or det C'C.
+    """
+    b, c = residues[rows], residues[:, cols]
+    left = _inverse_mod(_dot_mod(b, b.T, p), p)
+    right = left if symmetric else _inverse_mod(_dot_mod(c.T, c, p), p)
+    if left is None or right is None:
+        return None
+    z = _dot_mod(b.T, left, p)
+    w = z.T if symmetric else _dot_mod(right, c.T, p)
+    return _dot_mod(z, _dot_mod(b[:, cols], w, p), p)
 
 
 def _largest(ints):
@@ -354,35 +387,81 @@ def _residual_bound(ints, inverse, den: int) -> int:
     return len(ints) * _largest(ints) * _largest(inverse) + den
 
 
-def _modular_inverse(ints) -> tuple[np.ndarray, int] | None:
-    """Integers Y and d > 0 with A Y = d I, from residues, for a square integer matrix A.
+def _crt(value, modulus: int, residue: np.ndarray, p: int):
+    """One Chinese remainder step: X + P t, which is X modulo P and residue modulo p, and P p."""
+    step = (residue - np.asarray(value % p, dtype=np.int64)) % p * pow(modulus, -1, p) % p
+    return value + modulus * step.astype(object), modulus * p
 
-    None, returned when the first prime divides det A, proves nothing:
-    A may be singular, or the prime unlucky.  Otherwise the primes are
-    taken one at a time, skipping those that divide det A, and each
-    residue is folded into X modulo the product P of the primes so far.
-    After each prime X is reconstructed as Y over d, and (Y, d) is
-    returned as soon as ``_residual_bound`` proves A Y = d I, so the
-    loop stops at the fewest primes the certificate needs.
+
+# Passes over the input per prime of the rank-deficient route, the budget's unit: see _modular_pinv.
+_PASSES_PER_PRIME = 4
+
+
+def _modular_pinv(ints) -> tuple[np.ndarray, int] | None:
+    """Integers Y and d > 0 with A+ = Y / d, from residues, for an integer matrix A.
+
+    One Gauss-Jordan pass modulo the first prime (``_echelon_mod``)
+    gives A's rank profile and, for a square A of full rank modulo it,
+    A^-1 modulo it.  Each later residue is folded in by one Chinese
+    remainder step, and the sum X modulo the product P of the primes is
+    reconstructed as Y over d.
+
+    A square A of full rank modulo the first prime takes every prime
+    that does not divide det A, and (Y, d) is returned once
+    ``_residual_bound`` proves A Y = d I, so at the fewest primes that
+    certificate needs.
+
+    Any other A, of rank r modulo the first prime, gets A+ modulo each
+    prime from its pivot rows and columns (``_pinv_mod``).  From the
+    second prime on, (Y, d) is returned once ``_residuals_vanish``
+    proves the four Penrose conditions for Y / d, which hold for A+
+    alone (Penrose, 1955), so the rank needs no proof.  The route is
+    budgeted by one cost comparison: a prime costs about
+    ``_PASSES_PER_PRIME`` = 4 passes over the m x n matrix in Python
+    integers (reducing A, the output product, the Chinese remainder
+    step and the reconstruction), where fraction-free elimination makes
+    one per pivot step, r in all.  So it takes at most r // 4 primes,
+    and none when that is below 2, since one prime is never
+    reconstructed.
+
+    None leaves A to fraction-free elimination.  That happens when the
+    budget runs out, when a prime divides det BB' or det C'C, and
+    always when the first prime was unlucky: its rank is then below
+    A's, the residues are not those of A+, and no reconstruction passes
+    the certificate, so nothing needs restarting.
     """
     primes = _primes()
-    modulus = next(primes)
-    value = _inverse_mod(ints, modulus)
-    if value is None:
+    first = next(primes)
+    reduced = (ints % first).astype(np.int64)
+    rows, cols, inverse = _echelon_mod(reduced.copy(), first)
+    if inverse is not None:
+        value, modulus = inverse.astype(object), first
+        while True:
+            found = _reconstruct(value, modulus)
+            if found is not None and _residual_bound(ints, *found) < modulus:
+                return found
+            residue = None
+            while residue is None:
+                p = next(primes)
+                residue = _inverse_mod(ints, p)
+            value, modulus = _crt(value, modulus, residue, p)
+    budget = len(cols) // _PASSES_PER_PRIME
+    if budget < 2:
         return None
-    value = value.astype(object)
-    while True:
-        found = _reconstruct(value, modulus)
-        if found is not None and _residual_bound(ints, *found) < modulus:
-            return found
-        residue = None
-        while residue is None:
-            p = next(primes)
-            residue = _inverse_mod(ints, p)
-        # One Chinese remainder step: X + P t is X modulo P and the residue modulo p.
-        step = (residue - (value % p).astype(np.int64)) % p * pow(modulus, -1, p) % p
-        value += modulus * step.astype(object)
-        modulus *= p
+    symmetric = ints.shape[0] == ints.shape[1] and (ints == ints.T).all()
+    if symmetric:
+        rows = cols
+    reductions = chain([(first, reduced)], ((p, (ints % p).astype(np.int64)) for p in primes))
+    value, modulus = 0, 1
+    for p, reduced in islice(reductions, budget):
+        residue = _pinv_mod(reduced, rows, cols, p, symmetric)
+        if residue is None:
+            return None
+        value, modulus = _crt(value, modulus, residue, p)
+        if p != first and (found := _reconstruct(value, modulus)) is not None:
+            if _residuals_vanish(ints, *found):
+                return found
+    return None
 
 
 def is_psd(matrix) -> bool:

@@ -1,6 +1,7 @@
 """Closed-form pseudoinverse, exact oracle, and Penrose checks."""
 
 import math
+import random
 from dataclasses import astuple
 from fractions import Fraction
 
@@ -22,6 +23,7 @@ from gearpinv.pinv import (
     u_vector,
 )
 from gearpinv.rational import (
+    _echelon_mod,
     _inverse_mod,
     _primes,
     det,
@@ -232,11 +234,11 @@ def test_rational_pinv_skips_primes_that_divide_the_determinant(kernel_calls, mo
     assert _inverse_mod(ints, p2) is None and _inverse_mod(ints, p3) is None
     calls = []
 
-    def recording(ints, p):
+    def recording(work, p):
         calls.append(p)
-        return _inverse_mod(ints, p)
+        return _echelon_mod(work, p)
 
-    monkeypatch.setattr(gearpinv.rational, "_inverse_mod", recording)
+    monkeypatch.setattr(gearpinv.rational, "_echelon_mod", recording)
     assert _same_fractions(rational_pinv(matrix), _diagonal(Fraction(1, p2 * p3), 1))
     assert calls[:4] == [p1, p2, p3, p4]
     assert kernel_calls["rref"] == [] and kernel_calls["invert"] == []
@@ -246,6 +248,7 @@ def test_rational_pinv_inverts_a_rank_deficient_input_once(kernel_calls):
     left = rational_matrix([[1, "1/2"], [2, -1], [0, 3], ["-2/3", 1], [4, 0]])
     right = rational_matrix([[1, 0, "2/5", -3], [0, 2, 1, "1/4"]])
     # A 5x4 product of rank 2, and the gear distance matrix at n = 7: rank 7, order 13.
+    # Both ranks are below 8, so the residue route's budget of rank // 4 primes stays under 2.
     for matrix, rank in ((dot(left, right), 2), (gear_distance_closed(7), 7)):
         kernel_calls["rref"].clear()
         kernel_calls["invert"].clear()
@@ -268,6 +271,127 @@ def test_rational_pinv_matches_factorization_on_trees_and_gears(
         dist = gear_distance_closed(n)
         assert _same_fractions(gear_oracle(n), _factorization_formula(dist))
         assert _same_fractions(gram_oracle(n), _factorization_formula(gram_from_edm(dist)))
+
+
+def test_rational_pinv_takes_gears_from_residues(kernel_calls, monkeypatch):
+    passes, primes = [], []
+    echelon, pinv_mod = gearpinv.rational._echelon_mod, gearpinv.rational._pinv_mod
+
+    def recording_pass(work, p):
+        passes.append(work.shape)
+        return echelon(work, p)
+
+    def recording_residue(residues, rows, cols, p, symmetric):
+        primes.append(p)
+        return pinv_mod(residues, rows, cols, p, symmetric)
+
+    monkeypatch.setattr(gearpinv.rational, "_echelon_mod", recording_pass)
+    monkeypatch.setattr(gearpinv.rational, "_pinv_mod", recording_residue)
+    # From rank 8 the budget allows 2 primes, and gear D and G at n = 9..16 certify within it.
+    for n in range(9, 17):
+        dist = gear_distance_closed(n)
+        for matrix, rank in ((dist, n), (gram_from_edm(dist), n - 1)):
+            passes.clear()
+            primes.clear()
+            pinv = rational_pinv(matrix)
+            assert kernel_calls["rref"] == [] and kernel_calls["invert"] == []
+            assert 2 <= len(primes) <= rank // 4
+            # One pass over the input, then one rank-order inverse per prime: both are symmetric.
+            assert passes == [matrix.shape] + [(rank, rank)] * len(primes)
+            assert _same_fractions(pinv, _factorization_formula(matrix))
+            kernel_calls["rref"].clear()
+            kernel_calls["invert"].clear()
+
+
+def test_rational_pinv_falls_back_when_the_first_prime_sees_a_lower_rank(
+    kernel_calls, monkeypatch
+):
+    # diag(p1, 1, ..., 1, 0) with nine 1s has rank 10, but rank 9 modulo p1.
+    p1 = _first_primes(1)[0]
+    matrix = _diagonal(p1, *[1] * 9, 0)
+    assert len(_echelon_mod((scaled(matrix)[0] % p1).astype(np.int64), p1)[1]) == 9
+    verdicts, certify = [], gearpinv.rational._residuals_vanish
+
+    def recording(*args):
+        verdicts.append(certify(*args))
+        return verdicts[-1]
+
+    monkeypatch.setattr(gearpinv.rational, "_residuals_vanish", recording)
+    pinv = rational_pinv(matrix)
+    # The rank-9 reconstruction fails its certificate, and elimination takes over.
+    assert verdicts == [False]
+    assert len(kernel_calls["rref"]) == 1
+    assert _same_fractions(pinv, _diagonal(Fraction(1, p1), *[1] * 9, 0))
+
+
+def test_rational_pinv_leaves_a_low_rank_edm_to_elimination(kernel_calls, monkeypatch):
+    # Squared distances of 12 integer points in 4 dimensions: an EDM of rank 6.
+    rng = random.Random(6)
+    points = [[rng.randint(-50, 50) for _ in range(4)] for _ in range(12)]
+    edm = np.array([[sum((a - b) ** 2 for a, b in zip(p, q)) for q in points] for p in points],
+                   dtype=object)
+    products = []
+    monkeypatch.setattr(gearpinv.rational, "_dot_mod", lambda *args: products.append(args))
+    pinv = rational_pinv(edm)
+    assert products == []
+    assert len(kernel_calls["rref"]) == 1 and kernel_calls["invert"][0].shape == (6, 6)
+    assert _same_fractions(pinv, _factorization_formula(edm))
+
+
+def _sylvester(order):
+    """The Hadamard matrix of the given power-of-two order, entries +-1."""
+    hadamard = np.ones((1, 1), dtype=int)
+    while len(hadamard) < order:
+        hadamard = np.block([[hadamard, hadamard], [hadamard, -hadamard]])
+    return hadamard
+
+
+def _rank_corpus():
+    """Seeded matrices of rank 8 to 16: integer and rational; square, rectangular and symmetric.
+
+    Pairs (matrix, small): random products mostly have wide
+    pseudoinverses, which take elimination, while rows of a Hadamard
+    matrix and their Gram matrices have small ones, which residues give.
+    """
+    rng = random.Random("rank 8 to 16")
+    corpus = []
+    for k in range(27):
+        rank = 8 + k % 9
+        if k % 2:
+            def entry():
+                return Fraction(rng.randint(-9, 9), rng.randint(1, 6))
+        else:
+            def entry():
+                return rng.randint(-3, 3)
+        rows = rank + rng.randint(0, 5)
+        left = np.array([[entry() for _ in range(rank)] for _ in range(rows)], dtype=object)
+        if k % 3 == 0:
+            right = np.array([[entry() for _ in range(rows)] for _ in range(rank)], dtype=object)
+        elif k % 3 == 1:
+            cols = rank + rng.randint(1, 5)
+            right = np.array([[entry() for _ in range(cols)] for _ in range(rank)], dtype=object)
+        else:
+            middle = np.diag([entry() or 1 for _ in range(rank)]).astype(object)
+            right = middle.dot(left.T)
+        corpus.append((left.dot(right), False))
+        hadamard = _sylvester(16)[rng.sample(range(16), rank)].astype(object) * (entry() or 1)
+        corpus.append((hadamard if k % 3 else hadamard.T.dot(hadamard), True))
+    return corpus
+
+
+def test_rational_pinv_matches_factorization_on_ranks_8_to_16(kernel_calls):
+    corpus = _rank_corpus()
+    ranks, from_residues = set(), 0
+    for matrix, small in corpus:
+        pinv = rational_pinv(matrix)
+        from_residues += kernel_calls["rref"] == []
+        assert kernel_calls["rref"] == [] or not small
+        assert _same_fractions(pinv, _factorization_formula(matrix))
+        ranks.add(len(rank_factorization(matrix)[1]))
+        kernel_calls["rref"].clear()
+        kernel_calls["invert"].clear()
+    assert ranks == set(range(8, 17))
+    assert sum(small for _, small in corpus) <= from_residues < len(corpus)
 
 
 @settings(deadline=None, max_examples=60)

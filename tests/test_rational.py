@@ -12,6 +12,7 @@ import gearpinv.rational
 from gearpinv.graphs import gear_distance_closed
 from gearpinv.pinv import penrose_check, rational_pinv
 from gearpinv.rational import (
+    _echelon_mod,
     _inverse_mod,
     _is_prime,
     _primes,
@@ -67,6 +68,22 @@ def test_scaled_integer_dtypes_give_python_ints(dtype, shape):
     generic, _ = scaled(mat.astype(object))
     assert (ints == generic).all()
     assert scaled(np.array([2**64 - 1], dtype=np.uint64))[0][0] == 2**64 - 1
+
+
+def test_scaled_python_ints_skip_the_fraction_path():
+    values = [[2**63, -(2**70) + 1, 0], [7, -1, 2**64 - 1]]
+    mat = np.array(values, dtype=object)
+    ints, den = scaled(mat)
+    # The object array of Python ints is its own integer form, over denominator 1.
+    assert ints is mat and den == 1
+    generic, generic_den = scaled(np.array([[F(x) for x in row] for row in values], dtype=object))
+    assert generic_den == 1 and (ints == generic).all()
+    assert all(type(x) is int for x in generic.flat)
+    # Bools and numpy integers keep the Fraction path and come out as Python ints.
+    for row in ([True, False, 5], [np.int64(-3), 5, 0]):
+        mixed, mixed_den = scaled(np.array([row], dtype=object))
+        assert mixed_den == 1 and mixed.tolist() == [[int(x) for x in row]]
+        assert all(type(x) is int for x in mixed.flat)
 
 
 def test_rational_matrix_shape_and_entries():
@@ -186,11 +203,11 @@ def _certified(ints, value, modulus):
 
 
 def test_hilbert_inverse_from_many_primes(monkeypatch):
-    def recording(ints, p):
+    def recording(work, p):
         calls.append(p)
-        return _inverse_mod(ints, p)
+        return _echelon_mod(work, p)
 
-    monkeypatch.setattr(gearpinv.rational, "_inverse_mod", recording)
+    monkeypatch.setattr(gearpinv.rational, "_echelon_mod", recording)
     # One elimination per prime, the first prime first, and no prime is skipped.
     for order, count in ((12, 3), (20, 6), (30, 9)):
         calls = []

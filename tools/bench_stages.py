@@ -22,13 +22,14 @@ product (the pseudoinverse).
 Every result is checked exactly, outside the timed runs; the script
 exits 1 if one is wrong, if a gear size lacks one of its six stage
 records, if the rational_pinv(T) or rational_pinv(H) record is missing,
-or if a penrose_check(D, D+) record counts no prime.  Each record carries the input's order and
-rank and the largest numerator and denominator bit lengths over the
-input and the result; the rational_pinv(T) and rational_pinv(H) records
-also carry the number of primes the modular inverse takes, and the
-penrose_check(D, D+) records the number its certificate takes.  The file
-also records the commit of the checkout, whether its ``src/`` differs
-from that commit, nproc, and the Python and numpy versions.
+or if a rational_pinv(D), rational_pinv(G) or penrose_check(D, D+)
+record counts no prime.  Each record carries the input's order and rank
+and the largest numerator and denominator bit lengths over the input and
+the result; the rational_pinv records also carry the number of primes
+drawn, certificates included, and the penrose_check(D, D+) records the
+number its certificate takes.  The file also records the commit of the
+checkout, whether its ``src/`` differs from that commit, nproc, and the
+Python and numpy versions.
 """
 
 from __future__ import annotations
@@ -143,8 +144,10 @@ def gear_stages(bench: Bench, n: int) -> None:
 
     stage = functools.partial(bench.time, size=n, order=2 * n - 1)
     stage("gram_from_edm(D)", gram_from_edm, dist, rank=rank_d, bits=(dist, gram))
-    stage("rational_pinv(D)", rational_pinv, dist, rank=rank_d, bits=(dist, dist_pinv))
-    stage("rational_pinv(G)", rational_pinv, gram, rank=rank_g, bits=(gram, gram_pinv))
+    stage("rational_pinv(D)", rational_pinv, dist, rank=rank_d, bits=(dist, dist_pinv),
+          primes=_primes_drawn(rational_pinv, dist))
+    stage("rational_pinv(G)", rational_pinv, gram, rank=rank_g, bits=(gram, gram_pinv),
+          primes=_primes_drawn(rational_pinv, gram))
     psd = stage("is_psd(G)", is_psd, gram, rank=rank_g, bits=(gram,))
     report = stage("is_edm(D)", is_edm, dist, rank=rank_d, bits=(dist,))
     penrose = stage("penrose_check(D, D+)", penrose_check, dist, dist_pinv, rank=rank_d,
@@ -228,16 +231,17 @@ def oracle_ops(bench: Bench, rng: random.Random) -> None:
 
 
 def check_records(bench: Bench, sizes) -> None:
-    """Every gear stage at every size, the T and H records, and primes in each certificate's."""
+    """Every gear stage at every size, the T and H records, and primes in D, G and D+ records."""
     have = {(record["name"], record["size"]) for record in bench.records}
     for n in sizes:
         for name in GEAR_STAGES:
             bench.check(f"missing record {name} at n = {n}", (name, n) in have)
     for name in ("rational_pinv(T)", "rational_pinv(H)"):
         bench.check(f"missing record {name}", any(record[0] == name for record in have))
-    bench.check("a penrose_check(D, D+) record counts no prime",
-                all(record.get("primes", 0) >= 1 for record in bench.records
-                    if record["name"] == "penrose_check(D, D+)"))
+    for name in ("rational_pinv(D)", "rational_pinv(G)", "penrose_check(D, D+)"):
+        bench.check(f"a {name} record counts no prime",
+                    all(record.get("primes", 0) >= 1 for record in bench.records
+                        if record["name"] == name))
 
 
 def _git(*args) -> str:
