@@ -11,13 +11,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
 
 import numpy as np
 
 from .eigen import jacobi_eigh
 from .pinv import rational_pinv
-from .rational import _gauss_jordan, _psd_rows, dot, is_exact, rational_identity, scaled, unscaled
+from .rational import (
+    _floats, _gauss_jordan, _psd_ints, is_exact, rational_identity, scaled, unscaled,
+)
 
 
 def centering_projector(m: int) -> np.ndarray:
@@ -52,13 +53,13 @@ def gram_from_edm(matrix) -> np.ndarray:
         raise ValueError("matrix must be hollow (zero diagonal)")
     if (ints != ints.T).any():
         raise ValueError("matrix must be symmetric")
-    return unscaled(_gram_numerators(ints), 2 * len(ints) ** 2 * scale)
+    return unscaled(*_gram_ints(ints, scale))
 
 
-def _gram_numerators(ints) -> np.ndarray:
-    """The integers ``2 m^2 s G`` of ``gram_from_edm`` for D = A/s, from A."""
+def _gram_ints(ints, scale: int) -> tuple[np.ndarray, int]:
+    """``gram_from_edm`` of D = A/s from A, as the integers 2 m^2 s G over 2 m^2 s."""
     m, rows = len(ints), ints.sum(axis=1)
-    return m * (rows[:, None] + rows[None, :]) - m * m * ints - rows.sum()
+    return m * (rows[:, None] + rows[None, :]) - m * m * ints - rows.sum(), 2 * m * m * scale
 
 
 @dataclass(frozen=True)
@@ -76,9 +77,9 @@ class EdmReport:
 def is_edm(matrix) -> EdmReport:
     """Check whether an exact square matrix is a distance matrix.
 
-    The verdict is exact: the Gram numerators ``2 m^2 s G``, read off
-    D = A/s split into integers once, are tested for positive
-    semidefiniteness by fraction-free elimination, so no tolerance is
+    The verdict is exact: the integers of G, read off D = A/s split
+    into integers once, are tested for positive semidefiniteness by
+    fraction-free elimination (``_psd_ints``), so no tolerance is
     involved.  ``min_gram_eigenvalue`` is the smallest Gram eigenvalue
     in floating point, reported for information only.  ``beta`` reports
     ``1' D+ 1`` exactly, from one solve of ``D x = 1`` (see ``_ones_mass``).
@@ -89,11 +90,9 @@ def is_edm(matrix) -> EdmReport:
     hollow, symmetric = not ints.diagonal().any(), not (ints != ints.T).any()
     min_eig, psd = float("nan"), False
     if hollow and symmetric:
-        gram, den = _gram_numerators(ints), 2 * m * m * scale
-        # Dividing Python ints rounds correctly, exactly as float(Fraction) does.
-        min_eig = float(jacobi_eigh(np.array([x / den for x in gram.flat]).reshape(m, m))[0][0])
-        # A positive factor keeps the verdict; the content would widen every minor.
-        psd = _psd_rows((gram // (gcd(*gram.flat) or 1)).tolist())
+        gram, den = _gram_ints(ints, scale)
+        min_eig = float(jacobi_eigh(_floats(gram, den))[0][0])
+        psd = _psd_ints(gram)
     beta = float(_ones_mass(mat, ints, scale, symmetric))
     return EdmReport(m, hollow, symmetric, min_eig, psd, beta)
 
@@ -131,19 +130,22 @@ def balaji_bapat_pinv(matrix) -> np.ndarray:
         If D is not hollow symmetric, or not spherical with ``1' D+ 1 > 0``.
     """
     gram = gram_from_edm(matrix)
-    return _gram_route(matrix, gram, rational_pinv(gram))
+    return _gram_route(*scaled(matrix), *scaled(rational_pinv(gram)))
 
 
-def _gram_route(matrix, gram, gram_pinv) -> np.ndarray:
-    """``balaji_bapat_pinv`` from D, its Gram matrix G and the exact G+."""
+def _gram_route(ints, scale: int, pinv, den: int) -> np.ndarray:
+    """``balaji_bapat_pinv`` from D = A/s and the exact G+ = P/p, on the integers."""
     # Every hollow symmetric D equals g1' + 1g' - 2G with g = diag(G), so
     # for w = 1/m + G+ g / 2 we get Dw = (I - GG+) g + c 1.  That is
     # constant, Dw = k 1, exactly when D is spherical, and then
-    # u = D+ 1 = w/k and 1' D+ 1 = 1/k.
-    w = Fraction(1, len(gram)) + dot(gram_pinv, gram.diagonal()) / 2
-    dw = dot(matrix, w)
+    # u = D+ 1 = w/k and 1' D+ 1 = 1/k.  With R the row sums of A and
+    # T = 1'R, g = (2 m R - T 1) / (2 m^2 s), and G 1 = 0 makes G+ 1 = 0,
+    # so G+ g / 2 = G+ R / (2 m s) and w = (2 s p 1 + P R) / (2 m s p).
+    w, w_den = 2 * scale * den + pinv.dot(ints.sum(axis=1)), 2 * len(ints) * scale * den
+    dw = ints.dot(w)
     k = dw[0]
     if (dw != k).any() or k <= 0:
         raise ValueError("formula needs a spherical D with 1' D+ 1 > 0")
-    w_float = w.astype(float)
-    return -0.5 * gram_pinv.astype(float) + np.outer(w_float, w_float) / float(k)
+    w_float = _floats(w, w_den)
+    # k / (s w_den) is 1' D+ 1's inverse, rounded once as float(Fraction) would be.
+    return -0.5 * _floats(pinv, den) + np.outer(w_float, w_float) / (k / (scale * w_den))

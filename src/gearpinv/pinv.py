@@ -27,7 +27,8 @@ import numpy as np
 from .graphs import _require_wheel_size
 from .laplacian import special_laplacian
 from .rational import (
-    _largest, _modular_pinv, _residuals_vanish, dot, invert, is_exact, rref, scaled, unscaled,
+    _dot_ints, _largest, _modular_pinv, _residuals_vanish, dot, invert, is_exact, rref, scaled,
+    unscaled,
 )
 
 
@@ -95,12 +96,17 @@ def rational_pinv(matrix) -> np.ndarray:
     zero the factors are empty and the product is the zero matrix.  All
     four Penrose conditions hold exactly for the result.
     """
-    ints, scale = scaled(matrix)
-    if (found := _modular_pinv(ints)) is not None:
-        pinv, den = found
-        return unscaled(pinv * scale, den)
-    c_factor, f_factor = rank_factorization(ints)
-    return dot(f_factor.T, invert(dot(c_factor.T, ints, f_factor.T)), c_factor.T * scale)
+    return unscaled(*_pinv_ints(*scaled(matrix)))
+
+
+def _pinv_ints(ints, scale: int) -> tuple[np.ndarray, int]:
+    """``rational_pinv`` of ints / scale as the pair (Y, d), the pseudoinverse being Y / d."""
+    found = _modular_pinv(ints)
+    if found is None:
+        c_factor, f_factor = rank_factorization(ints)
+        found = _dot_ints(f_factor.T, invert(dot(c_factor.T, ints, f_factor.T)), c_factor.T)
+    pinv, den = found
+    return pinv * scale, den
 
 
 @dataclass(frozen=True)
@@ -169,7 +175,11 @@ def penrose_check(matrix, candidate) -> PenroseReport:
         raise ValueError("candidate shape must be the transpose of the input shape")
     if not (is_exact(m_mat) and is_exact(x_mat)):
         return _penrose_residuals(False, m_mat, 1, x_mat, 1)
-    (a_ints, a), (b_ints, b) = scaled(m_mat), scaled(x_mat)
+    return _penrose_ints(*scaled(m_mat), *scaled(x_mat))
+
+
+def _penrose_ints(a_ints, a: int, b_ints, b: int) -> PenroseReport:
+    """``penrose_check`` of M = A/a and X = B/b from the integers A and B."""
     if _residuals_vanish(a_ints, b_ints, a * b):
         return PenroseReport(True, 0.0, 0.0, 0.0, 0.0)
     return _penrose_residuals(True, a_ints, a, b_ints, b)

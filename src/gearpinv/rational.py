@@ -1,12 +1,13 @@
 """Exact dense linear algebra over rational matrices, and all its arithmetic modulo primes.
 
 Public functions take and return numpy object arrays of
-fractions.Fraction values.  Inside, an exact matrix is an integer
-object array with one positive common denominator (``scaled`` and
-``unscaled``): a product is an integer product (``dot``), and every
-reduction is one fraction-free Gauss-Jordan pass (``_gauss_jordan``)
-whose entries stay minors of the input.  Each Fraction is built once,
-when a result leaves the integer form.
+fractions.Fraction values.  Inside, an exact matrix is a pair
+``(ints, den)``: Python ints over one positive common denominator.
+``scaled`` splits a matrix into it once, private cores such as
+``_dot_ints`` and ``_psd_ints`` work on it, ``unscaled`` builds each
+Fraction once at a public return, and ``_floats`` gives its floats
+with none.  Every reduction is one fraction-free Gauss-Jordan pass
+(``_gauss_jordan``) whose entries stay minors of the input.
 
 Residues are taken modulo 31-bit primes, each searched for once per
 process (``_primes``).  ``_modular_pinv`` builds a pseudoinverse from
@@ -89,13 +90,23 @@ def unscaled(ints, den: int) -> np.ndarray:
     return np.array(entries, dtype=object).reshape(ints.shape)
 
 
+def _floats(ints, den: int) -> np.ndarray:
+    """``unscaled(ints, den).astype(float)`` bit for bit: int64 entries become Python ints first."""
+    return (np.asarray(ints, dtype=object) / den).astype(float)
+
+
 def dot(*factors) -> np.ndarray:
     """Exact product of rational matrices: one integer product, normalized once."""
+    return unscaled(*_dot_ints(*factors))
+
+
+def _dot_ints(*factors) -> tuple[np.ndarray, int]:
+    """``dot`` as the pair (ints, den)."""
     product, den = scaled(factors[0])
     for factor in factors[1:]:
         ints, scale = scaled(factor)
         product, den = product.dot(ints), den * scale
-    return unscaled(product, den)
+    return product, den
 
 
 def _gauss_jordan(rows: list[list[int]]) -> tuple[list[int], int, int]:
@@ -467,10 +478,10 @@ def _modular_pinv(ints) -> tuple[np.ndarray, int] | None:
 def is_psd(matrix) -> bool:
     """Exact test of positive semidefiniteness for a symmetric matrix.
 
-    The whole matrix is scaled by one positive common denominator (row
-    by row scaling would break symmetry), then reduced by symmetric
-    fraction-free elimination with diagonal pivots (``_psd_rows``, which
-    ``is_edm`` runs on its own integer Gram matrix).  Each pivot is the
+    The whole matrix is split once into integers over one positive
+    common denominator (row by row scaling would break symmetry), which
+    are tested for symmetry and then reduced by symmetric fraction-free
+    elimination with diagonal pivots (``_psd_ints``).  Each pivot is the
     largest remaining diagonal: a negative one means not PSD, and a zero
     one means PSD exactly when the remaining block is zero.  Every
     remaining entry is a minor of the input whose sign matches the
@@ -484,13 +495,15 @@ def is_psd(matrix) -> bool:
     mat = np.asarray(matrix, dtype=object)
     if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
         raise ValueError("matrix must be square")
-    if (mat != mat.T).any():
+    ints = scaled(mat)[0]
+    if (ints != ints.T).any():
         raise ValueError("matrix must be symmetric")
-    return _psd_rows(scaled(mat)[0].tolist())
+    return _psd_ints(ints)
 
 
-def _psd_rows(rows: list[list[int]]) -> bool:
-    """``is_psd`` of the integer rows of a positive multiple of a symmetric matrix, in place."""
+def _psd_ints(ints) -> bool:
+    """``is_psd`` of ints / den, any den > 0; the content is divided out to narrow every minor."""
+    rows = (ints // (gcd(*ints.flat) or 1)).tolist()
     remaining = list(range(len(rows)))
     prev = 1
     while remaining:

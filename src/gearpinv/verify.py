@@ -16,12 +16,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .edm import _gram_route, gram_from_edm
+from .edm import _gram_ints, _gram_route
 from .eigen import jacobi_eigh, numerical_rank
 from .graphs import bfs_distances, build_gear, gear_distance_closed
 from .laplacian import special_laplacian
-from .pinv import beta, gear_pinv_formula, penrose_check, rational_pinv, u_vector
-from .rational import dot, is_psd
+from .pinv import _penrose_ints, _pinv_ints, beta, gear_pinv_formula, u_vector
+from .rational import _floats, _psd_ints, dot, scaled
 from .spectral import lambda_pairs, max_eigen_residual, null_basis, theta
 
 
@@ -37,11 +37,12 @@ def _sup(matrix) -> float:
 
 
 def run_checks(n: int, tol: float = 1e-9) -> list[CheckResult]:
-    """Run the full check suite for one gear size."""
+    """Run the full check suite for one gear size; D, D+, G and G+ pass as ``(ints, den)``."""
     results: list[CheckResult] = []
     dist = gear_distance_closed(n)
-    oracle = rational_pinv(dist)
-    oracle_float = oracle.astype(float)
+    d_ints, d_den = scaled(dist)
+    oracle = _pinv_ints(d_ints, d_den)
+    oracle_float = _floats(*oracle)
     lap = special_laplacian(n)
 
     # 1. Two independent distance constructions agree exactly.
@@ -79,9 +80,9 @@ def run_checks(n: int, tol: float = 1e-9) -> list[CheckResult]:
     )
 
     # 6. Assembled matrix equals the exact pseudoinverse of -1/2 P D P.
-    gram = gram_from_edm(dist)
-    gram_pinv = rational_pinv(gram)
-    residual = _sup(lap - gram_pinv.astype(float))
+    gram = _gram_ints(d_ints, d_den)
+    gram_pinv = _pinv_ints(*gram)
+    residual = _sup(lap - _floats(*gram_pinv))
     results.append(CheckResult("laplacian-identity", residual <= tol, residual))
 
     # 7. Formula route against the exact oracle.
@@ -89,11 +90,11 @@ def run_checks(n: int, tol: float = 1e-9) -> list[CheckResult]:
     results.append(CheckResult("formula-vs-oracle", residual <= tol, residual))
 
     # 8. The oracle satisfies all four Penrose conditions exactly.
-    report = penrose_check(dist, oracle)
+    report = _penrose_ints(d_ints, d_den, *oracle)
     results.append(CheckResult("penrose", report.all_exact, report.max_residual))
 
     # 9. Check 6's Gram matrix is PSD and the Gram route from its G+ matches the oracle.
-    residual = _sup(_gram_route(dist, gram, gram_pinv) - oracle_float)
-    results.append(CheckResult("edm", is_psd(gram) and residual <= tol, residual))
+    residual = _sup(_gram_route(d_ints, d_den, *gram_pinv) - oracle_float)
+    results.append(CheckResult("edm", _psd_ints(gram[0]) and residual <= tol, residual))
 
     return results

@@ -10,6 +10,7 @@ import gearpinv.edm
 import gearpinv.verify
 from gearpinv.edm import (
     EdmReport,
+    _gram_ints,
     balaji_bapat_pinv,
     centering_projector,
     gram_from_edm,
@@ -17,8 +18,8 @@ from gearpinv.edm import (
 )
 from gearpinv.eigen import jacobi_eigh
 from gearpinv.graphs import gear_distance_closed
-from gearpinv.pinv import rational_pinv
-from gearpinv.rational import is_psd, rational_matrix, rational_zeros
+from gearpinv.pinv import _pinv_ints, rational_pinv
+from gearpinv.rational import is_psd, rational_matrix, rational_zeros, unscaled
 from gearpinv.trees import graham_lovasz_inverse, tree_distance, weighted_tree_inverse
 
 
@@ -272,19 +273,23 @@ def test_gram_route_never_takes_the_pseudoinverse_of_d(n, monkeypatch):
 
 
 def test_verify_takes_the_pseudoinverse_of_d_once(monkeypatch):
+    # run_checks passes integer pairs (ints, den) between its exact stages.
     calls, gram_calls = [], []
 
-    def counted_gram(matrix):
-        gram_calls.append(matrix)
-        return gram_from_edm(matrix)
+    def recording_pinv(ints, den):
+        calls.append(unscaled(ints, den))
+        return _pinv_ints(ints, den)
 
-    monkeypatch.setattr(gearpinv.edm, "rational_pinv", _recording(calls))
-    monkeypatch.setattr(gearpinv.verify, "rational_pinv", _recording(calls))
-    monkeypatch.setattr(gearpinv.edm, "gram_from_edm", counted_gram)
-    monkeypatch.setattr(gearpinv.verify, "gram_from_edm", counted_gram)
+    def counted_gram(ints, den):
+        gram_calls.append(ints)
+        return _gram_ints(ints, den)
+
+    monkeypatch.setattr(gearpinv.verify, "_pinv_ints", recording_pinv)
+    monkeypatch.setattr(gearpinv.verify, "_gram_ints", counted_gram)
     results = gearpinv.verify.run_checks(8)
     assert all(result.passed for result in results)
     dist = gear_distance_closed(8)
     assert _count_equal(calls, dist) == 1
     assert _count_equal(calls, gram_from_edm(dist)) == 1
+    assert len(calls) == 2
     assert len(gram_calls) == 1

@@ -5,7 +5,7 @@ from math import isqrt, prod
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import gearpinv.rational
@@ -13,6 +13,7 @@ from gearpinv.graphs import gear_distance_closed
 from gearpinv.pinv import penrose_check, rational_pinv
 from gearpinv.rational import (
     _echelon_mod,
+    _floats,
     _inverse_mod,
     _is_prime,
     _primes,
@@ -27,6 +28,7 @@ from gearpinv.rational import (
     rational_matrix,
     rref,
     scaled,
+    unscaled,
 )
 
 F = Fraction
@@ -84,6 +86,38 @@ def test_scaled_python_ints_skip_the_fraction_path():
         mixed, mixed_den = scaled(np.array([row], dtype=object))
         assert mixed_den == 1 and mixed.tolist() == [[int(x) for x in row]]
         assert all(type(x) is int for x in mixed.flat)
+
+
+def _bits_or_overflow(func, ints, den):
+    try:
+        return func(ints, den).tobytes()
+    except OverflowError:
+        return OverflowError
+
+
+# Denominators near 2**1074 put quotients among the subnormals.
+_quotient_dens = st.one_of(
+    st.integers(1, 2**1200),
+    st.builds(lambda odd, shift: odd << shift, st.integers(1, 2**60), st.integers(1000, 1100)),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.integers(-(2**1200), 2**1200), min_size=1, max_size=6), _quotient_dens)
+@example([1, -1, 3, 0], 2**1074)
+@example([2**1024 - 1, 1], 1)
+@example([2**1100, 1], 2**60)
+def test_floats_match_the_fraction_floats_bit_for_bit(nums, den):
+    ints = np.array(nums, dtype=object).reshape(1, -1)
+    want = _bits_or_overflow(lambda i, d: unscaled(i, d).astype(float), ints, den)
+    assert _bits_or_overflow(_floats, ints, den) == want
+
+
+def test_floats_divide_int64_entries_as_python_ints():
+    # float64 division of this int64 by 9 rounds twice and misses by one ulp.
+    ints = np.array([[5477387899617909037, -(2**63) + 1]], dtype=np.int64)
+    assert (ints / 9)[0, 0] != 5477387899617909037 / 9
+    assert _floats(ints, 9).tobytes() == unscaled(ints, 9).astype(float).tobytes()
 
 
 def test_rational_matrix_shape_and_entries():

@@ -1,0 +1,69 @@
+"""The exact checks of run_checks against the same checks built from the public routes."""
+
+import numpy as np
+import pytest
+
+import gearpinv.pinv
+import gearpinv.verify
+from gearpinv.edm import balaji_bapat_pinv, gram_from_edm
+from gearpinv.graphs import gear_distance_closed
+from gearpinv.laplacian import special_laplacian
+from gearpinv.pinv import gear_pinv_formula, penrose_check, rational_pinv
+from gearpinv.rational import _residuals_vanish, is_psd, scaled
+from gearpinv.verify import CheckResult, run_checks
+
+
+def _sup(matrix):
+    return float(np.max(np.abs(matrix)))
+
+
+def reference_exact_checks(n, tol=1e-9):
+    """Checks 6 to 9 of run_checks, each from public routes on Fraction matrices."""
+    dist = gear_distance_closed(n)
+    oracle = rational_pinv(dist)
+    lap = special_laplacian(n)
+    gram = gram_from_edm(dist)
+    identity = _sup(lap - rational_pinv(gram).astype(float))
+    formula = _sup(gear_pinv_formula(n) - oracle.astype(float))
+    report = penrose_check(dist, oracle)
+    edm = _sup(balaji_bapat_pinv(dist) - oracle.astype(float))
+    return [
+        CheckResult("laplacian-identity", identity <= tol, identity),
+        CheckResult("formula-vs-oracle", formula <= tol, formula),
+        CheckResult("penrose", report.all_exact, report.max_residual),
+        CheckResult("edm", is_psd(gram) and edm <= tol, edm),
+    ]
+
+
+@pytest.mark.parametrize("n", range(4, 21))
+def test_run_checks_matches_the_public_routes(n):
+    got = run_checks(n)
+    assert all(result.passed for result in got)
+    want = reference_exact_checks(n)
+    assert got[5:] == want
+    # Equal floats can still differ in sign of zero: compare the bits.
+    assert [result.residual.hex() for result in got[5:]] == [r.residual.hex() for r in want]
+
+
+def test_check_8_proves_the_penrose_conditions_itself(monkeypatch):
+    # The oracle certifies D+ on its own; check 8 proves it again from D and D+.
+    calls = []
+
+    def recording(a_ints, b_ints, ab):
+        calls.append(a_ints)
+        return _residuals_vanish(a_ints, b_ints, ab)
+
+    monkeypatch.setattr(gearpinv.pinv, "_residuals_vanish", recording)
+    run_checks(9)
+    assert len(calls) == 1 and (calls[0] == gear_distance_closed(9)).all()
+
+
+def test_check_9_tests_g_for_semidefiniteness(monkeypatch):
+    seen = []
+    monkeypatch.setattr(gearpinv.verify, "_psd_ints", lambda ints: seen.append(ints) or False)
+    results = {result.name: result for result in run_checks(6)}
+    assert not results["edm"].passed
+    # Any positive multiple of G's integers carries G's verdict.
+    gram = scaled(gram_from_edm(gear_distance_closed(6)))[0]
+    assert len(seen) == 1 and (seen[0] * gram[0, 0] == gram * seen[0][0, 0]).all()
+    assert seen[0][0, 0] * gram[0, 0] > 0

@@ -9,25 +9,27 @@ The script times the gearpinv source of the checkout it sits in
 checkout's root.  N are gear sizes, 40 and 60 by default.  For each N,
 with D the gear distance matrix (order 2N - 1) and G its Gram matrix,
 it takes the best of three in-process runs of rational_pinv(D),
-rational_pinv(G), is_psd(G), is_edm(D), penrose_check(D, D+) and
-gram_from_edm(D), and of rational_pinv(T) for the distance matrix T of
-a seeded rational-weight tree of the same order.  Once, it times
-rational_pinv(H) for the Hilbert matrix H of order 30, whose inverse
-needs many primes.  Then it times three ops shaped like the benchmark's
-``oracle`` workload: a rational-weight tree on 40 vertices (its distance
-matrix, pseudoinverse, closed-form inverse and determinant), the EDM of
-40 integer points (is_edm and the pseudoinverse) and a rank-10 40x30
-product (the pseudoinverse).
+rational_pinv(G), is_psd(G), is_edm(D), penrose_check(D, D+),
+gram_from_edm(D) and the whole check suite run_checks(N), which passes
+integer pairs between those stages, and of rational_pinv(T) for the
+distance matrix T of a seeded rational-weight tree of the same order.
+Once, it times rational_pinv(H) for the Hilbert matrix H of order 30,
+whose inverse needs many primes.  Then it times three ops shaped like
+the benchmark's ``oracle`` workload: a rational-weight tree on 40
+vertices (its distance matrix, pseudoinverse, closed-form inverse and
+determinant), the EDM of 40 integer points (is_edm and the
+pseudoinverse) and a rank-10 40x30 product (the pseudoinverse).
 
 Every result is checked exactly, outside the timed runs; the script
-exits 1 if one is wrong, if a gear size lacks one of its six stage
-records, if the rational_pinv(T) or rational_pinv(H) record is missing,
-or if a rational_pinv(D), rational_pinv(G) or penrose_check(D, D+)
-record counts no prime.  Each record carries the input's order and rank
-and the largest numerator and denominator bit lengths over the input and
-the result; the rational_pinv records also carry the number of primes
-drawn, certificates included, and the penrose_check(D, D+) records the
-number its certificate takes.  The file also records the commit of the
+exits 1 if one is wrong, if a check of run_checks(N) fails, if a gear
+size lacks one of its seven stage records, if the rational_pinv(T) or
+rational_pinv(H) record is missing, or if a rational_pinv(D),
+rational_pinv(G) or penrose_check(D, D+) record counts no prime.  Each
+record carries the input's order and rank and the largest numerator and
+denominator bit lengths over the input and the result; the
+rational_pinv records also carry the number of primes drawn,
+certificates included, and the penrose_check(D, D+) records the number
+its certificate takes.  The file also records the commit of the
 checkout, whether its ``src/`` differs from that commit, nproc, and the
 Python and numpy versions.
 """
@@ -62,10 +64,11 @@ from gearpinv.trees import (  # noqa: E402
     weighted_tree,
     weighted_tree_inverse,
 )
+from gearpinv.verify import run_checks  # noqa: E402
 
 DEFAULT_SIZES = (40, 60)
 GEAR_STAGES = ("gram_from_edm(D)", "rational_pinv(D)", "rational_pinv(G)", "is_psd(G)",
-               "is_edm(D)", "penrose_check(D, D+)")
+               "is_edm(D)", "penrose_check(D, D+)", "run_checks(N)")
 REPEATS = 3
 OP_SIZE = 40
 HILBERT_ORDER = 30
@@ -152,12 +155,15 @@ def gear_stages(bench: Bench, n: int) -> None:
     report = stage("is_edm(D)", is_edm, dist, rank=rank_d, bits=(dist,))
     penrose = stage("penrose_check(D, D+)", penrose_check, dist, dist_pinv, rank=rank_d,
                     bits=(dist, dist_pinv), primes=_primes_drawn(penrose_check, dist, dist_pinv))
+    checks = stage("run_checks(N)", run_checks, n, rank=rank_d, bits=(dist, dist_pinv))
 
     # The paper's identity D+ = -G+/2 + ((n-1)/2) u u' ties the two pseudoinverses together.
     u = u_vector(n)
     bench.check(f"{label}: D+ = -G+/2 + ((n-1)/2) u u'",
                 (dist_pinv == -gram_pinv / 2 + Fraction(n - 1, 2) * np.outer(u, u)).all())
     bench.check(f"{label}: penrose_check(D, D+) all exact", penrose.all_exact)
+    bench.check(f"{label}: every check of run_checks({n}) passed",
+                all(result.passed for result in checks))
     bench.check(f"{label}: ranks n and n - 1", (rank_d, rank_g) == (n, n - 1))
     bench.check(f"{label}: G has zero row sums", not gram.sum(axis=1).any())
     bench.check(f"{label}: is_psd(G)", psd is True)
