@@ -127,7 +127,6 @@ def special_laplacian(n: int) -> np.ndarray:
     :func:`a_matrix`, from ``_rank_one``, is added in float; writing the
     dense output dominates the cost.
     """
-    _require_wheel_size(n)
     size = n - 1
     sigma, tau = np.array(s_spectrum(n)), np.array(t_spectrum(n))
     weights = -2.0 / (tau - 2.0) ** 2

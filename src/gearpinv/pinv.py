@@ -7,8 +7,8 @@ the rational image of the all-ones vector.  The oracle route computes
 the pseudoinverse of any rational matrix exactly, with no reference to
 gear structure at all: from residues modulo primes when a certificate
 proves the result within the route's budget (a nonsingular square
-matrix always, and rank-deficient ones such as the gear matrices from
-rank 8), and through a rank factorization otherwise.
+matrix always, and symmetric rank-deficient ones such as the gear
+matrices from rank 8), and through a rank factorization otherwise.
 
 ``penrose_check`` judges a candidate exactly as well: its four integer
 residuals are proven zero modulo enough primes to pass their bound, and
@@ -57,7 +57,6 @@ def beta(n: int) -> Fraction:
 
 def gear_pinv_formula(n: int) -> np.ndarray:
     """Closed-form pseudoinverse of the gear distance matrix (floats)."""
-    _require_wheel_size(n)
     u = u_vector(n).astype(float)
     return -0.5 * special_laplacian(n) + ((n - 1) / 2.0) * np.outer(u, u)
 
@@ -77,24 +76,25 @@ def rational_pinv(matrix) -> np.ndarray:
     """Exact Moore-Penrose inverse of a rational matrix.
 
     The input is split once into integers, A = s M, and M+ = s A+.
-    First A+ is sought from residues modulo primes
+    For a square A, A+ is first sought from residues modulo primes
     (``rational._modular_pinv``).  One pass modulo the first prime gives
-    A's rank r and pivot rows and columns.  A square A of full rank is
-    inverted prime by prime until a bound proves A Y = d I.  Any other A
-    gets A+ modulo each prime from B = A[R, :], C = A[:, Q] and
-    K = A[R, Q], as ``B' (BB')^-1 K (C'C)^-1 C'``, and a reconstruction
-    is returned once the four Penrose conditions are proven for it.
-    That route takes at most r // 4 primes, so none below rank 8 (the
-    cost comparison behind the 4 is in ``rational._modular_pinv``).
+    A's rank r and pivot columns Q.  A of full rank is inverted prime by
+    prime until a bound proves A Y = d I.  A symmetric A of lower rank
+    gets A+ modulo each prime from B = A[Q, :] and K = A[Q, Q], as
+    ``Z K Z'`` with ``Z = B' (BB')^-1``, and a reconstruction is returned
+    once the four Penrose conditions are proven for it.  That route
+    takes at most r // 4 primes, so none below rank 8 (the cost
+    comparison behind the 4 is in ``rational._modular_pinv``).
 
-    When the residues give no certified result, A = C F, a rank
-    factorization from ``rref``, gives ``M+ = s A+ = F' (C' A F')^-1 (s C')``
-    with one inverse of rank order: ``C' A F' = (C' C)(F F')`` is
-    invertible because both factors have full rank.  That happens when
-    the budget runs out, which a first prime that lowers the rank always
-    makes happen, or when a prime divides det BB' or det C'C.  At rank
-    zero the factors are empty and the product is the zero matrix.  All
-    four Penrose conditions hold exactly for the result.
+    Every other A, and any A the residues give no certified result for,
+    goes to A = C F, a rank factorization from ``rref``, which gives
+    ``M+ = s A+ = F' (C' A F')^-1 (s C')`` with one inverse of rank
+    order: ``C' A F' = (C' C)(F F')`` is invertible because both factors
+    have full rank.  The residues give no result when the budget runs
+    out, which a first prime that lowers the rank always makes happen,
+    or when a prime divides det BB'.  At rank zero the factors are empty
+    and the product is the zero matrix.  All four Penrose conditions
+    hold exactly for the result.
     """
     return unscaled(*_pinv_ints(*scaled(matrix)))
 

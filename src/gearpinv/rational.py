@@ -10,21 +10,23 @@ with none.  Every reduction is one fraction-free Gauss-Jordan pass
 (``_gauss_jordan``) whose entries stay minors of the input.
 
 Residues are taken modulo 31-bit primes, each searched for once per
-process (``_primes``).  ``_modular_pinv`` builds a pseudoinverse from
-them: one Gauss-Jordan pass in int64 numpy modulo the first prime
-(``_echelon_mod``) gives the rank profile and, for a nonsingular square
-matrix, the inverse modulo that prime.  Each later prime's residue is
-folded in by one Chinese remainder step, and a rational reconstruction
-is returned only once a certificate that involves no probability proves
-it.  The cost follows the size of the result rather than of the minors
-on the way to it, so residues win where the result is small, as for
-tree and gear distance matrices; a rank-deficient matrix gets a budget
-of primes tied to its rank, and past it stays with fraction-free
-elimination.  ``_residuals_vanish`` proves Penrose residuals zero from
-exact residue products (``_dot_mod``), for ``pinv.penrose_check`` and
-as that route's certificate.  ``invert`` stays fraction-free: it serves
-the low-rank inputs the budget leaves to ``pinv.rational_pinv``'s rank
-factorization, whose wide denominators would take many primes.
+process (``_primes``).  ``_modular_pinv`` builds the pseudoinverse of
+a square matrix from them: one Gauss-Jordan pass in int64 numpy modulo
+the first prime (``_echelon_mod``) gives the pivot columns and, for a
+nonsingular matrix, the inverse modulo that prime.  Each later prime's
+residue is folded in by one Chinese remainder step, and a rational
+reconstruction is returned only once a certificate that involves no
+probability proves it.  The cost follows the size of the result rather
+than of the minors on the way to it, so residues win where the result
+is small, as for tree and gear distance matrices.  A symmetric
+rank-deficient matrix gets a budget of primes tied to its rank; past
+it, and for every other rank-deficient or non-square matrix, the
+result comes from fraction-free elimination.  ``_residuals_vanish``
+proves Penrose residuals zero from exact residue products
+(``_dot_mod``), for ``pinv.penrose_check`` and as the symmetric route's
+certificate.  ``invert`` stays fraction-free: it serves the inputs the
+residues leave to ``pinv.rational_pinv``'s rank factorization, whose
+wide denominators would take many primes.
 """
 
 from __future__ import annotations
@@ -223,16 +225,15 @@ def _primes():
         yield _PRIMES[index]
 
 
-def _echelon_mod(work: np.ndarray, p: int) -> tuple[np.ndarray, list[int], np.ndarray | None]:
-    """Gauss-Jordan pass in place on int64 residues modulo the prime p: (rows, cols, inverse).
+def _echelon_mod(work: np.ndarray, p: int) -> tuple[list[int], np.ndarray | None]:
+    """Gauss-Jordan pass in place on int64 residues modulo the prime p: (cols, inverse).
 
-    rows and cols are the pivot rows R and pivot columns Q, so len(Q) is
-    the rank of A modulo p and A[R, Q] is nonsingular modulo p.  The
-    pass stops once the rows left below the pivots are zero.  inverse is
-    A^-1 modulo p for a square A of full rank modulo p, else None.  Each
-    step swaps the pivot row into place and stores, in the column it
-    clears, the column of [A | I]'s right half that the step fills; the
-    swaps are undone on the columns at the end.
+    cols are the pivot columns Q, so len(Q) is the rank of A modulo p.
+    The pass stops once the rows left below the pivots are zero.
+    inverse is A^-1 modulo p for a square A of full rank modulo p, else
+    None.  Each step swaps the pivot row into place and stores, in the
+    column it clears, the column of [A | I]'s right half that the step
+    fills; the swaps are undone on the columns at the end.
     """
     m, n = work.shape
     order = np.arange(m)
@@ -261,32 +262,28 @@ def _echelon_mod(work: np.ndarray, p: int) -> tuple[np.ndarray, list[int], np.nd
         # Row rank held the row swapped out to piv: its update is discarded.
         work[rank] = pivot_row
         cols.append(col)
-    rows = order[: len(cols)]
     # Column col now holds the inverse's column of the row moved to col.
-    return rows, cols, work[:, np.argsort(order)] if len(cols) == m == n else None
+    return cols, work[:, np.argsort(order)] if len(cols) == m == n else None
 
 
 def _inverse_mod(ints, p: int) -> np.ndarray | None:
     """A^-1 modulo the prime p for a square integer matrix A; None when p divides det A."""
-    return _echelon_mod((ints % p).astype(np.int64), p)[2]
+    return _echelon_mod((ints % p).astype(np.int64), p)[1]
 
 
-def _pinv_mod(residues: np.ndarray, rows, cols, p: int, symmetric: bool) -> np.ndarray | None:
-    """A+ modulo the prime p from the residues of A and its rank profile R, Q.
+def _pinv_mod(residues: np.ndarray, cols, p: int) -> np.ndarray | None:
+    """A+ modulo the prime p from the residues of a symmetric A and its pivot columns Q.
 
-    With B = A[R, :], C = A[:, Q] and K = A[R, Q] nonsingular of the
-    rank's order, A = C K^-1 B, so A+ = Z K W with Z = B' (BB')^-1 and
-    W = (C'C)^-1 C'.  For a symmetric A with R = Q, C = B' and W = Z', so
-    BB' is the only inverse.  None when p divides det BB' or det C'C.
+    With B = A[Q, :] and K = A[Q, Q] nonsingular of the rank's order,
+    A = B' K^-1 B, so A+ = Z K Z' with Z = B' (BB')^-1: one inverse of
+    rank order.  None when p divides det BB'.
     """
-    b, c = residues[rows], residues[:, cols]
-    left = _inverse_mod(_dot_mod(b, b.T, p), p)
-    right = left if symmetric else _inverse_mod(_dot_mod(c.T, c, p), p)
-    if left is None or right is None:
+    b = residues[cols]
+    inverse = _inverse_mod(_dot_mod(b, b.T, p), p)
+    if inverse is None:
         return None
-    z = _dot_mod(b.T, left, p)
-    w = z.T if symmetric else _dot_mod(right, c.T, p)
-    return _dot_mod(z, _dot_mod(b[:, cols], w, p), p)
+    z = _dot_mod(b.T, inverse, p)
+    return _dot_mod(z, _dot_mod(b[:, cols], z.T, p), p)
 
 
 def _largest(ints):
@@ -409,42 +406,44 @@ _PASSES_PER_PRIME = 4
 
 
 def _modular_pinv(ints) -> tuple[np.ndarray, int] | None:
-    """Integers Y and d > 0 with A+ = Y / d, from residues, for an integer matrix A.
+    """Integers Y and d > 0 with A+ = Y / d, from residues, for a square integer matrix A.
 
+    A matrix that is not square gets None before any prime is drawn.
     One Gauss-Jordan pass modulo the first prime (``_echelon_mod``)
-    gives A's rank profile and, for a square A of full rank modulo it,
-    A^-1 modulo it.  Each later residue is folded in by one Chinese
+    gives A's pivot columns Q and, for A of full rank modulo it, A^-1
+    modulo it.  Each later residue is folded in by one Chinese
     remainder step, and the sum X modulo the product P of the primes is
     reconstructed as Y over d.
 
-    A square A of full rank modulo the first prime takes every prime
-    that does not divide det A, and (Y, d) is returned once
-    ``_residual_bound`` proves A Y = d I, so at the fewest primes that
-    certificate needs.
+    A of full rank modulo the first prime takes every prime that does
+    not divide det A, and (Y, d) is returned once ``_residual_bound``
+    proves A Y = d I, so at the fewest primes that certificate needs.
 
-    Any other A, of rank r modulo the first prime, gets A+ modulo each
-    prime from its pivot rows and columns (``_pinv_mod``).  From the
+    A symmetric A of rank r modulo the first prime gets A+ modulo each
+    prime from its rows and columns Q (``_pinv_mod``).  From the
     second prime on, (Y, d) is returned once ``_residuals_vanish``
     proves the four Penrose conditions for Y / d, which hold for A+
     alone (Penrose, 1955), so the rank needs no proof.  The route is
     budgeted by one cost comparison: a prime costs about
-    ``_PASSES_PER_PRIME`` = 4 passes over the m x n matrix in Python
-    integers (reducing A, the output product, the Chinese remainder
-    step and the reconstruction), where fraction-free elimination makes
-    one per pivot step, r in all.  So it takes at most r // 4 primes,
-    and none when that is below 2, since one prime is never
-    reconstructed.
+    ``_PASSES_PER_PRIME`` = 4 passes over the matrix in Python integers
+    (reducing A, the output product, the Chinese remainder step and the
+    reconstruction), where fraction-free elimination makes one per
+    pivot step, r in all.  So it takes at most r // 4 primes, and none
+    when that is below 2, since one prime is never reconstructed.
 
-    None leaves A to fraction-free elimination.  That happens when the
-    budget runs out, when a prime divides det BB' or det C'C, and
-    always when the first prime was unlucky: its rank is then below
-    A's, the residues are not those of A+, and no reconstruction passes
-    the certificate, so nothing needs restarting.
+    None leaves A to fraction-free elimination.  That happens for every
+    rank-deficient A that is not symmetric, when the budget runs out,
+    when a prime divides det BB', and always when the first prime was
+    unlucky: its rank is then below A's, the residues are not those of
+    A+, and no reconstruction passes the certificate, so nothing needs
+    restarting.
     """
+    if ints.shape[0] != ints.shape[1]:
+        return None
     primes = _primes()
     first = next(primes)
     reduced = (ints % first).astype(np.int64)
-    rows, cols, inverse = _echelon_mod(reduced.copy(), first)
+    cols, inverse = _echelon_mod(reduced.copy(), first)
     if inverse is not None:
         value, modulus = inverse.astype(object), first
         while True:
@@ -457,15 +456,12 @@ def _modular_pinv(ints) -> tuple[np.ndarray, int] | None:
                 residue = _inverse_mod(ints, p)
             value, modulus = _crt(value, modulus, residue, p)
     budget = len(cols) // _PASSES_PER_PRIME
-    if budget < 2:
+    if budget < 2 or (ints != ints.T).any():
         return None
-    symmetric = ints.shape[0] == ints.shape[1] and (ints == ints.T).all()
-    if symmetric:
-        rows = cols
     reductions = chain([(first, reduced)], ((p, (ints % p).astype(np.int64)) for p in primes))
     value, modulus = 0, 1
     for p, reduced in islice(reductions, budget):
-        residue = _pinv_mod(reduced, rows, cols, p, symmetric)
+        residue = _pinv_mod(reduced, cols, p)
         if residue is None:
             return None
         value, modulus = _crt(value, modulus, residue, p)

@@ -247,8 +247,8 @@ def test_rational_pinv_skips_primes_that_divide_the_determinant(kernel_calls, mo
 def test_rational_pinv_inverts_a_rank_deficient_input_once(kernel_calls):
     left = rational_matrix([[1, "1/2"], [2, -1], [0, 3], ["-2/3", 1], [4, 0]])
     right = rational_matrix([[1, 0, "2/5", -3], [0, 2, 1, "1/4"]])
-    # A 5x4 product of rank 2, and the gear distance matrix at n = 7: rank 7, order 13.
-    # Both ranks are below 8, so the residue route's budget of rank // 4 primes stays under 2.
+    # A 5x4 product of rank 2, which is not square, and the gear distance matrix at n = 7:
+    # rank 7, order 13, below 8, so the residue route's budget of rank // 4 primes stays under 2.
     for matrix, rank in ((dot(left, right), 2), (gear_distance_closed(7), 7)):
         kernel_calls["rref"].clear()
         kernel_calls["invert"].clear()
@@ -281,9 +281,9 @@ def test_rational_pinv_takes_gears_from_residues(kernel_calls, monkeypatch):
         passes.append(work.shape)
         return echelon(work, p)
 
-    def recording_residue(residues, rows, cols, p, symmetric):
+    def recording_residue(residues, cols, p):
         primes.append(p)
-        return pinv_mod(residues, rows, cols, p, symmetric)
+        return pinv_mod(residues, cols, p)
 
     monkeypatch.setattr(gearpinv.rational, "_echelon_mod", recording_pass)
     monkeypatch.setattr(gearpinv.rational, "_pinv_mod", recording_residue)
@@ -296,7 +296,7 @@ def test_rational_pinv_takes_gears_from_residues(kernel_calls, monkeypatch):
             pinv = rational_pinv(matrix)
             assert kernel_calls["rref"] == [] and kernel_calls["invert"] == []
             assert 2 <= len(primes) <= rank // 4
-            # One pass over the input, then one rank-order inverse per prime: both are symmetric.
+            # One pass over the input, then one rank-order inverse per prime.
             assert passes == [matrix.shape] + [(rank, rank)] * len(primes)
             assert _same_fractions(pinv, _factorization_formula(matrix))
             kernel_calls["rref"].clear()
@@ -309,7 +309,7 @@ def test_rational_pinv_falls_back_when_the_first_prime_sees_a_lower_rank(
     # diag(p1, 1, ..., 1, 0) with nine 1s has rank 10, but rank 9 modulo p1.
     p1 = _first_primes(1)[0]
     matrix = _diagonal(p1, *[1] * 9, 0)
-    assert len(_echelon_mod((scaled(matrix)[0] % p1).astype(np.int64), p1)[1]) == 9
+    assert len(_echelon_mod((scaled(matrix)[0] % p1).astype(np.int64), p1)[0]) == 9
     verdicts, certify = [], gearpinv.rational._residuals_vanish
 
     def recording(*args):
@@ -351,7 +351,9 @@ def _rank_corpus():
 
     Pairs (matrix, small): random products mostly have wide
     pseudoinverses, which take elimination, while rows of a Hadamard
-    matrix and their Gram matrices have small ones, which residues give.
+    matrix and their Gram matrices have small ones.  Residues give those
+    of the Gram matrices, which are symmetric, and of the 16 x 16 rows,
+    which are nonsingular.
     """
     rng = random.Random("rank 8 to 16")
     corpus = []
@@ -381,17 +383,76 @@ def _rank_corpus():
 
 def test_rational_pinv_matches_factorization_on_ranks_8_to_16(kernel_calls):
     corpus = _rank_corpus()
-    ranks, from_residues = set(), 0
+    ranks, small_grams = set(), 0
     for matrix, small in corpus:
         pinv = rational_pinv(matrix)
-        from_residues += kernel_calls["rref"] == []
-        assert kernel_calls["rref"] == [] or not small
+        from_residues = kernel_calls["rref"] == []
+        rank = len(rank_factorization(matrix)[1])
+        symmetric = matrix.shape == matrix.T.shape and (matrix == matrix.T).all()
+        # Residues take a rank-deficient input only when it is symmetric.
+        if rank < min(matrix.shape) and not symmetric:
+            assert not from_residues
+        if small and symmetric:
+            assert from_residues
+            small_grams += 1
         assert _same_fractions(pinv, _factorization_formula(matrix))
-        ranks.add(len(rank_factorization(matrix)[1]))
+        ranks.add(rank)
         kernel_calls["rref"].clear()
         kernel_calls["invert"].clear()
     assert ranks == set(range(8, 17))
-    assert sum(small for _, small in corpus) <= from_residues < len(corpus)
+    assert small_grams == 9
+
+
+def test_rational_pinv_keeps_residues_to_square_and_symmetric_rank_deficient_input(
+    kernel_calls, monkeypatch
+):
+    passes, residues, drawn = [], [], []
+    echelon, pinv_mod, primes = (gearpinv.rational._echelon_mod, gearpinv.rational._pinv_mod,
+                                 gearpinv.rational._primes)
+
+    def recording_pass(work, p):
+        passes.append(work.shape)
+        return echelon(work, p)
+
+    def recording_residue(reduced, cols, p):
+        residues.append(p)
+        return pinv_mod(reduced, cols, p)
+
+    def counting_primes():
+        for p in primes():
+            drawn.append(p)
+            yield p
+
+    monkeypatch.setattr(gearpinv.rational, "_echelon_mod", recording_pass)
+    monkeypatch.setattr(gearpinv.rational, "_pinv_mod", recording_residue)
+    monkeypatch.setattr(gearpinv.rational, "_primes", counting_primes)
+    rng = random.Random("non-symmetric rank deficient")
+
+    def fraction():
+        return Fraction(rng.randint(-9, 9), rng.randint(1, 9))
+
+    # 12 rows of the order-16 Hadamard matrix, rank 12, and a 40 x 30 product of rank 10.
+    hadamard = _sylvester(16)[:12].astype(object)
+    left = np.array([[fraction() for _ in range(10)] for _ in range(40)], dtype=object)
+    right = np.array([[fraction() for _ in range(30)] for _ in range(10)], dtype=object)
+    for matrix in (hadamard, left.dot(right)):
+        passes.clear()
+        pinv = rational_pinv(matrix)
+        # Not square: no pass modulo a prime, no prime drawn, and elimination takes it.
+        assert passes == [] and drawn == []
+        assert len(kernel_calls["rref"]) == 1
+        assert _same_fractions(pinv, _factorization_formula(matrix))
+        kernel_calls["rref"].clear()
+    # A 14 x 14 integer product of rank 10 that is not symmetric.
+    left = np.array([[rng.randint(-3, 3) for _ in range(10)] for _ in range(14)], dtype=object)
+    right = np.array([[rng.randint(-3, 3) for _ in range(14)] for _ in range(10)], dtype=object)
+    matrix = left.dot(right)
+    pinv = rational_pinv(matrix)
+    # The probe pass sees rank 10 of 14, and the input goes to elimination with no residue of A+.
+    assert passes == [matrix.shape] and residues == [] and len(drawn) == 1
+    assert len(kernel_calls["rref"]) == 1
+    assert (matrix != matrix.T).any() and len(rank_factorization(matrix)[1]) == 10
+    assert _same_fractions(pinv, _factorization_formula(matrix))
 
 
 @settings(deadline=None, max_examples=60)

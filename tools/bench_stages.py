@@ -27,11 +27,11 @@ rational_pinv(H) record is missing, or if a rational_pinv(D),
 rational_pinv(G) or penrose_check(D, D+) record counts no prime.  Each
 record carries the input's order and rank and the largest numerator and
 denominator bit lengths over the input and the result; the
-rational_pinv records also carry the number of primes drawn,
-certificates included, and the penrose_check(D, D+) records the number
-its certificate takes.  The file also records the commit of the
-checkout, whether its ``src/`` differs from that commit, nproc, and the
-Python and numpy versions.
+rational_pinv records and the oracle product op also carry the number
+of primes drawn, certificates included, and the penrose_check(D, D+)
+records the number its certificate takes.  The file also records the
+commit of the checkout, whether its ``src/`` differs from that commit,
+nproc, and the Python and numpy versions.
 """
 
 from __future__ import annotations
@@ -232,7 +232,8 @@ def oracle_ops(bench: Bench, rng: random.Random) -> None:
     product = left.dot(right)
     pinv = rational_pinv(product)
     bench.time("oracle product op", rational_pinv, product, size=f"{m}x30", order=m,
-               rank=_rank(product, pinv), bits=(product, pinv))
+               rank=_rank(product, pinv), bits=(product, pinv),
+               primes=_primes_drawn(rational_pinv, product))
     bench.check("product: exact Penrose conditions", penrose_check(product, pinv).all_exact)
 
 
