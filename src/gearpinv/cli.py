@@ -145,7 +145,7 @@ def _parse_edges(text: str):
     try:
         raw = json.loads(text)
         items = [tuple(item) for item in raw]
-    except (json.JSONDecodeError, TypeError) as exc:
+    except (json.JSONDecodeError, TypeError, RecursionError) as exc:
         raise DomainError(f"cannot parse edge list: {exc}") from exc
     if not items:
         raise DomainError("edge list is empty")

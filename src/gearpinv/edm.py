@@ -4,7 +4,8 @@ A hollow symmetric matrix D is a squared-distance matrix of points
 exactly when the doubly centered Gram matrix ``-1/2 P D P`` is positive
 semidefinite, with P the centering projector.  When D is also
 spherical (``1' D+ 1 > 0``), D+ is a Gram part plus a rank-one
-correction, both read off the pseudoinverse of the Gram matrix.
+correction, both read off the pseudoinverse of the Gram matrix.  Every
+pseudoinverse here comes as integers from ``pinv._pinv_ints``.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ from fractions import Fraction
 import numpy as np
 
 from .eigen import jacobi_eigh
-from .pinv import rational_pinv
+from .pinv import _pinv_ints
 from .rational import (
     _floats, _gauss_jordan, _psd_ints, is_exact, rational_identity, scaled, unscaled,
 )
@@ -48,12 +49,17 @@ def gram_from_edm(matrix) -> np.ndarray:
     ValueError
         If the input is not square, nonempty, symmetric and hollow.
     """
+    return unscaled(*_gram_ints(*_hollow_symmetric_ints(matrix)))
+
+
+def _hollow_symmetric_ints(matrix) -> tuple[np.ndarray, int]:
+    """D = A/s split once into (A, s); ValueError unless D is square, symmetric and hollow."""
     ints, scale = scaled(_as_rational_square(matrix))
     if ints.diagonal().any():
         raise ValueError("matrix must be hollow (zero diagonal)")
     if (ints != ints.T).any():
         raise ValueError("matrix must be symmetric")
-    return unscaled(*_gram_ints(ints, scale))
+    return ints, scale
 
 
 def _gram_ints(ints, scale: int) -> tuple[np.ndarray, int]:
@@ -79,13 +85,12 @@ def is_edm(matrix) -> EdmReport:
 
     The verdict is exact: the integers of G, read off D = A/s split
     into integers once, are tested for positive semidefiniteness by
-    fraction-free elimination (``_psd_ints``), so no tolerance is
-    involved.  ``min_gram_eigenvalue`` is the smallest Gram eigenvalue
-    in floating point, reported for information only.  ``beta`` reports
-    ``1' D+ 1`` exactly, from one solve of ``D x = 1`` (see ``_ones_mass``).
+    fraction-free elimination (``_psd_ints``), so no tolerance decides
+    it; ``min_gram_eigenvalue``, the smallest Gram eigenvalue in floats,
+    is for information only.  ``beta`` is ``1' D+ 1``, exact, from one
+    solve of ``D x = 1`` or else the integers of ``pinv._pinv_ints``.
     """
-    mat = _as_rational_square(matrix)
-    ints, scale = scaled(mat)
+    ints, scale = scaled(_as_rational_square(matrix))
     m = len(ints)
     hollow, symmetric = not ints.diagonal().any(), not (ints != ints.T).any()
     min_eig, psd = float("nan"), False
@@ -93,44 +98,45 @@ def is_edm(matrix) -> EdmReport:
         gram, den = _gram_ints(ints, scale)
         min_eig = float(jacobi_eigh(_floats(gram, den))[0][0])
         psd = _psd_ints(gram)
-    beta = float(_ones_mass(mat, ints, scale, symmetric))
+    beta = float(_ones_mass(ints, scale, symmetric))
     return EdmReport(m, hollow, symmetric, min_eig, psd, beta)
 
 
-def _ones_mass(mat, ints, scale: int, symmetric: bool) -> Fraction:
+def _ones_mass(ints, scale: int, symmetric: bool) -> Fraction:
     """``1' D+ 1`` for D = A/s, with no pseudoinverse when D x = 1 solves.
 
     For symmetric D and any solution x of ``D x = 1``, ``1' D+ 1 =
     x' D D+ D x = x' D x = 1' x``.  The fraction-free pass over
     ``[A | s 1]`` gives one: when its last column is no pivot column, x
     is that column over the pivot rows, divided by the last pivot, and
-    zero elsewhere.  A non-symmetric D, or 1 outside range(D), takes the
-    exact pseudoinverse of D, given as ``mat``.
+    zero elsewhere.  A non-symmetric D, or 1 outside range(D), sums the
+    integers Y of D+ = Y/d from ``pinv._pinv_ints`` over d.
     """
     if symmetric:
         rows = [row + [scale] for row in ints.tolist()]
         pivot_cols, _, d = _gauss_jordan(rows)
         if len(rows) not in pivot_cols:
             return Fraction(sum(row[-1] for row in rows[: len(pivot_cols)]), d)
-    return rational_pinv(mat).sum()
+    pinv, den = _pinv_ints(ints, scale)
+    return Fraction(pinv.sum(), den)
 
 
 def balaji_bapat_pinv(matrix) -> np.ndarray:
     """Pseudoinverse of a spherical distance matrix through its Gram matrix.
 
     Evaluates ``-1/2 G+ + u u'/(1'u)`` in floating point, where G is the
-    centered Gram matrix and ``u = D+ 1``; u is read off the exact G+, so
-    no pseudoinverse of D is formed.  Requires D spherical, which for a
-    distance matrix means ``1' D+ 1 > 0``: true for gear and tree
-    distance matrices, not for every distance matrix.
+    centered Gram matrix and ``u = D+ 1``; u is read off the exact G+ from
+    ``pinv._pinv_ints`` on D's integers, so no pseudoinverse of D is
+    formed.  Requires D spherical, which for a distance matrix means
+    ``1' D+ 1 > 0``: true for gear and tree distances, not for every one.
 
     Raises
     ------
     ValueError
         If D is not hollow symmetric, or not spherical with ``1' D+ 1 > 0``.
     """
-    gram = gram_from_edm(matrix)
-    return _gram_route(*scaled(matrix), *scaled(rational_pinv(gram)))
+    ints, scale = _hollow_symmetric_ints(matrix)
+    return _gram_route(ints, scale, *_pinv_ints(*_gram_ints(ints, scale)))
 
 
 def _gram_route(ints, scale: int, pinv, den: int) -> np.ndarray:

@@ -75,38 +75,40 @@ def rank_factorization(matrix) -> tuple[np.ndarray, np.ndarray]:
 def rational_pinv(matrix) -> np.ndarray:
     """Exact Moore-Penrose inverse of a rational matrix.
 
-    The input is split once into integers, A = s M, and M+ = s A+.
-    For a square A, A+ is first sought from residues modulo primes
-    (``rational._modular_pinv``).  One pass modulo the first prime gives
-    A's rank r and pivot columns Q.  A of full rank is inverted prime by
-    prime until a bound proves A Y = d I.  A symmetric A of lower rank
-    gets A+ modulo each prime from B = A[Q, :] and K = A[Q, Q], as
-    ``Z K Z'`` with ``Z = B' (BB')^-1``, and a reconstruction is returned
-    once the four Penrose conditions are proven for it.  That route
-    takes at most r // 4 primes, so none below rank 8 (the cost
+    The input is split once into primitive integers, A = s M / g with
+    g the gcd of the integers s M, and M+ = (s / g) A+.  A square A is
+    first tried on residues (``rational._modular_pinv``): one pass
+    modulo the first prime gives its rank r, pivot columns Q and first
+    residue, each later prime gives a residue or is skipped, and from
+    the second residue on a reconstruction is returned once certified:
+    by a bound proving A Y = d I at full rank, and by the four Penrose
+    conditions for a symmetric A of lower rank, whose residue is
+    ``Z K Z'`` with ``B = A[Q, :]``, ``K = A[Q, Q]``, ``Z = B' (BB')^-1``.
+    That route takes at most r // 4 primes, none below rank 8 (the cost
     comparison behind the 4 is in ``rational._modular_pinv``).
 
     Every other A, and any A the residues give no certified result for,
     goes to A = C F, a rank factorization from ``rref``, which gives
-    ``M+ = s A+ = F' (C' A F')^-1 (s C')`` with one inverse of rank
+    ``M+ = F' (C' A F')^-1 C' s / g`` with one inverse of rank
     order: ``C' A F' = (C' C)(F F')`` is invertible because both factors
     have full rank.  The residues give no result when the budget runs
-    out, which a first prime that lowers the rank always makes happen,
-    or when a prime divides det BB'.  At rank zero the factors are empty
-    and the product is the zero matrix.  All four Penrose conditions
-    hold exactly for the result.
+    out, which a first prime that lowers the rank always makes happen.
+    At rank zero the factors are empty and the product is the zero
+    matrix.  All four Penrose conditions hold exactly for the result.
     """
     return unscaled(*_pinv_ints(*scaled(matrix)))
 
 
 def _pinv_ints(ints, scale: int) -> tuple[np.ndarray, int]:
     """``rational_pinv`` of ints / scale as the pair (Y, d), the pseudoinverse being Y / d."""
+    content = math.gcd(*ints.flat) or 1
+    ints = ints // content
     found = _modular_pinv(ints)
     if found is None:
         c_factor, f_factor = rank_factorization(ints)
         found = _dot_ints(f_factor.T, invert(dot(c_factor.T, ints, f_factor.T)), c_factor.T)
     pinv, den = found
-    return pinv * scale, den
+    return pinv * scale, den * content
 
 
 @dataclass(frozen=True)

@@ -10,30 +10,30 @@ with none.  Every reduction is one fraction-free Gauss-Jordan pass
 (``_gauss_jordan``) whose entries stay minors of the input.
 
 Residues are taken modulo 31-bit primes, each searched for once per
-process (``_primes``).  ``_modular_pinv`` builds the pseudoinverse of
-a square matrix from them: one Gauss-Jordan pass in int64 numpy modulo
-the first prime (``_echelon_mod``) gives the pivot columns and, for a
-nonsingular matrix, the inverse modulo that prime.  Each later prime's
-residue is folded in by one Chinese remainder step, and a rational
-reconstruction is returned only once a certificate that involves no
-probability proves it.  The cost follows the size of the result rather
-than of the minors on the way to it, so residues win where the result
-is small, as for tree and gear distance matrices.  A symmetric
-rank-deficient matrix gets a budget of primes tied to its rank; past
-it, and for every other rank-deficient or non-square matrix, the
-result comes from fraction-free elimination.  ``_residuals_vanish``
-proves Penrose residuals zero from exact residue products
-(``_dot_mod``), for ``pinv.penrose_check`` and as the symmetric route's
-certificate.  ``invert`` stays fraction-free: it serves the inputs the
-residues leave to ``pinv.rational_pinv``'s rank factorization, whose
-wide denominators would take many primes.
+process (``_primes``).  ``_modular_pinv`` builds the pseudoinverse of a
+square matrix from them by one policy.  One Gauss-Jordan pass in int64
+numpy modulo the first prime (``_echelon_mod``) gives the pivot columns
+and, for a nonsingular matrix, the inverse modulo it.  Each later prime
+gives a residue or is skipped, one Chinese remainder step folds it in,
+and from the second residue on a rational reconstruction is returned
+once a certificate with no probability proves it.  The cost follows the
+size of the result rather than of the minors on the way to it, so
+residues win where the result is small, as for tree and gear distance
+matrices.  A symmetric rank-deficient matrix gets a budget of primes
+tied to its rank; past it, and for every other rank-deficient or
+non-square matrix, the result comes from fraction-free elimination.
+``_residuals_vanish`` proves Penrose residuals zero from exact residue
+products (``_dot_mod``), for ``pinv.penrose_check`` and as the symmetric
+route's certificate.  ``invert`` stays fraction-free: it serves the
+inputs the residues leave to ``pinv.rational_pinv``'s rank
+factorization, whose wide denominators would take many primes.
 """
 
 from __future__ import annotations
 
 import threading
 from fractions import Fraction
-from itertools import chain, count, islice
+from itertools import count, islice
 from math import gcd, isqrt, lcm
 
 import numpy as np
@@ -173,7 +173,7 @@ def invert(matrix) -> np.ndarray:
     if m != n:
         raise ValueError("inverse needs a square matrix")
     # A = scale * matrix / g in integers, with g their gcd, keeps the minors small
-    # (C' A F' from rational_pinv carries s^2), and [A | I] reduces to [d I | d A^-1].
+    # (C' A F' from rational_pinv has a content), and [A | I] reduces to [d I | d A^-1].
     g = gcd(*ints.flat) or 1
     rows = [row + [int(i == j) for j in range(n)] for i, row in enumerate((ints // g).tolist())]
     pivot_cols, _, d = _gauss_jordan(rows)
@@ -272,12 +272,15 @@ def _inverse_mod(ints, p: int) -> np.ndarray | None:
 
 
 def _pinv_mod(residues: np.ndarray, cols, p: int) -> np.ndarray | None:
-    """A+ modulo the prime p from the residues of a symmetric A and its pivot columns Q.
+    """A+ modulo the prime p from the residues of A and its pivot columns Q.
 
-    With B = A[Q, :] and K = A[Q, Q] nonsingular of the rank's order,
-    A = B' K^-1 B, so A+ = Z K Z' with Z = B' (BB')^-1: one inverse of
-    rank order.  None when p divides det BB'.
+    A nonsingular A has every column in Q and gets A^-1.  For a
+    symmetric A, with B = A[Q, :] and K = A[Q, Q] nonsingular of the
+    rank's order, A = B' K^-1 B, so A+ = Z K Z' with Z = B' (BB')^-1:
+    one inverse of rank order.  None when p divides det A or det BB'.
     """
+    if len(cols) == len(residues):
+        return _inverse_mod(residues, p)
     b = residues[cols]
     inverse = _inverse_mod(_dot_mod(b, b.T, p), p)
     if inverse is None:
@@ -411,63 +414,57 @@ def _modular_pinv(ints) -> tuple[np.ndarray, int] | None:
     A matrix that is not square gets None before any prime is drawn.
     One Gauss-Jordan pass modulo the first prime (``_echelon_mod``)
     gives A's pivot columns Q and, for A of full rank modulo it, A^-1
-    modulo it.  Each later residue is folded in by one Chinese
-    remainder step, and the sum X modulo the product P of the primes is
-    reconstructed as Y over d.
+    modulo it.  Both routes below then run one loop: the first prime's
+    residue of A+ comes from that pass, each later prime gives its
+    residue (``_pinv_mod``) or is skipped when it gives none, each
+    residue is folded in by one Chinese remainder step, and from the
+    second residue on X modulo the product P of the primes is
+    reconstructed as Y over d and returned once a certificate proves it.
 
-    A of full rank modulo the first prime takes every prime that does
-    not divide det A, and (Y, d) is returned once ``_residual_bound``
-    proves A Y = d I, so at the fewest primes that certificate needs.
+    A of full rank modulo the first prime takes every prime not dividing
+    det A, and ``_residual_bound`` proves A Y = d I, so it stops at the
+    fewest primes that certificate needs.
 
-    A symmetric A of rank r modulo the first prime gets A+ modulo each
-    prime from its rows and columns Q (``_pinv_mod``).  From the
-    second prime on, (Y, d) is returned once ``_residuals_vanish``
-    proves the four Penrose conditions for Y / d, which hold for A+
-    alone (Penrose, 1955), so the rank needs no proof.  The route is
-    budgeted by one cost comparison: a prime costs about
-    ``_PASSES_PER_PRIME`` = 4 passes over the matrix in Python integers
-    (reducing A, the output product, the Chinese remainder step and the
-    reconstruction), where fraction-free elimination makes one per
-    pivot step, r in all.  So it takes at most r // 4 primes, and none
-    when that is below 2, since one prime is never reconstructed.
+    A symmetric A of rank r modulo the first prime skips a prime that
+    divides det BB'.  ``_residuals_vanish`` proves the four Penrose
+    conditions for Y / d, which hold for A+ alone (Penrose, 1955), so
+    the rank needs no proof.  The route is budgeted by one cost
+    comparison: a prime costs about ``_PASSES_PER_PRIME`` = 4 passes
+    over the matrix in Python integers (reducing A, the output product,
+    the Chinese remainder step and the reconstruction), where
+    fraction-free elimination makes one per pivot step, r in all.  So it
+    draws at most r // 4 primes, and none when that is below 2.
 
     None leaves A to fraction-free elimination.  That happens for every
     rank-deficient A that is not symmetric, when the budget runs out,
-    when a prime divides det BB', and always when the first prime was
-    unlucky: its rank is then below A's, the residues are not those of
-    A+, and no reconstruction passes the certificate, so nothing needs
-    restarting.
+    and always when the first prime was unlucky: its rank is then below
+    A's, the residues are not those of A+, and no reconstruction passes
+    the certificate, so nothing needs restarting.
     """
     if ints.shape[0] != ints.shape[1]:
         return None
     primes = _primes()
     first = next(primes)
     reduced = (ints % first).astype(np.int64)
-    cols, inverse = _echelon_mod(reduced.copy(), first)
-    if inverse is not None:
-        value, modulus = inverse.astype(object), first
-        while True:
-            found = _reconstruct(value, modulus)
-            if found is not None and _residual_bound(ints, *found) < modulus:
-                return found
-            residue = None
-            while residue is None:
-                p = next(primes)
-                residue = _inverse_mod(ints, p)
-            value, modulus = _crt(value, modulus, residue, p)
-    budget = len(cols) // _PASSES_PER_PRIME
-    if budget < 2 or (ints != ints.T).any():
-        return None
-    reductions = chain([(first, reduced)], ((p, (ints % p).astype(np.int64)) for p in primes))
-    value, modulus = 0, 1
-    for p, reduced in islice(reductions, budget):
-        residue = _pinv_mod(reduced, cols, p)
-        if residue is None:
+    cols, residue = _echelon_mod(reduced.copy(), first)
+    full_rank = residue is not None
+    if not full_rank:
+        budget = len(cols) // _PASSES_PER_PRIME
+        if budget < 2 or (ints != ints.T).any():
             return None
+        primes, residue = islice(primes, budget - 1), _pinv_mod(reduced, cols, first)
+    value, modulus = (0, 1) if residue is None else (residue.astype(object), first)
+    for p in primes:
+        residue = _pinv_mod((ints % p).astype(np.int64), cols, p)
+        if residue is None:
+            continue
         value, modulus = _crt(value, modulus, residue, p)
-        if p != first and (found := _reconstruct(value, modulus)) is not None:
-            if _residuals_vanish(ints, *found):
-                return found
+        # P = p only when the first prime gave no residue: one prime is never reconstructed.
+        if modulus == p or (found := _reconstruct(value, modulus)) is None:
+            continue
+        if (_residual_bound(ints, *found) < modulus if full_rank
+                else _residuals_vanish(ints, *found)):
+            return found
     return None
 
 

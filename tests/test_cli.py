@@ -136,6 +136,14 @@ def test_gen_tree_distance_rejects_bad_ids_and_weights(edges, fragment):
     assert err.startswith("error:") and fragment in err
 
 
+def test_gen_tree_distance_rejects_deeply_nested_edges():
+    # The JSON decoder recurses once per bracket and gives up past the recursion limit.
+    code, out, err = run_cli("gen", "tree-distance", "--edges", "[" * 100000)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:") and "cannot parse" in err
+
+
 def test_pinv_oracle_rational_golden():
     doc = run_doc("pinv", "--n", "5", "--method", "oracle")
     assert doc["format"] == "rational"

@@ -33,7 +33,7 @@ def integer_point_edm(seed: int, m: int, dim: int, reach: int) -> np.ndarray:
     )
 
 
-def _refuse(matrix):
+def _refuse(ints, scale):
     raise AssertionError("is_edm took a pseudoinverse")
 
 
@@ -108,7 +108,7 @@ def test_gram_matches_projector_product_on_rational_trees(weighted_tree_corpus):
 @pytest.mark.parametrize("m", [20, 30, 40])
 @pytest.mark.parametrize("dim", [2, 3, 4])
 def test_integer_point_edms_decided_exactly(m, dim, monkeypatch):
-    monkeypatch.setattr(gearpinv.edm, "rational_pinv", _refuse)
+    monkeypatch.setattr(gearpinv.edm, "_pinv_ints", _refuse)
     dist = integer_point_edm(1000 * m + dim, m, dim, reach=3000)
     assert is_edm(dist).is_edm
     i, j = random.Random(m + dim).sample(range(m), 2)
@@ -119,7 +119,7 @@ def test_integer_point_edms_decided_exactly(m, dim, monkeypatch):
 
 @pytest.mark.parametrize("n", range(4, 17))
 def test_gear_distances_are_edms(n, monkeypatch):
-    monkeypatch.setattr(gearpinv.edm, "rational_pinv", _refuse)
+    monkeypatch.setattr(gearpinv.edm, "_pinv_ints", _refuse)
     report = is_edm(gear_distance_closed(n))
     assert report.is_edm
     assert report.is_hollow and report.is_symmetric
@@ -182,14 +182,14 @@ def _hollow_symmetric(rng):
 )
 def test_is_edm_falls_back_to_the_pseudoinverse(rows, beta, monkeypatch):
     calls = []
-    monkeypatch.setattr(gearpinv.edm, "rational_pinv", _recording(calls))
+    monkeypatch.setattr(gearpinv.edm, "_pinv_ints", _recording(calls))
     assert is_edm(rational_matrix(rows)).beta == beta
     assert len(calls) == 1
 
 
 def test_is_edm_beta_equals_pseudoinverse_mass(monkeypatch):
     calls = []
-    monkeypatch.setattr(gearpinv.edm, "rational_pinv", _recording(calls))
+    monkeypatch.setattr(gearpinv.edm, "_pinv_ints", _recording(calls))
     rng = random.Random(11)
     for _ in range(200):
         dist = _hollow_symmetric(rng)
@@ -252,9 +252,9 @@ def test_gram_route_is_right_or_raises_on_hollow_symmetric_input():
 
 
 def _recording(calls):
-    def record(matrix):
-        calls.append(np.asarray(matrix, dtype=object))
-        return rational_pinv(matrix)
+    def record(ints, scale):
+        calls.append(unscaled(ints, scale))
+        return _pinv_ints(ints, scale)
 
     return record
 
@@ -266,7 +266,7 @@ def _count_equal(calls, dist):
 @pytest.mark.parametrize("n", [4, 7, 10])
 def test_gram_route_never_takes_the_pseudoinverse_of_d(n, monkeypatch):
     calls = []
-    monkeypatch.setattr(gearpinv.edm, "rational_pinv", _recording(calls))
+    monkeypatch.setattr(gearpinv.edm, "_pinv_ints", _recording(calls))
     dist = gear_distance_closed(n)
     balaji_bapat_pinv(dist)
     assert calls and _count_equal(calls, dist) == 0

@@ -12,9 +12,10 @@ from hypothesis import strategies as st
 
 import gearpinv.pinv
 import gearpinv.rational
-from gearpinv.edm import gram_from_edm
+from gearpinv.edm import _gram_ints, gram_from_edm
 from gearpinv.graphs import gear_distance_closed
 from gearpinv.pinv import (
+    _pinv_ints,
     beta,
     gear_pinv_formula,
     penrose_check,
@@ -37,7 +38,7 @@ from gearpinv.rational import (
     scaled,
 )
 from gearpinv.spectral import null_basis
-from gearpinv.trees import tree_distance, unit_tree
+from gearpinv.trees import tree_distance, unit_tree, weighted_tree_inverse
 
 entries = st.fractions(min_value=-9, max_value=9, max_denominator=5)
 
@@ -453,6 +454,89 @@ def test_rational_pinv_keeps_residues_to_square_and_symmetric_rank_deficient_inp
     assert len(kernel_calls["rref"]) == 1
     assert (matrix != matrix.T).any() and len(rank_factorization(matrix)[1]) == 10
     assert _same_fractions(pinv, _factorization_formula(matrix))
+
+
+def _recording_primes(monkeypatch):
+    """The primes ``rational._primes`` hands out, certificates included, from now on."""
+    drawn, primes = [], gearpinv.rational._primes
+
+    def counting():
+        for p in primes():
+            drawn.append(p)
+            yield p
+
+    monkeypatch.setattr(gearpinv.rational, "_primes", counting)
+    return drawn
+
+
+def test_every_scaling_of_the_gram_matrix_takes_one_route(kernel_calls, monkeypatch):
+    # _gram_ints hands over 2 m^2 s G over 2 m^2 s, whose content is 2 or 18, where the public
+    # G is split in lowest terms.  Both reach the residues as the same primitive integers.
+    drawn = _recording_primes(monkeypatch)
+    for n in range(6, 41):
+        dist = gear_distance_closed(n)
+        counts = []
+        for run in (lambda: _pinv_ints(*_gram_ints(*scaled(dist))),
+                    lambda: rational_pinv(gram_from_edm(dist))):
+            drawn.clear()
+            kernel_calls["rref"].clear()
+            run()
+            counts.append((len(drawn), len(kernel_calls["rref"])))
+        assert counts[0] == counts[1]
+        # From rank 8, n = 9, the budget allows 2 primes and G certifies within it.
+        assert counts[0][1] == (0 if n >= 9 else 1)
+
+
+def test_no_reconstruction_from_one_prime(weighted_tree_corpus, monkeypatch):
+    moduli, reconstruct = [], gearpinv.rational._reconstruct
+
+    def recording(value, modulus):
+        moduli.append(modulus)
+        return reconstruct(value, modulus)
+
+    monkeypatch.setattr(gearpinv.rational, "_reconstruct", recording)
+    for tree in weighted_tree_corpus:
+        moduli.clear()
+        assert _same_fractions(rational_pinv(tree_distance(tree)), weighted_tree_inverse(tree))
+        # Every prime is below 2**31, so a larger modulus is a product of two or more.
+        assert moduli and all(modulus > 2**31 for modulus in moduli)
+
+
+@pytest.mark.parametrize("unlucky", [0, 1])
+def test_rank_deficient_route_skips_a_prime_with_no_residue(unlucky, kernel_calls, monkeypatch):
+    # Gear D at n = 16 has rank 16, so a budget of 4 primes, and certifies from 2.
+    dist = gear_distance_closed(16)
+    want = _factorization_formula(dist)
+    kernel_calls["rref"].clear()
+    kernel_calls["invert"].clear()
+    p1, p2, p3 = _first_primes(3)
+    residues, moduli = [], []
+    pinv_mod, reconstruct = gearpinv.rational._pinv_mod, gearpinv.rational._reconstruct
+
+    def recording_residue(reduced, cols, p):
+        residues.append(p)
+        return pinv_mod(reduced, cols, p)
+
+    def recording_reconstruct(value, modulus):
+        moduli.append(modulus)
+        return reconstruct(value, modulus)
+
+    monkeypatch.setattr(gearpinv.rational, "_pinv_mod", recording_residue)
+    monkeypatch.setattr(gearpinv.rational, "_reconstruct", recording_reconstruct)
+    assert _same_fractions(rational_pinv(dist), want) and residues == [p1, p2]
+    residues.clear()
+    moduli.clear()
+
+    def no_residue_at_one_prime(reduced, cols, p):
+        residues.append(p)
+        return None if p == (p1, p2)[unlucky] else pinv_mod(reduced, cols, p)
+
+    monkeypatch.setattr(gearpinv.rational, "_pinv_mod", no_residue_at_one_prime)
+    # The prime is skipped, the next one takes its place, and one prime alone is never lifted.
+    assert _same_fractions(rational_pinv(dist), want)
+    assert residues == [p1, p2, p3]
+    assert moduli == ([p1 * p3] if unlucky else [p2 * p3])
+    assert kernel_calls["rref"] == [] and kernel_calls["invert"] == []
 
 
 @settings(deadline=None, max_examples=60)

@@ -7,12 +7,13 @@ Usage, from anywhere:
 The script times the gearpinv source of the checkout it sits in
 (``src/`` beside ``tools/``) and writes ``BENCH_<LABEL>.json`` at that
 checkout's root.  N are gear sizes, 40 and 60 by default.  For each N,
-with D the gear distance matrix (order 2N - 1) and G its Gram matrix,
-it takes the best of three in-process runs of rational_pinv(D),
+with D the gear distance matrix (order 2N - 1) and G its Gram matrix, it
+takes the best of three in-process runs of rational_pinv(D),
 rational_pinv(G), is_psd(G), is_edm(D), penrose_check(D, D+),
-gram_from_edm(D) and the whole check suite run_checks(N), which passes
-integer pairs between those stages, and of rational_pinv(T) for the
-distance matrix T of a seeded rational-weight tree of the same order.
+gram_from_edm(D), balaji_bapat_pinv(D) (the Gram route of
+``pinv --method k4``) and the whole check suite run_checks(N), which
+passes integer pairs between those stages, and of rational_pinv(T) for
+the distance matrix T of a seeded rational-weight tree of the same order.
 Once, it times rational_pinv(H) for the Hilbert matrix H of order 30,
 whose inverse needs many primes.  Then it times three ops shaped like
 the benchmark's ``oracle`` workload: a rational-weight tree on 40
@@ -20,18 +21,19 @@ vertices (its distance matrix, pseudoinverse, closed-form inverse and
 determinant), the EDM of 40 integer points (is_edm and the
 pseudoinverse) and a rank-10 40x30 product (the pseudoinverse).
 
-Every result is checked exactly, outside the timed runs; the script
-exits 1 if one is wrong, if a check of run_checks(N) fails, if a gear
-size lacks one of its seven stage records, if the rational_pinv(T) or
+Every result is checked outside the timed runs, exactly but for
+balaji_bapat_pinv(D), which must lie within 1e-9 of D+; the script exits
+1 if one is wrong, if a check of run_checks(N) fails, if a gear size
+lacks one of its eight stage records, if the rational_pinv(T) or
 rational_pinv(H) record is missing, or if a rational_pinv(D),
 rational_pinv(G) or penrose_check(D, D+) record counts no prime.  Each
 record carries the input's order and rank and the largest numerator and
-denominator bit lengths over the input and the result; the
-rational_pinv records and the oracle product op also carry the number
-of primes drawn, certificates included, and the penrose_check(D, D+)
-records the number its certificate takes.  The file also records the
-commit of the checkout, whether its ``src/`` differs from that commit,
-nproc, and the Python and numpy versions.
+denominator bit lengths over the input and the result; the rational_pinv
+records and the oracle product op also carry the number of primes drawn,
+certificates included, and the penrose_check(D, D+) records the number
+its certificate takes.  The file also records the commit of the
+checkout, whether its ``src/`` differs from that commit, nproc, and the
+Python and numpy versions.
 """
 
 from __future__ import annotations
@@ -54,7 +56,7 @@ sys.path.insert(0, str(ROOT / "src"))
 import numpy as np  # noqa: E402
 
 import gearpinv.rational  # noqa: E402
-from gearpinv.edm import gram_from_edm, is_edm  # noqa: E402
+from gearpinv.edm import balaji_bapat_pinv, gram_from_edm, is_edm  # noqa: E402
 from gearpinv.graphs import gear_distance_closed  # noqa: E402
 from gearpinv.pinv import beta, penrose_check, rational_pinv, u_vector  # noqa: E402
 from gearpinv.rational import det, dot, invert, is_psd, rational, rational_identity  # noqa: E402
@@ -68,7 +70,7 @@ from gearpinv.verify import run_checks  # noqa: E402
 
 DEFAULT_SIZES = (40, 60)
 GEAR_STAGES = ("gram_from_edm(D)", "rational_pinv(D)", "rational_pinv(G)", "is_psd(G)",
-               "is_edm(D)", "penrose_check(D, D+)", "run_checks(N)")
+               "is_edm(D)", "penrose_check(D, D+)", "balaji_bapat_pinv(D)", "run_checks(N)")
 REPEATS = 3
 OP_SIZE = 40
 HILBERT_ORDER = 30
@@ -155,6 +157,7 @@ def gear_stages(bench: Bench, n: int) -> None:
     report = stage("is_edm(D)", is_edm, dist, rank=rank_d, bits=(dist,))
     penrose = stage("penrose_check(D, D+)", penrose_check, dist, dist_pinv, rank=rank_d,
                     bits=(dist, dist_pinv), primes=_primes_drawn(penrose_check, dist, dist_pinv))
+    route = stage("balaji_bapat_pinv(D)", balaji_bapat_pinv, dist, rank=rank_d, bits=(dist,))
     checks = stage("run_checks(N)", run_checks, n, rank=rank_d, bits=(dist, dist_pinv))
 
     # The paper's identity D+ = -G+/2 + ((n-1)/2) u u' ties the two pseudoinverses together.
@@ -162,6 +165,8 @@ def gear_stages(bench: Bench, n: int) -> None:
     bench.check(f"{label}: D+ = -G+/2 + ((n-1)/2) u u'",
                 (dist_pinv == -gram_pinv / 2 + Fraction(n - 1, 2) * np.outer(u, u)).all())
     bench.check(f"{label}: penrose_check(D, D+) all exact", penrose.all_exact)
+    bench.check(f"{label}: balaji_bapat_pinv(D) within 1e-9 of D+",
+                np.abs(route - dist_pinv.astype(float)).max() <= 1e-9)
     bench.check(f"{label}: every check of run_checks({n}) passed",
                 all(result.passed for result in checks))
     bench.check(f"{label}: ranks n and n - 1", (rank_d, rank_g) == (n, n - 1))
