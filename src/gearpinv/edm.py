@@ -1,11 +1,12 @@
 """Euclidean distance matrix tests and the Gram-route pseudoinverse.
 
 A hollow symmetric matrix D is a squared-distance matrix of points
-exactly when the doubly centered Gram matrix ``-1/2 P D P`` is positive
-semidefinite, with P the centering projector.  When D is also
+exactly when ``S[i, j] = d[0, i] + d[0, j] - d[i, j]`` (i, j >= 1),
+twice the Gram matrix of the points moved so that the first is the
+origin, is positive semidefinite (Schoenberg 1935).  When D is also
 spherical (``1' D+ 1 > 0``), D+ is a Gram part plus a rank-one
-correction, both read off the pseudoinverse of the Gram matrix.  Every
-pseudoinverse here comes as integers from ``pinv._pinv_ints``.
+correction, both read off G+ for G = -1/2 P D P, the centered Gram
+matrix; every pseudoinverse here comes as integers from ``pinv._pinv_ints``.
 """
 
 from __future__ import annotations
@@ -68,6 +69,11 @@ def _gram_ints(ints, scale: int) -> tuple[np.ndarray, int]:
     return m * (rows[:, None] + rows[None, :]) - m * m * ints - rows.sum(), 2 * m * m * scale
 
 
+def _schoenberg_psd(ints) -> bool:
+    """Whether hollow symmetric D = A/s is an EDM: the integers s S, read off A, are PSD."""
+    return _psd_ints(ints[0, 1:, None] + ints[0, None, 1:] - ints[1:, 1:])
+
+
 @dataclass(frozen=True)
 class EdmReport:
     """Outcome of the distance-matrix test for one square matrix."""
@@ -83,21 +89,20 @@ class EdmReport:
 def is_edm(matrix) -> EdmReport:
     """Check whether an exact square matrix is a distance matrix.
 
-    The verdict is exact: the integers of G, read off D = A/s split
-    into integers once, are tested for positive semidefiniteness by
-    fraction-free elimination (``_psd_ints``), so no tolerance decides
-    it; ``min_gram_eigenvalue``, the smallest Gram eigenvalue in floats,
-    is for information only.  ``beta`` is ``1' D+ 1``, exact, from one
-    solve of ``D x = 1`` or else the integers of ``pinv._pinv_ints``.
+    The verdict is exact: Schoenberg's matrix of D = A/s, read off A,
+    is tested for positive semidefiniteness by fraction-free elimination
+    (``_schoenberg_psd``), so no tolerance decides it; the smallest
+    centered Gram eigenvalue, in floats, is for information only.
+    ``beta`` is ``1' D+ 1``, exact, from one solve of ``D x = 1`` or
+    else the integers of ``pinv._pinv_ints``.
     """
     ints, scale = scaled(_as_rational_square(matrix))
     m = len(ints)
     hollow, symmetric = not ints.diagonal().any(), not (ints != ints.T).any()
     min_eig, psd = float("nan"), False
     if hollow and symmetric:
-        gram, den = _gram_ints(ints, scale)
-        min_eig = float(jacobi_eigh(_floats(gram, den))[0][0])
-        psd = _psd_ints(gram)
+        min_eig = float(jacobi_eigh(_floats(*_gram_ints(ints, scale)))[0][0])
+        psd = _schoenberg_psd(ints)
     beta = float(_ones_mass(ints, scale, symmetric))
     return EdmReport(m, hollow, symmetric, min_eig, psd, beta)
 

@@ -16,12 +16,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .edm import _gram_ints, _gram_route
+from .edm import _gram_ints, _gram_route, _schoenberg_psd
 from .eigen import jacobi_eigh, numerical_rank
 from .graphs import bfs_distances, build_gear, gear_distance_closed
 from .laplacian import special_laplacian
 from .pinv import _penrose_ints, _pinv_ints, beta, gear_pinv_formula, u_vector
-from .rational import _floats, _psd_ints, dot, scaled
+from .rational import _floats, dot, scaled
 from .spectral import lambda_pairs, max_eigen_residual, null_basis, theta
 
 
@@ -80,8 +80,7 @@ def run_checks(n: int, tol: float = 1e-9) -> list[CheckResult]:
     )
 
     # 6. Assembled matrix equals the exact pseudoinverse of -1/2 P D P.
-    gram = _gram_ints(d_ints, d_den)
-    gram_pinv = _pinv_ints(*gram)
+    gram_pinv = _pinv_ints(*_gram_ints(d_ints, d_den))
     residual = _sup(lap - _floats(*gram_pinv))
     results.append(CheckResult("laplacian-identity", residual <= tol, residual))
 
@@ -93,8 +92,8 @@ def run_checks(n: int, tol: float = 1e-9) -> list[CheckResult]:
     report = _penrose_ints(d_ints, d_den, *oracle)
     results.append(CheckResult("penrose", report.all_exact, report.max_residual))
 
-    # 9. Check 6's Gram matrix is PSD and the Gram route from its G+ matches the oracle.
+    # 9. D is an EDM and the Gram route from check 6's G+ matches the oracle.
     residual = _sup(_gram_route(d_ints, d_den, *gram_pinv) - oracle_float)
-    results.append(CheckResult("edm", _psd_ints(gram[0]) and residual <= tol, residual))
+    results.append(CheckResult("edm", _schoenberg_psd(d_ints) and residual <= tol, residual))
 
     return results

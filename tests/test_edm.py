@@ -150,6 +150,14 @@ def test_is_edm_matches_the_fraction_gram_route(unit_tree_corpus, weighted_tree_
     inputs += [_hollow_symmetric(rng) for _ in range(20)]
     # Gram numerators far above 2**53, where only exact division rounds right.
     inputs += [integer_point_edm(seed, 12, 3, reach=10**9) * Fraction(1, 7) for seed in range(3)]
+    # Gears one symmetric entry off an EDM, in and outside the first row.
+    for n in (16, 30):
+        for (i, j), delta in (((0, n), 1), ((1, 2 * n - 2), -1)):
+            dist = gear_distance_closed(n).astype(object)
+            dist[i, j] = dist[j, i] = dist[i, j] + delta
+            inputs.append(dist)
+    # Schoenberg's matrix of a 1x1 D has order 0, of a 2x2 D order 1.
+    inputs += [rational_matrix([[0]]), rational_matrix([[0, "5/2"], ["5/2", 0]])]
     verdicts = set()
     for dist in inputs:
         gram = gram_from_edm(dist)

@@ -3,13 +3,13 @@
 import numpy as np
 import pytest
 
+import gearpinv.edm
 import gearpinv.pinv
-import gearpinv.verify
 from gearpinv.edm import balaji_bapat_pinv, gram_from_edm
 from gearpinv.graphs import gear_distance_closed
 from gearpinv.laplacian import special_laplacian
 from gearpinv.pinv import gear_pinv_formula, penrose_check, rational_pinv
-from gearpinv.rational import _residuals_vanish, is_psd, scaled
+from gearpinv.rational import _residuals_vanish, is_psd
 from gearpinv.verify import CheckResult, run_checks
 
 
@@ -58,12 +58,16 @@ def test_check_8_proves_the_penrose_conditions_itself(monkeypatch):
     assert len(calls) == 1 and (calls[0] == gear_distance_closed(9)).all()
 
 
-def test_check_9_tests_g_for_semidefiniteness(monkeypatch):
+def test_check_9_tests_the_schoenberg_matrix_for_semidefiniteness(monkeypatch):
     seen = []
-    monkeypatch.setattr(gearpinv.verify, "_psd_ints", lambda ints: seen.append(ints) or False)
+    monkeypatch.setattr(gearpinv.edm, "_psd_ints", lambda ints: seen.append(ints) or False)
     results = {result.name: result for result in run_checks(6)}
     assert not results["edm"].passed
-    # Any positive multiple of G's integers carries G's verdict.
-    gram = scaled(gram_from_edm(gear_distance_closed(6)))[0]
-    assert len(seen) == 1 and (seen[0] * gram[0, 0] == gram * seen[0][0, 0]).all()
-    assert seen[0][0, 0] * gram[0, 0] > 0
+    # D is an EDM exactly when S[i, j] = d[0, i] + d[0, j] - d[i, j] (i, j >= 1) is PSD,
+    # and any positive multiple of S carries S's verdict.
+    dist = gear_distance_closed(6)
+    schoenberg = np.array([[dist[0, i] + dist[0, j] - dist[i, j] for j in range(1, 11)]
+                           for i in range(1, 11)])
+    assert len(seen) == 1 and seen[0].shape == (10, 10)
+    assert (seen[0] * schoenberg[0, 0] == schoenberg * seen[0][0, 0]).all()
+    assert seen[0][0, 0] * schoenberg[0, 0] > 0

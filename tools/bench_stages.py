@@ -22,9 +22,11 @@ determinant), the EDM of 40 integer points (is_edm and the
 pseudoinverse) and a rank-10 40x30 product (the pseudoinverse).
 
 Every result is checked outside the timed runs, exactly but for
-balaji_bapat_pinv(D), which must lie within 1e-9 of D+; the script exits
-1 if one is wrong, if a check of run_checks(N) fails, if a gear size
-lacks one of its eight stage records, if the rational_pinv(T) or
+balaji_bapat_pinv(D), which must lie within 1e-9 of D+.  At each N,
+is_edm and is_psd of the Gram matrix must also both reject D with one
+symmetric pair of entries raised by 1.  The script exits 1 if one is
+wrong, if a check of run_checks(N) fails, if a gear size lacks one of
+its eight stage records, if the rational_pinv(T) or
 rational_pinv(H) record is missing, or if a rational_pinv(D),
 rational_pinv(G) or penrose_check(D, D+) record counts no prime.  Each
 record carries the input's order and rank and the largest numerator and
@@ -174,6 +176,10 @@ def gear_stages(bench: Bench, n: int) -> None:
     bench.check(f"{label}: is_psd(G)", psd is True)
     bench.check(f"{label}: is_edm(D) with beta = 2/(n-1)",
                 report.is_edm and report.beta == float(beta(n)) and report.order == 2 * n - 1)
+    off = dist.astype(object)
+    off[1, 2 * n - 2] = off[2 * n - 2, 1] = off[1, 2 * n - 2] + 1
+    bench.check(f"{label}: is_edm rejects D with one entry pair +1, as is_psd of its G does",
+                not is_edm(off).is_edm and not is_psd(gram_from_edm(off)))
 
     tree = _rational_tree(random.Random(f"bench_stages/tree/{n}"), 2 * n - 1)
     tree_dist, tree_inverse = tree_distance(tree), weighted_tree_inverse(tree)
