@@ -4,9 +4,9 @@ Public functions take and return numpy object arrays of
 fractions.Fraction values.  Inside, an exact matrix is a pair
 ``(ints, den)``: Python ints over one positive common denominator.
 ``scaled`` splits a matrix into it once, private cores such as
-``_dot_ints`` and ``_psd_ints`` work on it, ``unscaled`` builds each
-Fraction once at a public return, and ``_floats`` gives its floats
-with none.  Every reduction is one fraction-free Gauss-Jordan pass
+``_dot_ints`` and ``_psd_ints`` work on it, ``unscaled`` shares one
+Fraction per distinct entry at a public return, ``_floats`` gives the
+floats with none.  Every reduction is one fraction-free Gauss-Jordan pass
 (``_gauss_jordan``) whose entries stay minors of the input.
 
 Residues are taken modulo 31-bit primes, each searched for once per
@@ -76,20 +76,25 @@ def scaled(matrix) -> tuple[np.ndarray, int]:
         # tolist turns every numpy integer into a Python int in one call.
         return np.array(mat.tolist(), dtype=object).reshape(mat.shape), 1
     mat = np.asarray(matrix, dtype=object)
-    if all(type(x) is int for x in mat.flat):
+    entries = mat.ravel().tolist()
+    types = set(map(type, entries))
+    if types <= {int}:
         return mat, 1
-    # Every other type, numpy integers and bools included, goes through rational.
-    entries = [x if type(x) in (int, Fraction) else rational(x) for x in mat.flat]
-    den = lcm(*(e.denominator for e in entries))
-    ints = [e.numerator * (den // e.denominator) for e in entries]
+    if not types <= {int, Fraction}:  # numpy integers and bools go through rational too
+        entries = [x if type(x) in (int, Fraction) else rational(x) for x in entries]
+    dens = [e.denominator for e in entries]
+    den = lcm(*set(dens))
+    scale = {d: den // d for d in set(dens)}
+    ints = [e.numerator * scale[d] for e, d in zip(entries, dens)]
     return np.array(ints, dtype=object).reshape(mat.shape), den
 
 
 def unscaled(ints, den: int) -> np.ndarray:
-    """The Fraction matrix ``ints / den``, each entry built once in lowest terms."""
+    """The Fraction matrix ``ints / den``: one Fraction per distinct entry, shared."""
     ints = np.asarray(ints, dtype=object)
-    entries = [Fraction(x, den) for x in ints.flat]
-    return np.array(entries, dtype=object).reshape(ints.shape)
+    entries = ints.ravel().tolist()
+    table = {x: Fraction(x, den) for x in set(entries)}
+    return np.array([table[x] for x in entries], dtype=object).reshape(ints.shape)
 
 
 def _floats(ints, den: int) -> np.ndarray:

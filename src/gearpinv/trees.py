@@ -68,7 +68,7 @@ def tree_distance(tree: WeightedTree) -> np.ndarray:
     """Rational matrix of path weights between all vertex pairs.
 
     The walks sum integer weights over the lcm of the weight
-    denominators, and the Fractions are built once, by ``unscaled``.
+    denominators; ``unscaled`` builds one Fraction per distinct distance.
     """
     den = math.lcm(*(w.denominator for _, _, w in tree.edges))
     nbrs = [[(v, w.numerator * (den // w.denominator)) for v, w in lst] for lst in tree.adjacency()]
@@ -95,7 +95,7 @@ def weighted_tree_inverse(tree: WeightedTree) -> np.ndarray:
     has entry ``2 - degree`` at each vertex and T = tn/td is the total
     edge weight.  With q the lcm of the weight numerators, Lq = q L has
     integer entries, and the inverse is the integer matrix ``q td t t' -
-    tn Lq`` over ``2 q tn``, made Fractions once.
+    tn Lq`` over ``2 q tn``, one shared Fraction per distinct entry.
     """
     m = tree.num_vertices
     if m < 2:

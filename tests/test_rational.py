@@ -1,7 +1,7 @@
 """Exact elimination, determinant, inverse and products on Fraction matrices."""
 
 from fractions import Fraction
-from math import isqrt, prod
+from math import isqrt, lcm, prod
 
 import numpy as np
 import pytest
@@ -118,6 +118,65 @@ def test_floats_divide_int64_entries_as_python_ints():
     ints = np.array([[5477387899617909037, -(2**63) + 1]], dtype=np.int64)
     assert (ints / 9)[0, 0] != 5477387899617909037 / 9
     assert _floats(ints, 9).tobytes() == unscaled(ints, 9).astype(float).tobytes()
+
+
+_UNSCALED_CASES = {
+    "int64": (np.array([[3, -6, 0], [9, 3, -6]], dtype=np.int64), 6),
+    "big-ints": (np.array([[2**90, -(3**70)], [-(3**70), 2**90 + 1]], dtype=object), 2**7 * 3**5),
+    "zeros": (np.zeros((3, 4), dtype=object), 7),
+    "negatives-den-1": (np.array([[-1, -2, 4], [-2, -1, -2]], dtype=object), 1),
+    "empty-0x3": (np.empty((0, 3), dtype=object), 5),
+    "empty-3x0": (np.empty((3, 0), dtype=np.int64), 5),
+    "empty-0x0": (np.empty((0, 0), dtype=object), 1),
+}
+
+
+@pytest.mark.parametrize("ints, den", _UNSCALED_CASES.values(), ids=_UNSCALED_CASES.keys())
+def test_unscaled_builds_one_shared_fraction_per_distinct_value(ints, den):
+    out = unscaled(ints, den)
+    assert out.dtype == object and out.shape == ints.shape
+    for x, y in zip(ints.flat, out.flat):
+        want = F(int(x), den)
+        assert type(y) is F and y == want
+        assert type(y.numerator) is int and type(y.denominator) is int
+        assert (y.numerator, y.denominator) == (want.numerator, want.denominator)
+    # Entries of equal value are one object, and distinct values distinct objects.
+    assert len({id(y) for y in out.flat}) == len(set(out.flat))
+
+
+def test_unscaled_shared_entries_reassign_independently():
+    sym = unscaled(np.array([[2, 5], [5, 2]], dtype=object), 3)
+    assert sym[0, 1] is sym[1, 0]
+    sym[0, 1] = F(7)
+    assert sym[1, 0] == F(5, 3) and sym[0, 1] == F(7)
+
+
+_pool_values = st.one_of(
+    st.fractions(min_value=-9, max_value=9, max_denominator=12),
+    st.builds(F, st.integers(-(2**80), 2**80), st.integers(1, 2**40)),
+)
+
+
+@st.composite
+def repeating_matrix(draw):
+    # Few distinct values over many entries, so that entries repeat.
+    pool = draw(st.lists(_pool_values, min_size=1, max_size=4, unique=True))
+    rows, cols = draw(st.integers(0, 5)), draw(st.integers(0, 5))
+    values = [[draw(st.sampled_from(pool)) for _ in range(cols)] for _ in range(rows)]
+    return np.array(values, dtype=object).reshape(rows, cols)
+
+
+@settings(max_examples=100, deadline=None)
+@given(repeating_matrix())
+def test_scaled_round_trip_on_repeated_values(mat):
+    ints, den = scaled(mat)
+    want_den = lcm(*(x.denominator for x in mat.flat))
+    want = [[x.numerator * (want_den // x.denominator) for x in row] for row in mat.tolist()]
+    assert den == want_den and ints.shape == mat.shape and ints.tolist() == want
+    assert all(type(x) is int for x in ints.flat)
+    back = unscaled(ints, den)
+    assert back.shape == mat.shape and back.tolist() == mat.tolist()
+    assert all(type(x) is F and type(x.numerator) is int for x in back.flat)
 
 
 def test_rational_matrix_shape_and_entries():
