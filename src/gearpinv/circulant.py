@@ -36,6 +36,11 @@ def unit_root_powers(size: int) -> np.ndarray:
     return np.exp(2j * np.pi * np.arange(size) / size)
 
 
+def _characters(powers: np.ndarray, ms) -> np.ndarray:
+    """Characters as columns: ``powers[r*ms[j] % size]`` at ``[r, j]``."""
+    return powers[np.outer(np.arange(powers.size), ms) % powers.size]
+
+
 def circ_eigen(first_row) -> list[tuple[complex, np.ndarray]]:
     """Eigenpairs ``(sigma_m, v_m)`` of the circulant, ``m = 0..size-1``.
 
@@ -46,10 +51,9 @@ def circ_eigen(first_row) -> list[tuple[complex, np.ndarray]]:
     """
     coeffs = [float(rational(x)) for x in first_row]
     size = len(coeffs)
-    powers = unit_root_powers(size)
     sigmas = size * np.fft.ifft(coeffs)
-    indices = np.arange(size)
-    return [(complex(sigmas[m]), powers[(indices * m) % size]) for m in range(size)]
+    chars = _characters(unit_root_powers(size), np.arange(size))  # symmetric: row m is v_m
+    return [(complex(sigmas[m]), chars[m]) for m in range(size)]
 
 
 def t_spectrum(n: int) -> list[float]:

@@ -12,7 +12,7 @@ import math
 
 import numpy as np
 
-from .circulant import unit_root_powers
+from .circulant import _characters, unit_root_powers
 from .graphs import _require_pair_index, _require_wheel_size, gear_distance_closed
 
 
@@ -25,16 +25,9 @@ def null_basis(n: int) -> list[np.ndarray]:
     one exactly.
     """
     _require_wheel_size(n)
-    size = n - 1
-    vectors = []
-    for i in range(size):
-        vec = np.zeros(2 * n - 1, dtype=np.int64)
-        vec[0] = 1
-        vec[1 + i] = -1
-        vec[1 + (i + 1) % size] = -1
-        vec[n + i] = 1
-        vectors.append(vec)
-    return vectors
+    eye = np.eye(n - 1, dtype=np.int64)
+    hub = np.ones((n - 1, 1), dtype=np.int64)
+    return list(np.hstack([hub, -eye - np.roll(eye, 1, axis=1), eye]))
 
 
 def lambda_pairs(n: int) -> list[tuple[float, np.ndarray]]:
@@ -68,43 +61,46 @@ def theta(n: int, k: int) -> float:
     return -8.0 * math.cos(math.pi * k / (n - 1)) ** 2 - 2.0
 
 
-def q_vector(n: int, k: int) -> np.ndarray:
-    """Eigenvector for ``theta(n, k)``, zero on the hub.
-
-    The subdivision block carries the circulant character
-    ``v = (w**(k*r))_r`` with ``w = exp(2*pi*i/(n-1))`` and the cycle
-    block carries ``-S v / (8*cos(pi*k/(n-1))**2)`` where ``S`` is the
-    mixed distance block.  For odd ``n`` and ``k = (n-1)/2`` the cosine
-    vanishes and the eigenvector degenerates to an alternating sign
-    pattern on the cycle block with zero subdivision block.
-    """
-    _require_pair_index(n, k)
+def _q_vectors(n: int, ks: np.ndarray) -> np.ndarray:
+    """The vectors ``q_vector(n, k)`` for ``k`` in ``ks``, as columns."""
     size = n - 1
-    out = np.zeros(2 * n - 1, dtype=np.complex128)
-    if n % 2 == 1 and 2 * k == size:
-        out[1:n] = [(-1) ** r for r in range(size)]
-        return out
-    # n even makes n-1 odd, so cos(pi*k/(n-1)) cannot vanish here.
-    phi = math.cos(math.pi * k / size)
-    assert phi != 0.0
     powers = unit_root_powers(size)
-    v = powers[(np.arange(size) * k) % size]
-    # v is a character, so S v = sigma v with the mixed block's eigenvalue
-    # sigma = -2(1 + w**(-k)) from circulant.s_spectrum.
-    sigma = -2.0 * (1.0 + powers[(-k) % size])
-    out[1:n] = -sigma * v / (8.0 * phi * phi)
-    out[n:] = v
+    chars = _characters(powers, ks)
+    # S v = sigma v with sigma = -2(1 + w**(-k)), as in circulant.s_spectrum.
+    sigma = -2.0 * (1.0 + powers[(-ks) % size])
+    phi = np.array([math.cos(math.pi * k / size) for k in ks])
+    out = np.zeros((2 * n - 1, ks.size), dtype=np.complex128)
+    out[1:n] = -sigma * chars / (8.0 * phi * phi)
+    out[n:] = chars
+    # Only odd n has k = (n-1)/2, where the cosine vanishes (up to rounding).
+    for j in np.flatnonzero(2 * ks == size):
+        out[1:n, j], out[n:, j] = (-1.0) ** np.arange(size), 0.0
     return out
 
 
-def max_eigen_residual(n: int) -> float:
-    """Largest entry of ``D x - value * x`` over the closed-form eigenpairs.
+def q_vector(n: int, k: int) -> np.ndarray:
+    """Eigenvector for ``theta(n, k)``, zero on the hub.
 
-    Covers the two lambda pairs and all ``n - 2`` theta pairs in one
-    product ``D X - X diag(values)``.
+    The subdivision block carries the character ``v = (w**(k*r))_r``, with
+    ``w = exp(2*pi*i/(n-1))``, and the cycle block ``-S v / (8*cos(pi*k/(n-1))**2)``
+    with S the mixed distance block, applied through its eigenvalue.  For
+    odd n and ``k = (n-1)/2`` the cosine vanishes and the vector is an
+    alternating sign pattern on the cycle block alone.  It is one column of
+    the matrix that ``max_eigen_residual`` builds for every k at once.
     """
-    pairs = lambda_pairs(n) + [(theta(n, k), q_vector(n, k)) for k in range(1, n - 1)]
-    values = np.array([value for value, _ in pairs])
-    vectors = np.column_stack([vector for _, vector in pairs])
-    dist = gear_distance_closed(n).astype(float)
-    return float(np.max(np.abs(dist @ vectors - vectors * values)))
+    _require_pair_index(n, k)
+    return _q_vectors(n, np.array([k]))[:, 0]
+
+
+def max_eigen_residual(n: int) -> float:
+    """Largest entry of ``D X - X diag(values)`` over all n closed-form pairs.
+
+    D is real, so D X is one float product over the interleaved real and
+    imaginary parts of X, with no complex copy of D.
+    """
+    ks = np.arange(1, n - 1)
+    pairs = lambda_pairs(n)
+    values = np.array([value for value, _ in pairs] + [theta(n, k) for k in ks])
+    vectors = np.column_stack([vector for _, vector in pairs] + [_q_vectors(n, ks)])
+    product = gear_distance_closed(n).astype(float) @ vectors.view(np.float64)
+    return float(np.max(np.abs(product.view(np.complex128) - vectors * values)))

@@ -183,3 +183,43 @@ def test_null_basis_spans_numerical_null_space():
             f = vec.astype(float)
             lost = f - null_cols @ (null_cols.T @ f)
             assert np.linalg.norm(lost) <= 1e-9 * np.linalg.norm(f)
+
+
+def _looped_residual(n):
+    # The per-pair check: complex dense D times each closed-form vector.
+    dist = gear_distance_closed(n).astype(complex)
+    pairs = lambda_pairs(n) + [(theta(n, k), q_vector(n, k)) for k in range(1, n - 1)]
+    residual = scale = 0.0
+    for value, vector in pairs:
+        image = dist @ vector
+        residual = max(residual, np.max(np.abs(image - value * vector)))
+        scale = max(scale, np.max(np.abs(image)))
+    return residual, scale
+
+
+def test_q_vector_is_a_column_of_the_one_builder():
+    for n in range(4, 61):
+        matrix = spectral._q_vectors(n, np.arange(1, n - 1))
+        assert matrix.shape == (2 * n - 1, n - 2)
+        assert not matrix[0].any()
+        for k in range(1, n - 1):
+            assert np.array_equal(q_vector(n, k), matrix[:, k - 1])
+        if n % 2 == 1:
+            alternating = matrix[:, (n - 1) // 2 - 1]
+            assert np.array_equal(alternating[1:n], (-1.0) ** np.arange(n - 1))
+            assert not alternating[n:].any()
+    for n in [*range(4, 41), 150, 151]:
+        residual, scale = _looped_residual(n)
+        assert abs(max_eigen_residual(n) - residual) <= 1e-12 * scale
+
+
+@pytest.mark.parametrize("n", [11, 12])
+def test_max_eigen_residual_sees_one_wrong_eigenvalue(monkeypatch, n):
+    # Perturbing a single theta must show, so no column is dropped or shifted.
+    wrong_ks = [1, n - 2] + ([(n - 1) // 2] if n % 2 == 1 else [])
+    for wrong in wrong_ks:
+        def nudged(m, k, wrong=wrong):
+            return theta(m, k) + (1e-6 if k == wrong else 0.0)
+
+        monkeypatch.setattr(spectral, "theta", nudged)
+        assert max_eigen_residual(n) > 1e-7
