@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import itertools
 import json
 import math
 import re
@@ -36,8 +37,8 @@ import numpy as np
 from . import __version__
 from .edm import balaji_bapat_pinv
 from .graphs import bfs_distances, build_wheel, gear_distance_closed
-from .laplacian import a_matrix, b_matrix, h_matrix, special_laplacian
-from .pinv import gear_pinv_formula, rational_pinv
+from .laplacian import _a_rows, _h_rows, _laplacian_rows, b_matrix
+from .pinv import _formula_rows, rational_pinv
 from .rational import is_exact, scaled
 from .spectral import lambda_pairs, max_eigen_residual, theta
 from .trees import tree_distance, unit_tree, weighted_tree
@@ -51,10 +52,12 @@ from .verify import run_checks
 MAX_EXACT_N = 80
 
 # Largest n the dense commands (gen, pinv --method formula, spectrum,
-# laplacian) accept.  Their output has (2n - 1)^2 entries; the slowest,
-# laplacian --part a --n 1000 (an exact payload written entry by entry),
-# takes about 4 s and 410 MB of memory on a 2-core machine.  gen
-# tree-distance takes trees of up to that largest order, 2n - 1 vertices.
+# laplacian) accept.  Their output has (2n - 1)^2 entries.  At n = 1000 on a
+# 2-core machine, gen gear-distance and laplacian --part b, which build and
+# write the dense matrix, take about 1.3 s and 305 MB of memory; pinv and
+# laplacian --part full|a|h, written from three generating rows, about
+# 0.15 s and 210 MB.  gen tree-distance takes trees of up to that largest
+# order, 2n - 1 vertices: a path of 1999 takes about 4 s and 370 MB.
 MAX_DENSE_N = 1000
 
 
@@ -67,48 +70,79 @@ def _require_size(n: int, ceiling: int, routes: str) -> None:
         raise DomainError(f"n = {n} is above {ceiling}, the {routes}' ceiling")
 
 
-def _matrix_json(keys: np.ndarray, values_of) -> str:
-    """JSON text of a matrix whose entries are determined by ``keys``.
+def _tokens(matrix, fmt: str) -> list[list[str]]:
+    """The JSON text of each entry, row by row: fraction strings or round-trip floats.
 
-    ``values_of`` maps the sorted distinct keys to the JSON values they
-    stand for, so each distinct entry is formatted once.  The encoder
+    Entries are keyed (integers over one denominator, or float bit
+    patterns) so each distinct entry is formatted once.  The encoder
     writes all of them in one call; no token contains ", ".
     """
+    if fmt == "rational":
+        ints, den = scaled(matrix)
+        try:
+            # A fixed-width sort is much faster than one of Python ints.
+            keys = ints.astype(np.int64)
+        except OverflowError:
+            keys = ints
+        values_of = lambda distinct: [str(Fraction(k, den)) for k in distinct.tolist()]
+    else:
+        # Bit patterns as keys keep -0.0 apart from 0.0.
+        keys = np.asarray(matrix, dtype=float).view(np.int64)
+        values_of = lambda distinct: distinct.view(float).tolist()
     distinct, inverse = np.unique(keys.ravel(), return_inverse=True)
     values = values_of(distinct)
     tokens = json.dumps(values)[1:-1].split(", ") if values else []
-    rows = np.array(tokens, dtype=object)[inverse].reshape(keys.shape).tolist()
+    return np.array(tokens, dtype=object)[inverse].reshape(keys.shape).tolist()
+
+
+def _matrix_json(rows: list[list[str]]) -> str:
+    """JSON text of a matrix from the tokens of its entries."""
     return "[" + ", ".join(["[" + ", ".join(row) + "]" for row in rows]) + "]"
 
 
 def serialize_matrix(matrix, fmt: str) -> str:
     """The JSON text of a matrix payload: fraction strings or round-trip floats."""
-    if fmt == "rational":
-        ints, den = scaled(matrix)
-        try:
-            # A fixed-width sort is much faster than one of Python ints.
-            ints = ints.astype(np.int64)
-        except OverflowError:
-            pass
-        return _matrix_json(ints, lambda keys: [str(Fraction(k, den)) for k in keys.tolist()])
-    # Bit patterns as keys keep -0.0 apart from 0.0.
-    bits = np.asarray(matrix, dtype=float).view(np.int64)
-    return _matrix_json(bits, lambda keys: keys.view(float).tolist())
+    return _matrix_json(_tokens(matrix, fmt))
 
 
-def _document(kind, n, fmt, payload: str, parity=None, tolerance=None, checks=()) -> str:
-    """One compact line of JSON; ``payload`` is already JSON text."""
-    fields = {
-        "kind": json.dumps(kind),
-        "n": json.dumps(n),
-        "format": json.dumps(fmt),
-        "payload": payload,
-        "metadata": json.dumps(
-            {"version": __version__, "parity": parity, "tolerance": tolerance}
-        ),
-        "checks": json.dumps(list(checks)),
-    }
-    return "{" + ", ".join(f'"{key}": {text}' for key, text in fields.items()) + "}"
+def _rotations(tokens: list[str]) -> list[str]:
+    """Rows of the circulant whose first row is ``tokens``, as JSON text without brackets.
+
+    Row r is the first row rotated r places to the right: the slice of
+    the doubled row's text that starts r tokens before its second copy.
+    """
+    size = len(tokens)
+    doubled = ", ".join(tokens + tokens)
+    starts = list(itertools.accumulate([len(t) + 2 for t in tokens + tokens], initial=0))
+    return [doubled[starts[size - r]:starts[2 * size - r] - 2] for r in range(size)]
+
+
+def _rows_json(rows, fmt: str) -> list[str]:
+    """JSON text of ``laplacian._circulant_blocks(rows)``, in pieces to be joined.
+
+    Only the three generating rows are formatted; every cycle and
+    subdivision row is its class's first entry (the hub column) and two
+    rotations of block text.
+    """
+    hub, rim, sub = _tokens(rows, fmt)
+    size = (len(hub) - 1) // 2
+    pieces = ["[[", ", ".join(hub), "]"]
+    for row in (rim, sub):
+        head = f", [{row[0]}, "
+        for left, right in zip(_rotations(row[1:size + 1]), _rotations(row[size + 1:])):
+            pieces += [head, left, ", ", right, "]"]
+    pieces.append("]")
+    return pieces
+
+
+def _document(kind, n, fmt, payload: list[str], parity=None, tolerance=None, checks=()) -> str:
+    """One compact line of JSON; ``payload`` is JSON text in pieces, copied once into the line."""
+    metadata = {"version": __version__, "parity": parity, "tolerance": tolerance}
+    return "".join([
+        '{"kind": ', json.dumps(kind), ', "n": ', json.dumps(n),
+        ', "format": ', json.dumps(fmt), ', "payload": ', *payload,
+        ', "metadata": ', json.dumps(metadata), ', "checks": ', json.dumps(list(checks)), "}",
+    ])
 
 
 def _parity(n: int) -> str:
@@ -161,10 +195,15 @@ def _parse_edges(text: str):
     return weighted_tree([(a, b, _parse_weight(w)) for a, b, w in items])
 
 
-def _matrix_document(args, n: int, matrix: np.ndarray, parity=None) -> tuple[str, int]:
-    """The document of a matrix command; the format follows the payload."""
+def _matrix_document(args, n: int, matrix: np.ndarray, parity=None, rows=False) -> tuple[str, int]:
+    """The document of a matrix command; the format follows the payload.
+
+    With ``rows`` the matrix is given by its generating rows alone
+    (``laplacian._circulant_blocks``) and written from them.
+    """
     fmt = _pick_format(args.format, is_exact(matrix))
-    return _document("matrix", n, fmt, serialize_matrix(matrix, fmt), parity=parity), 0
+    payload = _rows_json(matrix, fmt) if rows else [serialize_matrix(matrix, fmt)]
+    return _document("matrix", n, fmt, payload, parity=parity), 0
 
 
 def cmd_gen(args) -> tuple[str, int]:
@@ -198,7 +237,7 @@ def cmd_pinv(args) -> tuple[str, int]:
     elif args.method == "k4":
         matrix = balaji_bapat_pinv(gear_distance_closed(args.n))
     else:
-        matrix = gear_pinv_formula(args.n)
+        return _matrix_document(args, args.n, _formula_rows(args.n), _parity(args.n), rows=True)
     return _matrix_document(args, args.n, matrix, _parity(args.n))
 
 
@@ -213,7 +252,7 @@ def cmd_spectrum(args) -> tuple[str, int]:
         "null_multiplicity": n - 1,
         "max_residual": max_eigen_residual(n),
     }
-    return _document("spectrum", n, fmt, json.dumps(payload), parity=_parity(n)), 0
+    return _document("spectrum", n, fmt, [json.dumps(payload)], parity=_parity(n)), 0
 
 
 def cmd_laplacian(args) -> tuple[str, int]:
@@ -221,17 +260,12 @@ def cmd_laplacian(args) -> tuple[str, int]:
     _require_size(n, MAX_DENSE_N, "dense commands")
     if args.part != "b" and args.k is not None:
         raise DomainError(f"--k applies only to part b, not part {args.part}")
-    if args.part == "a":
-        matrix = a_matrix(n)
-    elif args.part == "h":
-        matrix = h_matrix(n)
-    elif args.part == "b":
+    if args.part == "b":
         if args.k is None:
             raise DomainError("part b needs --k")
-        matrix = b_matrix(n, args.k)
-    else:
-        matrix = special_laplacian(n)
-    return _matrix_document(args, n, matrix, _parity(n))
+        return _matrix_document(args, n, b_matrix(n, args.k), _parity(n))
+    rows = {"a": _a_rows, "h": _h_rows, "full": _laplacian_rows}[args.part](n)
+    return _matrix_document(args, n, rows, _parity(n), rows=True)
 
 
 def cmd_verify(args) -> tuple[str, int]:
@@ -247,9 +281,9 @@ def cmd_verify(args) -> tuple[str, int]:
         "verify-report",
         args.n,
         fmt,
-        json.dumps(
+        [json.dumps(
             {"checks_passed": sum(r.passed for r in results), "checks_total": len(results)}
-        ),
+        )],
         parity=_parity(args.n),
         tolerance=args.tol,
         checks=checks,

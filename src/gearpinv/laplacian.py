@@ -31,10 +31,39 @@ def _rank_one(n: int) -> tuple[list[int], int, np.ndarray]:
     return [3 * (n - 1), n - 2, -(n + 1)], (n + 4) ** 2 * (n - 1), classes
 
 
-def _class_outer(values, den: int, classes: np.ndarray) -> np.ndarray:
-    """Exact ``x x' / den`` with x = values[classes]: one Fraction per distinct entry."""
+def _class_rows(values, den: int, classes: np.ndarray) -> np.ndarray:
+    """Rows 0, 1 and n of the exact ``x x' / den`` with x = values[classes].
+
+    One Fraction per pair of classes, shared by every entry of that value.
+    """
     column = np.array(values, dtype=object)
-    return unscaled(np.outer(column, column), den)[np.ix_(classes, classes)]
+    table = unscaled(np.outer(column, column), den)
+    return table[classes[[0, 1, len(classes) // 2 + 1]][:, None], classes]
+
+
+def _circulant_blocks(rows: np.ndarray) -> np.ndarray:
+    """The gear matrix whose rows 0, 1 and n are ``rows``.
+
+    Below the hub row, every cycle and subdivision row is the row above
+    it rotated one place to the right within each column block: the hub
+    column, the cycle block and the subdivision block.  L, D+, A and H
+    all have this shape, so their three generating rows determine them.
+    """
+    size = (rows.shape[1] - 1) // 2
+    rotations = circulant(np.arange(size))  # (s - r) mod size at [r, s]
+    out = np.empty((2 * size + 1, 2 * size + 1), dtype=rows.dtype)
+    out[0] = rows[0]
+    for first, row in ((1, rows[1]), (size + 1, rows[2])):
+        out[first:first + size, 0] = row[0]
+        out[first:first + size, 1:size + 1] = row[1:size + 1][rotations]
+        out[first:first + size, size + 1:] = row[size + 1:][rotations]
+    return out
+
+
+def _a_rows(n: int) -> np.ndarray:
+    """The generating rows of :func:`a_matrix`."""
+    _require_wheel_size(n)
+    return _class_rows(*_rank_one(n))
 
 
 def a_matrix(n: int) -> np.ndarray:
@@ -45,8 +74,17 @@ def a_matrix(n: int) -> np.ndarray:
     orthogonal to the all-ones vector.  Built from its integer form in
     ``_rank_one``, one Fraction per pair of vertex classes.
     """
+    return _circulant_blocks(_a_rows(n))
+
+
+def _h_rows(n: int) -> np.ndarray:
+    """The generating rows of :func:`h_matrix`."""
     _require_wheel_size(n)
-    return _class_outer(*_rank_one(n))
+    if n % 2 == 0:
+        raise ValueError("the alternating block exists only for odd n")
+    classes = np.zeros(2 * n - 1, dtype=int)  # hub and subdivision: 0
+    classes[1:n] = 1 + np.arange(n - 1) % 2
+    return _class_rows([0, 1, -1], n - 1, classes)
 
 
 def h_matrix(n: int) -> np.ndarray:
@@ -54,14 +92,10 @@ def h_matrix(n: int) -> np.ndarray:
 
     ``(-1)**(r+s) / (n-1)`` on the cycle block, zero elsewhere.  Equals
     the normalized outer product of the alternating eigenvector with
-    itself, which is what makes the odd assembly close.
+    itself, which is what makes the odd assembly close.  Circulant on
+    the cycle, since ``(-1)**(r+s) = (-1)**(s-r)`` and n - 1 is even.
     """
-    _require_wheel_size(n)
-    if n % 2 == 0:
-        raise ValueError("the alternating block exists only for odd n")
-    classes = np.zeros(2 * n - 1, dtype=int)  # hub and subdivision: 0
-    classes[1:n] = 1 + np.arange(n - 1) % 2
-    return _class_outer([0, 1, -1], n - 1, classes)
+    return _circulant_blocks(_h_rows(n))
 
 
 def c_matrices(n: int, k: int) -> tuple[np.ndarray, np.ndarray]:
@@ -111,6 +145,27 @@ def b_matrix(n: int, k: int) -> np.ndarray:
     return sub_weight * out
 
 
+def _laplacian_rows(n: int) -> np.ndarray:
+    """Rows 0, 1 and n of :func:`special_laplacian`, the source of all its entries."""
+    size = n - 1
+    sigma, tau = np.array(s_spectrum(n)), np.array(t_spectrum(n))
+    weights = -2.0 / (tau - 2.0) ** 2
+    weights[0] = 0.0  # the constant character is the rank-one part's
+    symbols = weights * np.stack([np.full(size, -2.0), sigma, tau])
+    # A circulant's first row is the FFT of its eigenvalues over its order.
+    rim_row, mix_row, sub_row = np.fft.fft(symbols).real / size
+    rows = np.zeros((3, 2 * n - 1))
+    rows[1, 1:n] = rim_row
+    rows[1, n:] = mix_row
+    rows[2, 1:n] = mix_row[-np.arange(size) % size]  # the mixed block's first column
+    rows[2, n:] = sub_row
+    # The rank-one part in float: 9(n-1)/(n+4)^2 * y y' with y = v / v[0].
+    values, den, classes = _rank_one(n)
+    y = (np.array(values) / values[0])[classes]
+    rows += (values[0] ** 2 / den) * np.outer(y[[0, 1, n]], y)
+    return rows
+
+
 def special_laplacian(n: int) -> np.ndarray:
     """Closed-form pseudoinverse of ``-1/2 * P D P`` for the gear graph.
 
@@ -124,23 +179,9 @@ def special_laplacian(n: int) -> np.ndarray:
     as ``-2 S_k / theta_k^2``.  One FFT of those symbols gives the three
     circulant first rows in O(n log n), the alternating row of
     :func:`h_matrix` included for odd n.  The rank-one part of
-    :func:`a_matrix`, from ``_rank_one``, is added in float; writing the
-    dense output dominates the cost.
+    :func:`a_matrix`, from ``_rank_one``, is added in float to the
+    generating rows 0, 1 and n (``_laplacian_rows``), and one index
+    gather (``_circulant_blocks``) spreads them over the matrix.  The
+    CLI writes its JSON from those three rows without this matrix.
     """
-    size = n - 1
-    sigma, tau = np.array(s_spectrum(n)), np.array(t_spectrum(n))
-    weights = -2.0 / (tau - 2.0) ** 2
-    weights[0] = 0.0  # the constant character is the rank-one part's
-    symbols = weights * np.stack([np.full(size, -2.0), sigma, tau])
-    # A circulant's first row is the FFT of its eigenvalues over its order.
-    rim_row, mix_row, sub_row = np.fft.fft(symbols).real / size
-    out = np.zeros((2 * n - 1, 2 * n - 1))
-    out[1:n, 1:n] = circulant(rim_row)
-    out[1:n, n:] = circulant(mix_row)
-    out[n:, 1:n] = out[1:n, n:].T
-    out[n:, n:] = circulant(sub_row)
-    # The rank-one part in float: 9(n-1)/(n+4)^2 * y y' with y = v / v[0].
-    values, den, classes = _rank_one(n)
-    y = (np.array(values) / values[0])[classes]
-    out += (values[0] ** 2 / den) * np.outer(y, y)
-    return out
+    return _circulant_blocks(_laplacian_rows(n))

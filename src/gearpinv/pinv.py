@@ -25,7 +25,7 @@ from fractions import Fraction
 import numpy as np
 
 from .graphs import _require_wheel_size
-from .laplacian import special_laplacian
+from .laplacian import _circulant_blocks, _laplacian_rows
 from .rational import (
     _dot_ints, _largest, _modular_pinv, _residuals_vanish, dot, invert, is_exact, rref, scaled,
     unscaled,
@@ -55,10 +55,15 @@ def beta(n: int) -> Fraction:
     return Fraction(2, n - 1)
 
 
+def _formula_rows(n: int) -> np.ndarray:
+    """Rows 0, 1 and n of :func:`gear_pinv_formula`, the source of all its entries."""
+    u = u_vector(n).astype(float)
+    return -0.5 * _laplacian_rows(n) + ((n - 1) / 2.0) * np.outer(u[[0, 1, n]], u)
+
+
 def gear_pinv_formula(n: int) -> np.ndarray:
     """Closed-form pseudoinverse of the gear distance matrix (floats)."""
-    u = u_vector(n).astype(float)
-    return -0.5 * special_laplacian(n) + ((n - 1) / 2.0) * np.outer(u, u)
+    return _circulant_blocks(_formula_rows(n))
 
 
 def rank_factorization(matrix) -> tuple[np.ndarray, np.ndarray]:

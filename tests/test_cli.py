@@ -19,7 +19,8 @@ from hypothesis import strategies as st
 
 from gearpinv import __version__, cli
 from gearpinv.cli import build_parser, main, serialize_matrix
-from gearpinv.pinv import rational_pinv
+from gearpinv.laplacian import _a_rows, _h_rows, _laplacian_rows, a_matrix, h_matrix, special_laplacian
+from gearpinv.pinv import _formula_rows, gear_pinv_formula, rational_pinv
 
 
 def run_cli(*argv):
@@ -342,6 +343,27 @@ def test_ignored_options_are_refused(monkeypatch, argv, fragment):
     assert err.startswith("error:") and fragment in err
 
 
+@pytest.mark.parametrize("n", list(range(4, 41)) + [150, 151, 299, 300])
+def test_rows_writer_equals_serialize_matrix_of_the_dense_matrix(n):
+    cases = [
+        (_formula_rows, gear_pinv_formula, "decimal"),
+        (_laplacian_rows, special_laplacian, "decimal"),
+        (_a_rows, a_matrix, "rational"),
+    ]
+    if n % 2 == 1:
+        cases.append((_h_rows, h_matrix, "rational"))
+    if n <= 12:
+        cases += [(rows_of, dense_of, "decimal") for rows_of, dense_of, _ in cases[2:]]
+    for rows_of, dense_of, fmt in cases:
+        text = "".join(cli._rows_json(rows_of(n), fmt))
+        expected = serialize_matrix(dense_of(n), fmt)
+        # Not a bare assert: pytest's own diff of two texts of megabytes takes minutes.
+        if text != expected:
+            pairs = enumerate(zip(text, expected))
+            first = next((i for i, (a, b) in pairs if a != b), min(len(text), len(expected)))
+            pytest.fail(f"{dense_of.__name__}, {fmt}: differs from {text[first:first + 40]!r}")
+
+
 def test_laplacian_full_document():
     doc = run_doc("laplacian", "--n", "5")
     assert doc["format"] == "decimal"
@@ -398,9 +420,9 @@ def test_exact_routes_refuse_n_above_ceiling(monkeypatch, argv):
 
 
 _DENSE_BUILDERS = (
-    "gear_distance_closed", "bfs_distances", "build_wheel", "gear_pinv_formula",
+    "gear_distance_closed", "bfs_distances", "build_wheel", "_formula_rows",
     "lambda_pairs", "theta", "max_eigen_residual",
-    "a_matrix", "h_matrix", "b_matrix", "special_laplacian", "tree_distance",
+    "_a_rows", "_h_rows", "b_matrix", "_laplacian_rows", "tree_distance",
 )
 
 

@@ -8,12 +8,16 @@ import pytest
 from gearpinv.circulant import unit_root_powers
 from gearpinv.eigen import jacobi_eigh, numerical_rank
 from gearpinv.laplacian import (
+    _a_rows,
+    _h_rows,
+    _laplacian_rows,
     a_matrix,
     b_matrix,
     c_matrices,
     h_matrix,
     special_laplacian,
 )
+from gearpinv.pinv import _formula_rows, gear_pinv_formula
 from gearpinv.spectral import q_vector, theta
 
 
@@ -242,6 +246,27 @@ def test_spectral_projections_sum_to_cosine_blocks():
         half = (n - 2) // 2 if n % 2 == 0 else (n - 3) // 2
         rebuilt = sum(b_matrix(n, k) for k in range(1, half + 1))
         assert np.max(np.abs(total - rebuilt)) < 1e-9
+
+
+def _assert_rotated_from_generating_rows(dense, rows, n):
+    """Rows 0, 1 and n of ``dense`` are ``rows``; each later row rotates the one above it."""
+    assert np.array_equal(dense[[0, 1, n]], rows)
+    blocks = (slice(0, 1), slice(1, n), slice(n, 2 * n - 1))
+    for first in (1, n):
+        for i in range(first + 1, first + n - 1):
+            for block in blocks:
+                assert np.array_equal(dense[i, block], np.roll(dense[i - 1, block], 1)), (i, block)
+
+
+@pytest.mark.parametrize("n", [4, 5, 6, 7, 12, 31, 150, 151])
+def test_gear_matrices_are_their_generating_rows_rotated(n):
+    for dense, rows in ((special_laplacian(n), _laplacian_rows(n)),
+                        (gear_pinv_formula(n), _formula_rows(n))):
+        # Bit for bit: -0.0 and 0.0 differ here.
+        _assert_rotated_from_generating_rows(dense.view(np.int64), rows.view(np.int64), n)
+    _assert_rotated_from_generating_rows(a_matrix(n), _a_rows(n), n)
+    if n % 2 == 1:
+        _assert_rotated_from_generating_rows(h_matrix(n), _h_rows(n), n)
 
 
 def test_small_n_rejected():
