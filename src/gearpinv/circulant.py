@@ -24,6 +24,25 @@ def circulant(first_row) -> np.ndarray:
     return row[(index[None, :] - index[:, None]) % row.size]
 
 
+def _circulant_blocks(rows: np.ndarray) -> np.ndarray:
+    """The gear matrix whose rows 0, 1 and n are ``rows``.
+
+    Below the hub row, every cycle and subdivision row is the row above
+    it rotated one place to the right within each column block: the hub
+    column, the cycle block and the subdivision block.  D, L, D+, A, B
+    and H all have this shape, so their three generating rows fix them.
+    """
+    size = (rows.shape[1] - 1) // 2
+    rotations = circulant(np.arange(size))  # (s - r) mod size at [r, s]
+    out = np.empty((2 * size + 1, 2 * size + 1), dtype=rows.dtype)
+    out[0] = rows[0]
+    for first, row in ((1, rows[1]), (size + 1, rows[2])):
+        out[first:first + size, 0] = row[0]
+        out[first:first + size, 1:size + 1] = row[1:size + 1][rotations]
+        out[first:first + size, size + 1:] = row[size + 1:][rotations]
+    return out
+
+
 def circ(first_row) -> np.ndarray:
     """Rational circulant; entries are coerced to Fraction."""
     return circulant([rational(x) for x in first_row])

@@ -36,8 +36,8 @@ import numpy as np
 
 from . import __version__
 from .edm import balaji_bapat_pinv
-from .graphs import bfs_distances, build_wheel, gear_distance_closed
-from .laplacian import _a_rows, _h_rows, _laplacian_rows, b_matrix
+from .graphs import _gear_distance_rows, bfs_distances, build_wheel, gear_distance_closed
+from .laplacian import _a_rows, _b_rows, _h_rows, _laplacian_rows
 from .pinv import _formula_rows, rational_pinv
 from .rational import is_exact, scaled
 from .spectral import lambda_pairs, max_eigen_residual, theta
@@ -53,11 +53,10 @@ MAX_EXACT_N = 80
 
 # Largest n the dense commands (gen, pinv --method formula, spectrum,
 # laplacian) accept.  Their output has (2n - 1)^2 entries.  At n = 1000 on a
-# 2-core machine, gen gear-distance and laplacian --part b, which build and
-# write the dense matrix, take about 1.3 s and 305 MB of memory; pinv and
-# laplacian --part full|a|h, written from three generating rows, about
-# 0.15 s and 210 MB.  gen tree-distance takes trees of up to that largest
-# order, 2n - 1 vertices: a path of 1999 takes about 4 s and 370 MB.
+# 2-core machine the gear matrices, written from three generating rows, take
+# 0.01 to 0.15 s and 70 to 210 MB; gen wheel-distance 0.3 s and 100 MB.  gen
+# tree-distance takes trees of up to that largest order, 2n - 1 vertices: a
+# path of 1999 takes about 4 s and 370 MB.
 MAX_DENSE_N = 1000
 
 
@@ -95,14 +94,9 @@ def _tokens(matrix, fmt: str) -> list[list[str]]:
     return np.array(tokens, dtype=object)[inverse].reshape(keys.shape).tolist()
 
 
-def _matrix_json(rows: list[list[str]]) -> str:
-    """JSON text of a matrix from the tokens of its entries."""
-    return "[" + ", ".join(["[" + ", ".join(row) + "]" for row in rows]) + "]"
-
-
 def serialize_matrix(matrix, fmt: str) -> str:
     """The JSON text of a matrix payload: fraction strings or round-trip floats."""
-    return _matrix_json(_tokens(matrix, fmt))
+    return "[" + ", ".join(["[" + ", ".join(row) + "]" for row in _tokens(matrix, fmt)]) + "]"
 
 
 def _rotations(tokens: list[str]) -> list[str]:
@@ -118,7 +112,7 @@ def _rotations(tokens: list[str]) -> list[str]:
 
 
 def _rows_json(rows, fmt: str) -> list[str]:
-    """JSON text of ``laplacian._circulant_blocks(rows)``, in pieces to be joined.
+    """JSON text of ``circulant._circulant_blocks(rows)``, in pieces to be joined.
 
     Only the three generating rows are formatted; every cycle and
     subdivision row is its class's first entry (the hub column) and two
@@ -199,7 +193,7 @@ def _matrix_document(args, n: int, matrix: np.ndarray, parity=None, rows=False) 
     """The document of a matrix command; the format follows the payload.
 
     With ``rows`` the matrix is given by its generating rows alone
-    (``laplacian._circulant_blocks``) and written from them.
+    (``circulant._circulant_blocks``) and written from them.
     """
     fmt = _pick_format(args.format, is_exact(matrix))
     payload = _rows_json(matrix, fmt) if rows else [serialize_matrix(matrix, fmt)]
@@ -220,11 +214,9 @@ def cmd_gen(args) -> tuple[str, int]:
     if args.edges is not None:
         raise DomainError(f"{args.kind} takes no --edges")
     _require_size(args.n, MAX_DENSE_N, "dense commands")
-    if args.kind == "gear-distance":
-        matrix = gear_distance_closed(args.n)
-    else:
-        matrix = bfs_distances(build_wheel(args.n))
-    return _matrix_document(args, args.n, matrix, _parity(args.n))
+    gear = args.kind == "gear-distance"
+    matrix = _gear_distance_rows(args.n) if gear else bfs_distances(build_wheel(args.n))
+    return _matrix_document(args, args.n, matrix, _parity(args.n), rows=gear)
 
 
 def cmd_pinv(args) -> tuple[str, int]:
@@ -260,12 +252,11 @@ def cmd_laplacian(args) -> tuple[str, int]:
     _require_size(n, MAX_DENSE_N, "dense commands")
     if args.part != "b" and args.k is not None:
         raise DomainError(f"--k applies only to part b, not part {args.part}")
-    if args.part == "b":
-        if args.k is None:
-            raise DomainError("part b needs --k")
-        return _matrix_document(args, n, b_matrix(n, args.k), _parity(n))
-    rows = {"a": _a_rows, "h": _h_rows, "full": _laplacian_rows}[args.part](n)
-    return _matrix_document(args, n, rows, _parity(n), rows=True)
+    if args.part == "b" and args.k is None:
+        raise DomainError("part b needs --k")
+    rows_of = {"a": _a_rows, "h": _h_rows, "full": _laplacian_rows,
+               "b": lambda order: _b_rows(order, args.k)}
+    return _matrix_document(args, n, rows_of[args.part](n), _parity(n), rows=True)
 
 
 def cmd_verify(args) -> tuple[str, int]:

@@ -150,22 +150,26 @@ def sub_to_sub_row(n: int) -> list[int]:
     return [0, 2] + [4] * (n - 4) + [2]
 
 
+def _gear_distance_rows(n: int) -> np.ndarray:
+    """Rows 0, 1 and n of :func:`gear_distance_closed`, as int64."""
+    _require_wheel_size(n)
+    size = n - 1
+    mixed = np.array(rim_to_sub_row(n))
+    hub = np.repeat([0, 1, 2], [1, size, size])
+    rim = np.concatenate([[1, 0], np.full(size - 1, 2), mixed])
+    # The subdivision row's cycle part is the mixed block's first column.
+    sub = np.concatenate([[2], mixed[-np.arange(size) % size], sub_to_sub_row(n)])
+    return np.array([hub, rim, sub], dtype=np.int64)
+
+
 def gear_distance_closed(n: int) -> np.ndarray:
     """Distance matrix of the gear graph from its block pattern.
 
     The hub row is ``(0, 1...1, 2...2)``; cycle vertices sit at mutual
-    distance 2; the mixed and subdivision blocks are circulants built
-    from :func:`rim_to_sub_row` and :func:`sub_to_sub_row`.
+    distance 2; the mixed and subdivision blocks are circulants with
+    first rows :func:`rim_to_sub_row` and :func:`sub_to_sub_row`.  So
+    rows 0, 1 and n fix the matrix, and one gather spreads them over it.
     """
-    from .circulant import circulant
+    from .circulant import _circulant_blocks
 
-    _require_wheel_size(n)
-    size = n - 1
-    s_block = circulant(rim_to_sub_row(n))
-    t_block = circulant(sub_to_sub_row(n))
-    rim_block = 2 * (np.ones((size, size), dtype=np.int64) - np.eye(size, dtype=np.int64))
-    column = np.ones((size, 1), dtype=np.int64)
-    top = np.hstack([np.zeros((1, 1), dtype=np.int64), column.T, 2 * column.T])
-    middle = np.hstack([column, rim_block, s_block])
-    bottom = np.hstack([2 * column, s_block.T, t_block])
-    return np.vstack([top, middle, bottom])
+    return _circulant_blocks(_gear_distance_rows(n))

@@ -16,7 +16,7 @@ import math
 
 import numpy as np
 
-from .circulant import circulant, s_spectrum, t_spectrum
+from .circulant import _circulant_blocks, circulant, s_spectrum, t_spectrum, unit_root_powers
 from .graphs import _require_pair_index, _require_wheel_size
 from .rational import unscaled
 
@@ -39,25 +39,6 @@ def _class_rows(values, den: int, classes: np.ndarray) -> np.ndarray:
     column = np.array(values, dtype=object)
     table = unscaled(np.outer(column, column), den)
     return table[classes[[0, 1, len(classes) // 2 + 1]][:, None], classes]
-
-
-def _circulant_blocks(rows: np.ndarray) -> np.ndarray:
-    """The gear matrix whose rows 0, 1 and n are ``rows``.
-
-    Below the hub row, every cycle and subdivision row is the row above
-    it rotated one place to the right within each column block: the hub
-    column, the cycle block and the subdivision block.  L, D+, A and H
-    all have this shape, so their three generating rows determine them.
-    """
-    size = (rows.shape[1] - 1) // 2
-    rotations = circulant(np.arange(size))  # (s - r) mod size at [r, s]
-    out = np.empty((2 * size + 1, 2 * size + 1), dtype=rows.dtype)
-    out[0] = rows[0]
-    for first, row in ((1, rows[1]), (size + 1, rows[2])):
-        out[first:first + size, 0] = row[0]
-        out[first:first + size, 1:size + 1] = row[1:size + 1][rotations]
-        out[first:first + size, size + 1:] = row[size + 1:][rotations]
-    return out
 
 
 def _a_rows(n: int) -> np.ndarray:
@@ -98,6 +79,14 @@ def h_matrix(n: int) -> np.ndarray:
     return _circulant_blocks(_h_rows(n))
 
 
+def _cosine_row(n: int, k: int) -> np.ndarray:
+    """``cos(2*pi*s*k/(n-1))`` for s < n-1, from unit roots at angles folded into [0, pi]."""
+    _require_pair_index(n, k)
+    size = n - 1
+    index = np.arange(size) * k % size
+    return unit_root_powers(size).real[np.minimum(index, size - index)]  # even: C is symmetric
+
+
 def c_matrices(n: int, k: int) -> tuple[np.ndarray, np.ndarray]:
     """Cosine circulants of order n-1 for the k-th eigenvalue pair.
 
@@ -105,12 +94,23 @@ def c_matrices(n: int, k: int) -> tuple[np.ndarray, np.ndarray]:
     and ``C_shift[r, s] = cos(2*pi*(r-s-1)*k/(n-1))``.  C is symmetric;
     both are real parts of character outer products.
     """
-    _require_pair_index(n, k)
+    row = _cosine_row(n, k)
+    return circulant(row), circulant(np.roll(row, -1))
+
+
+def _b_rows(n: int, k: int) -> np.ndarray:
+    """The generating rows of :func:`b_matrix`."""
+    row = _cosine_row(n, k)
+    if n % 2 == 1 and 2 * k == n - 1:
+        raise ValueError("cos(pi*k/(n-1)) vanishes: no cosine block at this k")
     size = n - 1
-    idx = np.arange(size)
-    diff = idx[:, None] - idx[None, :]
-    step = 2.0 * math.pi * k / size
-    return np.cos(step * diff), np.cos(step * (diff - 1))
+    phi = math.cos(math.pi * k / size)
+    quarter = 4.0 * phi * phi
+    sub_weight = 2.0 / (size * (2.0 * phi + 1.0 / (2.0 * phi)) ** 2)
+    mixed = (row + np.roll(row, -1)) / quarter
+    rim = np.concatenate([[0.0], row / quarter, mixed])
+    sub = np.concatenate([[0.0], mixed[-np.arange(size) % size], row])  # mixed's first column
+    return sub_weight * np.array([np.zeros(2 * n - 1), rim, sub])
 
 
 def b_matrix(n: int, k: int) -> np.ndarray:
@@ -121,7 +121,7 @@ def b_matrix(n: int, k: int) -> np.ndarray:
     assembly sums it over the lower half of the k range only.  With
     ``phi = cos(pi k/(n-1))`` the subdivision block weight is ``2 /
     ((n-1) (2 phi + 1/(2 phi))^2)`` and the cycle weight is that over
-    ``4 phi^2``.
+    ``4 phi^2``.  Its blocks are circulant: rows 0, 1 and n fix it.
 
     Raises
     ------
@@ -129,20 +129,7 @@ def b_matrix(n: int, k: int) -> np.ndarray:
         For odd n at ``k = (n-1)/2`` where ``cos(pi*k/(n-1)) = 0`` and
         this block degenerates (the alternating block takes over).
     """
-    _require_pair_index(n, k)
-    if n % 2 == 1 and 2 * k == n - 1:
-        raise ValueError("cos(pi*k/(n-1)) vanishes: no cosine block at this k")
-    size = n - 1
-    phi = math.cos(math.pi * k / size)
-    quarter = 4.0 * phi * phi
-    sub_weight = 2.0 / (size * (2.0 * phi + 1.0 / (2.0 * phi)) ** 2)
-    c_plain, c_shift = c_matrices(n, k)
-    out = np.zeros((2 * n - 1, 2 * n - 1))
-    out[1:n, 1:n] = c_plain / quarter
-    out[1:n, n:] = (c_plain + c_shift) / quarter
-    out[n:, 1:n] = (c_plain + c_shift.T) / quarter
-    out[n:, n:] = c_plain
-    return sub_weight * out
+    return _circulant_blocks(_b_rows(n, k))
 
 
 def _laplacian_rows(n: int) -> np.ndarray:

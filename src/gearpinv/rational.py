@@ -233,20 +233,18 @@ def _primes():
 def _echelon_mod(work: np.ndarray, p: int) -> tuple[list[int], np.ndarray | None]:
     """Gauss-Jordan pass in place on int64 residues modulo the prime p: (cols, inverse).
 
-    cols are the pivot columns Q, so len(Q) is the rank of A modulo p.
-    The pass stops once the rows left below the pivots are zero.
-    inverse is A^-1 modulo p for a square A of full rank modulo p, else
-    None.  Each step swaps the pivot row into place and stores, in the
-    column it clears, the column of [A | I]'s right half that the step
-    fills; the swaps are undone on the columns at the end.
+    A is square (A itself or BB').  cols are the pivot columns Q, so
+    len(Q) is its rank modulo p; the pass stops once the rows below the
+    pivots are zero.  inverse is A^-1 modulo p at full rank, else None.
+    Each step swaps the pivot row into place and stores, in the column
+    it clears, the column of [A | I]'s right half that the step fills;
+    the swaps are undone on the columns at the end.
     """
-    m, n = work.shape
+    m = len(work)
     order = np.arange(m)
     cols: list[int] = []
-    for col in range(n):
+    for col in range(m):
         rank = len(cols)
-        if rank == m:
-            break
         # The largest residue in the column is nonzero unless all are.
         piv = rank + int(work[rank:, col].argmax())
         pivot_row = work[piv].copy()
@@ -268,7 +266,7 @@ def _echelon_mod(work: np.ndarray, p: int) -> tuple[list[int], np.ndarray | None
         work[rank] = pivot_row
         cols.append(col)
     # Column col now holds the inverse's column of the row moved to col.
-    return cols, work[:, np.argsort(order)] if len(cols) == m == n else None
+    return cols, work[:, np.argsort(order)] if len(cols) == m else None
 
 
 def _inverse_mod(ints, p: int) -> np.ndarray | None:

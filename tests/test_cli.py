@@ -5,6 +5,7 @@ stdout and asserts on the document rather than on raw text.
 """
 
 import contextlib
+import functools
 import io
 import json
 import math
@@ -19,7 +20,10 @@ from hypothesis import strategies as st
 
 from gearpinv import __version__, cli
 from gearpinv.cli import build_parser, main, serialize_matrix
-from gearpinv.laplacian import _a_rows, _h_rows, _laplacian_rows, a_matrix, h_matrix, special_laplacian
+from gearpinv.graphs import _gear_distance_rows, gear_distance_closed
+from gearpinv.laplacian import (
+    _a_rows, _b_rows, _h_rows, _laplacian_rows, a_matrix, b_matrix, h_matrix, special_laplacian,
+)
 from gearpinv.pinv import _formula_rows, gear_pinv_formula, rational_pinv
 
 
@@ -320,6 +324,20 @@ def test_laplacian_cosine_part_rejects_vanishing_cosine():
     code, _, err = run_cli("laplacian", "--n", "5", "--part", "b", "--k", "2")
     assert code == 2
     assert "vanishes" in err
+    for k in ("0", "4", "-1"):
+        code, out, err = run_cli("laplacian", "--n", "5", "--part", "b", "--k", k)
+        assert (code, out) == (2, "") and "k must satisfy" in err
+
+
+@pytest.mark.parametrize("n", [4, 7, 12, 301])
+def test_row_written_commands_print_serialize_matrix_of_the_dense_matrix(n):
+    cases = [(("gen", "gear-distance"), gear_distance_closed(n), "rational")]
+    for k in sorted({1, n - 2}):
+        cases.append((("laplacian", "--part", "b", "--k", str(k)), b_matrix(n, k), "decimal"))
+    for argv, matrix, fmt in cases:
+        code, out, err = run_cli(*argv, "--n", str(n))
+        assert code == 0, err
+        assert f', "payload": {serialize_matrix(matrix, fmt)}, "metadata": ' in out, argv
 
 
 @pytest.mark.parametrize(
@@ -348,12 +366,16 @@ def test_rows_writer_equals_serialize_matrix_of_the_dense_matrix(n):
     cases = [
         (_formula_rows, gear_pinv_formula, "decimal"),
         (_laplacian_rows, special_laplacian, "decimal"),
+        (_gear_distance_rows, gear_distance_closed, "decimal"),
+        (_gear_distance_rows, gear_distance_closed, "rational"),
         (_a_rows, a_matrix, "rational"),
     ]
     if n % 2 == 1:
         cases.append((_h_rows, h_matrix, "rational"))
     if n <= 12:
-        cases += [(rows_of, dense_of, "decimal") for rows_of, dense_of, _ in cases[2:]]
+        cases += [(rows_of, dense_of, "decimal") for rows_of, dense_of, _ in cases[4:]]
+    for k in sorted({1, (n - 2) // 2, n - 2}):
+        cases.append((functools.partial(_b_rows, k=k), functools.partial(b_matrix, k=k), "decimal"))
     for rows_of, dense_of, fmt in cases:
         text = "".join(cli._rows_json(rows_of(n), fmt))
         expected = serialize_matrix(dense_of(n), fmt)
@@ -361,7 +383,7 @@ def test_rows_writer_equals_serialize_matrix_of_the_dense_matrix(n):
         if text != expected:
             pairs = enumerate(zip(text, expected))
             first = next((i for i, (a, b) in pairs if a != b), min(len(text), len(expected)))
-            pytest.fail(f"{dense_of.__name__}, {fmt}: differs from {text[first:first + 40]!r}")
+            pytest.fail(f"{dense_of}, {fmt}: differs from {text[first:first + 40]!r}")
 
 
 def test_laplacian_full_document():
@@ -422,7 +444,7 @@ def test_exact_routes_refuse_n_above_ceiling(monkeypatch, argv):
 _DENSE_BUILDERS = (
     "gear_distance_closed", "bfs_distances", "build_wheel", "_formula_rows",
     "lambda_pairs", "theta", "max_eigen_residual",
-    "_a_rows", "_h_rows", "b_matrix", "_laplacian_rows", "tree_distance",
+    "_a_rows", "_h_rows", "_b_rows", "_gear_distance_rows", "_laplacian_rows", "tree_distance",
 )
 
 

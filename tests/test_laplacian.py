@@ -1,5 +1,6 @@
 """Assembly of the closed-form pseudoinverse of the centered distances."""
 
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -7,8 +8,10 @@ import pytest
 
 from gearpinv.circulant import unit_root_powers
 from gearpinv.eigen import jacobi_eigh, numerical_rank
+from gearpinv.graphs import _gear_distance_rows, gear_distance_closed
 from gearpinv.laplacian import (
     _a_rows,
+    _b_rows,
     _h_rows,
     _laplacian_rows,
     a_matrix,
@@ -79,6 +82,22 @@ def test_c_matrices_entrywise_definition():
                 assert abs(plain[r, s] - expected) < 1e-14
                 expected = np.cos(2 * np.pi * (r - s - 1) * k / size)
                 assert abs(shifted[r, s] - expected) < 1e-14
+
+
+def test_c_matrices_reduce_the_angle_before_the_cosine():
+    # The reference takes m = (r - s) k mod 999 and folds it to min(m, 999 - m),
+    # an angle of at most pi.  Unreduced angles of up to 2 pi k lose about 1e-12
+    # at n = 1000.
+    def cosine(m):
+        m %= 999
+        return math.cos(2 * math.pi * min(m, 999 - m) / 999)
+
+    rng = np.random.default_rng(7)
+    for k in (1, 2, 333, 499, 500, 700, 997, 998):
+        plain, shifted = c_matrices(1000, k)
+        for r, s in rng.integers(0, 999, size=(40, 2)).tolist():
+            assert abs(plain[r, s] - cosine((r - s) * k)) <= 4e-16
+            assert abs(shifted[r, s] - cosine((r - s - 1) * k)) <= 4e-16
 
 
 def test_c_matrix_symmetry_and_shift_relation():
@@ -253,9 +272,9 @@ def _assert_rotated_from_generating_rows(dense, rows, n):
     assert np.array_equal(dense[[0, 1, n]], rows)
     blocks = (slice(0, 1), slice(1, n), slice(n, 2 * n - 1))
     for first in (1, n):
-        for i in range(first + 1, first + n - 1):
-            for block in blocks:
-                assert np.array_equal(dense[i, block], np.roll(dense[i - 1, block], 1)), (i, block)
+        for block in blocks:
+            below, above = dense[first + 1:first + n - 1, block], dense[first:first + n - 2, block]
+            assert np.array_equal(below, np.roll(above, 1, axis=1)), (first, block)
 
 
 @pytest.mark.parametrize("n", [4, 5, 6, 7, 12, 31, 150, 151])
@@ -267,6 +286,13 @@ def test_gear_matrices_are_their_generating_rows_rotated(n):
     _assert_rotated_from_generating_rows(a_matrix(n), _a_rows(n), n)
     if n % 2 == 1:
         _assert_rotated_from_generating_rows(h_matrix(n), _h_rows(n), n)
+    dist = gear_distance_closed(n)
+    assert dist.dtype == np.int64
+    _assert_rotated_from_generating_rows(dist, _gear_distance_rows(n), n)
+    for k in range(1, n - 1):
+        if n % 2 == 0 or 2 * k != n - 1:
+            dense, rows = b_matrix(n, k), _b_rows(n, k)
+            _assert_rotated_from_generating_rows(dense.view(np.int64), rows.view(np.int64), n)
 
 
 def test_small_n_rejected():
