@@ -6,8 +6,18 @@ import math
 
 import numpy as np
 
-from .graphs import _require_wheel_size
 from .rational import rational
+
+
+def _require_wheel_size(n: int) -> None:
+    if n < 4:
+        raise ValueError("n must be ≥ 4")
+
+
+def _require_pair_index(n: int, k: int) -> None:
+    _require_wheel_size(n)
+    if not 1 <= k <= n - 2:
+        raise ValueError("k must satisfy 1 ≤ k ≤ n-2")
 
 
 def circulant(first_row) -> np.ndarray:
@@ -25,21 +35,22 @@ def circulant(first_row) -> np.ndarray:
 
 
 def _circulant_blocks(rows: np.ndarray) -> np.ndarray:
-    """The gear matrix whose rows 0, 1 and n are ``rows``.
+    """The matrix of a hub and equal rings whose rows 0, 1, 1 + size, ... are ``rows``.
 
-    Below the hub row, every cycle and subdivision row is the row above
-    it rotated one place to the right within each column block: the hub
-    column, the cycle block and the subdivision block.  D, L, D+, A, B
-    and H all have this shape, so their three generating rows fix them.
+    Below the hub row, every row of a ring (the wheel's cycle, or the
+    gear's cycle and subdivision) is the row above it rotated one place
+    to the right within each column block: the hub column and one block
+    per ring.  The wheel's D and the gear's D, L, D+, A, B and H all have
+    this shape, so their generating rows fix them.
     """
-    size = (rows.shape[1] - 1) // 2
+    size = (rows.shape[1] - 1) // (len(rows) - 1)
     rotations = circulant(np.arange(size))  # (s - r) mod size at [r, s]
-    out = np.empty((2 * size + 1, 2 * size + 1), dtype=rows.dtype)
+    out = np.empty((rows.shape[1],) * 2, dtype=rows.dtype)
     out[0] = rows[0]
-    for first, row in ((1, rows[1]), (size + 1, rows[2])):
+    for first, row in zip(range(1, rows.shape[1], size), rows[1:]):
         out[first:first + size, 0] = row[0]
-        out[first:first + size, 1:size + 1] = row[1:size + 1][rotations]
-        out[first:first + size, size + 1:] = row[size + 1:][rotations]
+        for block in range(1, row.size, size):
+            out[first:first + size, block:block + size] = row[block:block + size][rotations]
     return out
 
 
@@ -52,7 +63,10 @@ def unit_root_powers(size: int) -> np.ndarray:
     """Powers ``w**0 .. w**(size-1)`` of ``w = exp(2*pi*i/size)``."""
     if size < 1:
         raise ValueError("size must be positive")
-    return np.exp(2j * np.pi * np.arange(size) / size)
+    # Angles below pi, then -1 at pi for even sizes, then the first half mirrored:
+    # the powers of m and size - m are exact conjugates.
+    half = np.exp(2j * np.pi * np.arange((size + 1) // 2) / size)
+    return np.concatenate([half, [-1.0] * (1 - size % 2), half[:0:-1].conj()])
 
 
 def _characters(powers: np.ndarray, ms) -> np.ndarray:

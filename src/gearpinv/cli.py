@@ -36,7 +36,7 @@ import numpy as np
 
 from . import __version__
 from .edm import balaji_bapat_pinv
-from .graphs import _gear_distance_rows, bfs_distances, build_wheel, gear_distance_closed
+from .graphs import _gear_distance_rows, _wheel_distance_rows, gear_distance_closed
 from .laplacian import _a_rows, _b_rows, _h_rows, _laplacian_rows
 from .pinv import _formula_rows, rational_pinv
 from .rational import is_exact, scaled
@@ -54,10 +54,17 @@ MAX_EXACT_N = 80
 # Largest n the dense commands (gen, pinv --method formula, spectrum,
 # laplacian) accept.  Their output has (2n - 1)^2 entries.  At n = 1000 on a
 # 2-core machine the gear matrices, written from three generating rows, take
-# 0.01 to 0.15 s and 70 to 210 MB; gen wheel-distance 0.3 s and 100 MB.  gen
-# tree-distance takes trees of up to that largest order, 2n - 1 vertices: a
-# path of 1999 takes about 4 s and 370 MB.
+# 0.01 to 0.15 s and 70 to 210 MB; gen wheel-distance, written from two, 4 ms
+# and 44 MB.  gen tree-distance takes trees of up to that largest order, 2n - 1
+# vertices, within MAX_TREE_TEXT below.
 MAX_DENSE_N = 1000
+
+# Largest text, in characters, that gen tree-distance may estimate for its exact
+# distances: about the 93 MB of pinv --n 1000.  On a 2-core machine the
+# 1999-vertex unit path estimates 42 million and takes 3.2 s and 370 MB; paths
+# weighted 1/1, 1/2, ... pass up to 460 vertices (1.9 s, 170 MB) and are refused
+# from 500; at 800 vertices they took 13 s and 714 MB for a 245 MB payload.
+MAX_TREE_TEXT = 10**8
 
 
 class DomainError(ValueError):
@@ -67,6 +74,16 @@ class DomainError(ValueError):
 def _require_size(n: int, ceiling: int, routes: str) -> None:
     if n > ceiling:
         raise DomainError(f"n = {n} is above {ceiling}, the {routes}' ceiling")
+
+
+def _require_tree_text(tree) -> None:
+    den = math.lcm(*(w.denominator for _, _, w in tree.edges))
+    total = sum(w.numerator * (den // w.denominator) for _, _, w in tree.edges)
+    # m^2 distances p/q with p <= total and q | den; the 7 covers the rounding of
+    # both digit counts, the two quotes, the '/' and the ', '.
+    text = tree.num_vertices ** 2 * ((total.bit_length() + den.bit_length()) * math.log10(2) + 7)
+    if text > MAX_TREE_TEXT:
+        raise DomainError(f"tree distances of about {text:.2g} characters exceed {MAX_TREE_TEXT}")
 
 
 def _tokens(matrix, fmt: str) -> list[list[str]]:
@@ -85,8 +102,12 @@ def _tokens(matrix, fmt: str) -> list[list[str]]:
             keys = ints
         values_of = lambda distinct: [str(Fraction(k, den)) for k in distinct.tolist()]
     else:
+        try:
+            floats = np.asarray(matrix, dtype=float)
+        except OverflowError as exc:
+            raise DomainError("entries too large for decimal; use --format rational") from exc
         # Bit patterns as keys keep -0.0 apart from 0.0.
-        keys = np.asarray(matrix, dtype=float).view(np.int64)
+        keys = floats.view(np.int64)
         values_of = lambda distinct: distinct.view(float).tolist()
     distinct, inverse = np.unique(keys.ravel(), return_inverse=True)
     values = values_of(distinct)
@@ -100,31 +121,31 @@ def serialize_matrix(matrix, fmt: str) -> str:
 
 
 def _rotations(tokens: list[str]) -> list[str]:
-    """Rows of the circulant whose first row is ``tokens``, as JSON text without brackets.
+    """Rows of the circulant whose first row is ``tokens``, as JSON text after a ", ".
 
     Row r is the first row rotated r places to the right: the slice of
     the doubled row's text that starts r tokens before its second copy.
     """
     size = len(tokens)
-    doubled = ", ".join(tokens + tokens)
+    doubled = ", " + ", ".join(tokens + tokens)
     starts = list(itertools.accumulate([len(t) + 2 for t in tokens + tokens], initial=0))
-    return [doubled[starts[size - r]:starts[2 * size - r] - 2] for r in range(size)]
+    return [doubled[starts[size - r]:starts[2 * size - r]] for r in range(size)]
 
 
 def _rows_json(rows, fmt: str) -> list[str]:
     """JSON text of ``circulant._circulant_blocks(rows)``, in pieces to be joined.
 
-    Only the three generating rows are formatted; every cycle and
-    subdivision row is its class's first entry (the hub column) and two
-    rotations of block text.
+    Only the hub row and the first row of each ring are formatted; every
+    other ring row is its ring's first entry (the hub column) and one
+    rotation of block text per ring.
     """
-    hub, rim, sub = _tokens(rows, fmt)
-    size = (len(hub) - 1) // 2
+    hub, *rings = _tokens(rows, fmt)
+    size = (len(hub) - 1) // len(rings)
     pieces = ["[[", ", ".join(hub), "]"]
-    for row in (rim, sub):
-        head = f", [{row[0]}, "
-        for left, right in zip(_rotations(row[1:size + 1]), _rotations(row[size + 1:])):
-            pieces += [head, left, ", ", right, "]"]
+    for row in rings:
+        head = f", [{row[0]}"
+        for texts in zip(*[_rotations(row[b:b + size]) for b in range(1, len(row), size)]):
+            pieces += [head, *texts, "]"]
     pieces.append("]")
     return pieces
 
@@ -208,15 +229,15 @@ def cmd_gen(args) -> tuple[str, int]:
             raise DomainError("tree-distance takes no --n: the edges fix the size")
         tree = _parse_edges(args.edges)
         _require_size(tree.num_vertices, 2 * MAX_DENSE_N - 1, "dense commands")
+        _require_tree_text(tree)
         return _matrix_document(args, tree.num_vertices, tree_distance(tree))
     if args.n is None:
         raise DomainError(f"{args.kind} needs --n")
     if args.edges is not None:
         raise DomainError(f"{args.kind} takes no --edges")
     _require_size(args.n, MAX_DENSE_N, "dense commands")
-    gear = args.kind == "gear-distance"
-    matrix = _gear_distance_rows(args.n) if gear else bfs_distances(build_wheel(args.n))
-    return _matrix_document(args, args.n, matrix, _parity(args.n), rows=gear)
+    rows_of = {"gear-distance": _gear_distance_rows, "wheel-distance": _wheel_distance_rows}
+    return _matrix_document(args, args.n, rows_of[args.kind](args.n), _parity(args.n), rows=True)
 
 
 def cmd_pinv(args) -> tuple[str, int]:

@@ -15,6 +15,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .circulant import _circulant_blocks, _require_wheel_size
+
 
 @dataclass(frozen=True)
 class Graph:
@@ -49,17 +51,6 @@ class GearGraph(Graph):
     """Gear graph; ``n`` is the size of the underlying wheel."""
 
     n: int
-
-
-def _require_wheel_size(n: int) -> None:
-    if n < 4:
-        raise ValueError("n must be ≥ 4")
-
-
-def _require_pair_index(n: int, k: int) -> None:
-    _require_wheel_size(n)
-    if not 1 <= k <= n - 2:
-        raise ValueError("k must satisfy 1 ≤ k ≤ n-2")
 
 
 def build_wheel(n: int) -> Graph:
@@ -140,6 +131,13 @@ def bfs_distances(graph: Graph) -> np.ndarray:
     return np.array(rows, dtype=np.int64).reshape(m, m)
 
 
+def _wheel_distance_rows(n: int) -> np.ndarray:
+    """Rows 0 and 1 of ``bfs_distances(build_wheel(n))`` as int64: the hub and one ring."""
+    _require_wheel_size(n)
+    rim = np.concatenate([[1, 0, 1], np.full(n - 4, 2), [1]])
+    return np.array([np.repeat([0, 1], [1, n - 1]), rim], dtype=np.int64)
+
+
 def rim_to_sub_row(n: int) -> list[int]:
     """First row of the cycle-to-subdivision distance block: 1, 3...3, 1."""
     return [1] + [3] * (n - 3) + [1]
@@ -170,6 +168,4 @@ def gear_distance_closed(n: int) -> np.ndarray:
     first rows :func:`rim_to_sub_row` and :func:`sub_to_sub_row`.  So
     rows 0, 1 and n fix the matrix, and one gather spreads them over it.
     """
-    from .circulant import _circulant_blocks
-
     return _circulant_blocks(_gear_distance_rows(n))

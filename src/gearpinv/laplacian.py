@@ -16,8 +16,10 @@ import math
 
 import numpy as np
 
-from .circulant import _circulant_blocks, circulant, s_spectrum, t_spectrum, unit_root_powers
-from .graphs import _require_pair_index, _require_wheel_size
+from .circulant import (
+    _circulant_blocks, _require_pair_index, _require_wheel_size, circulant, s_spectrum, t_spectrum,
+    unit_root_powers,
+)
 from .rational import unscaled
 
 
@@ -83,8 +85,7 @@ def _cosine_row(n: int, k: int) -> np.ndarray:
     """``cos(2*pi*s*k/(n-1))`` for s < n-1, from unit roots at angles folded into [0, pi]."""
     _require_pair_index(n, k)
     size = n - 1
-    index = np.arange(size) * k % size
-    return unit_root_powers(size).real[np.minimum(index, size - index)]  # even: C is symmetric
+    return unit_root_powers(size).real[np.arange(size) * k % size]  # even: C is symmetric
 
 
 def c_matrices(n: int, k: int) -> tuple[np.ndarray, np.ndarray]:

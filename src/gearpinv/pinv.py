@@ -24,8 +24,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .circulant import _circulant_blocks
-from .graphs import _require_wheel_size
+from .circulant import _circulant_blocks, _require_wheel_size
 from .laplacian import _laplacian_rows
 from .rational import (
     _dot_ints, _largest, _modular_pinv, _residuals_vanish, dot, invert, is_exact, rref, scaled,

@@ -12,8 +12,8 @@ import math
 
 import numpy as np
 
-from .circulant import _characters, unit_root_powers
-from .graphs import _require_pair_index, _require_wheel_size, gear_distance_closed
+from .circulant import _characters, _require_pair_index, _require_wheel_size, unit_root_powers
+from .graphs import gear_distance_closed
 
 
 def null_basis(n: int) -> list[np.ndarray]:

@@ -68,6 +68,14 @@ def test_unit_root_powers_stay_on_circle():
     assert np.max(np.abs(powers - reference)) < 1e-12
 
 
+def test_unit_root_powers_of_opposite_indices_are_exact_conjugates():
+    for size in range(3, 301):
+        powers = unit_root_powers(size)
+        assert powers.shape == (size,) and powers[0] == 1
+        m = np.arange(1, size)
+        assert np.array_equal(powers[size - m], powers[m].conjugate())
+
+
 def test_circ_eigen_known_vanishing_value():
     # (1, 3, 3, 1) pairs with the alternating character to 1 - 3 + 3 - 1.
     pairs = circ_eigen((1, 3, 3, 1))

@@ -20,7 +20,9 @@ from hypothesis import strategies as st
 
 from gearpinv import __version__, cli
 from gearpinv.cli import build_parser, main, serialize_matrix
-from gearpinv.graphs import _gear_distance_rows, gear_distance_closed
+from gearpinv.graphs import (
+    _gear_distance_rows, _wheel_distance_rows, bfs_distances, build_wheel, gear_distance_closed,
+)
 from gearpinv.laplacian import (
     _a_rows, _b_rows, _h_rows, _laplacian_rows, a_matrix, b_matrix, h_matrix, special_laplacian,
 )
@@ -86,6 +88,15 @@ def test_gen_tree_distance_unit():
 def test_gen_tree_distance_weighted():
     doc = run_doc("gen", "tree-distance", "--edges", '[[1,2,"1/2"],[2,3,"1/2"]]')
     assert doc["payload"][0] == ["0", "1/2", "1"]
+
+
+def test_gen_tree_distance_refuses_decimal_beyond_float_range():
+    edges = json.dumps([[1, 2, "9" * 400]])
+    code, out, err = run_cli("gen", "tree-distance", "--edges", edges, "--format", "decimal")
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:") and "--format rational" in err
+    assert run_doc("gen", "tree-distance", "--edges", edges)["payload"][0] == ["0", "9" * 400]
 
 
 def test_gen_rejects_float_weights():
@@ -368,12 +379,14 @@ def test_rows_writer_equals_serialize_matrix_of_the_dense_matrix(n):
         (_laplacian_rows, special_laplacian, "decimal"),
         (_gear_distance_rows, gear_distance_closed, "decimal"),
         (_gear_distance_rows, gear_distance_closed, "rational"),
+        (_wheel_distance_rows, lambda order: bfs_distances(build_wheel(order)), "decimal"),
+        (_wheel_distance_rows, lambda order: bfs_distances(build_wheel(order)), "rational"),
         (_a_rows, a_matrix, "rational"),
     ]
     if n % 2 == 1:
         cases.append((_h_rows, h_matrix, "rational"))
     if n <= 12:
-        cases += [(rows_of, dense_of, "decimal") for rows_of, dense_of, _ in cases[4:]]
+        cases += [(rows_of, dense_of, "decimal") for rows_of, dense_of, _ in cases[6:]]
     for k in sorted({1, (n - 2) // 2, n - 2}):
         cases.append((functools.partial(_b_rows, k=k), functools.partial(b_matrix, k=k), "decimal"))
     for rows_of, dense_of, fmt in cases:
@@ -442,7 +455,7 @@ def test_exact_routes_refuse_n_above_ceiling(monkeypatch, argv):
 
 
 _DENSE_BUILDERS = (
-    "gear_distance_closed", "bfs_distances", "build_wheel", "_formula_rows",
+    "gear_distance_closed", "_wheel_distance_rows", "_formula_rows",
     "lambda_pairs", "theta", "max_eigen_residual",
     "_a_rows", "_h_rows", "_b_rows", "_gear_distance_rows", "_laplacian_rows", "tree_distance",
 )
@@ -487,6 +500,15 @@ def test_gen_tree_distance_refuses_trees_above_dense_order(monkeypatch):
     monkeypatch.setattr(cli, "tree_distance", lambda tree: np.zeros((1, 1), dtype=int))
     code, _, err = run_cli("gen", "tree-distance", "--edges", _path_edges(bound))
     assert code == 0, err
+
+
+def test_gen_tree_distance_refuses_trees_above_text_budget(monkeypatch):
+    monkeypatch.setattr(cli, "tree_distance", _refuse)
+    harmonic = json.dumps([[v, v + 1, f"1/{v}"] for v in range(1, 2 * cli.MAX_DENSE_N - 1)])
+    code, out, err = run_cli("gen", "tree-distance", "--edges", harmonic)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:") and "characters" in err
 
 
 def test_verify_accepts_n_at_ceiling(monkeypatch):

@@ -3,8 +3,10 @@
 import numpy as np
 import pytest
 
+from gearpinv.circulant import _circulant_blocks
 from gearpinv.graphs import (
     Graph,
+    _wheel_distance_rows,
     bfs_distances,
     build_gear,
     build_wheel,
@@ -123,6 +125,13 @@ def test_bfs_matches_closed_form():
     for n in range(4, 17):
         gear = build_gear(n)
         assert np.array_equal(bfs_distances(gear), gear_distance_closed(n))
+
+
+def test_wheel_distance_is_the_gather_of_its_hub_and_cycle_rows():
+    for n in range(4, 61):
+        rows = _wheel_distance_rows(n)
+        assert rows.dtype == np.int64
+        assert np.array_equal(_circulant_blocks(rows), bfs_distances(build_wheel(n)))
 
 
 def test_distance_matrix_symmetry_and_hollowness():
