@@ -54,6 +54,36 @@ def _circulant_blocks(rows: np.ndarray) -> np.ndarray:
     return out
 
 
+def _blocks_dot(rows: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """``_circulant_blocks(rows) @ x`` without building the matrix.
+
+    A ring block with first row c maps x's block to
+    ``(C x)[r] = sum_e c[e] x[(r + e) % size]``: the block's most common
+    entry times the column sums, plus one wrapped slice-add for each entry
+    that differs from it.  The cost is O(size * columns * exceptions), so
+    this is meant for rows with few distinct values, such as the gear's
+    D (eight slice-adds in all).
+    """
+    size = (rows.shape[1] - 1) // (len(rows) - 1)
+    out = np.empty(x.shape, dtype=np.result_type(rows, x))
+    out[0] = rows[0] @ x
+    for first, row in zip(range(1, rows.shape[1], size), rows[1:].tolist()):
+        base, stencil = row[0] * x[0], []
+        for block in range(1, len(row), size):
+            entries, part = row[block:block + size], x[block:block + size]
+            common = max(set(entries), key=entries.count)
+            base = base + common * part.sum(axis=0)
+            stencil += [(entry - common, e, part)
+                        for e, entry in enumerate(entries) if entry != common]
+        ring = out[first:first + size]
+        ring[:] = base
+        for weight, e, part in stencil:
+            ring[:size - e] += weight * part[e:]
+            if e:
+                ring[size - e:] += weight * part[:e]
+    return out
+
+
 def circ(first_row) -> np.ndarray:
     """Rational circulant; entries are coerced to Fraction."""
     return circulant([rational(x) for x in first_row])

@@ -52,11 +52,13 @@ from .verify import run_checks
 MAX_EXACT_N = 80
 
 # Largest n the dense commands (gen, pinv --method formula, spectrum,
-# laplacian) accept.  Their output has (2n - 1)^2 entries.  At n = 1000 on a
-# 2-core machine the gear matrices, written from three generating rows, take
-# 0.01 to 0.15 s and 70 to 210 MB; gen wheel-distance, written from two, 4 ms
-# and 44 MB.  gen tree-distance takes trees of up to that largest order, 2n - 1
-# vertices, within MAX_TREE_TEXT below.
+# laplacian) accept.  The output of gen, pinv and laplacian has (2n - 1)^2
+# entries.  At n = 1000 on a 2-core machine the gear matrices, written from three
+# generating rows, take 0.01 to 0.15 s and 70 to 210 MB; gen wheel-distance,
+# written from two, 4 ms and 44 MB; spectrum, whose eigen-residual check works
+# on the (2n - 1) x n matrix of eigenvectors, 0.1 s and 110 MB.  gen
+# tree-distance takes trees of up to that largest order, 2n - 1 vertices, within
+# MAX_TREE_TEXT below.
 MAX_DENSE_N = 1000
 
 # Largest text, in characters, that gen tree-distance may estimate for its exact

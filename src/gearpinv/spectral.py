@@ -12,8 +12,14 @@ import math
 
 import numpy as np
 
-from .circulant import _characters, _require_pair_index, _require_wheel_size, unit_root_powers
-from .graphs import gear_distance_closed
+from .circulant import (
+    _blocks_dot,
+    _characters,
+    _require_pair_index,
+    _require_wheel_size,
+    unit_root_powers,
+)
+from .graphs import _gear_distance_rows
 
 
 def null_basis(n: int) -> list[np.ndarray]:
@@ -61,17 +67,23 @@ def theta(n: int, k: int) -> float:
     return -8.0 * math.cos(math.pi * k / (n - 1)) ** 2 - 2.0
 
 
-def _q_vectors(n: int, ks: np.ndarray) -> np.ndarray:
-    """The vectors ``q_vector(n, k)`` for ``k`` in ``ks``, as columns."""
+def _q_vectors(n: int, ks: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """The vectors ``q_vector(n, k)`` for ``k`` in ``ks``, as the columns of ``out``.
+
+    ``out`` is a complex (2n - 1) x len(ks) array, new if not given, and is
+    filled in place: the characters once into the subdivision block, then
+    the cycle block as their product with one coefficient per column.
+    """
     size = n - 1
+    if out is None:
+        out = np.empty((2 * n - 1, ks.size), dtype=np.complex128)
     powers = unit_root_powers(size)
-    chars = _characters(powers, ks)
+    out[0] = 0.0
+    out[n:] = _characters(powers, ks)
     # S v = sigma v with sigma = -2(1 + w**(-k)), as in circulant.s_spectrum.
     sigma = -2.0 * (1.0 + powers[(-ks) % size])
     phi = np.array([math.cos(math.pi * k / size) for k in ks])
-    out = np.zeros((2 * n - 1, ks.size), dtype=np.complex128)
-    out[1:n] = -sigma * chars / (8.0 * phi * phi)
-    out[n:] = chars
+    np.multiply(out[n:], -sigma / (8.0 * phi * phi), out=out[1:n])
     # Only odd n has k = (n-1)/2, where the cosine vanishes (up to rounding).
     for j in np.flatnonzero(2 * ks == size):
         out[1:n, j], out[n:, j] = (-1.0) ** np.arange(size), 0.0
@@ -95,12 +107,17 @@ def q_vector(n: int, k: int) -> np.ndarray:
 def max_eigen_residual(n: int) -> float:
     """Largest entry of ``D X - X diag(values)`` over all n closed-form pairs.
 
-    D is real, so D X is one float product over the interleaved real and
-    imaginary parts of X, with no complex copy of D.
+    X holds the two ``lambda_pairs`` vectors and the n - 2 ``q_vector``
+    columns.  D enters only through its three generating rows (the ones
+    :func:`gearpinv.graphs.gear_distance_closed` gathers), applied to X by
+    ``circulant._blocks_dot`` in O(n**2), with no dense D.
     """
     ks = np.arange(1, n - 1)
     pairs = lambda_pairs(n)
     values = np.array([value for value, _ in pairs] + [theta(n, k) for k in ks])
-    vectors = np.column_stack([vector for _, vector in pairs] + [_q_vectors(n, ks)])
-    product = gear_distance_closed(n).astype(float) @ vectors.view(np.float64)
-    return float(np.max(np.abs(product.view(np.complex128) - vectors * values)))
+    vectors = np.empty((2 * n - 1, n), dtype=np.complex128)
+    vectors[:, 0], vectors[:, 1] = (vector for _, vector in pairs)
+    _q_vectors(n, ks, out=vectors[:, 2:])
+    residual = _blocks_dot(_gear_distance_rows(n), vectors)
+    residual -= np.multiply(vectors, values, out=vectors)
+    return float(np.max(np.abs(residual)))

@@ -8,6 +8,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gearpinv.circulant import (
+    _blocks_dot,
+    _circulant_blocks,
     circ,
     circ_eigen,
     circulant,
@@ -15,7 +17,12 @@ from gearpinv.circulant import (
     t_spectrum,
     unit_root_powers,
 )
-from gearpinv.graphs import rim_to_sub_row, sub_to_sub_row
+from gearpinv.graphs import (
+    _gear_distance_rows,
+    _wheel_distance_rows,
+    rim_to_sub_row,
+    sub_to_sub_row,
+)
 
 rows = st.lists(
     st.fractions(min_value=-20, max_value=20, max_denominator=10),
@@ -74,6 +81,34 @@ def test_unit_root_powers_of_opposite_indices_are_exact_conjugates():
         assert powers.shape == (size,) and powers[0] == 1
         m = np.arange(1, size)
         assert np.array_equal(powers[size - m], powers[m].conjugate())
+
+
+def test_blocks_dot_is_the_product_with_the_gathered_matrix():
+    # Small integers keep both sides exact in float, so they must agree bit for bit.
+    rng = np.random.default_rng(27)
+    cases = []
+    for n in range(4, 61):
+        cases += [_gear_distance_rows(n), _wheel_distance_rows(n)]
+    for rings in (1, 2, 3):
+        for size in range(1, 13):
+            shape = (rings + 1, 1 + rings * size)
+            cases.append(rng.integers(-3, 4, size=shape))
+            # Every entry distinct: all but one entry of each block is an exception.
+            cases.append(rng.permutation(np.prod(shape)).reshape(shape) - 5)
+    for rows in cases:
+        x = rng.integers(-9, 10, size=(rows.shape[1], 5)).astype(float)
+        assert np.array_equal(_blocks_dot(rows, x), _circulant_blocks(rows) @ x)
+        assert np.array_equal(_blocks_dot(rows, x[:, 0]), _circulant_blocks(rows) @ x[:, 0])
+
+
+def test_blocks_dot_of_complex_columns_matches_the_dense_product():
+    rng = np.random.default_rng(28)
+    for n in range(4, 61):
+        rows = _gear_distance_rows(n)
+        dense = _circulant_blocks(rows)
+        x = rng.standard_normal((2 * n - 1, 6)) + 1j * rng.standard_normal((2 * n - 1, 6))
+        scale = np.abs(dense) @ np.abs(x)
+        assert np.all(np.abs(_blocks_dot(rows, x) - dense @ x) <= 1e-15 * scale)
 
 
 def test_circ_eigen_known_vanishing_value():

@@ -223,3 +223,33 @@ def test_max_eigen_residual_sees_one_wrong_eigenvalue(monkeypatch, n):
 
         monkeypatch.setattr(spectral, "theta", nudged)
         assert max_eigen_residual(n) > 1e-7
+
+
+@pytest.mark.parametrize("n", [11, 12])
+def test_max_eigen_residual_sees_one_wrong_vector_entry(monkeypatch, n):
+    # Nudging one entry of the first, the last or the alternating q column must show.
+    original = spectral._q_vectors
+    columns = [0, n - 3] + ([(n - 1) // 2 - 1] if n % 2 == 1 else [])
+    for column in columns:
+        def nudged(m, ks, out=None, column=column):
+            out = original(m, ks, out)
+            out[1, column] += 1e-6
+            return out
+
+        monkeypatch.setattr(spectral, "_q_vectors", nudged)
+        assert max_eigen_residual(n) > 1e-7
+
+
+@pytest.mark.parametrize("n", [11, 12])
+def test_max_eigen_residual_reads_the_rows_of_d(monkeypatch, n):
+    # One ring entry of the subdivision row off by one: D X no longer matches.
+    original = spectral._gear_distance_rows
+
+    def wrong(m):
+        rows = original(m).copy()
+        rows[2, m + 1] += 1
+        return rows
+
+    assert max_eigen_residual(n) < 1e-12
+    monkeypatch.setattr(spectral, "_gear_distance_rows", wrong)
+    assert max_eigen_residual(n) > 1e-3

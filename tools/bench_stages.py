@@ -15,19 +15,22 @@ gram_from_edm(D), balaji_bapat_pinv(D) (the Gram route of
 passes integer pairs between those stages, and of rational_pinv(T) for
 the distance matrix T of a seeded rational-weight tree of the same order.
 Once, it times rational_pinv(H) for the Hilbert matrix H of order 30,
-whose inverse needs many primes.  Then it times three ops shaped like
-the benchmark's ``oracle`` workload: a rational-weight tree on 40
-vertices (its distance matrix, pseudoinverse, closed-form inverse and
-determinant), the EDM of 40 integer points (is_edm and the
-pseudoinverse) and a rank-10 40x30 product (the pseudoinverse).
+whose inverse needs many primes, and max_eigen_residual(N), the float
+check of the closed-form spectrum, at N = 300 and 1000, recording the
+residual.  Then it times three ops shaped like the benchmark's
+``oracle`` workload: a rational-weight tree on 40 vertices (its distance
+matrix, pseudoinverse, closed-form inverse and determinant), the EDM of
+40 integer points (is_edm and the pseudoinverse) and a rank-10 40x30
+product (the pseudoinverse).
 
 Every result is checked outside the timed runs, exactly but for
 balaji_bapat_pinv(D), which must lie within 1e-9 of D+.  At each N,
 is_edm and is_psd of the Gram matrix must also both reject D with one
 symmetric pair of entries raised by 1.  The script exits 1 if one is
 wrong, if a check of run_checks(N) fails, if a gear size lacks one of
-its eight stage records, if the rational_pinv(T) or
-rational_pinv(H) record is missing, or if a rational_pinv(D),
+its eight stage records, if the rational_pinv(T), rational_pinv(H) or
+a max_eigen_residual(N) record is missing, if a max_eigen_residual(N)
+exceeds 1e-9, or if a rational_pinv(D),
 rational_pinv(G) or penrose_check(D, D+) record counts no prime.  Each
 record carries the input's order and rank and the largest numerator and
 denominator bit lengths over the input and the result; the rational_pinv
@@ -62,6 +65,7 @@ from gearpinv.edm import balaji_bapat_pinv, gram_from_edm, is_edm  # noqa: E402
 from gearpinv.graphs import gear_distance_closed  # noqa: E402
 from gearpinv.pinv import beta, penrose_check, rational_pinv, u_vector  # noqa: E402
 from gearpinv.rational import det, dot, invert, is_psd, rational, rational_identity  # noqa: E402
+from gearpinv.spectral import max_eigen_residual  # noqa: E402
 from gearpinv.trees import (  # noqa: E402
     graham_pollak_det,
     tree_distance,
@@ -76,6 +80,7 @@ GEAR_STAGES = ("gram_from_edm(D)", "rational_pinv(D)", "rational_pinv(G)", "is_p
 REPEATS = 3
 OP_SIZE = 40
 HILBERT_ORDER = 30
+RESIDUAL_SIZES = (300, 1000)
 
 
 def _bits(*values) -> tuple[int, int]:
@@ -202,6 +207,15 @@ def hilbert_stage(bench: Bench) -> None:
                 all(type(x) is Fraction and x == y for x, y in zip(pinv.flat, inverse.flat)))
 
 
+def residual_stage(bench: Bench) -> None:
+    for n in RESIDUAL_SIZES:
+        residual = bench.time("max_eigen_residual(N)", max_eigen_residual, n, size=n,
+                              order=2 * n - 1, rank=n)
+        bench.records[-1]["residual"] = residual
+        bench.check(f"gear n={n}: max_eigen_residual(N) = {residual:.3g} is at most 1e-9",
+                    residual <= 1e-9)
+
+
 def _rational_tree(rng: random.Random, m: int):
     """A random tree on m vertices; the weights 1, 2/5, 1/3, 1, 5/8, 2, 1, 4, 3/2 repeat, shuffled."""
     weights = [Fraction(1 + i % 9, 1 + 4 * i % 9) for i in range(m - 1)]
@@ -256,6 +270,9 @@ def check_records(bench: Bench, sizes) -> None:
             bench.check(f"missing record {name} at n = {n}", (name, n) in have)
     for name in ("rational_pinv(T)", "rational_pinv(H)"):
         bench.check(f"missing record {name}", any(record[0] == name for record in have))
+    for n in RESIDUAL_SIZES:
+        bench.check(f"missing record max_eigen_residual(N) at N = {n}",
+                    ("max_eigen_residual(N)", n) in have)
     for name in ("rational_pinv(D)", "rational_pinv(G)", "penrose_check(D, D+)"):
         bench.check(f"a {name} record counts no prime",
                     all(record.get("primes", 0) >= 1 for record in bench.records
@@ -281,6 +298,7 @@ def main(argv: list[str]) -> int:
         gear_stages(bench, n)
         print(f"n = {n} done", file=sys.stderr)
     hilbert_stage(bench)
+    residual_stage(bench)
     oracle_ops(bench, random.Random(f"bench_stages/{OP_SIZE}"))
     check_records(bench, sizes)
     out = ROOT / f"BENCH_{label}.json"
