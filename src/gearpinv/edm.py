@@ -19,7 +19,8 @@ import numpy as np
 from .eigen import jacobi_eigh
 from .pinv import _pinv_ints
 from .rational import (
-    _floats, _gauss_jordan, _psd_ints, is_exact, rational_identity, scaled, unscaled,
+    _echelon_mod, _floats, _gauss_jordan, _primes, _psd_ints, is_exact, rational_identity,
+    scaled, unscaled,
 )
 
 
@@ -93,8 +94,9 @@ def is_edm(matrix) -> EdmReport:
     is tested for positive semidefiniteness by fraction-free elimination
     (``_schoenberg_psd``), so no tolerance decides it; the smallest
     centered Gram eigenvalue, in floats, is for information only.
-    ``beta`` is ``1' D+ 1``, exact, from one solve of ``D x = 1`` or
-    else the integers of ``pinv._pinv_ints``.
+    ``beta`` is ``1' D+ 1``, exact, from one solve of ``D x = 1`` on
+    the r x r block of D's pivot rows and columns, proved by one exact
+    mat-vec (``_ones_mass``), or else the integers of ``pinv._pinv_ints``.
     """
     ints, scale = scaled(_as_rational_square(matrix))
     m = len(ints)
@@ -111,17 +113,23 @@ def _ones_mass(ints, scale: int, symmetric: bool) -> Fraction:
     """``1' D+ 1`` for D = A/s, with no pseudoinverse when D x = 1 solves.
 
     For symmetric D and any solution x of ``D x = 1``, ``1' D+ 1 =
-    x' D D+ D x = x' D x = 1' x``.  The fraction-free pass over
-    ``[A | s 1]`` gives one: when its last column is no pivot column, x
-    is that column over the pivot rows, divided by the last pivot, and
-    zero elsewhere.  A non-symmetric D, or 1 outside range(D), sums the
+    x' D D+ D x = x' D x = 1' x``.  One pass modulo the first prime
+    (``_echelon_mod``) gives A's pivot columns Q; A is symmetric, so
+    K = A[Q, Q] is nonsingular modulo it and hence over the rationals.
+    The fraction-free pass over the r x (r + 1) block ``[K | s 1]``
+    gives y over d with K y = s d 1, and x is y / d on Q and zero
+    elsewhere once the exact mat-vec ``A[:, Q] y = s d 1`` proves it.
+    A non-symmetric D, 1 outside range(D) or an unlucky prime sums the
     integers Y of D+ = Y/d from ``pinv._pinv_ints`` over d.
     """
     if symmetric:
-        rows = [row + [scale] for row in ints.tolist()]
-        pivot_cols, _, d = _gauss_jordan(rows)
-        if len(rows) not in pivot_cols:
-            return Fraction(sum(row[-1] for row in rows[: len(pivot_cols)]), d)
+        p = next(_primes())
+        cols = _echelon_mod((ints % p).astype(np.int64), p)[0]
+        rows = [row + [scale] for row in ints[np.ix_(cols, cols)].tolist()]
+        _, _, d = _gauss_jordan(rows)
+        y = np.array([row[-1] for row in rows], dtype=object)
+        if (ints[:, cols].dot(y) == scale * d).all():
+            return Fraction(sum(y), d)
     pinv, den = _pinv_ints(ints, scale)
     return Fraction(pinv.sum(), den)
 

@@ -186,6 +186,8 @@ def _hollow_symmetric(rng):
         ([[0, 1, 0], [1, 0, 0], [0, 0, 0]], 2.0),
         # Not symmetric: D^-1 = [[0, 1/2], [1, 0]].
         ([[0, 1], [2, 0]], 1.5),
+        # Schoenberg's matrix has order 0, and D = 0 has no pivot column.
+        ([[0]], 0.0),
     ],
 )
 def test_is_edm_falls_back_to_the_pseudoinverse(rows, beta, monkeypatch):
@@ -204,6 +206,78 @@ def test_is_edm_beta_equals_pseudoinverse_mass(monkeypatch):
         assert is_edm(dist).beta == float(rational_pinv(dist).sum())
     # Both branches ran: 190 solves and 10 fallbacks.
     assert len(calls) == 10
+
+
+def _spy(calls, func):
+    def spy(*args):
+        calls.append(args)
+        return func(*args)
+
+    return spy
+
+
+def _repeated_first_point(dist):
+    """The EDM of the same points with the first one listed twice: columns 0 and 1 are equal."""
+    order = [0, *range(len(dist))]
+    return dist[np.ix_(order, order)]
+
+
+@pytest.mark.parametrize(
+    "dist, rank",
+    [
+        (gear_distance_closed(12), 12),
+        (integer_point_edm(7, 40, 3, reach=1000), 5),
+        # Column 1 is no pivot column, so x must be read back on Q, not on the first r columns.
+        (_repeated_first_point(integer_point_edm(5, 12, 2, reach=50)), 4),
+    ],
+    ids=["gear-n12", "points-40x3", "points-repeated"],
+)
+def test_is_edm_solves_on_the_pivot_block(dist, rank, monkeypatch):
+    calls = []
+    monkeypatch.setattr(gearpinv.edm, "_pinv_ints", _refuse)
+    monkeypatch.setattr(gearpinv.edm, "_gauss_jordan", _spy(calls, gearpinv.edm._gauss_jordan))
+    assert is_edm(dist).beta == float(rational_pinv(dist).sum())
+    # One fraction-free pass, over [K | s 1] for the r x r pivot block K alone.
+    assert len(calls) == 1
+    (rows,) = calls[0]
+    assert len(rows) == rank
+    assert all(len(row) == rank + 1 for row in rows)
+
+
+@pytest.mark.parametrize(
+    "dist", [gear_distance_closed(12), integer_point_edm(7, 40, 3, reach=1000)],
+    ids=["gear-n12", "points-40x3"],
+)
+def test_is_edm_certificate_rejects_a_short_pivot_set(dist, monkeypatch):
+    calls = []
+    echelon = gearpinv.edm._echelon_mod
+
+    def drop_last_pivot(work, p):
+        cols, inverse = echelon(work, p)
+        return cols[:-1], inverse
+
+    monkeypatch.setattr(gearpinv.edm, "_echelon_mod", drop_last_pivot)
+    monkeypatch.setattr(gearpinv.edm, "_pinv_ints", _recording(calls))
+    # K y = s 1 still solves on the short block, but A[:, Q] y = s d 1 fails.
+    assert is_edm(dist).beta == float(rational_pinv(dist).sum())
+    assert len(calls) == 1
+
+
+@pytest.mark.parametrize(
+    "rows, beta",
+    [
+        # Not hollow: D = J, D+ = J/4, and x = (1, 0) solves D x = 1.
+        ([[1, 1], [1, 1]], 1.0),
+        # Not hollow, nonsingular: D^-1 = [[-1, 2], [2, -1]]/3.
+        ([[1, 2], [2, 1]], 2 / 3),
+    ],
+)
+def test_is_edm_solves_for_beta_on_non_hollow_input(rows, beta, monkeypatch):
+    dist = rational_matrix(rows)
+    assert float(rational_pinv(dist).sum()) == beta
+    monkeypatch.setattr(gearpinv.edm, "_pinv_ints", _refuse)
+    report = is_edm(dist)
+    assert not report.is_hollow and report.beta == beta
 
 
 def test_is_edm_flags_shape_defects():
