@@ -19,8 +19,8 @@ import numpy as np
 from .eigen import jacobi_eigh
 from .pinv import _pinv_ints
 from .rational import (
-    _echelon_mod, _floats, _gauss_jordan, _primes, _psd_ints, is_exact, rational_identity,
-    scaled, unscaled,
+    _floats, _gauss_jordan, _pivots, _primes, _psd_ints, is_exact, rational_identity, scaled,
+    unscaled,
 )
 
 
@@ -114,7 +114,7 @@ def _ones_mass(ints, scale: int, symmetric: bool) -> Fraction:
 
     For symmetric D and any solution x of ``D x = 1``, ``1' D+ 1 =
     x' D D+ D x = x' D x = 1' x``.  One pass modulo the first prime
-    (``_echelon_mod``) gives A's pivot columns Q; A is symmetric, so
+    (``rational._pivots``) gives A's pivot columns Q; A is symmetric, so
     K = A[Q, Q] is nonsingular modulo it and hence over the rationals.
     The fraction-free pass over the r x (r + 1) block ``[K | s 1]``
     gives y over d with K y = s d 1, and x is y / d on Q and zero
@@ -123,8 +123,7 @@ def _ones_mass(ints, scale: int, symmetric: bool) -> Fraction:
     integers Y of D+ = Y/d from ``pinv._pinv_ints`` over d.
     """
     if symmetric:
-        p = next(_primes())
-        cols = _echelon_mod((ints % p).astype(np.int64), p)[0]
+        cols = _pivots(ints, next(_primes()))[1]
         rows = [row + [scale] for row in ints[np.ix_(cols, cols)].tolist()]
         _, _, d = _gauss_jordan(rows)
         y = np.array([row[-1] for row in rows], dtype=object)

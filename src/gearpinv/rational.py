@@ -12,8 +12,9 @@ floats with none.  Every reduction is one fraction-free Gauss-Jordan pass
 Residues are taken modulo 31-bit primes, each searched for once per
 process (``_primes``).  ``_modular_pinv`` builds the pseudoinverse of a
 square matrix from them by one policy.  One Gauss-Jordan pass in int64
-numpy modulo the first prime (``_echelon_mod``) gives the pivot columns
-and, for a nonsingular matrix, the inverse modulo it.  Each later prime
+numpy modulo the first prime (``_pivots``, the one place pivots are
+picked modulo a prime) gives the pivot rows and columns and, for a
+nonsingular matrix, the inverse modulo it.  Each later prime
 gives a residue or is skipped, one Chinese remainder step folds it in,
 and from the second residue on a rational reconstruction is returned
 once a certificate with no probability proves it.  The cost follows the
@@ -21,12 +22,15 @@ size of the result rather than of the minors on the way to it, so
 residues win where the result is small, as for tree and gear distance
 matrices.  A symmetric rank-deficient matrix gets a budget of primes
 tied to its rank; past it, and for every other rank-deficient or
-non-square matrix, the result comes from fraction-free elimination.
+non-square matrix, the result comes from fraction-free elimination of
+the pivot rows that first pass picked.
 ``_residuals_vanish`` proves Penrose residuals zero from exact residue
 products (``_dot_mod``), for ``pinv.penrose_check`` and as the symmetric
 route's certificate.  ``invert`` stays fraction-free: it serves the
 inputs the residues leave to ``pinv.rational_pinv``'s rank
-factorization, whose wide denominators would take many primes.
+factorization, inverting the r x r integer matrix C' A R' of A's
+pivot columns C and pivot rows R, whose wide inverse would take many
+primes.
 """
 
 from __future__ import annotations
@@ -230,21 +234,27 @@ def _primes():
         yield _PRIMES[index]
 
 
-def _echelon_mod(work: np.ndarray, p: int) -> tuple[list[int], np.ndarray | None]:
-    """Gauss-Jordan pass in place on int64 residues modulo the prime p: (cols, inverse).
+def _echelon_mod(work: np.ndarray, p: int) -> tuple[list[int], list[int], np.ndarray | None]:
+    """Gauss-Jordan pass in place on int64 residues modulo the prime p: (rows, cols, inverse).
 
-    A is square (A itself or BB').  cols are the pivot columns Q, so
-    len(Q) is its rank modulo p; the pass stops once the rows below the
-    pivots are zero.  inverse is A^-1 modulo p at full rank, else None.
-    Each step swaps the pivot row into place and stores, in the column
-    it clears, the column of [A | I]'s right half that the step fills;
-    the swaps are undone on the columns at the end.
+    A is m x n.  rows are the pivot rows P, in the order they were
+    picked, and cols the pivot columns Q, so len(Q) is the rank modulo
+    p; the pass stops once the rows below the pivots are zero.  inverse
+    is A^-1 modulo p for square A of full rank, else None.  Each step
+    swaps the pivot row into place and stores, in the column it clears,
+    the column of [A | I]'s right half that the step fills; the swaps
+    are undone on the columns at the end.
     """
-    m = len(work)
+    m, n = work.shape
     order = np.arange(m)
     cols: list[int] = []
-    for col in range(m):
+    # numpy divides by a scalar fast but takes remainders slowly: on int64 arrays past about
+    # 1000 entries x -= x // p * p beats x %= p (by 2x at order 199); below that one call wins.
+    by_division = work.size > 1024
+    for col in range(n):
         rank = len(cols)
+        if rank == m:
+            break
         # The largest residue in the column is nonzero unless all are.
         piv = rank + int(work[rank:, col].argmax())
         pivot_row = work[piv].copy()
@@ -261,35 +271,50 @@ def _echelon_mod(work: np.ndarray, p: int) -> tuple[list[int], np.ndarray | None
         factors = work[:, col, None].copy()
         work[:, col] = 0
         work -= factors * pivot_row
-        work %= p
+        if by_division:
+            work -= work // p * p
+        else:
+            work %= p
         # Row rank held the row swapped out to piv: its update is discarded.
         work[rank] = pivot_row
         cols.append(col)
+    rows = order[:len(cols)].tolist()
     # Column col now holds the inverse's column of the row moved to col.
-    return cols, work[:, np.argsort(order)] if len(cols) == m else None
+    return rows, cols, work[:, np.argsort(order)] if len(cols) == m == n else None
+
+
+def _pivots(ints, p: int) -> tuple[list[int], list[int], np.ndarray | None]:
+    """Pivot rows P and columns Q of an integer matrix A from one pass modulo the prime p.
+
+    The third item is A^-1 modulo p when A is square and p does not
+    divide det A, else None.  A[P, Q] is nonsingular modulo p, so over
+    the rationals as well: the rows P of A are independent, and the rank
+    modulo p, len(P), is at most A's rank.  It is below it only when p
+    divides every minor of that order.
+    """
+    return _echelon_mod((ints % p).astype(np.int64), p)
 
 
 def _inverse_mod(ints, p: int) -> np.ndarray | None:
     """A^-1 modulo the prime p for a square integer matrix A; None when p divides det A."""
-    return _echelon_mod((ints % p).astype(np.int64), p)[1]
+    return _pivots(ints, p)[2]
 
 
-def _pinv_mod(residues: np.ndarray, cols, p: int) -> np.ndarray | None:
-    """A+ modulo the prime p from the residues of A and its pivot columns Q.
+def _pinv_mod(block: np.ndarray, cols, p: int) -> np.ndarray | None:
+    """A+ modulo the prime p from the residues of B = A[Q, :], with Q A's pivot columns.
 
-    A nonsingular A has every column in Q and gets A^-1.  For a
-    symmetric A, with B = A[Q, :] and K = A[Q, Q] nonsingular of the
-    rank's order, A = B' K^-1 B, so A+ = Z K Z' with Z = B' (BB')^-1:
-    one inverse of rank order.  None when p divides det A or det BB'.
+    A nonsingular A has every column in Q, is B and gets A^-1.  For a
+    symmetric A, with K = A[Q, Q] nonsingular of the rank's order,
+    A = B' K^-1 B, so A+ = Z K Z' with Z = B' (BB')^-1: one inverse of
+    rank order.  None when p divides det A or det BB'.
     """
-    if len(cols) == len(residues):
-        return _inverse_mod(residues, p)
-    b = residues[cols]
-    inverse = _inverse_mod(_dot_mod(b, b.T, p), p)
+    if len(cols) == block.shape[1]:
+        return _inverse_mod(block, p)
+    inverse = _inverse_mod(_dot_mod(block, block.T, p), p)
     if inverse is None:
         return None
-    z = _dot_mod(b.T, inverse, p)
-    return _dot_mod(z, _dot_mod(b[:, cols], z.T, p), p)
+    z = _dot_mod(block.T, inverse, p)
+    return _dot_mod(z, _dot_mod(block[:, cols], z.T, p), p)
 
 
 def _largest(ints):
@@ -411,22 +436,24 @@ def _crt(value, modulus: int, residue: np.ndarray, p: int):
 _PASSES_PER_PRIME = 4
 
 
-def _modular_pinv(ints) -> tuple[np.ndarray, int] | None:
-    """Integers Y and d > 0 with A+ = Y / d, from residues, for a square integer matrix A.
+def _modular_pinv(ints) -> tuple[tuple[np.ndarray, int] | None, list[int]]:
+    """Integers Y and d > 0 with A+ = Y / d from residues, or None; and A's pivot rows.
 
-    A matrix that is not square gets None before any prime is drawn.
-    One Gauss-Jordan pass modulo the first prime (``_echelon_mod``)
-    gives A's pivot columns Q and, for A of full rank modulo it, A^-1
-    modulo it.  Both routes below then run one loop: the first prime's
-    residue of A+ comes from that pass, each later prime gives its
-    residue (``_pinv_mod``) or is skipped when it gives none, each
-    residue is folded in by one Chinese remainder step, and from the
-    second residue on X modulo the product P of the primes is
-    reconstructed as Y over d and returned once a certificate proves it.
+    One Gauss-Jordan pass modulo the first prime (``_pivots``) gives A's
+    pivot rows and columns Q and, for a square A of full rank modulo it,
+    A^-1 modulo it.  The pivot rows come back with the result whatever
+    it is, so the elimination that takes over from None needs no second
+    pass.  A that is not square gets None right after that pass.
+    Both routes below then run one loop: each prime gives a residue of
+    A+ (``_pinv_mod``, from the rows Q of A alone) or is skipped when it
+    gives none, each residue is folded in by one Chinese remainder step,
+    and from the second residue on X modulo the product P of the primes
+    is reconstructed as Y over d and returned once a certificate proves it.
 
-    A of full rank modulo the first prime takes every prime not dividing
-    det A, and ``_residual_bound`` proves A Y = d I, so it stops at the
-    fewest primes that certificate needs.
+    A of full rank modulo the first prime takes that pass's inverse as
+    its first residue and every later prime not dividing det A, and
+    ``_residual_bound`` proves A Y = d I, so it stops at the fewest
+    primes that certificate needs.
 
     A symmetric A of rank r modulo the first prime skips a prime that
     divides det BB'.  ``_residuals_vanish`` proves the four Penrose
@@ -436,7 +463,8 @@ def _modular_pinv(ints) -> tuple[np.ndarray, int] | None:
     over the matrix in Python integers (reducing A, the output product,
     the Chinese remainder step and the reconstruction), where
     fraction-free elimination makes one per pivot step, r in all.  So it
-    draws at most r // 4 primes, and none when that is below 2.
+    draws at most r // 4 primes, the first included, and none past the
+    first when that is below 2.
 
     None leaves A to fraction-free elimination.  That happens for every
     rank-deficient A that is not symmetric, when the budget runs out,
@@ -444,21 +472,20 @@ def _modular_pinv(ints) -> tuple[np.ndarray, int] | None:
     A's, the residues are not those of A+, and no reconstruction passes
     the certificate, so nothing needs restarting.
     """
-    if ints.shape[0] != ints.shape[1]:
-        return None
     primes = _primes()
     first = next(primes)
-    reduced = (ints % first).astype(np.int64)
-    cols, residue = _echelon_mod(reduced.copy(), first)
-    full_rank = residue is not None
+    rows, cols, residue = _pivots(ints, first)
+    full_rank, block = residue is not None, ints
     if not full_rank:
         budget = len(cols) // _PASSES_PER_PRIME
-        if budget < 2 or (ints != ints.T).any():
-            return None
-        primes, residue = islice(primes, budget - 1), _pinv_mod(reduced, cols, first)
+        if budget < 2 or ints.shape[0] != ints.shape[1] or (ints != ints.T).any():
+            return None, rows
+        block = ints[cols]
+        primes = islice(primes, budget - 1)
+        residue = _pinv_mod((block % first).astype(np.int64), cols, first)
     value, modulus = (0, 1) if residue is None else (residue.astype(object), first)
     for p in primes:
-        residue = _pinv_mod((ints % p).astype(np.int64), cols, p)
+        residue = _pinv_mod((block % p).astype(np.int64), cols, p)
         if residue is None:
             continue
         value, modulus = _crt(value, modulus, residue, p)
@@ -467,8 +494,8 @@ def _modular_pinv(ints) -> tuple[np.ndarray, int] | None:
             continue
         if (_residual_bound(ints, *found) < modulus if full_rank
                 else _residuals_vanish(ints, *found)):
-            return found
-    return None
+            return found, rows
+    return None, rows
 
 
 def is_psd(matrix) -> bool:

@@ -250,13 +250,13 @@ def test_is_edm_solves_on_the_pivot_block(dist, rank, monkeypatch):
 )
 def test_is_edm_certificate_rejects_a_short_pivot_set(dist, monkeypatch):
     calls = []
-    echelon = gearpinv.edm._echelon_mod
+    pivots = gearpinv.edm._pivots
 
-    def drop_last_pivot(work, p):
-        cols, inverse = echelon(work, p)
-        return cols[:-1], inverse
+    def drop_last_pivot(ints, p):
+        rows, cols, inverse = pivots(ints, p)
+        return rows[:-1], cols[:-1], inverse
 
-    monkeypatch.setattr(gearpinv.edm, "_echelon_mod", drop_last_pivot)
+    monkeypatch.setattr(gearpinv.edm, "_pivots", drop_last_pivot)
     monkeypatch.setattr(gearpinv.edm, "_pinv_ints", _recording(calls))
     # K y = s 1 still solves on the short block, but A[:, Q] y = s d 1 fails.
     assert is_edm(dist).beta == float(rational_pinv(dist).sum())

@@ -197,6 +197,19 @@ def kernel_calls(monkeypatch):
     return calls
 
 
+@pytest.fixture
+def passes(monkeypatch):
+    """The shapes of every Gauss-Jordan pass modulo a prime, in order."""
+    shapes, echelon = [], gearpinv.rational._echelon_mod
+
+    def recording(work, p):
+        shapes.append(work.shape)
+        return echelon(work, p)
+
+    monkeypatch.setattr(gearpinv.rational, "_echelon_mod", recording)
+    return shapes
+
+
 def test_rational_pinv_inverts_a_nonsingular_input_once(kernel_calls):
     dist = tree_distance(unit_tree([(1, 2), (2, 3), (2, 4), (4, 5)]))
     # The inverse comes from residues modulo primes: no rref and no invert.
@@ -215,16 +228,21 @@ def _first_primes(count):
     return [next(primes) for _ in range(count)]
 
 
-def test_rational_pinv_falls_back_when_the_probe_prime_divides_the_determinant(kernel_calls):
+def test_rational_pinv_falls_back_when_the_probe_prime_divides_the_determinant(
+    kernel_calls, passes
+):
     # diag(p1, 1) and diag(p1 p2, 1) are singular modulo the first prime p1 but not over Q.
     p1, p2 = _first_primes(2)
     for top in (p1, p1 * p2):
         kernel_calls["rref"].clear()
         matrix = _diagonal(top, 1)
         assert _inverse_mod(scaled(matrix)[0], p1) is None
+        passes.clear()
         assert _same_fractions(rational_pinv(matrix), _diagonal(Fraction(1, top), 1))
-        # The first prime only picks the route: the input goes through rref.
-        assert len(kernel_calls["rref"]) == 1
+        # One pass modulo p1 finds the one pivot row 1, whose block cannot give row 0: the
+        # certificate fails, and a second rref reduces the whole input.
+        assert passes == [(2, 2)]
+        assert [m.shape for m in kernel_calls["rref"]] == [(1, 2), (2, 2)]
 
 
 def test_rational_pinv_skips_primes_that_divide_the_determinant(kernel_calls, monkeypatch):
@@ -245,7 +263,7 @@ def test_rational_pinv_skips_primes_that_divide_the_determinant(kernel_calls, mo
     assert kernel_calls["rref"] == [] and kernel_calls["invert"] == []
 
 
-def test_rational_pinv_inverts_a_rank_deficient_input_once(kernel_calls):
+def test_rational_pinv_inverts_a_rank_deficient_input_once(kernel_calls, passes):
     left = rational_matrix([[1, "1/2"], [2, -1], [0, 3], ["-2/3", 1], [4, 0]])
     right = rational_matrix([[1, 0, "2/5", -3], [0, 2, 1, "1/4"]])
     # A 5x4 product of rank 2, which is not square, and the gear distance matrix at n = 7:
@@ -253,12 +271,14 @@ def test_rational_pinv_inverts_a_rank_deficient_input_once(kernel_calls):
     for matrix, rank in ((dot(left, right), 2), (gear_distance_closed(7), 7)):
         kernel_calls["rref"].clear()
         kernel_calls["invert"].clear()
-        rational_pinv(matrix)
-        # One rref of the input, and one invert, of the rank-order matrix C' M F'.
-        assert len(kernel_calls["rref"]) == 1
-        assert kernel_calls["rref"][0].shape == matrix.shape
-        assert len(kernel_calls["invert"]) == 1
-        assert kernel_calls["invert"][0].shape == (rank, rank)
+        passes.clear()
+        pinv = rational_pinv(matrix)
+        # One pass modulo a prime over the input, one rref of its pivot rows alone, and one
+        # invert, of the rank-order matrix C' A R'.
+        assert passes == [matrix.shape]
+        assert [m.shape for m in kernel_calls["rref"]] == [(rank, matrix.shape[1])]
+        assert [m.shape for m in kernel_calls["invert"]] == [(rank, rank)]
+        assert _same_fractions(pinv, _factorization_formula(matrix))
 
 
 def test_rational_pinv_matches_factorization_on_trees_and_gears(
@@ -274,19 +294,13 @@ def test_rational_pinv_matches_factorization_on_trees_and_gears(
         assert _same_fractions(gram_oracle(n), _factorization_formula(gram_from_edm(dist)))
 
 
-def test_rational_pinv_takes_gears_from_residues(kernel_calls, monkeypatch):
-    passes, primes = [], []
-    echelon, pinv_mod = gearpinv.rational._echelon_mod, gearpinv.rational._pinv_mod
-
-    def recording_pass(work, p):
-        passes.append(work.shape)
-        return echelon(work, p)
+def test_rational_pinv_takes_gears_from_residues(kernel_calls, passes, monkeypatch):
+    primes, pinv_mod = [], gearpinv.rational._pinv_mod
 
     def recording_residue(residues, cols, p):
         primes.append(p)
         return pinv_mod(residues, cols, p)
 
-    monkeypatch.setattr(gearpinv.rational, "_echelon_mod", recording_pass)
     monkeypatch.setattr(gearpinv.rational, "_pinv_mod", recording_residue)
     # From rank 8 the budget allows 2 primes, and gear D and G at n = 9..16 certify within it.
     for n in range(9, 17):
@@ -305,7 +319,7 @@ def test_rational_pinv_takes_gears_from_residues(kernel_calls, monkeypatch):
 
 
 def test_rational_pinv_falls_back_when_the_first_prime_sees_a_lower_rank(
-    kernel_calls, monkeypatch
+    kernel_calls, passes, monkeypatch
 ):
     # diag(p1, 1, ..., 1, 0) with nine 1s has rank 10, but rank 9 modulo p1.
     p1 = _first_primes(1)[0]
@@ -318,10 +332,14 @@ def test_rational_pinv_falls_back_when_the_first_prime_sees_a_lower_rank(
         return verdicts[-1]
 
     monkeypatch.setattr(gearpinv.rational, "_residuals_vanish", recording)
+    passes.clear()
     pinv = rational_pinv(matrix)
     # The rank-9 reconstruction fails its certificate, and elimination takes over.
     assert verdicts == [False]
-    assert len(kernel_calls["rref"]) == 1
+    # One pass over the input; the others are the rank-9 inverses of the residue route.
+    assert passes[0] == (11, 11) and set(passes[1:]) == {(9, 9)}
+    # The 9 pivot rows modulo p1 miss row 0: the certificate fails, and the whole input is reduced.
+    assert [m.shape for m in kernel_calls["rref"]] == [(9, 11), (11, 11)]
     assert _same_fractions(pinv, _diagonal(Fraction(1, p1), *[1] * 9, 0))
 
 
@@ -337,6 +355,82 @@ def test_rational_pinv_leaves_a_low_rank_edm_to_elimination(kernel_calls, monkey
     assert products == []
     assert len(kernel_calls["rref"]) == 1 and kernel_calls["invert"][0].shape == (6, 6)
     assert _same_fractions(pinv, _factorization_formula(edm))
+
+
+def _pivot_corpus():
+    """Seeded rank-deficient matrices of ints and of Fractions, and the edge shapes.
+
+    Rectangular both ways, square and not symmetric, and symmetric, all
+    of rank below 8, where no residue is taken.  Rows are shuffled (rows
+    and columns alike for a symmetric matrix), so the pivot rows are
+    often not a prefix.  Then rank 0, 1 x n and m x 1.
+    """
+    rng = random.Random("pivot rows")
+    corpus = []
+    for k in range(36):
+        if k % 2:
+            def entry():
+                return Fraction(rng.randint(-9, 9), rng.randint(1, 7))
+        else:
+            def entry():
+                return rng.randint(-4, 4)
+        rows, cols = rng.randint(2, 8), rng.randint(2, 8)
+        rank = rng.randint(1, min(rows, cols) - 1)
+        left = np.array([[entry() for _ in range(rank)] for _ in range(rows)], dtype=object)
+        right = np.array([[entry() for _ in range(cols)] for _ in range(rank)], dtype=object)
+        order = rng.sample(range(rows), rows)
+        if k % 3:
+            corpus.append(left.dot(right)[order])
+        else:
+            middle = np.diag([entry() or 1 for _ in range(rank)]).astype(object)
+            corpus.append(left.dot(middle).dot(left.T)[np.ix_(order, order)])
+    corpus += [rational_zeros(3, 4), rational_zeros(1, 1), rational_zeros(4, 1)]
+    corpus += [rational_matrix([[0, "2/3", -1, 5]]), rational_matrix([[3], [0], ["-1/2"]]),
+               rational_matrix([[0], [0], [7]]), rational_matrix([[0, 0, 4]])]
+    return corpus
+
+
+def test_rational_pinv_matches_factorization_through_the_pivot_rows(kernel_calls, monkeypatch):
+    picked, pivots = [], gearpinv.rational._pivots
+
+    def recording(ints, p):
+        found = pivots(ints, p)
+        picked.append(found[0])
+        return found
+
+    monkeypatch.setattr(gearpinv.rational, "_pivots", recording)
+    not_prefix = symmetric = 0
+    for matrix in _pivot_corpus():
+        want, rank = _factorization_formula(matrix), len(rank_factorization(matrix)[1])
+        picked.clear()
+        kernel_calls["rref"].clear()
+        assert _same_fractions(rational_pinv(matrix), want)
+        # Exactly one pass picks the rows, and one rref reduces them alone.
+        assert len(picked) == 1 and len(picked[0]) == rank
+        assert [m.shape for m in kernel_calls["rref"]] == [(rank, matrix.shape[1])]
+        not_prefix += sorted(picked[0]) != list(range(rank))
+        symmetric += matrix.shape == matrix.T.shape and (matrix == matrix.T).all()
+    assert not_prefix >= 10 and symmetric >= 10
+
+
+@pytest.mark.parametrize("pick", ["one row dropped", "dependent rows"])
+def test_rational_pinv_is_exact_after_a_wrong_pivot_row_pick(pick, kernel_calls, monkeypatch):
+    pivots = gearpinv.rational._pivots
+
+    def wrong(ints, p):
+        rows, cols, inverse = pivots(ints, p)
+        return (rows[:-1] if pick == "one row dropped" else [rows[0]] * len(rows)), cols, inverse
+
+    monkeypatch.setattr(gearpinv.rational, "_pivots", wrong)
+    # Rank 2 at least, so that a repeated row is dependent, and no residue is taken.
+    corpus = [matrix for matrix in _pivot_corpus() if len(rank_factorization(matrix)[1]) >= 2]
+    assert len(corpus) >= 12
+    for matrix in corpus[:12] + [gear_distance_closed(7)]:
+        want = _factorization_formula(matrix)
+        kernel_calls["rref"].clear()
+        assert _same_fractions(rational_pinv(matrix), want)
+        # The wrong rows fail the check, and one rref of the whole input takes over.
+        assert len(kernel_calls["rref"]) == 2 and kernel_calls["rref"][1].shape == matrix.shape
 
 
 def _sylvester(order):
@@ -405,28 +499,17 @@ def test_rational_pinv_matches_factorization_on_ranks_8_to_16(kernel_calls):
 
 
 def test_rational_pinv_keeps_residues_to_square_and_symmetric_rank_deficient_input(
-    kernel_calls, monkeypatch
+    kernel_calls, passes, monkeypatch
 ):
-    passes, residues, drawn = [], [], []
-    echelon, pinv_mod, primes = (gearpinv.rational._echelon_mod, gearpinv.rational._pinv_mod,
-                                 gearpinv.rational._primes)
-
-    def recording_pass(work, p):
-        passes.append(work.shape)
-        return echelon(work, p)
+    p1 = _first_primes(1)[0]
+    residues, pinv_mod = [], gearpinv.rational._pinv_mod
 
     def recording_residue(reduced, cols, p):
         residues.append(p)
         return pinv_mod(reduced, cols, p)
 
-    def counting_primes():
-        for p in primes():
-            drawn.append(p)
-            yield p
-
-    monkeypatch.setattr(gearpinv.rational, "_echelon_mod", recording_pass)
     monkeypatch.setattr(gearpinv.rational, "_pinv_mod", recording_residue)
-    monkeypatch.setattr(gearpinv.rational, "_primes", counting_primes)
+    drawn = _recording_primes(monkeypatch)
     rng = random.Random("non-symmetric rank deficient")
 
     def fraction():
@@ -436,22 +519,26 @@ def test_rational_pinv_keeps_residues_to_square_and_symmetric_rank_deficient_inp
     hadamard = _sylvester(16)[:12].astype(object)
     left = np.array([[fraction() for _ in range(10)] for _ in range(40)], dtype=object)
     right = np.array([[fraction() for _ in range(30)] for _ in range(10)], dtype=object)
-    for matrix in (hadamard, left.dot(right)):
+    for matrix, rank in ((hadamard, 12), (left.dot(right), 10)):
         passes.clear()
+        drawn.clear()
         pinv = rational_pinv(matrix)
-        # Not square: no pass modulo a prime, no prime drawn, and elimination takes it.
-        assert passes == [] and drawn == []
-        assert len(kernel_calls["rref"]) == 1
+        # Not square: one pass modulo the first prime picks the pivot rows, no residue of A+ is
+        # taken, and elimination reduces those rows alone.
+        assert passes == [matrix.shape] and drawn == [p1] and residues == []
+        assert [m.shape for m in kernel_calls["rref"]] == [(rank, matrix.shape[1])]
         assert _same_fractions(pinv, _factorization_formula(matrix))
         kernel_calls["rref"].clear()
     # A 14 x 14 integer product of rank 10 that is not symmetric.
     left = np.array([[rng.randint(-3, 3) for _ in range(10)] for _ in range(14)], dtype=object)
     right = np.array([[rng.randint(-3, 3) for _ in range(14)] for _ in range(10)], dtype=object)
     matrix = left.dot(right)
+    passes.clear()
+    drawn.clear()
     pinv = rational_pinv(matrix)
-    # The probe pass sees rank 10 of 14, and the input goes to elimination with no residue of A+.
-    assert passes == [matrix.shape] and residues == [] and len(drawn) == 1
-    assert len(kernel_calls["rref"]) == 1
+    # The probe pass sees rank 10 of 14, and its 10 pivot rows go to elimination with no residue.
+    assert passes == [matrix.shape] and residues == [] and drawn == [p1]
+    assert [m.shape for m in kernel_calls["rref"]] == [(10, 14)]
     assert (matrix != matrix.T).any() and len(rank_factorization(matrix)[1]) == 10
     assert _same_fractions(pinv, _factorization_formula(matrix))
 

@@ -29,8 +29,8 @@ balaji_bapat_pinv(D), which must lie within 1e-9 of D+.  At each N,
 is_edm and is_psd of the Gram matrix must also both reject D with one
 symmetric pair of entries raised by 1.  The script exits 1 if one is
 wrong, if a check of run_checks(N) fails, if a gear size lacks one of
-its eight stage records, if the rational_pinv(T), rational_pinv(H) or
-a max_eigen_residual(N) record is missing, if a max_eigen_residual(N)
+its eight stage records, if the rational_pinv(T), rational_pinv(H), a
+max_eigen_residual(N) or an oracle op record is missing, if a max_eigen_residual(N)
 exceeds 1e-9, or if a rational_pinv(D),
 rational_pinv(G) or penrose_check(D, D+) record counts no prime.  Each
 record carries the input's order and rank and the largest numerator and
@@ -78,6 +78,7 @@ from gearpinv.verify import run_checks  # noqa: E402
 DEFAULT_SIZES = (40, 60)
 GEAR_STAGES = ("gram_from_edm(D)", "rational_pinv(D)", "rational_pinv(G)", "is_psd(G)",
                "is_edm(D)", "penrose_check(D, D+)", "balaji_bapat_pinv(D)", "run_checks(N)")
+ORACLE_OPS = ("oracle tree op", "oracle edm op", "oracle product op")
 REPEATS = 3
 OP_SIZE = 40
 HILBERT_ORDER = 30
@@ -264,12 +265,12 @@ def oracle_ops(bench: Bench, rng: random.Random) -> None:
 
 
 def check_records(bench: Bench, sizes) -> None:
-    """Every gear stage at every size, the T and H records, and primes in D, G and D+ records."""
+    """Every gear stage at every size, the T, H and oracle op records, and primes in D, G and D+."""
     have = {(record["name"], record["size"]) for record in bench.records}
     for n in sizes:
         for name in GEAR_STAGES:
             bench.check(f"missing record {name} at n = {n}", (name, n) in have)
-    for name in ("rational_pinv(T)", "rational_pinv(H)"):
+    for name in ("rational_pinv(T)", "rational_pinv(H)") + ORACLE_OPS:
         bench.check(f"missing record {name}", any(record[0] == name for record in have))
     for n in RESIDUAL_SIZES:
         bench.check(f"missing record max_eigen_residual(N) at N = {n}",
