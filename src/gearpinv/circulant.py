@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-import math
-
 import numpy as np
 
 from .rational import rational
@@ -119,28 +117,27 @@ def circ_eigen(first_row) -> list[tuple[complex, np.ndarray]]:
     return [(complex(sigmas[m]), chars[m]) for m in range(size)]
 
 
-def t_spectrum(n: int) -> list[float]:
-    """Eigenvalues of the subdivision-block circulant of the gear graph.
+def _gear_symbols(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The one table of the gear's symbols on the cycle's characters k = 0..n-2.
 
-    One eigenvalue ``4(n-3)`` for the constant vector, then
-    ``-8*cos(pi*m/(n-1))**2`` for ``m = 1..n-2``.
+    ``phi_k = cos(pi*k/(n-1))``, the mixed block's eigenvalue ``sigma_k = -2(1 + w**(-k))``
+    with ``w = exp(2*pi*i/(n-1))``, and the subdivision block's ``tau_k = -8*phi_k**2``;
+    at k = 0 the row sums ``3n - 7`` and ``4(n-3)`` stand for the last two.
     """
     _require_wheel_size(n)
     size = n - 1
-    values = [4.0 * (n - 3)]
-    values += [-8.0 * math.cos(math.pi * m / size) ** 2 for m in range(1, size)]
-    return values
+    phi = np.cos(np.pi * np.arange(size) / size)
+    sigma = -2.0 * (1.0 + unit_root_powers(size).conj())  # conj(w**k) = w**(-k)
+    tau = -8.0 * phi**2
+    sigma[0], tau[0] = 3 * n - 7, 4 * (n - 3)
+    return phi, sigma, tau
+
+
+def t_spectrum(n: int) -> list[float]:
+    """Eigenvalues of the subdivision-block circulant: ``4(n-3)``, then ``tau_k`` for k >= 1."""
+    return _gear_symbols(n)[2].tolist()
 
 
 def s_spectrum(n: int) -> list[complex]:
-    """Eigenvalues of the mixed cycle/subdivision circulant block.
-
-    One eigenvalue ``3n - 7``, then ``-2(1 + w**(-m))`` for
-    ``m = 1..n-2`` with ``w = exp(2*pi*i/(n-1))``.
-    """
-    _require_wheel_size(n)
-    size = n - 1
-    powers = unit_root_powers(size)
-    values: list[complex] = [complex(3 * n - 7)]
-    values += [-2.0 * (1.0 + powers[(-m) % size]) for m in range(1, size)]
-    return values
+    """Eigenvalues of the mixed cycle/subdivision block: ``3n - 7``, then ``sigma_k`` for k >= 1."""
+    return _gear_symbols(n)[1].tolist()

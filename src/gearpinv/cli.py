@@ -40,7 +40,7 @@ from .graphs import _gear_distance_rows, _wheel_distance_rows, gear_distance_clo
 from .laplacian import _a_rows, _b_rows, _h_rows, _laplacian_rows
 from .pinv import _formula_rows, rational_pinv
 from .rational import is_exact, scaled
-from .spectral import lambda_pairs, max_eigen_residual, theta
+from .spectral import _eigenvalues, max_eigen_residual
 from .trees import tree_distance, unit_tree, weighted_tree
 from .verify import run_checks
 
@@ -260,10 +260,10 @@ def cmd_spectrum(args) -> tuple[str, int]:
     n = args.n
     _require_size(n, MAX_DENSE_N, "dense commands")
     fmt = _pick_format(args.format, False)
-    pairs = lambda_pairs(n)
+    values = _eigenvalues(n).tolist()
     payload = {
-        "lambda": [pairs[0][0], pairs[1][0]],
-        "theta": [theta(n, k) for k in range(1, n - 1)],
+        "lambda": values[:2],
+        "theta": values[2:],
         "null_multiplicity": n - 1,
         "max_residual": max_eigen_residual(n),
     }

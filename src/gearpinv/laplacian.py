@@ -6,18 +6,17 @@ paper assembles it from a rank-one rational part (:func:`a_matrix`),
 cosine circulant blocks, one per eigenvalue pair of the distance matrix
 (:func:`b_matrix`), and, for odd n, an alternating-sign rational block
 (:func:`h_matrix`); :func:`special_laplacian` takes all but the first
-as one FFT.  Vertex 0 is the hub, 1..n-1 the cycle and n..2n-2 the
-subdivision.
+as one FFT.  Their cosines and symbols come from the one table
+``circulant._gear_symbols``.  Vertex 0 is the hub, 1..n-1 the cycle and
+n..2n-2 the subdivision.
 """
 
 from __future__ import annotations
 
-import math
-
 import numpy as np
 
 from .circulant import (
-    _circulant_blocks, _require_pair_index, _require_wheel_size, circulant, s_spectrum, t_spectrum,
+    _circulant_blocks, _gear_symbols, _require_pair_index, _require_wheel_size, circulant,
     unit_root_powers,
 )
 from .rational import unscaled
@@ -105,8 +104,8 @@ def _b_rows(n: int, k: int) -> np.ndarray:
     if n % 2 == 1 and 2 * k == n - 1:
         raise ValueError("cos(pi*k/(n-1)) vanishes: no cosine block at this k")
     size = n - 1
-    phi = math.cos(math.pi * k / size)
-    quarter = 4.0 * phi * phi
+    phi, _, tau = _gear_symbols(n)
+    phi, quarter = float(phi[k]), tau[k] / -2.0  # quarter = 4 phi**2
     sub_weight = 2.0 / (size * (2.0 * phi + 1.0 / (2.0 * phi)) ** 2)
     mixed = (row + np.roll(row, -1)) / quarter
     rim = np.concatenate([[0.0], row / quarter, mixed])
@@ -136,7 +135,7 @@ def b_matrix(n: int, k: int) -> np.ndarray:
 def _laplacian_rows(n: int) -> np.ndarray:
     """Rows 0, 1 and n of :func:`special_laplacian`, the source of all its entries."""
     size = n - 1
-    sigma, tau = np.array(s_spectrum(n)), np.array(t_spectrum(n))
+    _, sigma, tau = _gear_symbols(n)
     weights = -2.0 / (tau - 2.0) ** 2
     weights[0] = 0.0  # the constant character is the rank-one part's
     symbols = weights * np.stack([np.full(size, -2.0), sigma, tau])
@@ -163,7 +162,8 @@ def special_laplacian(n: int) -> np.ndarray:
 
     Built in floating point.  On each character k != 0 of the cycle and
     the subdivision, D acts as its rank-one block symbol ``S_k`` (from
-    ``s_spectrum`` and ``t_spectrum``) with trace ``theta_k``, so L acts
+    ``sigma_k`` and ``tau_k`` in ``circulant._gear_symbols``, the one table of
+    the gear's symbols) with trace ``theta_k``, so L acts
     as ``-2 S_k / theta_k^2``.  One FFT of those symbols gives the three
     circulant first rows in O(n log n), the alternating row of
     :func:`h_matrix` included for odd n.  The rank-one part of

@@ -3,7 +3,8 @@
 The distance matrix of the gear graph on ``2n - 1`` vertices has rank
 ``n``: two simple eigenvalues carried by hub-symmetric vectors, the
 ``n - 2`` values ``-8*cos(pi*k/(n-1))**2 - 2``, and a null space of
-dimension ``n - 1`` spanned by integer vectors.
+dimension ``n - 1`` spanned by integer vectors.  The cosine values and
+their eigenvectors read the one table of symbols ``circulant._gear_symbols``.
 """
 
 from __future__ import annotations
@@ -15,6 +16,7 @@ import numpy as np
 from .circulant import (
     _blocks_dot,
     _characters,
+    _gear_symbols,
     _require_pair_index,
     _require_wheel_size,
     unit_root_powers,
@@ -64,7 +66,12 @@ def theta(n: int, k: int) -> float:
     Always in ``[-10, -2]``, and symmetric under ``k -> n-1-k``.
     """
     _require_pair_index(n, k)
-    return -8.0 * math.cos(math.pi * k / (n - 1)) ** 2 - 2.0
+    return float(_gear_symbols(n)[2][k]) - 2.0
+
+
+def _eigenvalues(n: int) -> np.ndarray:
+    """The n nonzero eigenvalues: the two ``lambda_pairs`` values, then every ``theta(n, k)``."""
+    return np.concatenate([[value for value, _ in lambda_pairs(n)], _gear_symbols(n)[2][1:] - 2.0])
 
 
 def _q_vectors(n: int, ks: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
@@ -77,16 +84,15 @@ def _q_vectors(n: int, ks: np.ndarray, out: np.ndarray | None = None) -> np.ndar
     size = n - 1
     if out is None:
         out = np.empty((2 * n - 1, ks.size), dtype=np.complex128)
-    powers = unit_root_powers(size)
+    _, sigma, tau = _gear_symbols(n)
     out[0] = 0.0
-    out[n:] = _characters(powers, ks)
-    # S v = sigma v with sigma = -2(1 + w**(-k)), as in circulant.s_spectrum.
-    sigma = -2.0 * (1.0 + powers[(-ks) % size])
-    phi = np.array([math.cos(math.pi * k / size) for k in ks])
-    np.multiply(out[n:], -sigma / (8.0 * phi * phi), out=out[1:n])
+    out[n:] = _characters(unit_root_powers(size), ks)
+    # S v = sigma_k v, so the cycle block -S v / (8 cos**2) is sigma_k v / tau_k, both
+    # read from circulant._gear_symbols.
+    np.multiply(out[n:], sigma[ks] / tau[ks], out=out[1:n])
     # Only odd n has k = (n-1)/2, where the cosine vanishes (up to rounding).
-    for j in np.flatnonzero(2 * ks == size):
-        out[1:n, j], out[n:, j] = (-1.0) ** np.arange(size), 0.0
+    alternating = 2 * ks == size
+    out[1:n, alternating], out[n:, alternating] = ((-1.0) ** np.arange(size))[:, None], 0.0
     return out
 
 
@@ -112,12 +118,10 @@ def max_eigen_residual(n: int) -> float:
     :func:`gearpinv.graphs.gear_distance_closed` gathers), applied to X by
     ``circulant._blocks_dot`` in O(n**2), with no dense D.
     """
-    ks = np.arange(1, n - 1)
-    pairs = lambda_pairs(n)
-    values = np.array([value for value, _ in pairs] + [theta(n, k) for k in ks])
+    values = _eigenvalues(n)
     vectors = np.empty((2 * n - 1, n), dtype=np.complex128)
-    vectors[:, 0], vectors[:, 1] = (vector for _, vector in pairs)
-    _q_vectors(n, ks, out=vectors[:, 2:])
+    vectors[:, 0], vectors[:, 1] = (vector for _, vector in lambda_pairs(n))
+    _q_vectors(n, np.arange(1, n - 1), out=vectors[:, 2:])
     residual = _blocks_dot(_gear_distance_rows(n), vectors)
     residual -= np.multiply(vectors, values, out=vectors)
     return float(np.max(np.abs(residual)))

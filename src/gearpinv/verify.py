@@ -22,7 +22,7 @@ from .graphs import bfs_distances, build_gear, gear_distance_closed
 from .laplacian import special_laplacian
 from .pinv import _penrose_ints, _pinv_ints, beta, gear_pinv_formula, u_vector
 from .rational import _floats, dot, scaled
-from .spectral import lambda_pairs, max_eigen_residual, null_basis, theta
+from .spectral import _eigenvalues, max_eigen_residual, null_basis
 
 
 @dataclass(frozen=True)
@@ -50,22 +50,21 @@ def run_checks(n: int, tol: float = 1e-9) -> list[CheckResult]:
     results.append(CheckResult("distance-equality", residual == 0.0, residual))
 
     # 2. Closed-form spectrum against the dense eigensolver.
-    analytic = [value for value, _ in lambda_pairs(n)]
-    analytic += [theta(n, k) for k in range(1, n - 1)]
-    analytic += [0.0] * (n - 1)
+    analytic = np.concatenate([_eigenvalues(n), np.zeros(n - 1)])
     dense_values, _ = jacobi_eigh(dist.astype(float))
-    spectrum_gap = _sup(np.sort(np.asarray(analytic)) - dense_values)
+    spectrum_gap = _sup(np.sort(analytic) - dense_values)
     pair_residual = max_eigen_residual(n)
     passed = spectrum_gap <= 10 * tol and pair_residual <= tol
     results.append(CheckResult("spectrum", passed, max(spectrum_gap, pair_residual)))
 
     # 3. Integer null vectors are killed exactly.
-    residual = max(_sup(dist @ vec) for vec in null_basis(n))
+    nulls = np.array(null_basis(n))
+    residual = _sup(dist @ nulls.T)
     results.append(CheckResult("null-space", residual == 0.0, float(residual)))
 
     # 4. The u vector solves D u = 1 inside the row space, with mass 2/(n-1).
     u = u_vector(n)
-    residuals = [*(dot(dist, u) - 1), *dot(np.array(null_basis(n)), u), u.sum() - beta(n)]
+    residuals = [*(dot(dist, u) - 1), *dot(nulls, u), u.sum() - beta(n)]
     worst = max(abs(x) for x in residuals)
     results.append(CheckResult("beta", worst == 0, float(worst)))
 

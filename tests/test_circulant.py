@@ -23,6 +23,7 @@ from gearpinv.graphs import (
     rim_to_sub_row,
     sub_to_sub_row,
 )
+from gearpinv.spectral import theta
 
 rows = st.lists(
     st.fractions(min_value=-20, max_value=20, max_denominator=10),
@@ -179,3 +180,13 @@ def test_spectrum_small_n_rejected():
         t_spectrum(3)
     with pytest.raises(ValueError):
         s_spectrum(3)
+
+
+def test_theta_is_read_from_the_subdivision_spectrum():
+    # One table of symbols: theta is t_spectrum's entry less 2, bit for bit.  At n = 130
+    # a second copy of the formula, -8*math.cos(...)**2, would differ in the last bit.
+    for n in [*range(4, 61), 130, 299, 300, 301, 1000]:
+        taus, sigmas = t_spectrum(n), s_spectrum(n)
+        assert all(type(x) is float for x in taus)
+        assert all(type(x) is complex for x in sigmas)
+        assert [theta(n, k) for k in range(1, n - 1)] == [tau - 2.0 for tau in taus[1:]]

@@ -27,6 +27,7 @@ from gearpinv.laplacian import (
     _a_rows, _b_rows, _h_rows, _laplacian_rows, a_matrix, b_matrix, h_matrix, special_laplacian,
 )
 from gearpinv.pinv import _formula_rows, gear_pinv_formula, rational_pinv
+from gearpinv.spectral import lambda_pairs, theta
 
 
 def run_cli(*argv):
@@ -292,6 +293,9 @@ def test_spectrum_document():
     assert len(payload["theta"]) == 6
     assert payload["null_multiplicity"] == 7
     assert payload["max_residual"] <= 1e-9
+    assert (payload["theta"], payload["lambda"]) == (
+        [theta(8, k) for k in range(1, 7)], [value for value, _ in lambda_pairs(8)]
+    )
 
 
 @pytest.mark.parametrize("n", [70, 150, 300])
@@ -456,7 +460,7 @@ def test_exact_routes_refuse_n_above_ceiling(monkeypatch, argv):
 
 _DENSE_BUILDERS = (
     "gear_distance_closed", "_wheel_distance_rows", "_formula_rows",
-    "lambda_pairs", "theta", "max_eigen_residual",
+    "_eigenvalues", "max_eigen_residual",
     "_a_rows", "_h_rows", "_b_rows", "_gear_distance_rows", "_laplacian_rows", "tree_distance",
 )
 

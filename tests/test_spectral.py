@@ -122,7 +122,14 @@ def test_q_vector_cycle_block_matches_dense_mixed_block():
 
 def test_max_eigen_residual_sees_a_wrong_eigenvalue(monkeypatch):
     assert max_eigen_residual(12) < 1e-12
-    monkeypatch.setattr(spectral, "theta", lambda n, k: theta(n, k) + 1e-6)
+    original = spectral._eigenvalues
+
+    def nudged(n):
+        values = original(n)
+        values[2:] += 1e-6  # every theta; the two lambda values stay
+        return values
+
+    monkeypatch.setattr(spectral, "_eigenvalues", nudged)
     assert max_eigen_residual(12) > 1e-7
 
 
@@ -216,12 +223,15 @@ def test_q_vector_is_a_column_of_the_one_builder():
 @pytest.mark.parametrize("n", [11, 12])
 def test_max_eigen_residual_sees_one_wrong_eigenvalue(monkeypatch, n):
     # Perturbing a single theta must show, so no column is dropped or shifted.
+    original = spectral._eigenvalues
     wrong_ks = [1, n - 2] + ([(n - 1) // 2] if n % 2 == 1 else [])
     for wrong in wrong_ks:
-        def nudged(m, k, wrong=wrong):
-            return theta(m, k) + (1e-6 if k == wrong else 0.0)
+        def nudged(m, wrong=wrong):
+            values = original(m)
+            values[1 + wrong] += 1e-6  # lambda+, lambda-, then theta(m, k) at 1 + k
+            return values
 
-        monkeypatch.setattr(spectral, "theta", nudged)
+        monkeypatch.setattr(spectral, "_eigenvalues", nudged)
         assert max_eigen_residual(n) > 1e-7
 
 
