@@ -47,8 +47,8 @@ from .verify import run_checks
 
 # Largest n the exact routes (verify, pinv --method oracle|k4) accept.  Their
 # cost grows about like n^4 (m^3 operations on integers that widen with m): on a
-# 2-core machine verify --n 80 takes 1.3 to 2.2 s, and run_checks(100) 2.0 to
-# 2.7 s, two thirds of it in the residue pseudoinverses of D and G.
+# 2-core machine verify --n 80 takes about 1 s, and run_checks(100) 1.2 to 1.6 s,
+# about half of it in the one residue pseudoinverse, of G.
 MAX_EXACT_N = 80
 
 # Largest n the dense commands (gen, pinv --method formula, spectrum,

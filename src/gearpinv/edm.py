@@ -6,11 +6,13 @@ twice the Gram matrix of the points moved so that the first is the
 origin, is positive semidefinite (Schoenberg 1935).  When D is also
 spherical (``1' D+ 1 > 0``), D+ is a Gram part plus a rank-one
 correction, both read off G+ for G = -1/2 P D P, the centered Gram
-matrix; every pseudoinverse here comes as integers from ``pinv._pinv_ints``.
+matrix.  Pseudoinverses come as integers from ``pinv._pinv_ints``, and D+
+also follows from G+ in integers (``_edm_pinv_ints``).
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -153,6 +155,36 @@ def balaji_bapat_pinv(matrix) -> np.ndarray:
 
 def _gram_route(ints, scale: int, pinv, den: int) -> np.ndarray:
     """``balaji_bapat_pinv`` from D = A/s and the exact G+ = P/p, on the integers."""
+    w, w_den, k = _spherical_weights(ints, scale, pinv, den)
+    w_float = _floats(w, w_den)
+    # k / (s w_den) is 1' D+ 1's inverse, rounded once as float(Fraction) would be.
+    return -0.5 * _floats(pinv, den) + np.outer(w_float, w_float) / (k / (scale * w_den))
+
+
+def _edm_pinv_ints(ints, scale: int, pinv, den: int) -> tuple[np.ndarray, int]:
+    """``balaji_bapat_pinv`` exactly: D+ = Y / d in lowest terms, from D = A/s and G+ = P/p.
+
+    With c = k / (s w_den) from ``_spherical_weights``, u = D+ 1 is w / (w_den c) and
+    1' u = 1 / c, so D+ = -1/2 G+ + u u' / (1' u) = -P / (2p) + s w w' / (w_den k) and
+    ``2 p w_den k D+ = 2 p s w w' - w_den k P``: integers, with no pseudoinverse of D.
+    The identity holds for every spherical D, so no structure of D enters it.
+    """
+    w, w_den, k = _spherical_weights(ints, scale, pinv, den)
+    pinv_ints = 2 * den * scale * np.outer(w, w) - w_den * k * pinv
+    pinv_den = 2 * den * w_den * k
+    content = math.gcd(pinv_den, *pinv_ints.flat)
+    return pinv_ints // content, pinv_den // content
+
+
+def _spherical_weights(ints, scale: int, pinv, den: int) -> tuple[np.ndarray, int, int]:
+    """Integers w, w_den and k > 0 with D (w / w_den) = k / (s w_den) 1, for D = A/s and G+ = P/p.
+
+    Raises
+    ------
+    ValueError
+        Unless A w is a positive multiple of 1, which holds exactly when D is
+        spherical with 1' D+ 1 > 0.
+    """
     # Every hollow symmetric D equals g1' + 1g' - 2G with g = diag(G), so
     # for w = 1/m + G+ g / 2 we get Dw = (I - GG+) g + c 1.  That is
     # constant, Dw = k 1, exactly when D is spherical, and then
@@ -164,6 +196,4 @@ def _gram_route(ints, scale: int, pinv, den: int) -> np.ndarray:
     k = dw[0]
     if (dw != k).any() or k <= 0:
         raise ValueError("formula needs a spherical D with 1' D+ 1 > 0")
-    w_float = _floats(w, w_den)
-    # k / (s w_den) is 1' D+ 1's inverse, rounded once as float(Fraction) would be.
-    return -0.5 * _floats(pinv, den) + np.outer(w_float, w_float) / (k / (scale * w_den))
+    return w, w_den, k

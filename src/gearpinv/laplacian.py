@@ -106,7 +106,9 @@ def _b_rows(n: int, k: int) -> np.ndarray:
     size = n - 1
     phi, _, tau = _gear_symbols(n)
     phi, quarter = float(phi[k]), tau[k] / -2.0  # quarter = 4 phi**2
-    sub_weight = 2.0 / (size * (2.0 * phi + 1.0 / (2.0 * phi)) ** 2)
+    # Squared by a product, which is correctly rounded where libm pow need not be.
+    spread = 2.0 * phi + 1.0 / (2.0 * phi)
+    sub_weight = 2.0 / (size * (spread * spread))
     mixed = (row + np.roll(row, -1)) / quarter
     rim = np.concatenate([[0.0], row / quarter, mixed])
     sub = np.concatenate([[0.0], mixed[-np.arange(size) % size], row])  # mixed's first column

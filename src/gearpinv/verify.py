@@ -8,15 +8,21 @@ comparison widens the tolerance tenfold (the dense eigensolver's values
 are accurate only to a few ulps of the norm of D, which grows with n)
 and row-sum checks tighten it tenfold (sums of a few dozen doubles
 deserve better).
+
+The exact oracle takes one residue pseudoinverse, of the centered Gram
+matrix G (check 6).  D+ follows from G+ in integers by the Balaji-Bapat
+identity, which holds for every spherical distance matrix, so no gear
+structure enters it; check 8's Penrose proof is its only certificate.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .edm import _gram_ints, _gram_route, _schoenberg_psd
+from .edm import _edm_pinv_ints, _gram_ints, _gram_route, _schoenberg_psd
 from .eigen import jacobi_eigh, numerical_rank
 from .graphs import bfs_distances, build_gear, gear_distance_closed
 from .laplacian import special_laplacian
@@ -41,8 +47,6 @@ def run_checks(n: int, tol: float = 1e-9) -> list[CheckResult]:
     results: list[CheckResult] = []
     dist = gear_distance_closed(n)
     d_ints, d_den = scaled(dist)
-    oracle = _pinv_ints(d_ints, d_den)
-    oracle_float = _floats(*oracle)
     lap = special_laplacian(n)
 
     # 1. Two independent distance constructions agree exactly.
@@ -83,15 +87,26 @@ def run_checks(n: int, tol: float = 1e-9) -> list[CheckResult]:
     residual = _sup(lap - _floats(*gram_pinv))
     results.append(CheckResult("laplacian-identity", residual <= tol, residual))
 
+    # The exact D+ from G+ in integers, the oracle of checks 7 to 9.  A D that
+    # is not spherical, or a wrong G+, leaves no D+ to judge: those checks fail.
+    try:
+        oracle = _edm_pinv_ints(d_ints, d_den, *gram_pinv)
+    except ValueError:
+        names = ("formula-vs-oracle", "penrose", "edm")
+        return results + [CheckResult(name, False, math.inf) for name in names]
+    oracle_float = _floats(*oracle)
+
     # 7. Formula route against the exact oracle.
     residual = _sup(gear_pinv_formula(n) - oracle_float)
     results.append(CheckResult("formula-vs-oracle", residual <= tol, residual))
 
-    # 8. The oracle satisfies all four Penrose conditions exactly.
+    # 8. The oracle satisfies all four Penrose conditions exactly, which D+
+    # alone does: the one certificate of the D+ derived from G+.
     report = _penrose_ints(d_ints, d_den, *oracle)
     results.append(CheckResult("penrose", report.all_exact, report.max_residual))
 
-    # 9. D is an EDM and the Gram route from check 6's G+ matches the oracle.
+    # 9. D is an EDM (Schoenberg), and the Gram route's floats from check 6's G+
+    # match the oracle.  D's sphericity was proved exactly on the way to D+.
     residual = _sup(_gram_route(d_ints, d_den, *gram_pinv) - oracle_float)
     results.append(CheckResult("edm", _schoenberg_psd(d_ints) and residual <= tol, residual))
 

@@ -1,5 +1,6 @@
 """Distance-matrix recognition and the Gram-route pseudoinverse."""
 
+import math
 import random
 from fractions import Fraction
 
@@ -7,9 +8,11 @@ import numpy as np
 import pytest
 
 import gearpinv.edm
+import gearpinv.pinv
 import gearpinv.verify
 from gearpinv.edm import (
     EdmReport,
+    _edm_pinv_ints,
     _gram_ints,
     balaji_bapat_pinv,
     centering_projector,
@@ -19,7 +22,7 @@ from gearpinv.edm import (
 from gearpinv.eigen import jacobi_eigh
 from gearpinv.graphs import gear_distance_closed
 from gearpinv.pinv import _pinv_ints, rational_pinv
-from gearpinv.rational import is_psd, rational_matrix, rational_zeros, unscaled
+from gearpinv.rational import is_psd, rational_matrix, rational_zeros, scaled, unscaled
 from gearpinv.trees import graham_lovasz_inverse, tree_distance, weighted_tree_inverse
 
 
@@ -354,8 +357,9 @@ def test_gram_route_never_takes_the_pseudoinverse_of_d(n, monkeypatch):
     assert calls and _count_equal(calls, dist) == 0
 
 
-def test_verify_takes_the_pseudoinverse_of_d_once(monkeypatch):
-    # run_checks passes integer pairs (ints, den) between its exact stages.
+def test_verify_takes_one_pseudoinverse_of_g_and_none_of_d(monkeypatch):
+    # run_checks passes integer pairs (ints, den) between its exact stages, and derives
+    # D+ from G+ (_edm_pinv_ints), so its one residue pseudoinverse is of G.
     calls, gram_calls = [], []
 
     def recording_pinv(ints, den):
@@ -366,12 +370,30 @@ def test_verify_takes_the_pseudoinverse_of_d_once(monkeypatch):
         gram_calls.append(ints)
         return _gram_ints(ints, den)
 
+    monkeypatch.setattr(gearpinv.pinv, "_pinv_ints", recording_pinv)
+    monkeypatch.setattr(gearpinv.edm, "_pinv_ints", recording_pinv)
     monkeypatch.setattr(gearpinv.verify, "_pinv_ints", recording_pinv)
     monkeypatch.setattr(gearpinv.verify, "_gram_ints", counted_gram)
     results = gearpinv.verify.run_checks(8)
     assert all(result.passed for result in results)
     dist = gear_distance_closed(8)
-    assert _count_equal(calls, dist) == 1
+    assert _count_equal(calls, dist) == 0
     assert _count_equal(calls, gram_from_edm(dist)) == 1
-    assert len(calls) == 2
+    assert len(calls) == 1
     assert len(gram_calls) == 1
+
+
+@pytest.mark.parametrize("n", range(4, 31))
+def test_d_pinv_from_g_pinv_is_the_residue_pseudoinverse_of_d(n):
+    ints, scale = scaled(gear_distance_closed(n))
+    got, got_den = _edm_pinv_ints(ints, scale, *_pinv_ints(*_gram_ints(ints, scale)))
+    want, want_den = _pinv_ints(ints, scale)
+    assert (got * want_den == want * got_den).all()
+    assert math.gcd(got_den, *got.flat) == 1 and got_den > 0
+
+
+def test_d_pinv_from_g_pinv_needs_a_spherical_d():
+    # Three collinear points: an EDM, but not spherical, so the identity does not apply.
+    ints, scale = scaled(rational_matrix([[0, 1, 4], [1, 0, 1], [4, 1, 0]]))
+    with pytest.raises(ValueError, match="1' D\\+ 1 > 0"):
+        _edm_pinv_ints(ints, scale, *_pinv_ints(*_gram_ints(ints, scale)))

@@ -1,14 +1,17 @@
 """The exact checks of run_checks against the same checks built from the public routes."""
 
+import math
+
 import numpy as np
 import pytest
 
 import gearpinv.edm
 import gearpinv.pinv
-from gearpinv.edm import balaji_bapat_pinv, gram_from_edm
+import gearpinv.verify
+from gearpinv.edm import _edm_pinv_ints, balaji_bapat_pinv, gram_from_edm
 from gearpinv.graphs import gear_distance_closed
 from gearpinv.laplacian import special_laplacian
-from gearpinv.pinv import gear_pinv_formula, penrose_check, rational_pinv
+from gearpinv.pinv import _pinv_ints, gear_pinv_formula, penrose_check, rational_pinv
 from gearpinv.rational import _residuals_vanish, is_psd
 from gearpinv.verify import CheckResult, run_checks
 
@@ -46,7 +49,7 @@ def test_run_checks_matches_the_public_routes(n):
 
 
 def test_check_8_proves_the_penrose_conditions_itself(monkeypatch):
-    # The oracle certifies D+ on its own; check 8 proves it again from D and D+.
+    # D+ is derived from G+ with no certificate of its own: check 8 proves it from D and D+.
     calls = []
 
     def recording(a_ints, b_ints, ab):
@@ -71,3 +74,50 @@ def test_check_9_tests_the_schoenberg_matrix_for_semidefiniteness(monkeypatch):
     assert len(seen) == 1 and seen[0].shape == (10, 10)
     assert (seen[0] * schoenberg[0, 0] == schoenberg * seen[0][0, 0]).all()
     assert seen[0][0, 0] * schoenberg[0, 0] > 0
+
+
+def _failed(results):
+    return {result.name for result in results if not result.passed}
+
+
+@pytest.mark.parametrize("n", [4, 7, 12])
+def test_check_8_rejects_a_wrong_derived_d_pinv(n, monkeypatch):
+    def corrupted(*args):
+        ints, den = _edm_pinv_ints(*args)
+        ints = ints.copy()
+        ints[1, 2] += 1  # off by 1/den
+        return ints, den
+
+    monkeypatch.setattr(gearpinv.verify, "_edm_pinv_ints", corrupted)
+    assert "penrose" in _failed(run_checks(n))
+
+
+@pytest.mark.parametrize("n", [4, 7, 12])
+def test_checks_6_and_8_reject_a_wrong_g_pinv(n, monkeypatch):
+    def corrupted(ints, den):
+        pinv, pinv_den = _pinv_ints(ints, den)
+        pinv = pinv.copy()
+        pinv[1, 2] += pinv_den  # off by 1
+        return pinv, pinv_den
+
+    monkeypatch.setattr(gearpinv.verify, "_pinv_ints", corrupted)
+    assert {"laplacian-identity", "penrose"} <= _failed(run_checks(n))
+
+
+@pytest.mark.parametrize("n", [7, 12, 20])
+def test_check_8_alone_rejects_a_g_pinv_wrong_below_the_tolerance(n, monkeypatch):
+    # G+ + E/den with E = vv', v = e1 - e2: rim vertices 1 and 2 have equal row sums R in D,
+    # so E R = 0 leaves w and the sphericity guard unchanged, and D+ moves by -E/(2 den).
+    def corrupted(ints, den):
+        pinv, pinv_den = _pinv_ints(ints, den)
+        pinv = pinv.copy()
+        pinv[1, 1] += 1
+        pinv[2, 2] += 1
+        pinv[1, 2] -= 1
+        pinv[2, 1] -= 1
+        return pinv, pinv_den
+
+    monkeypatch.setattr(gearpinv.verify, "_pinv_ints", corrupted)
+    results = run_checks(n)
+    assert _failed(results) == {"penrose"}
+    assert 0 < results[7].residual < math.inf
