@@ -9,8 +9,9 @@ with the shape
 and exits 0 on success, 1 when a verification check fails, and 2 on
 usage or domain errors.  Exact payloads serialize as canonical fraction
 strings like "-3/50"; floating payloads serialize as JSON numbers that
-round-trip to the same double.  Pipe the output through
-``python -m json.tool`` to pretty-print it.
+round-trip to the same double; a ``verify`` residual that is not finite,
+which only a failed exact check gives, is written as null.  Pipe the
+output through ``python -m json.tool`` to pretty-print it.
 
 Examples:
     gearpinv gen gear-distance --n 6
@@ -288,8 +289,12 @@ def cmd_verify(args) -> tuple[str, int]:
     _require_size(args.n, MAX_EXACT_N, "exact routes")
     fmt = _pick_format(args.format, False)
     results = run_checks(args.n, tol=args.tol)
+    # A failed exact check may report an infinite residual, which JSON cannot
+    # carry: it is written as null.
     checks = [
-        {"name": r.name, "pass": r.passed, "residual": r.residual} for r in results
+        {"name": r.name, "pass": r.passed,
+         "residual": r.residual if math.isfinite(r.residual) else None}
+        for r in results
     ]
     doc = _document(
         "verify-report",

@@ -6,8 +6,10 @@ twice the Gram matrix of the points moved so that the first is the
 origin, is positive semidefinite (Schoenberg 1935).  When D is also
 spherical (``1' D+ 1 > 0``), D+ is a Gram part plus a rank-one
 correction, both read off G+ for G = -1/2 P D P, the centered Gram
-matrix.  Pseudoinverses come as integers from ``pinv._pinv_ints``, and D+
-also follows from G+ in integers (``_edm_pinv_ints``).
+matrix (Balaji and Bapat).  Pseudoinverses come as integers from
+``pinv._pinv_ints``.  ``_edm_pinv_ints``, the one evaluation of that
+identity, gives D+ from G+ exactly, in integers, and
+``balaji_bapat_pinv`` rounds it once per entry.
 """
 
 from __future__ import annotations
@@ -138,10 +140,11 @@ def _ones_mass(ints, scale: int, symmetric: bool) -> Fraction:
 def balaji_bapat_pinv(matrix) -> np.ndarray:
     """Pseudoinverse of a spherical distance matrix through its Gram matrix.
 
-    Evaluates ``-1/2 G+ + u u'/(1'u)`` in floating point, where G is the
-    centered Gram matrix and ``u = D+ 1``; u is read off the exact G+ from
-    ``pinv._pinv_ints`` on D's integers, so no pseudoinverse of D is
-    formed.  Requires D spherical, which for a distance matrix means
+    Exact, rounded once: ``-1/2 G+ + u u'/(1'u)``, where G is the centered
+    Gram matrix and ``u = D+ 1``, is evaluated in integers from the exact
+    G+ of ``pinv._pinv_ints`` (``_edm_pinv_ints``), so no pseudoinverse of
+    D is formed, and each entry of the exact D+ is rounded to the nearest
+    double.  Requires D spherical, which for a distance matrix means
     ``1' D+ 1 > 0``: true for gear and tree distances, not for every one.
 
     Raises
@@ -150,50 +153,26 @@ def balaji_bapat_pinv(matrix) -> np.ndarray:
         If D is not hollow symmetric, or not spherical with ``1' D+ 1 > 0``.
     """
     ints, scale = _hollow_symmetric_ints(matrix)
-    return _gram_route(ints, scale, *_pinv_ints(*_gram_ints(ints, scale)))
-
-
-def _gram_route(ints, scale: int, pinv, den: int) -> np.ndarray:
-    """``balaji_bapat_pinv`` from D = A/s and the exact G+ = P/p, on the integers."""
-    w, w_den, k = _spherical_weights(ints, scale, pinv, den)
-    w_float = _floats(w, w_den)
-    # k / (s w_den) is 1' D+ 1's inverse, rounded once as float(Fraction) would be.
-    return -0.5 * _floats(pinv, den) + np.outer(w_float, w_float) / (k / (scale * w_den))
+    return _floats(*_edm_pinv_ints(ints, scale, *_pinv_ints(*_gram_ints(ints, scale))))
 
 
 def _edm_pinv_ints(ints, scale: int, pinv, den: int) -> tuple[np.ndarray, int]:
-    """``balaji_bapat_pinv`` exactly: D+ = Y / d in lowest terms, from D = A/s and G+ = P/p.
-
-    With c = k / (s w_den) from ``_spherical_weights``, u = D+ 1 is w / (w_den c) and
-    1' u = 1 / c, so D+ = -1/2 G+ + u u' / (1' u) = -P / (2p) + s w w' / (w_den k) and
-    ``2 p w_den k D+ = 2 p s w w' - w_den k P``: integers, with no pseudoinverse of D.
-    The identity holds for every spherical D, so no structure of D enters it.
-    """
-    w, w_den, k = _spherical_weights(ints, scale, pinv, den)
-    pinv_ints = 2 * den * scale * np.outer(w, w) - w_den * k * pinv
-    pinv_den = 2 * den * w_den * k
-    content = math.gcd(pinv_den, *pinv_ints.flat)
-    return pinv_ints // content, pinv_den // content
-
-
-def _spherical_weights(ints, scale: int, pinv, den: int) -> tuple[np.ndarray, int, int]:
-    """Integers w, w_den and k > 0 with D (w / w_den) = k / (s w_den) 1, for D = A/s and G+ = P/p.
-
-    Raises
-    ------
-    ValueError
-        Unless A w is a positive multiple of 1, which holds exactly when D is
-        spherical with 1' D+ 1 > 0.
-    """
+    """``balaji_bapat_pinv`` exactly: D+ = Y / d in lowest terms, from D = A/s and G+ = P/p."""
     # Every hollow symmetric D equals g1' + 1g' - 2G with g = diag(G), so
-    # for w = 1/m + G+ g / 2 we get Dw = (I - GG+) g + c 1.  That is
-    # constant, Dw = k 1, exactly when D is spherical, and then
-    # u = D+ 1 = w/k and 1' D+ 1 = 1/k.  With R the row sums of A and
+    # for w = 1/m + G+ g / 2 we get Dw = (I - GG+) g + c' 1.  That is
+    # constant, Dw = c 1, exactly when D is spherical, and then
+    # u = D+ 1 = w/c and 1' D+ 1 = 1/c.  With R the row sums of A and
     # T = 1'R, g = (2 m R - T 1) / (2 m^2 s), and G 1 = 0 makes G+ 1 = 0,
     # so G+ g / 2 = G+ R / (2 m s) and w = (2 s p 1 + P R) / (2 m s p).
+    # Below, w is that numerator over w_den = 2 m s p, and A w = k 1 with k = s w_den c.
     w, w_den = 2 * scale * den + pinv.dot(ints.sum(axis=1)), 2 * len(ints) * scale * den
     dw = ints.dot(w)
     k = dw[0]
     if (dw != k).any() or k <= 0:
         raise ValueError("formula needs a spherical D with 1' D+ 1 > 0")
-    return w, w_den, k
+    # So D+ = -1/2 G+ + u u' / (1' u) = -P / (2p) + s w w' / (w_den k), and
+    # 2 p w_den k D+ = 2 p s w w' - w_den k P: integers, for every spherical D.
+    pinv_ints = 2 * den * scale * np.outer(w, w) - w_den * k * pinv
+    pinv_den = 2 * den * w_den * k
+    content = math.gcd(pinv_den, *pinv_ints.flat)
+    return pinv_ints // content, pinv_den // content

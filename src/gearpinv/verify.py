@@ -2,12 +2,13 @@
 
 Each check pits an independently computed quantity against the formula
 route for one gear size.  Exact checks (integer or rational arithmetic)
-pass only on residual zero; floating-point checks compare against the
-caller's tolerance, with two documented adjustments: sorted-spectrum
-comparison widens the tolerance tenfold (the dense eigensolver's values
-are accurate only to a few ulps of the norm of D, which grows with n)
-and row-sum checks tighten it tenfold (sums of a few dozen doubles
-deserve better).
+pass only on residual zero, and the distance-matrix test (check 9) is an
+exact verdict that reports residual 0.0.  Floating-point checks (2, 5, 6
+and 7) compare against the caller's tolerance, with two documented
+adjustments: sorted-spectrum comparison widens the tolerance tenfold (the
+dense eigensolver's values are accurate only to a few ulps of the norm
+of D, which grows with n) and row-sum checks tighten it tenfold (sums of
+a few dozen doubles deserve better).
 
 The exact oracle takes one residue pseudoinverse, of the centered Gram
 matrix G (check 6).  D+ follows from G+ in integers by the Balaji-Bapat
@@ -22,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .edm import _edm_pinv_ints, _gram_ints, _gram_route, _schoenberg_psd
+from .edm import _edm_pinv_ints, _gram_ints, _schoenberg_psd
 from .eigen import jacobi_eigh, numerical_rank
 from .graphs import bfs_distances, build_gear, gear_distance_closed
 from .laplacian import special_laplacian
@@ -87,17 +88,17 @@ def run_checks(n: int, tol: float = 1e-9) -> list[CheckResult]:
     residual = _sup(lap - _floats(*gram_pinv))
     results.append(CheckResult("laplacian-identity", residual <= tol, residual))
 
-    # The exact D+ from G+ in integers, the oracle of checks 7 to 9.  A D that
-    # is not spherical, or a wrong G+, leaves no D+ to judge: those checks fail.
+    # The exact D+ from G+ in integers, the oracle of checks 7 and 8.  A D that
+    # is not spherical, or a wrong G+, leaves no D+ to judge and no proof of
+    # sphericity: checks 7 to 9 fail.
     try:
         oracle = _edm_pinv_ints(d_ints, d_den, *gram_pinv)
     except ValueError:
         names = ("formula-vs-oracle", "penrose", "edm")
         return results + [CheckResult(name, False, math.inf) for name in names]
-    oracle_float = _floats(*oracle)
 
     # 7. Formula route against the exact oracle.
-    residual = _sup(gear_pinv_formula(n) - oracle_float)
+    residual = _sup(gear_pinv_formula(n) - _floats(*oracle))
     results.append(CheckResult("formula-vs-oracle", residual <= tol, residual))
 
     # 8. The oracle satisfies all four Penrose conditions exactly, which D+
@@ -105,9 +106,8 @@ def run_checks(n: int, tol: float = 1e-9) -> list[CheckResult]:
     report = _penrose_ints(d_ints, d_den, *oracle)
     results.append(CheckResult("penrose", report.all_exact, report.max_residual))
 
-    # 9. D is an EDM (Schoenberg), and the Gram route's floats from check 6's G+
-    # match the oracle.  D's sphericity was proved exactly on the way to D+.
-    residual = _sup(_gram_route(d_ints, d_den, *gram_pinv) - oracle_float)
-    results.append(CheckResult("edm", _schoenberg_psd(d_ints) and residual <= tol, residual))
+    # 9. D is an EDM (Schoenberg), exactly.  D's sphericity was proved exactly
+    # on the way to D+, and check 8 proves D+ itself.
+    results.append(CheckResult("edm", _schoenberg_psd(d_ints), 0.0))
 
     return results

@@ -18,6 +18,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import gearpinv.verify
 from gearpinv import __version__, cli
 from gearpinv.cli import build_parser, main, serialize_matrix
 from gearpinv.graphs import (
@@ -26,7 +27,7 @@ from gearpinv.graphs import (
 from gearpinv.laplacian import (
     _a_rows, _b_rows, _h_rows, _laplacian_rows, a_matrix, b_matrix, h_matrix, special_laplacian,
 )
-from gearpinv.pinv import _formula_rows, gear_pinv_formula, rational_pinv
+from gearpinv.pinv import _formula_rows, _pinv_ints, gear_pinv_formula, rational_pinv
 from gearpinv.spectral import lambda_pairs, theta
 
 
@@ -185,6 +186,13 @@ def test_pinv_k4_matches_formula():
     formula = run_doc("pinv", "--n", "5")["payload"]
     gap = np.abs(np.array(k4) - np.array(formula)).max()
     assert gap <= 1e-9
+
+
+@pytest.mark.parametrize("n", range(4, 13))
+def test_pinv_k4_is_the_oracle_rounded(n):
+    k4 = run_doc("pinv", "--n", str(n), "--method", "k4")["payload"]
+    oracle = run_doc("pinv", "--n", str(n), "--method", "oracle")["payload"]
+    assert k4 == [[float(Fraction(entry)) for entry in row] for row in oracle]
 
 
 def test_pinv_round_trips_through_gen():
@@ -419,6 +427,29 @@ def test_verify_document_passes(n):
     for check in doc["checks"]:
         assert check["pass"] is True
         assert check["residual"] >= 0.0
+
+
+def _no_constant(name):
+    raise ValueError(f"{name} is not JSON")
+
+
+def test_verify_prints_valid_json_when_a_check_fails(monkeypatch):
+    # G+ off by 1 in one entry leaves no D+ to judge: checks 7 to 9 fail with
+    # an infinite residual, which the document carries as null.
+    def corrupted(ints, den):
+        pinv, pinv_den = _pinv_ints(ints, den)
+        pinv = pinv.copy()
+        pinv[1, 2] += pinv_den
+        return pinv, pinv_den
+
+    monkeypatch.setattr(gearpinv.verify, "_pinv_ints", corrupted)
+    code, out, err = run_cli("verify", "--n", "6")
+    assert code == 1, err
+    doc = json.loads(out, parse_constant=_no_constant)
+    checks = {check["name"]: check for check in doc["checks"]}
+    for name in ("formula-vs-oracle", "penrose", "edm"):
+        assert checks[name] == {"name": name, "pass": False, "residual": None}
+    assert doc["payload"] == {"checks_passed": 5, "checks_total": 9}
 
 
 @pytest.mark.parametrize("tol", ["nan", "-1", "inf", "1e400", "-0.5"])

@@ -11,8 +11,8 @@ checkout's root.  N are gear sizes, 40 and 60 by default; CI runs
 with D the gear distance matrix (order 2N - 1) and G its Gram matrix, it
 takes the best of three in-process runs of rational_pinv(D),
 rational_pinv(G), is_psd(G), is_edm(D), penrose_check(D, D+),
-gram_from_edm(D), balaji_bapat_pinv(D) (the Gram route of
-``pinv --method k4``) and the whole check suite run_checks(N), which
+gram_from_edm(D), balaji_bapat_pinv(D) (the exact D+ from G+, rounded,
+of ``pinv --method k4``) and the whole check suite run_checks(N), which
 passes integer pairs between those stages, and of rational_pinv(T) for
 the distance matrix T of a seeded rational-weight tree of the same order.
 Once, it times rational_pinv(H) for the Hilbert matrix H of order 30,
@@ -24,8 +24,8 @@ matrix, pseudoinverse, closed-form inverse and determinant), the EDM of
 40 integer points (is_edm and the pseudoinverse) and a rank-10 40x30
 product (the pseudoinverse).
 
-Every result is checked outside the timed runs, exactly but for
-balaji_bapat_pinv(D), which must lie within 1e-9 of D+.  At each N,
+Every result is checked outside the timed runs, exactly:
+balaji_bapat_pinv(D) must equal D+ rounded, entry for entry.  At each N,
 is_edm and is_psd of the Gram matrix must also both reject D with one
 symmetric pair of entries raised by 1.  The script exits 1 if one is
 wrong, if a check of run_checks(N) fails, if a gear size lacks one of
@@ -174,8 +174,8 @@ def gear_stages(bench: Bench, n: int) -> None:
     bench.check(f"{label}: D+ = -G+/2 + ((n-1)/2) u u'",
                 (dist_pinv == -gram_pinv / 2 + Fraction(n - 1, 2) * np.outer(u, u)).all())
     bench.check(f"{label}: penrose_check(D, D+) all exact", penrose.all_exact)
-    bench.check(f"{label}: balaji_bapat_pinv(D) within 1e-9 of D+",
-                np.abs(route - dist_pinv.astype(float)).max() <= 1e-9)
+    bench.check(f"{label}: balaji_bapat_pinv(D) is D+ rounded",
+                (route == dist_pinv.astype(float)).all())
     bench.check(f"{label}: every check of run_checks({n}) passed",
                 all(result.passed for result in checks))
     bench.check(f"{label}: ranks n and n - 1", (rank_d, rank_g) == (n, n - 1))
