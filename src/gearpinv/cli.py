@@ -46,11 +46,13 @@ from .trees import tree_distance, unit_tree, weighted_tree
 from .verify import run_checks
 
 
-# Largest n the exact routes (verify, pinv --method oracle|k4) accept.  Their
-# cost grows about like n^4 (m^3 operations on integers that widen with m): on a
-# 2-core machine verify --n 80 takes about 1 s, and run_checks(100) 1.2 to 1.6 s,
-# about half of it in the one residue pseudoinverse, of G.
-MAX_EXACT_N = 80
+# Largest n the exact routes (verify, pinv --method oracle|k4) accept: the
+# largest n at which verify takes about 10 s.  As processes on a 2-core machine
+# with default BLAS threads, verify --n N takes about 1.5 s at N = 100, 2.5 s
+# at 120, 5 s at 150, 9.6 s at 190 and 11.7 s at 200, so its cost grows about
+# like N^3 there; one BLAS thread is no faster.  pinv --n 190 --method oracle
+# takes 8.5 s and writes 24 MB, --method k4 7 s.
+MAX_EXACT_N = 190
 
 # Largest n the dense commands (gen, pinv --method formula, spectrum,
 # laplacian) accept.  The output of gen, pinv and laplacian has (2n - 1)^2

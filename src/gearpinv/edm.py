@@ -7,7 +7,7 @@ origin, is positive semidefinite (Schoenberg 1935).  When D is also
 spherical (``1' D+ 1 > 0``), D+ is a Gram part plus a rank-one
 correction, both read off G+ for G = -1/2 P D P, the centered Gram
 matrix (Balaji and Bapat).  Pseudoinverses come as integers from
-``pinv._pinv_ints``.  ``_edm_pinv_ints``, the one evaluation of that
+``rational._pinv_ints``.  ``_edm_pinv_ints``, the one evaluation of that
 identity, gives D+ from G+ exactly, in integers, and
 ``balaji_bapat_pinv`` rounds it once per entry.
 """
@@ -21,10 +21,8 @@ from fractions import Fraction
 import numpy as np
 
 from .eigen import jacobi_eigh
-from .pinv import _pinv_ints
 from .rational import (
-    _floats, _gauss_jordan, _pivots, _primes, _psd_ints, is_exact, rational_identity, scaled,
-    unscaled,
+    _floats, _ones_mass, _pinv_ints, _psd_ints, is_exact, rational_identity, scaled, unscaled,
 )
 
 
@@ -100,7 +98,7 @@ def is_edm(matrix) -> EdmReport:
     centered Gram eigenvalue, in floats, is for information only.
     ``beta`` is ``1' D+ 1``, exact, from one solve of ``D x = 1`` on
     the r x r block of D's pivot rows and columns, proved by one exact
-    mat-vec (``_ones_mass``), or else the integers of ``pinv._pinv_ints``.
+    mat-vec (``rational._ones_mass``), or else the integers of ``rational._pinv_ints``.
     """
     ints, scale = scaled(_as_rational_square(matrix))
     m = len(ints)
@@ -113,36 +111,12 @@ def is_edm(matrix) -> EdmReport:
     return EdmReport(m, hollow, symmetric, min_eig, psd, beta)
 
 
-def _ones_mass(ints, scale: int, symmetric: bool) -> Fraction:
-    """``1' D+ 1`` for D = A/s, with no pseudoinverse when D x = 1 solves.
-
-    For symmetric D and any solution x of ``D x = 1``, ``1' D+ 1 =
-    x' D D+ D x = x' D x = 1' x``.  One pass modulo the first prime
-    (``rational._pivots``) gives A's pivot columns Q; A is symmetric, so
-    K = A[Q, Q] is nonsingular modulo it and hence over the rationals.
-    The fraction-free pass over the r x (r + 1) block ``[K | s 1]``
-    gives y over d with K y = s d 1, and x is y / d on Q and zero
-    elsewhere once the exact mat-vec ``A[:, Q] y = s d 1`` proves it.
-    A non-symmetric D, 1 outside range(D) or an unlucky prime sums the
-    integers Y of D+ = Y/d from ``pinv._pinv_ints`` over d.
-    """
-    if symmetric:
-        cols = _pivots(ints, next(_primes()))[1]
-        rows = [row + [scale] for row in ints[np.ix_(cols, cols)].tolist()]
-        _, _, d = _gauss_jordan(rows)
-        y = np.array([row[-1] for row in rows], dtype=object)
-        if (ints[:, cols].dot(y) == scale * d).all():
-            return Fraction(sum(y), d)
-    pinv, den = _pinv_ints(ints, scale)
-    return Fraction(pinv.sum(), den)
-
-
 def balaji_bapat_pinv(matrix) -> np.ndarray:
     """Pseudoinverse of a spherical distance matrix through its Gram matrix.
 
     Exact, rounded once: ``-1/2 G+ + u u'/(1'u)``, where G is the centered
     Gram matrix and ``u = D+ 1``, is evaluated in integers from the exact
-    G+ of ``pinv._pinv_ints`` (``_edm_pinv_ints``), so no pseudoinverse of
+    G+ of ``rational._pinv_ints`` (``_edm_pinv_ints``), so no pseudoinverse of
     D is formed, and each entry of the exact D+ is rounded to the nearest
     double.  Requires D spherical, which for a distance matrix means
     ``1' D+ 1 > 0``: true for gear and tree distances, not for every one.

@@ -5,11 +5,8 @@ closed form ``-1/2 L + ((n-1)/2) u u'`` in floating point, where L is
 the assembled pseudoinverse of the centered distance matrix and u is
 the rational image of the all-ones vector.  The oracle route computes
 the pseudoinverse of any rational matrix exactly, with no reference to
-gear structure at all: from residues modulo primes when a certificate
-proves the result within the route's budget (a nonsingular square
-matrix always, and symmetric rank-deficient ones such as the gear
-matrices from rank 8), and otherwise through a rank factorization
-from the pivot rows, certified by one exact product.
+gear structure at all, through ``rational._pinv_ints``, the one exact
+pseudoinverse route.
 
 ``penrose_check`` judges a candidate exactly as well: its four integer
 residuals are proven zero modulo enough primes to pass their bound, and
@@ -27,10 +24,7 @@ import numpy as np
 
 from .circulant import _circulant_blocks, _require_wheel_size
 from .laplacian import _laplacian_rows
-from .rational import (
-    _dot_ints, _largest, _modular_pinv, _residuals_vanish, invert, is_exact, rref, scaled,
-    unscaled,
-)
+from .rational import _largest, _pinv_ints, _residuals_vanish, is_exact, rref, scaled, unscaled
 
 
 def u_vector(n: int) -> np.ndarray:
@@ -81,73 +75,13 @@ def rank_factorization(matrix) -> tuple[np.ndarray, np.ndarray]:
 def rational_pinv(matrix) -> np.ndarray:
     """Exact Moore-Penrose inverse of a rational matrix.
 
-    The input is split once into primitive integers, A = s M / g with
-    g the gcd of the integers s M, and M+ = (s / g) A+.  A is first tried
-    on residues (``rational._modular_pinv``): one pass modulo the first
-    prime gives its rank r, pivot rows P, pivot columns Q and, for a
-    square A, the first residue; a non-square A stops there.  Each later
-    prime gives a residue or is skipped, and from the second residue on
-    a reconstruction is returned once certified: by a bound proving
-    A Y = d I at full rank, and by the four Penrose conditions for a
-    symmetric A of lower rank, whose residue is ``Z K Z'`` with
-    ``B = A[Q, :]``, ``K = A[Q, Q]``, ``Z = B' (BB')^-1``.  That route
-    takes at most r // 4 primes, none past the first below rank 8 (the
-    cost comparison behind the 4 is in ``rational._modular_pinv``).
-
-    Every other A, and any A the residues give no certified result for,
-    goes to a rank factorization from its pivot rows alone
-    (``_pivot_factorization``).  ``rref`` of the r x n block R = A[P, :]
-    gives F over d and exact pivot columns; with C the columns of A at
-    them, ``C F = d A`` holds on the rows P by construction and is
-    checked exactly on the others.  Then A = C F / d, R has F's row
-    space, and ``A+ = R' (C' A R')^-1 C'`` with one inverse of rank
-    order: ``C' A R'`` is invertible because C and R have full rank.
-    A check that fails (a prime that lowered the rank) takes F from the
-    ``rref`` of the whole of A instead, in the same formula.  At rank
-    zero the factors are empty and the product is the zero matrix.  All
-    four Penrose conditions hold exactly for the result.
+    The input is split once into integers over a common denominator, and
+    ``rational._pinv_ints`` gives the pseudoinverse from residues modulo
+    primes under a certificate, or else from fraction-free elimination of
+    the pivot rows.  All four Penrose conditions hold exactly for the
+    result.
     """
     return unscaled(*_pinv_ints(*scaled(matrix)))
-
-
-def _pinv_ints(ints, scale: int) -> tuple[np.ndarray, int]:
-    """``rational_pinv`` of ints / scale as the pair (Y, d), the pseudoinverse being Y / d.
-
-    A = C K G with K nonsingular and C, G of full rank gives
-    A+ = G' (C' A G')^-1 C' (Ben-Israel and Greville, 2003).  The
-    residues' first pass hands over the pivot rows, and only the row
-    factor G depends on whether they pass their check.
-    """
-    content = math.gcd(*ints.flat) or 1
-    ints = ints // content
-    found, rows = _modular_pinv(ints)
-    if found is None:
-        c_factor, g_factor = _pivot_factorization(ints, rows)
-        found = _dot_ints(g_factor.T, invert(c_factor.T.dot(ints).dot(g_factor.T)), c_factor.T)
-    pinv, den = found
-    return pinv * scale, den * content
-
-
-def _pivot_factorization(ints, rows) -> tuple[np.ndarray, np.ndarray]:
-    """Integers C and G of full rank with A = C K G for some nonsingular K.
-
-    rows are A's pivot rows modulo a prime, so independent.  ``rref`` of
-    R = A[rows, :] gives F over d and its pivot columns, and C is the
-    columns of A at them.  ``C F = d A`` holds on the rows of R by
-    construction; once it is checked exactly on the others, A = C F / d
-    (the skeleton decomposition A = C A[rows, cols]^-1 R of Goreinov,
-    Tyrtyshnikov and Zamarashkin, 1997), and G = R.  When rref finds
-    fewer pivots than rows, or the check fails, C and F come from
-    ``rank_factorization`` of the whole of A, and G is F's integers.
-    """
-    reduced, cols = rref(ints[rows])
-    f_ints, d = scaled(reduced)
-    others = np.delete(np.arange(len(ints)), rows)
-    if len(cols) == len(rows) and (
-            ints[np.ix_(others, cols)].dot(f_ints) == d * ints[others]).all():
-        return ints[:, cols], ints[rows]
-    c_factor, f_factor = rank_factorization(ints)
-    return c_factor, scaled(f_factor)[0]
 
 
 @dataclass(frozen=True)

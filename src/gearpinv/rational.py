@@ -10,27 +10,25 @@ floats with none.  Every reduction is one fraction-free Gauss-Jordan pass
 (``_gauss_jordan``) whose entries stay minors of the input.
 
 Residues are taken modulo 31-bit primes, each searched for once per
-process (``_primes``).  ``_modular_pinv`` builds the pseudoinverse of a
-square matrix from them by one policy.  One Gauss-Jordan pass in int64
-numpy modulo the first prime (``_pivots``, the one place pivots are
-picked modulo a prime) gives the pivot rows and columns and, for a
-nonsingular matrix, the inverse modulo it.  Each later prime
-gives a residue or is skipped, one Chinese remainder step folds it in,
-and from the second residue on a rational reconstruction is returned
-once a certificate with no probability proves it.  The cost follows the
-size of the result rather than of the minors on the way to it, so
-residues win where the result is small, as for tree and gear distance
-matrices.  A symmetric rank-deficient matrix gets a budget of primes
-tied to its rank; past it, and for every other rank-deficient or
-non-square matrix, the result comes from fraction-free elimination of
-the pivot rows that first pass picked.
-``_residuals_vanish`` proves Penrose residuals zero from exact residue
-products (``_dot_mod``), for ``pinv.penrose_check`` and as the symmetric
-route's certificate.  ``invert`` stays fraction-free: it serves the
-inputs the residues leave to ``pinv.rational_pinv``'s rank
-factorization, inverting the r x r integer matrix C' A R' of A's
-pivot columns C and pivot rows R, whose wide inverse would take many
-primes.
+process (``_primes``).  ``_pinv_ints`` is the one exact pseudoinverse
+route, and one Gauss-Jordan pass in int64 numpy modulo the first prime
+(``_pivots``, the one place pivots are picked modulo a prime) starts it
+and ``_ones_mass``, ``edm.is_edm``'s solve for ``1' D+ 1``.  That pass
+gives the pivot rows and columns and, for a nonsingular matrix, the
+inverse modulo the prime.  Each later prime gives a residue or is
+skipped, one Chinese remainder step folds it in, and from the second
+residue on a rational reconstruction is returned once a certificate with
+no probability proves it.  The cost follows the size of the result
+rather than of the minors on the way to it, so residues win where the
+result is small, as for tree and gear distance matrices.  A symmetric
+rank-deficient matrix gets a budget of primes tied to its rank; past
+it, and for every other rank-deficient or non-square matrix, the result
+comes from fraction-free elimination of the pivot rows that first pass
+picked: ``rref`` of them, then ``invert`` of the r x r integer matrix
+C' A R' of A's pivot columns C and pivot rows R, whose wide inverse
+would take many primes.  ``_residuals_vanish`` proves Penrose residuals zero from
+exact residue products (``_dot_mod``), for ``pinv.penrose_check`` and as
+the symmetric route's certificate.
 """
 
 from __future__ import annotations
@@ -432,23 +430,22 @@ def _crt(value, modulus: int, residue: np.ndarray, p: int):
     return value + modulus * step.astype(object), modulus * p
 
 
-# Passes over the input per prime of the rank-deficient route, the budget's unit: see _modular_pinv.
+# Passes over the input per prime of the rank-deficient route, the budget's unit: see _pinv_ints.
 _PASSES_PER_PRIME = 4
 
 
-def _modular_pinv(ints) -> tuple[tuple[np.ndarray, int] | None, list[int]]:
-    """Integers Y and d > 0 with A+ = Y / d from residues, or None; and A's pivot rows.
+def _pinv_ints(ints, scale: int) -> tuple[np.ndarray, int]:
+    """The pseudoinverse of M = ints / scale as the pair (Y, d), M+ being Y / d.
 
-    One Gauss-Jordan pass modulo the first prime (``_pivots``) gives A's
-    pivot rows and columns Q and, for a square A of full rank modulo it,
-    A^-1 modulo it.  The pivot rows come back with the result whatever
-    it is, so the elimination that takes over from None needs no second
-    pass.  A that is not square gets None right after that pass.
-    Both routes below then run one loop: each prime gives a residue of
-    A+ (``_pinv_mod``, from the rows Q of A alone) or is skipped when it
-    gives none, each residue is folded in by one Chinese remainder step,
-    and from the second residue on X modulo the product P of the primes
-    is reconstructed as Y over d and returned once a certificate proves it.
+    M = A g / s with A primitive, g the content of the integers, and
+    M+ = (s / g) A+.  One Gauss-Jordan pass modulo the first prime
+    (``_pivots``) gives A's pivot rows P and columns Q and, for a square
+    A of full rank modulo it, A^-1 modulo it.  Two routes then run one
+    loop: each later prime gives a residue of A+ (``_pinv_mod``, from
+    the rows Q of A alone) or is skipped when it gives none, each residue
+    is folded in by one Chinese remainder step, and from the second
+    residue on X modulo the product of the primes is reconstructed as
+    Y over d and returned once a certificate proves it.
 
     A of full rank modulo the first prime takes that pass's inverse as
     its first residue and every later prime not dividing det A, and
@@ -456,9 +453,9 @@ def _modular_pinv(ints) -> tuple[tuple[np.ndarray, int] | None, list[int]]:
     primes that certificate needs.
 
     A symmetric A of rank r modulo the first prime skips a prime that
-    divides det BB'.  ``_residuals_vanish`` proves the four Penrose
-    conditions for Y / d, which hold for A+ alone (Penrose, 1955), so
-    the rank needs no proof.  The route is budgeted by one cost
+    divides det BB', B = A[Q, :].  ``_residuals_vanish`` proves the four
+    Penrose conditions for Y / d, which hold for A+ alone (Penrose, 1955),
+    so the rank needs no proof.  The route is budgeted by one cost
     comparison: a prime costs about ``_PASSES_PER_PRIME`` = 4 passes
     over the matrix in Python integers (reducing A, the output product,
     the Chinese remainder step and the reconstruction), where
@@ -466,12 +463,23 @@ def _modular_pinv(ints) -> tuple[tuple[np.ndarray, int] | None, list[int]]:
     draws at most r // 4 primes, the first included, and none past the
     first when that is below 2.
 
-    None leaves A to fraction-free elimination.  That happens for every
-    rank-deficient A that is not symmetric, when the budget runs out,
-    and always when the first prime was unlucky: its rank is then below
-    A's, the residues are not those of A+, and no reconstruction passes
-    the certificate, so nothing needs restarting.
+    Every other A (rank-deficient and not symmetric, or not square), and
+    any A whose budget runs out, goes to fraction-free elimination of its
+    pivot rows.  A = C K G with K nonsingular and C, G of full rank gives
+    A+ = G' (C' A G')^-1 C' (Ben-Israel and Greville, 2003).  ``rref`` of
+    R = A[P, :] gives F over d and its pivot columns, and C is the
+    columns of A at them.  ``C F = d A`` holds on the rows P by
+    construction; once it is checked exactly on the others, A = C F / d
+    (the skeleton decomposition A = C A[P, Q]^-1 R of Goreinov,
+    Tyrtyshnikov and Zamarashkin, 1997), and G = R.  An unlucky first
+    prime, whose rank is below A's, gives residues that are not A+'s, so
+    no reconstruction passes a certificate, and rows P that fail the
+    check: C and G then come from ``rref`` of the whole of A, as they do
+    when ``rref`` finds rows P dependent.  At rank zero the factors are
+    empty and the product is the zero matrix.
     """
+    content = gcd(*ints.flat) or 1
+    ints = ints // content
     primes = _primes()
     first = next(primes)
     rows, cols, residue = _pivots(ints, first)
@@ -479,10 +487,11 @@ def _modular_pinv(ints) -> tuple[tuple[np.ndarray, int] | None, list[int]]:
     if not full_rank:
         budget = len(cols) // _PASSES_PER_PRIME
         if budget < 2 or ints.shape[0] != ints.shape[1] or (ints != ints.T).any():
-            return None, rows
-        block = ints[cols]
-        primes = islice(primes, budget - 1)
-        residue = _pinv_mod((block % first).astype(np.int64), cols, first)
+            primes = ()
+        else:
+            block = ints[cols]
+            primes = islice(primes, budget - 1)
+            residue = _pinv_mod((block % first).astype(np.int64), cols, first)
     value, modulus = (0, 1) if residue is None else (residue.astype(object), first)
     for p in primes:
         residue = _pinv_mod((block % p).astype(np.int64), cols, p)
@@ -494,8 +503,44 @@ def _modular_pinv(ints) -> tuple[tuple[np.ndarray, int] | None, list[int]]:
             continue
         if (_residual_bound(ints, *found) < modulus if full_rank
                 else _residuals_vanish(ints, *found)):
-            return found, rows
-    return None, rows
+            pinv, den = found
+            return pinv * scale, den * content
+    reduced, cols = rref(ints[rows])
+    f_ints, d = scaled(reduced)
+    others = np.delete(np.arange(len(ints)), rows)
+    if len(cols) == len(rows) and (
+            ints[np.ix_(others, cols)].dot(f_ints) == d * ints[others]).all():
+        g_factor = ints[rows]
+    else:
+        reduced, cols = rref(ints)
+        g_factor = scaled(reduced[:len(cols)])[0]
+    c_factor = ints[:, cols]
+    pinv, den = _dot_ints(g_factor.T, invert(c_factor.T.dot(ints).dot(g_factor.T)), c_factor.T)
+    return pinv * scale, den * content
+
+
+def _ones_mass(ints, scale: int, symmetric: bool) -> Fraction:
+    """``1' D+ 1`` for D = A/s, with no pseudoinverse when D x = 1 solves.
+
+    For symmetric D and any solution x of ``D x = 1``, ``1' D+ 1 =
+    x' D D+ D x = x' D x = 1' x``.  One pass modulo the first prime
+    (``_pivots``) gives A's pivot columns Q; A is symmetric, so
+    K = A[Q, Q] is nonsingular modulo it and hence over the rationals.
+    The fraction-free pass over the r x (r + 1) block ``[K | s 1]``
+    gives y over d with K y = s d 1, and x is y / d on Q and zero
+    elsewhere once the exact mat-vec ``A[:, Q] y = s d 1`` proves it.
+    A non-symmetric D, 1 outside range(D) or an unlucky prime sums the
+    integers Y of D+ = Y/d from ``_pinv_ints`` over d.
+    """
+    if symmetric:
+        cols = _pivots(ints, next(_primes()))[1]
+        rows = [row + [scale] for row in ints[np.ix_(cols, cols)].tolist()]
+        _, _, d = _gauss_jordan(rows)
+        y = np.array([row[-1] for row in rows], dtype=object)
+        if (ints[:, cols].dot(y) == scale * d).all():
+            return Fraction(sum(y), d)
+    pinv, den = _pinv_ints(ints, scale)
+    return Fraction(pinv.sum(), den)
 
 
 def is_psd(matrix) -> bool:

@@ -27,8 +27,8 @@ from .edm import _edm_pinv_ints, _gram_ints, _schoenberg_psd
 from .eigen import jacobi_eigh, numerical_rank
 from .graphs import bfs_distances, build_gear, gear_distance_closed
 from .laplacian import special_laplacian
-from .pinv import _penrose_ints, _pinv_ints, beta, gear_pinv_formula, u_vector
-from .rational import _floats, dot, scaled
+from .pinv import _penrose_ints, beta, gear_pinv_formula, u_vector
+from .rational import _floats, _pinv_ints, dot, scaled
 from .spectral import _eigenvalues, max_eigen_residual, null_basis
 
 

@@ -9,6 +9,7 @@ import pytest
 
 import gearpinv.edm
 import gearpinv.pinv
+import gearpinv.rational
 import gearpinv.verify
 from gearpinv.edm import (
     EdmReport,
@@ -111,7 +112,7 @@ def test_gram_matches_projector_product_on_rational_trees(weighted_tree_corpus):
 @pytest.mark.parametrize("m", [20, 30, 40])
 @pytest.mark.parametrize("dim", [2, 3, 4])
 def test_integer_point_edms_decided_exactly(m, dim, monkeypatch):
-    monkeypatch.setattr(gearpinv.edm, "_pinv_ints", _refuse)
+    monkeypatch.setattr(gearpinv.rational, "_pinv_ints", _refuse)
     dist = integer_point_edm(1000 * m + dim, m, dim, reach=3000)
     assert is_edm(dist).is_edm
     i, j = random.Random(m + dim).sample(range(m), 2)
@@ -122,7 +123,7 @@ def test_integer_point_edms_decided_exactly(m, dim, monkeypatch):
 
 @pytest.mark.parametrize("n", range(4, 17))
 def test_gear_distances_are_edms(n, monkeypatch):
-    monkeypatch.setattr(gearpinv.edm, "_pinv_ints", _refuse)
+    monkeypatch.setattr(gearpinv.rational, "_pinv_ints", _refuse)
     report = is_edm(gear_distance_closed(n))
     assert report.is_edm
     assert report.is_hollow and report.is_symmetric
@@ -195,14 +196,14 @@ def _hollow_symmetric(rng):
 )
 def test_is_edm_falls_back_to_the_pseudoinverse(rows, beta, monkeypatch):
     calls = []
-    monkeypatch.setattr(gearpinv.edm, "_pinv_ints", _recording(calls))
+    monkeypatch.setattr(gearpinv.rational, "_pinv_ints", _recording(calls))
     assert is_edm(rational_matrix(rows)).beta == beta
     assert len(calls) == 1
 
 
 def test_is_edm_beta_equals_pseudoinverse_mass(monkeypatch):
     calls = []
-    monkeypatch.setattr(gearpinv.edm, "_pinv_ints", _recording(calls))
+    monkeypatch.setattr(gearpinv.rational, "_pinv_ints", _recording(calls))
     rng = random.Random(11)
     for _ in range(200):
         dist = _hollow_symmetric(rng)
@@ -236,10 +237,11 @@ def _repeated_first_point(dist):
     ids=["gear-n12", "points-40x3", "points-repeated"],
 )
 def test_is_edm_solves_on_the_pivot_block(dist, rank, monkeypatch):
-    calls = []
-    monkeypatch.setattr(gearpinv.edm, "_pinv_ints", _refuse)
-    monkeypatch.setattr(gearpinv.edm, "_gauss_jordan", _spy(calls, gearpinv.edm._gauss_jordan))
-    assert is_edm(dist).beta == float(rational_pinv(dist).sum())
+    calls, want = [], float(rational_pinv(dist).sum())
+    monkeypatch.setattr(gearpinv.rational, "_pinv_ints", _refuse)
+    spy = _spy(calls, gearpinv.rational._gauss_jordan)
+    monkeypatch.setattr(gearpinv.rational, "_gauss_jordan", spy)
+    assert is_edm(dist).beta == want
     # One fraction-free pass, over [K | s 1] for the r x r pivot block K alone.
     assert len(calls) == 1
     (rows,) = calls[0]
@@ -252,17 +254,17 @@ def test_is_edm_solves_on_the_pivot_block(dist, rank, monkeypatch):
     ids=["gear-n12", "points-40x3"],
 )
 def test_is_edm_certificate_rejects_a_short_pivot_set(dist, monkeypatch):
-    calls = []
-    pivots = gearpinv.edm._pivots
+    calls, want = [], float(rational_pinv(dist).sum())
+    pivots = gearpinv.rational._pivots
 
     def drop_last_pivot(ints, p):
         rows, cols, inverse = pivots(ints, p)
         return rows[:-1], cols[:-1], inverse
 
-    monkeypatch.setattr(gearpinv.edm, "_pivots", drop_last_pivot)
-    monkeypatch.setattr(gearpinv.edm, "_pinv_ints", _recording(calls))
+    monkeypatch.setattr(gearpinv.rational, "_pivots", drop_last_pivot)
+    monkeypatch.setattr(gearpinv.rational, "_pinv_ints", _recording(calls))
     # K y = s 1 still solves on the short block, but A[:, Q] y = s d 1 fails.
-    assert is_edm(dist).beta == float(rational_pinv(dist).sum())
+    assert is_edm(dist).beta == want
     assert len(calls) == 1
 
 
@@ -278,7 +280,7 @@ def test_is_edm_certificate_rejects_a_short_pivot_set(dist, monkeypatch):
 def test_is_edm_solves_for_beta_on_non_hollow_input(rows, beta, monkeypatch):
     dist = rational_matrix(rows)
     assert float(rational_pinv(dist).sum()) == beta
-    monkeypatch.setattr(gearpinv.edm, "_pinv_ints", _refuse)
+    monkeypatch.setattr(gearpinv.rational, "_pinv_ints", _refuse)
     report = is_edm(dist)
     assert not report.is_hollow and report.beta == beta
 

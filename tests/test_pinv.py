@@ -192,8 +192,8 @@ def kernel_calls(monkeypatch):
 
         return record
 
-    monkeypatch.setattr(gearpinv.pinv, "rref", recording("rref", rref))
-    monkeypatch.setattr(gearpinv.pinv, "invert", recording("invert", invert))
+    monkeypatch.setattr(gearpinv.rational, "rref", recording("rref", rref))
+    monkeypatch.setattr(gearpinv.rational, "invert", recording("invert", invert))
     return calls
 
 
