@@ -293,26 +293,23 @@ def _pivots(ints, p: int) -> tuple[list[int], list[int], np.ndarray | None]:
     return _echelon_mod((ints % p).astype(np.int64), p)
 
 
-def _inverse_mod(ints, p: int) -> np.ndarray | None:
-    """A^-1 modulo the prime p for a square integer matrix A; None when p divides det A."""
-    return _pivots(ints, p)[2]
-
-
 def _pinv_mod(block: np.ndarray, cols, p: int) -> np.ndarray | None:
-    """A+ modulo the prime p from the residues of B = A[Q, :], with Q A's pivot columns.
+    """A+ modulo the prime p from the integer rows B = A[Q, :], with Q A's pivot columns.
 
-    A nonsingular A has every column in Q, is B and gets A^-1.  For a
-    symmetric A, with K = A[Q, Q] nonsingular of the rank's order,
-    A = B' K^-1 B, so A+ = Z K Z' with Z = B' (BB')^-1: one inverse of
-    rank order.  None when p divides det A or det BB'.
+    B is reduced modulo p once.  A nonsingular A has every column in Q,
+    is B and gets A^-1.  For a symmetric A, with K = A[Q, Q] nonsingular
+    of the rank's order, A = B' K^-1 B, so A+ = Z K Z' with
+    Z = B' (BB')^-1: one inverse of rank order.  None when p divides
+    det A or det BB'.
     """
+    residues = (block % p).astype(np.int64)
     if len(cols) == block.shape[1]:
-        return _inverse_mod(block, p)
-    inverse = _inverse_mod(_dot_mod(block, block.T, p), p)
+        return _echelon_mod(residues, p)[2]
+    inverse = _echelon_mod(_dot_mod(residues, residues.T, p), p)[2]
     if inverse is None:
         return None
-    z = _dot_mod(block.T, inverse, p)
-    return _dot_mod(z, _dot_mod(block[:, cols], z.T, p), p)
+    z = _dot_mod(residues.T, inverse, p)
+    return _dot_mod(z, _dot_mod(residues[:, cols], z.T, p), p)
 
 
 def _largest(ints):
@@ -491,10 +488,10 @@ def _pinv_ints(ints, scale: int) -> tuple[np.ndarray, int]:
         else:
             block = ints[cols]
             primes = islice(primes, budget - 1)
-            residue = _pinv_mod((block % first).astype(np.int64), cols, first)
+            residue = _pinv_mod(block, cols, first)
     value, modulus = (0, 1) if residue is None else (residue.astype(object), first)
     for p in primes:
-        residue = _pinv_mod((block % p).astype(np.int64), cols, p)
+        residue = _pinv_mod(block, cols, p)
         if residue is None:
             continue
         value, modulus = _crt(value, modulus, residue, p)

@@ -27,6 +27,12 @@ def test_zero_and_single():
     assert values[0] == 7.0
 
 
+def test_empty_matrix_has_no_eigenpairs():
+    # As numpy.linalg.eigh does: no values and a 0 x 0 matrix of vectors.
+    values, vectors = jacobi_eigh(np.zeros((0, 0)))
+    assert values.shape == (0,) and vectors.shape == (0, 0)
+
+
 def test_input_validation():
     with pytest.raises(ValueError, match="square"):
         jacobi_eigh(np.ones((2, 3)))

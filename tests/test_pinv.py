@@ -25,7 +25,7 @@ from gearpinv.pinv import (
 )
 from gearpinv.rational import (
     _echelon_mod,
-    _inverse_mod,
+    _pivots,
     _primes,
     det,
     dot,
@@ -236,7 +236,7 @@ def test_rational_pinv_falls_back_when_the_probe_prime_divides_the_determinant(
     for top in (p1, p1 * p2):
         kernel_calls["rref"].clear()
         matrix = _diagonal(top, 1)
-        assert _inverse_mod(scaled(matrix)[0], p1) is None
+        assert _pivots(scaled(matrix)[0], p1)[2] is None
         passes.clear()
         assert _same_fractions(rational_pinv(matrix), _diagonal(Fraction(1, top), 1))
         # One pass modulo p1 finds the one pivot row 1, whose block cannot give row 0: the
@@ -250,7 +250,7 @@ def test_rational_pinv_skips_primes_that_divide_the_determinant(kernel_calls, mo
     p1, p2, p3, p4 = _first_primes(4)
     matrix = _diagonal(p2 * p3, 1)
     ints = scaled(matrix)[0]
-    assert _inverse_mod(ints, p2) is None and _inverse_mod(ints, p3) is None
+    assert _pivots(ints, p2)[2] is None and _pivots(ints, p3)[2] is None
     calls = []
 
     def recording(work, p):
@@ -623,6 +623,38 @@ def test_rank_deficient_route_skips_a_prime_with_no_residue(unlucky, kernel_call
     assert _same_fractions(rational_pinv(dist), want)
     assert residues == [p1, p2, p3]
     assert moduli == ([p1 * p3] if unlucky else [p2 * p3])
+    assert kernel_calls["rref"] == [] and kernel_calls["invert"] == []
+
+
+def test_symmetric_route_skips_a_prime_that_divides_det_bb(kernel_calls, monkeypatch):
+    # Gear G at n = 30 has rank 29, so a budget of 7 primes, and room left after one is skipped.
+    ints, scale = scaled(gram_from_edm(gear_distance_closed(30)))
+    moduli, reconstruct = [], gearpinv.rational._reconstruct
+
+    def recording_reconstruct(value, modulus):
+        moduli.append(modulus)
+        return reconstruct(value, modulus)
+
+    monkeypatch.setattr(gearpinv.rational, "_reconstruct", recording_reconstruct)
+    want = _pinv_ints(ints, scale)
+    p1, p2, p3 = _first_primes(3)
+    assert moduli[0] == p1 * p2
+    moduli.clear()
+    singular = []
+
+    def no_inverse_of_bb_at_p2(work, p):
+        rows, cols, inverse = _echelon_mod(work, p)
+        if p == p2 and work.shape == (29, 29):
+            singular.append(p)
+            return rows, cols, None
+        return rows, cols, inverse
+
+    monkeypatch.setattr(gearpinv.rational, "_echelon_mod", no_inverse_of_bb_at_p2)
+    # p2 gives no residue of G+ and is skipped; p3 takes its place in the first lift.
+    got = _pinv_ints(ints, scale)
+    assert singular == [p2] and moduli[0] == p1 * p3
+    assert got[1] == want[1] and (got[0] == want[0]).all()
+    assert all(type(x) is int for x in got[0].flat)
     assert kernel_calls["rref"] == [] and kernel_calls["invert"] == []
 
 

@@ -14,8 +14,8 @@ from gearpinv.pinv import penrose_check, rational_pinv
 from gearpinv.rational import (
     _echelon_mod,
     _floats,
-    _inverse_mod,
     _is_prime,
+    _pivots,
     _primes,
     _reconstruct,
     _residual_bound,
@@ -233,7 +233,7 @@ def test_probe_is_nonsingularity_modulo_its_prime(rows):
     # The first prime's elimination fails exactly when the prime divides
     # det A, and otherwise yields A's inverse modulo it.
     ints = np.array(rows, dtype=object).reshape(len(rows), len(rows))
-    inverse = _inverse_mod(ints, P1)
+    inverse = _pivots(ints, P1)[2]
     assert (inverse is None) == (det(ints) % P1 == 0)
     if inverse is not None:
         product = ints.dot(inverse.astype(object)) % P1
@@ -285,7 +285,7 @@ def _hilbert(order):
 def _combined(ints, primes):
     """X in [0, P) with X = A^-1 modulo each prime, from the closed-form CRT sum, and P."""
     modulus = prod(primes)
-    terms = (_inverse_mod(ints, p).astype(object) * (modulus // p * pow(modulus // p, -1, p))
+    terms = (_pivots(ints, p)[2].astype(object) * (modulus // p * pow(modulus // p, -1, p))
              for p in primes)
     return sum(terms) % modulus, modulus
 

@@ -5,41 +5,46 @@ Usage, from anywhere:
     python3 tools/bench_stages.py LABEL [N ...]
 
 The script times the gearpinv source of the checkout it sits in
-(``src/`` beside ``tools/``) and writes ``BENCH_<LABEL>.json`` at that
-checkout's root.  N are gear sizes, 40 and 60 by default; CI runs
-``ci 40 60 100``; N = 100 alone takes about 40 s on 2 cores.  For each N,
-with D the gear distance matrix (order 2N - 1) and G its Gram matrix, it
-takes the best of three in-process runs of rational_pinv(D),
-rational_pinv(G), is_psd(G), is_edm(D), penrose_check(D, D+),
-gram_from_edm(D), balaji_bapat_pinv(D) (the exact D+ from G+, rounded,
-of ``pinv --method k4``) and the whole check suite run_checks(N), which
-passes integer pairs between those stages, and of rational_pinv(T) for
-the distance matrix T of a seeded rational-weight tree of the same order.
-Once, it times rational_pinv(H) for the Hilbert matrix H of order 30,
-whose inverse needs many primes, and max_eigen_residual(N), the float
-check of the closed-form spectrum, at N = 300 and 1000, recording the
-residual.  Then it times three ops shaped like the benchmark's
-``oracle`` workload: a rational-weight tree on 40 vertices (its distance
-matrix, pseudoinverse, closed-form inverse and determinant), the EDM of
-40 integer points (is_edm and the pseudoinverse) and a rank-10 40x30
-product (the pseudoinverse).
+(``src/`` beside ``tools/``), builds its oracle ops with that checkout's
+``perfbench/`` and writes ``BENCH_<LABEL>.json`` at its root.  N are gear
+sizes, 40 and 60 by default; CI runs ``ci 40 60 100``; N = 100 alone
+takes about 40 s on 2 cores.  For each N, with D the gear distance
+matrix (order 2N - 1) and G its Gram matrix, it takes the best of three
+in-process runs of rational_pinv(D), rational_pinv(G), is_psd(G),
+is_edm(D), penrose_check(D, D+), gram_from_edm(D), balaji_bapat_pinv(D)
+(the exact D+ from G+, rounded, of ``pinv --method k4``) and the whole
+check suite run_checks(N), which passes integer pairs between those
+stages, and of rational_pinv(T) for the distance matrix T of a seeded
+rational-weight tree of the same order, built by the benchmark's own
+tree op.  Once, it times rational_pinv(H) for the Hilbert matrix H of
+order 30, whose inverse needs many primes, and max_eigen_residual(N),
+the float check of the closed-form spectrum, at N = 300 and 1000,
+recording the residual.  Then it times the ``run`` of three of the
+benchmark's own ``oracle`` ops, built by ``perfbench/workloads.py`` at
+that workload's largest sizes: a rational-weight tree on 40 vertices
+(its distance matrix, pseudoinverse, closed-form inverse and
+determinant), the EDM of 40 integer points within +-1000 in 3
+dimensions (is_edm and the pseudoinverse) and a rank-10 40x30 product
+(the pseudoinverse).
 
-Every result is checked outside the timed runs, exactly:
-balaji_bapat_pinv(D) must equal D+ rounded, entry for entry.  At each N,
-is_edm and is_psd of the Gram matrix must also both reject D with one
-symmetric pair of entries raised by 1.  The script exits 1 if one is
-wrong, if a check of run_checks(N) fails, if a gear size lacks one of
-its eight stage records, if the rational_pinv(T), rational_pinv(H), a
-max_eigen_residual(N) or an oracle op record is missing, if a max_eigen_residual(N)
-exceeds 1e-9, or if a rational_pinv(D),
-rational_pinv(G) or penrose_check(D, D+) record counts no prime.  Each
-record carries the input's order and rank and the largest numerator and
-denominator bit lengths over the input and the result; the rational_pinv
-records and the oracle product op also carry the number of primes drawn,
-certificates included, and the penrose_check(D, D+) records the number
-its certificate takes.  The file also records the commit of the
-checkout, whether its ``src/`` differs from that commit, nproc, and the
-Python and numpy versions.
+Every result is checked outside the timed runs, exactly.  The
+benchmark's gate (``perfbench/gate.py``, plain-integer references that
+call no gearpinv code) judges the oracle ops and rational_pinv(T)
+through each op's own ``check``.  balaji_bapat_pinv(D) must equal D+
+rounded, entry for entry.  At each N, is_edm and is_psd of the Gram
+matrix must also both reject D with one symmetric pair of entries raised
+by 1.  The script exits 1 if one is wrong, if a check of run_checks(N)
+fails, if a gear size lacks one of its eight stage records, if the
+rational_pinv(T), rational_pinv(H), a max_eigen_residual(N) or an
+oracle op record is missing, if a max_eigen_residual(N) exceeds 1e-9,
+or if a rational_pinv(D), rational_pinv(G) or penrose_check(D, D+)
+record counts no prime.  Each record carries the input's order and rank
+and the largest numerator and denominator bit lengths over the input
+and the result; the rational_pinv records and the oracle product op
+also carry the number of primes drawn, certificates included, and the
+penrose_check(D, D+) records the number its certificate takes.  The file
+also records the commit of the checkout, whether its ``src/`` differs
+from that commit, nproc, and the Python and numpy versions.
 """
 
 from __future__ import annotations
@@ -57,7 +62,7 @@ from fractions import Fraction
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
-sys.path.insert(0, str(ROOT / "src"))
+sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]
 
 import numpy as np  # noqa: E402
 
@@ -65,15 +70,12 @@ import gearpinv.rational  # noqa: E402
 from gearpinv.edm import balaji_bapat_pinv, gram_from_edm, is_edm  # noqa: E402
 from gearpinv.graphs import gear_distance_closed  # noqa: E402
 from gearpinv.pinv import beta, penrose_check, rational_pinv, u_vector  # noqa: E402
-from gearpinv.rational import det, dot, invert, is_psd, rational, rational_identity  # noqa: E402
+from gearpinv.rational import invert, is_psd, rational  # noqa: E402
 from gearpinv.spectral import max_eigen_residual  # noqa: E402
-from gearpinv.trees import (  # noqa: E402
-    graham_pollak_det,
-    tree_distance,
-    weighted_tree,
-    weighted_tree_inverse,
-)
 from gearpinv.verify import run_checks  # noqa: E402
+
+import gate  # noqa: E402
+from workloads import _edm_op, _product_op, _tree_op  # noqa: E402
 
 DEFAULT_SIZES = (40, 60)
 GEAR_STAGES = ("gram_from_edm(D)", "rational_pinv(D)", "rational_pinv(G)", "is_psd(G)",
@@ -188,13 +190,13 @@ def gear_stages(bench: Bench, n: int) -> None:
     bench.check(f"{label}: is_edm rejects D with one entry pair +1, as is_psd of its G does",
                 not is_edm(off).is_edm and not is_psd(gram_from_edm(off)))
 
-    tree = _rational_tree(random.Random(f"bench_stages/tree/{n}"), 2 * n - 1)
-    tree_dist, tree_inverse = tree_distance(tree), weighted_tree_inverse(tree)
+    tree = _tree_op(random.Random(f"bench_stages/tree/{n}"), 2 * n - 1)
+    tree_dist, _, tree_inverse, tree_det = tree.run()
     tree_pinv = stage("rational_pinv(T)", rational_pinv, tree_dist, rank=2 * n - 1,
                       bits=(tree_dist, tree_inverse),
                       primes=_primes_drawn(rational_pinv, tree_dist))
-    bench.check(f"{label}: rational_pinv(T) equals the closed-form tree inverse",
-                all(type(x) is Fraction and x == y for x, y in zip(tree_pinv.flat, tree_inverse.flat)))
+    bench.check(f"{label}: rational_pinv(T) passes the gate's tree op check",
+                tree.check((tree_dist, tree_pinv, tree_inverse, tree_det)) == gate.OK)
 
 
 def hilbert_stage(bench: Bench) -> None:
@@ -218,50 +220,23 @@ def residual_stage(bench: Bench) -> None:
                     residual <= 1e-9)
 
 
-def _rational_tree(rng: random.Random, m: int):
-    """A random tree on m vertices; the weights 1, 2/5, 1/3, 1, 5/8, 2, 1, 4, 3/2 repeat, shuffled."""
-    weights = [Fraction(1 + i % 9, 1 + 4 * i % 9) for i in range(m - 1)]
-    rng.shuffle(weights)
-    return weighted_tree([(rng.randrange(1, v + 1), v + 1, weights[v - 1]) for v in range(1, m)])
-
-
 def oracle_ops(bench: Bench, rng: random.Random) -> None:
     m = OP_SIZE
-    tree = _rational_tree(rng, m)
+    tree, edm, product = _tree_op(rng, m), _edm_op(rng, m, 1000, 3), _product_op(rng, m, 30, 10)
+    dist, pinv = tree.run()[:2]
+    _op_record(bench, "oracle tree op", tree, size=m, order=m, rank=m, bits=(dist, pinv))
+    pinv = edm.run()[1]
+    _op_record(bench, "oracle edm op", edm, size=m, order=m, rank=_rank(edm.inputs, pinv),
+               bits=(edm.inputs, pinv))
+    pinv = product.run()
+    _op_record(bench, "oracle product op", product, size=f"{m}x30", order=m,
+               rank=_rank(product.inputs, pinv), bits=(product.inputs, pinv),
+               primes=_primes_drawn(product.run))
 
-    def tree_op():
-        dist = tree_distance(tree)
-        return dist, rational_pinv(dist), weighted_tree_inverse(tree), graham_pollak_det(tree)
 
-    dist, pinv, inverse, determinant = tree_op()
-    bench.time("oracle tree op", tree_op, size=m, order=m, rank=m, bits=(dist, pinv))
-    bench.check("tree: D+ equals the closed-form inverse and D D+ = I",
-                (pinv == inverse).all() and (dot(dist, inverse) == rational_identity(m)).all())
-    bench.check("tree: Graham-Pollak determinant", determinant == det(dist))
-
-    points = [[rng.randint(-1000, 1000) for _ in range(3)] for _ in range(m)]
-    edm = np.array([[sum((a - b) ** 2 for a, b in zip(p, q)) for q in points] for p in points],
-                   dtype=object)
-
-    def edm_op():
-        return is_edm(edm), rational_pinv(edm)
-
-    report, pinv = edm_op()
-    bench.time("oracle edm op", edm_op, size=m, order=m, rank=_rank(edm, pinv), bits=(edm, pinv))
-    bench.check("edm: is_edm and exact Penrose conditions",
-                report.is_edm and penrose_check(edm, pinv).all_exact)
-
-    def fraction():
-        return Fraction(rng.randint(-9, 9), rng.randint(1, 9))
-
-    left = np.array([[fraction() for _ in range(10)] for _ in range(m)], dtype=object)
-    right = np.array([[fraction() for _ in range(30)] for _ in range(10)], dtype=object)
-    product = left.dot(right)
-    pinv = rational_pinv(product)
-    bench.time("oracle product op", rational_pinv, product, size=f"{m}x30", order=m,
-               rank=_rank(product, pinv), bits=(product, pinv),
-               primes=_primes_drawn(rational_pinv, product))
-    bench.check("product: exact Penrose conditions", penrose_check(product, pinv).all_exact)
+def _op_record(bench: Bench, name: str, op, **record) -> None:
+    """Time op.run and record the benchmark gate's verdict on the last result."""
+    bench.check(name, op.check(bench.time(name, op.run, **record)) == gate.OK)
 
 
 def check_records(bench: Bench, sizes) -> None:
