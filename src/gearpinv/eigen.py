@@ -19,7 +19,7 @@ def jacobi_eigh(matrix):
     a = np.array(matrix, dtype=float)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ValueError("matrix must be square")
-    if not np.allclose(a, a.T, atol=1e-12 * (1.0 + np.abs(a).max(initial=0.0))):
+    if not np.allclose(a, a.T, rtol=0, atol=1e-12 * (1.0 + np.abs(a).max(initial=0.0))):
         raise ValueError("matrix must be symmetric")
     return np.linalg.eigh(a)
 

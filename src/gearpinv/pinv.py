@@ -52,8 +52,9 @@ def beta(n: int) -> Fraction:
 
 def _formula_rows(n: int) -> np.ndarray:
     """Rows 0, 1 and n of :func:`gear_pinv_formula`, the source of all its entries."""
-    u = u_vector(n).astype(float)
-    return -0.5 * _laplacian_rows(n) + ((n - 1) / 2.0) * np.outer(u[[0, 1, n]], u)
+    # u takes three values, on the hub, the rim and the subdivision vertices: convert those.
+    u = u_vector(n)[[0, 1, n]].astype(float)
+    return -0.5 * _laplacian_rows(n) + ((n - 1) / 2.0) * np.outer(u, u.repeat([1, n - 1, n - 1]))
 
 
 def gear_pinv_formula(n: int) -> np.ndarray:

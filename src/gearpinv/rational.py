@@ -246,9 +246,6 @@ def _echelon_mod(work: np.ndarray, p: int) -> tuple[list[int], list[int], np.nda
     m, n = work.shape
     order = np.arange(m)
     cols: list[int] = []
-    # numpy divides by a scalar fast but takes remainders slowly: on int64 arrays past about
-    # 1000 entries x -= x // p * p beats x %= p (by 2x at order 199); below that one call wins.
-    by_division = work.size > 1024
     for col in range(n):
         rank = len(cols)
         if rank == m:
@@ -269,10 +266,8 @@ def _echelon_mod(work: np.ndarray, p: int) -> tuple[list[int], list[int], np.nda
         factors = work[:, col, None].copy()
         work[:, col] = 0
         work -= factors * pivot_row
-        if by_division:
-            work -= work // p * p
-        else:
-            work %= p
+        # numpy divides int64 by a scalar fast but takes remainders slowly (2x at order 199).
+        work -= work // p * p
         # Row rank held the row swapped out to piv: its update is discarded.
         work[rank] = pivot_row
         cols.append(col)

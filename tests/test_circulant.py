@@ -48,6 +48,8 @@ def test_circulant_dtype_follows_the_row():
 def test_circulant_rejects_empty():
     with pytest.raises(ValueError):
         circulant([])
+    with pytest.raises(ValueError, match="positive"):
+        unit_root_powers(0)
 
 
 def test_circ_coerces_to_fractions():

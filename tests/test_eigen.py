@@ -38,6 +38,9 @@ def test_input_validation():
         jacobi_eigh(np.ones((2, 3)))
     with pytest.raises(ValueError, match="symmetric"):
         jacobi_eigh([[0.0, 1.0], [0.0, 0.0]])
+    # Off by 1e-6, far past 1e-12 (1 + max |a|), though within allclose's default rtol.
+    with pytest.raises(ValueError, match="symmetric"):
+        jacobi_eigh([[1.0, 1.0], [1.000001, 1.0]])
 
 
 def test_random_matrices_match_numpy():

@@ -14,7 +14,9 @@ import gearpinv.pinv
 import gearpinv.rational
 from gearpinv.edm import _gram_ints, gram_from_edm
 from gearpinv.graphs import gear_distance_closed
+from gearpinv.laplacian import _laplacian_rows
 from gearpinv.pinv import (
+    _formula_rows,
     _pinv_ints,
     beta,
     gear_pinv_formula,
@@ -88,6 +90,14 @@ def test_beta_matches_oracle_mass(gear_oracle):
     for n in range(4, 11):
         ones = np.full(2 * n - 1, Fraction(1), dtype=object)
         assert ones @ (gear_oracle(n) @ ones) == Fraction(2, n - 1)
+
+
+def test_formula_rows_convert_u_entry_by_entry():
+    # _formula_rows converts u's three values once; the rows match converting all 2n - 1.
+    for n in [*range(4, 61), 150, 151, 299, 300, 1000]:
+        u = u_vector(n).astype(float)
+        rows = -0.5 * _laplacian_rows(n) + ((n - 1) / 2.0) * np.outer(u[[0, 1, n]], u)
+        assert _formula_rows(n).tobytes() == rows.tobytes()
 
 
 def test_formula_golden_n5(golden_pinv_5):

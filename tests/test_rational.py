@@ -445,6 +445,8 @@ def test_invert_golden():
 def test_invert_singular_raises():
     with pytest.raises(ValueError):
         invert(rational_matrix([[1, 2], [2, 4]]))
+    with pytest.raises(ValueError, match="square"):
+        invert(rational_matrix([[1, 2, 3], [4, 5, 6]]))
 
 
 @settings(deadline=None)

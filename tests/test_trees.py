@@ -37,6 +37,8 @@ def test_star_distance():
 
 
 def test_tree_validation():
+    with pytest.raises(ValueError, match="at least one vertex"):
+        WeightedTree(0, ())
     with pytest.raises(ValueError, match="m-1 edges"):
         WeightedTree(3, ((1, 2, Fraction(1)),))
     with pytest.raises(ValueError, match="connect"):

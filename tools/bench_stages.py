@@ -8,43 +8,40 @@ The script times the gearpinv source of the checkout it sits in
 (``src/`` beside ``tools/``), builds its oracle ops with that checkout's
 ``perfbench/`` and writes ``BENCH_<LABEL>.json`` at its root.  N are gear
 sizes, 40 and 60 by default; CI runs ``ci 40 60 100``; N = 100 alone
-takes about 40 s on 2 cores.  For each N, with D the gear distance
+takes about 30 s on 2 cores.  For each N, with D the gear distance
 matrix (order 2N - 1) and G its Gram matrix, it takes the best of three
-in-process runs of rational_pinv(D), rational_pinv(G), is_psd(G),
-is_edm(D), penrose_check(D, D+), gram_from_edm(D), balaji_bapat_pinv(D)
-(the exact D+ from G+, rounded, of ``pinv --method k4``) and the whole
-check suite run_checks(N), which passes integer pairs between those
-stages, and of rational_pinv(T) for the distance matrix T of a seeded
-rational-weight tree of the same order, built by the benchmark's own
-tree op.  Once, it times rational_pinv(H) for the Hilbert matrix H of
-order 30, whose inverse needs many primes, and max_eigen_residual(N),
-the float check of the closed-form spectrum, at N = 300 and 1000,
-recording the residual.  Then it times the ``run`` of three of the
-benchmark's own ``oracle`` ops, built by ``perfbench/workloads.py`` at
-that workload's largest sizes: a rational-weight tree on 40 vertices
-(its distance matrix, pseudoinverse, closed-form inverse and
-determinant), the EDM of 40 integer points within +-1000 in 3
-dimensions (is_edm and the pseudoinverse) and a rank-10 40x30 product
-(the pseudoinverse).
+in-process runs of rational_pinv(D), gram_from_edm(D), rational_pinv(G),
+is_psd(G), is_edm(D), penrose_check(D, D+), balaji_bapat_pinv(D) (the
+exact D+ from G+, rounded, of ``pinv --method k4``), the whole check
+suite run_checks(N), and rational_pinv(T) for the distance matrix T of a
+seeded rational-weight tree of the same order, built by the benchmark's
+own tree op.  Once, it times rational_pinv(H) for the Hilbert matrix H
+of order 30, whose inverse needs many primes, max_eigen_residual(N), the
+float check of the closed-form spectrum, at N = 300 and 1000, and the
+``run`` of three of the benchmark's own ``oracle`` ops, built by
+``perfbench/workloads.py`` at that workload's largest sizes: a
+rational-weight tree on 40 vertices, the EDM of 40 integer points within
++-1000 in 3 dimensions and a rank-10 40x30 product.
 
-Every result is checked outside the timed runs, exactly.  The
-benchmark's gate (``perfbench/gate.py``, plain-integer references that
-call no gearpinv code) judges the oracle ops and rational_pinv(T)
-through each op's own ``check``.  balaji_bapat_pinv(D) must equal D+
-rounded, entry for entry.  At each N, is_edm and is_psd of the Gram
-matrix must also both reject D with one symmetric pair of entries raised
-by 1.  The script exits 1 if one is wrong, if a check of run_checks(N)
-fails, if a gear size lacks one of its eight stage records, if the
-rational_pinv(T), rational_pinv(H), a max_eigen_residual(N) or an
-oracle op record is missing, if a max_eigen_residual(N) exceeds 1e-9,
-or if a rational_pinv(D), rational_pinv(G) or penrose_check(D, D+)
-record counts no prime.  Each record carries the input's order and rank
-and the largest numerator and denominator bit lengths over the input
-and the result; the rational_pinv records and the oracle product op
-also carry the number of primes drawn, certificates included, and the
-penrose_check(D, D+) records the number its certificate takes.  The file
-also records the commit of the checkout, whether its ``src/`` differs
-from that commit, nproc, and the Python and numpy versions.
+Each stage runs only in its three timed runs; only T is also built, by
+the tree op's run, outside them.  Later stages and the checks take the
+last run's result, and the primes each run draws from
+``rational._primes`` are counted as it runs.  Every result is checked
+exactly after timing: the benchmark's gate (``perfbench/gate.py``,
+plain-integer references that call no gearpinv code) judges the oracle
+ops, rational_pinv(T) and rational_pinv(H); balaji_bapat_pinv(D) must
+equal D+ rounded; at each N, is_edm and is_psd of the Gram matrix must
+both reject D with one symmetric pair of entries raised by 1.  The
+script exits 1 if one is wrong, if the runs of a stage draw different
+numbers of primes, if a check of run_checks(N) fails or a
+max_eigen_residual(N) exceeds 1e-9, if a record is missing, or if a
+rational_pinv(D), rational_pinv(G) or penrose_check(D, D+) record counts
+no prime.  Each record carries the input's order and rank, the largest
+numerator and denominator bit lengths over the input and the result
+and, for a stage that draws primes, how many one run draws, certificates
+included.  The file also records the commit of the checkout, whether its
+``src/`` differs from that commit, nproc, and the Python and numpy
+versions.
 """
 
 from __future__ import annotations
@@ -70,7 +67,7 @@ import gearpinv.rational  # noqa: E402
 from gearpinv.edm import balaji_bapat_pinv, gram_from_edm, is_edm  # noqa: E402
 from gearpinv.graphs import gear_distance_closed  # noqa: E402
 from gearpinv.pinv import beta, penrose_check, rational_pinv, u_vector  # noqa: E402
-from gearpinv.rational import invert, is_psd, rational  # noqa: E402
+from gearpinv.rational import is_psd, rational  # noqa: E402
 from gearpinv.spectral import max_eigen_residual  # noqa: E402
 from gearpinv.verify import run_checks  # noqa: E402
 
@@ -103,47 +100,44 @@ def _rank(matrix, pinv) -> int:
     return int(sum(rational(x) * y for x, y in zip(matrix.flat, pinv.T.flat)))
 
 
-def _primes_drawn(func, *args) -> int:
-    """How many primes ``rational._primes`` hands out while func(*args) runs."""
-    drawn = 0
-    primes = gearpinv.rational._primes
-
-    def counting():
-        nonlocal drawn
-        for p in primes():
-            drawn += 1
-            yield p
-
-    gearpinv.rational._primes = counting
-    try:
-        func(*args)
-    finally:
-        gearpinv.rational._primes = primes
-    return drawn
-
-
-def _best_of(func, *args):
-    times, result = [], None
-    for _ in range(REPEATS):
-        start = time.perf_counter()
-        result = func(*args)
-        times.append(time.perf_counter() - start)
-    return min(times), times, result
-
-
 class Bench:
     def __init__(self):
         self.records: list[dict] = []
         self.wrong: list[str] = []
 
-    def time(self, name: str, func, *args, size, order: int, rank: int, bits=(), **extra):
-        best, times, result = _best_of(func, *args)
-        num, den = _bits(*bits)
-        self.records.append({
-            "name": name, "size": size, "order": order, "rank": rank, "best_s": best,
-            "times_s": times, "max_num_bits": num, "max_den_bits": den, **extra,
-        })
+    def time(self, name: str, func, *args, size, order: int):
+        """Run func(*args) REPEATS times, the only runs the stage gets, and return the last result.
+
+        The record it appends counts the primes one run draws from
+        ``rational._primes``, when there are any; the runs are
+        deterministic, so they must all draw the same number.  ``describe``
+        adds the rank and bit lengths, read from the result.
+        """
+        times, drawn, primes = [], [], gearpinv.rational._primes
+
+        def counting():
+            for p in primes():
+                drawn[-1] += 1
+                yield p
+
+        gearpinv.rational._primes = counting
+        try:
+            for _ in range(REPEATS):
+                drawn.append(0)
+                start = time.perf_counter()
+                result = func(*args)
+                times.append(time.perf_counter() - start)
+        finally:
+            gearpinv.rational._primes = primes
+        self.records.append({"name": name, "size": size, "order": order, "best_s": min(times),
+                             "times_s": times, **({"primes": drawn[0]} if drawn[0] else {})})
+        self.check(f"{name} at size {size}: its runs drew {drawn} primes", len(set(drawn)) == 1)
         return result
+
+    def describe(self, rank: int, *matrices) -> None:
+        """Give the last record its input's rank and the largest bit lengths over the matrices."""
+        num, den = _bits(*matrices)
+        self.records[-1].update(rank=rank, max_num_bits=num, max_den_bits=den)
 
     def check(self, name: str, ok: bool) -> None:
         if not ok:
@@ -153,23 +147,27 @@ class Bench:
 
 def gear_stages(bench: Bench, n: int) -> None:
     dist = gear_distance_closed(n)
-    gram = gram_from_edm(dist)
-    dist_pinv, gram_pinv = rational_pinv(dist), rational_pinv(gram)
-    rank_d, rank_g = _rank(dist, dist_pinv), _rank(gram, gram_pinv)
     label = f"gear n={n}"
 
     stage = functools.partial(bench.time, size=n, order=2 * n - 1)
-    stage("gram_from_edm(D)", gram_from_edm, dist, rank=rank_d, bits=(dist, gram))
-    stage("rational_pinv(D)", rational_pinv, dist, rank=rank_d, bits=(dist, dist_pinv),
-          primes=_primes_drawn(rational_pinv, dist))
-    stage("rational_pinv(G)", rational_pinv, gram, rank=rank_g, bits=(gram, gram_pinv),
-          primes=_primes_drawn(rational_pinv, gram))
-    psd = stage("is_psd(G)", is_psd, gram, rank=rank_g, bits=(gram,))
-    report = stage("is_edm(D)", is_edm, dist, rank=rank_d, bits=(dist,))
-    penrose = stage("penrose_check(D, D+)", penrose_check, dist, dist_pinv, rank=rank_d,
-                    bits=(dist, dist_pinv), primes=_primes_drawn(penrose_check, dist, dist_pinv))
-    route = stage("balaji_bapat_pinv(D)", balaji_bapat_pinv, dist, rank=rank_d, bits=(dist,))
-    checks = stage("run_checks(N)", run_checks, n, rank=rank_d, bits=(dist, dist_pinv))
+    dist_pinv = stage("rational_pinv(D)", rational_pinv, dist)
+    rank_d = _rank(dist, dist_pinv)
+    bench.describe(rank_d, dist, dist_pinv)
+    gram = stage("gram_from_edm(D)", gram_from_edm, dist)
+    bench.describe(rank_d, dist, gram)
+    gram_pinv = stage("rational_pinv(G)", rational_pinv, gram)
+    rank_g = _rank(gram, gram_pinv)
+    bench.describe(rank_g, gram, gram_pinv)
+    psd = stage("is_psd(G)", is_psd, gram)
+    bench.describe(rank_g, gram)
+    report = stage("is_edm(D)", is_edm, dist)
+    bench.describe(rank_d, dist)
+    penrose = stage("penrose_check(D, D+)", penrose_check, dist, dist_pinv)
+    bench.describe(rank_d, dist, dist_pinv)
+    route = stage("balaji_bapat_pinv(D)", balaji_bapat_pinv, dist)
+    bench.describe(rank_d, dist)
+    checks = stage("run_checks(N)", run_checks, n)
+    bench.describe(rank_d, dist, dist_pinv)
 
     # The paper's identity D+ = -G+/2 + ((n-1)/2) u u' ties the two pseudoinverses together.
     u = u_vector(n)
@@ -190,11 +188,11 @@ def gear_stages(bench: Bench, n: int) -> None:
     bench.check(f"{label}: is_edm rejects D with one entry pair +1, as is_psd of its G does",
                 not is_edm(off).is_edm and not is_psd(gram_from_edm(off)))
 
+    # The tree op's own run builds T, so rational_pinv(T) runs once more than it is timed.
     tree = _tree_op(random.Random(f"bench_stages/tree/{n}"), 2 * n - 1)
     tree_dist, _, tree_inverse, tree_det = tree.run()
-    tree_pinv = stage("rational_pinv(T)", rational_pinv, tree_dist, rank=2 * n - 1,
-                      bits=(tree_dist, tree_inverse),
-                      primes=_primes_drawn(rational_pinv, tree_dist))
+    tree_pinv = stage("rational_pinv(T)", rational_pinv, tree_dist)
+    bench.describe(2 * n - 1, tree_dist, tree_pinv)
     bench.check(f"{label}: rational_pinv(T) passes the gate's tree op check",
                 tree.check((tree_dist, tree_pinv, tree_inverse, tree_det)) == gate.OK)
 
@@ -203,18 +201,18 @@ def hilbert_stage(bench: Bench) -> None:
     order = HILBERT_ORDER
     hilbert = np.array([[Fraction(1, i + j + 1) for j in range(order)] for i in range(order)],
                        dtype=object)
-    inverse = invert(hilbert)
-    pinv = bench.time("rational_pinv(H)", rational_pinv, hilbert, size=order, order=order,
-                      rank=order, bits=(hilbert, inverse),
-                      primes=_primes_drawn(rational_pinv, hilbert))
-    bench.check(f"hilbert order {order}: rational_pinv(H) equals the fraction-free inverse",
-                all(type(x) is Fraction and x == y for x, y in zip(pinv.flat, inverse.flat)))
+    pinv = bench.time("rational_pinv(H)", rational_pinv, hilbert, size=order, order=order)
+    bench.describe(_rank(hilbert, pinv), hilbert, pinv)
+    # gate.is_exact_inverse would scale np.eye (int64) by H's and H+'s denominators, past int64.
+    bench.check(f"hilbert order {order}: rational_pinv(H) passes the gate's Penrose check",
+                gate.penrose_exact(hilbert, pinv))
 
 
 def residual_stage(bench: Bench) -> None:
     for n in RESIDUAL_SIZES:
         residual = bench.time("max_eigen_residual(N)", max_eigen_residual, n, size=n,
-                              order=2 * n - 1, rank=n)
+                              order=2 * n - 1)
+        bench.describe(n)
         bench.records[-1]["residual"] = residual
         bench.check(f"gear n={n}: max_eigen_residual(N) = {residual:.3g} is at most 1e-9",
                     residual <= 1e-9)
@@ -223,20 +221,19 @@ def residual_stage(bench: Bench) -> None:
 def oracle_ops(bench: Bench, rng: random.Random) -> None:
     m = OP_SIZE
     tree, edm, product = _tree_op(rng, m), _edm_op(rng, m, 1000, 3), _product_op(rng, m, 30, 10)
-    dist, pinv = tree.run()[:2]
-    _op_record(bench, "oracle tree op", tree, size=m, order=m, rank=m, bits=(dist, pinv))
-    pinv = edm.run()[1]
-    _op_record(bench, "oracle edm op", edm, size=m, order=m, rank=_rank(edm.inputs, pinv),
-               bits=(edm.inputs, pinv))
-    pinv = product.run()
-    _op_record(bench, "oracle product op", product, size=f"{m}x30", order=m,
-               rank=_rank(product.inputs, pinv), bits=(product.inputs, pinv),
-               primes=_primes_drawn(product.run))
+    dist, pinv = _op_record(bench, "oracle tree op", tree, size=m)[:2]
+    bench.describe(m, dist, pinv)
+    pinv = _op_record(bench, "oracle edm op", edm, size=m)[1]
+    bench.describe(_rank(edm.inputs, pinv), edm.inputs, pinv)
+    pinv = _op_record(bench, "oracle product op", product, size=f"{m}x30")
+    bench.describe(_rank(product.inputs, pinv), product.inputs, pinv)
 
 
-def _op_record(bench: Bench, name: str, op, **record) -> None:
-    """Time op.run and record the benchmark gate's verdict on the last result."""
-    bench.check(name, op.check(bench.time(name, op.run, **record)) == gate.OK)
+def _op_record(bench: Bench, name: str, op, size):
+    """Time op.run, record the benchmark gate's verdict on the last result and return it."""
+    result = bench.time(name, op.run, size=size, order=OP_SIZE)
+    bench.check(name, op.check(result) == gate.OK)
+    return result
 
 
 def check_records(bench: Bench, sizes) -> None:
