@@ -23,12 +23,11 @@ rather than of the minors on the way to it, so residues win where the
 result is small, as for tree and gear distance matrices.  A symmetric
 rank-deficient matrix gets a budget of primes tied to its rank; past
 it, and for every other rank-deficient or non-square matrix, the result
-comes from fraction-free elimination of the pivot rows that first pass
-picked: ``rref`` of them, then ``invert`` of the r x r integer matrix
-C' A R' of A's pivot columns C and pivot rows R, whose wide inverse
-would take many primes.  ``_residuals_vanish`` proves Penrose residuals zero from
-exact residue products (``_dot_mod``), for ``pinv.penrose_check`` and as
-the symmetric route's certificate.
+comes from fraction-free elimination of the r pivot rows R that first
+pass picked: ``rref`` of them, then ``invert`` of the r x r matrix
+C' A R', C being A's pivot columns.  ``_residuals_vanish`` proves
+Penrose residuals zero from exact residue products (``_dot_mod``), for
+``pinv.penrose_check`` and as the symmetric route's certificate.
 """
 
 from __future__ import annotations
@@ -180,7 +179,7 @@ def invert(matrix) -> np.ndarray:
     if m != n:
         raise ValueError("inverse needs a square matrix")
     # A = scale * matrix / g in integers, with g their gcd, keeps the minors small
-    # (C' A F' from rational_pinv has a content), and [A | I] reduces to [d I | d A^-1].
+    # (C' A R' from _pinv_ints has a content), and [A | I] reduces to [d I | d A^-1].
     g = gcd(*ints.flat) or 1
     rows = [row + [int(i == j) for j in range(n)] for i, row in enumerate((ints // g).tolist())]
     pivot_cols, _, d = _gauss_jordan(rows)
@@ -539,13 +538,13 @@ def is_psd(matrix) -> bool:
     """Exact test of positive semidefiniteness for a symmetric matrix.
 
     The whole matrix is split once into integers over one positive
-    common denominator (row by row scaling would break symmetry), which
-    are tested for symmetry and then reduced by symmetric fraction-free
-    elimination with diagonal pivots (``_psd_ints``).  Each pivot is the
-    largest remaining diagonal: a negative one means not PSD, and a zero
-    one means PSD exactly when the remaining block is zero.  Every
-    remaining entry is a minor of the input whose sign matches the
-    Schur complement's, because all earlier pivots were positive.
+    common denominator (row by row scaling would break symmetry), tested
+    for symmetry and reduced by symmetric fraction-free elimination with
+    diagonal pivots (``_psd_ints``, one triangle of each Schur complement
+    computed and mirrored).  Each pivot is the largest remaining diagonal:
+    a negative one means not PSD, a zero one PSD exactly when the remaining
+    block is zero.  Every remaining entry is a minor of the input whose sign
+    matches the Schur complement's, because all earlier pivots were positive.
 
     Raises
     ------
@@ -562,8 +561,8 @@ def is_psd(matrix) -> bool:
 
 
 def _psd_ints(ints) -> bool:
-    """``is_psd`` of ints / den, any den > 0; the content is divided out to narrow every minor."""
-    rows = (ints // (gcd(*ints.flat) or 1)).tolist()
+    """``is_psd`` of symmetric ints / den, any den > 0: each (i, j >= i) computed, then mirrored."""
+    rows = (ints // (gcd(*ints.flat) or 1)).tolist()  # dividing out the content narrows every minor
     remaining = list(range(len(rows)))
     prev = 1
     while remaining:
@@ -573,9 +572,9 @@ def _psd_ints(ints) -> bool:
             return piv == 0 and not any(rows[i][j] for i in remaining for j in remaining)
         remaining.remove(k)
         pivot_row = rows[k]
-        for i in remaining:
-            row, x = rows[i], rows[i][k]
-            for j in remaining:
-                row[j] = (piv * row[j] - x * pivot_row[j]) // prev
+        for start, i in enumerate(remaining):
+            row, x = rows[i], pivot_row[i]
+            for j in remaining[start:]:
+                row[j] = rows[j][i] = (piv * row[j] - x * pivot_row[j]) // prev
         prev = piv
     return True

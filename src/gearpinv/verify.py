@@ -28,7 +28,7 @@ from .eigen import jacobi_eigh, numerical_rank
 from .graphs import bfs_distances, build_gear, gear_distance_closed
 from .laplacian import special_laplacian
 from .pinv import _penrose_ints, beta, gear_pinv_formula, u_vector
-from .rational import _floats, _pinv_ints, dot, scaled
+from .rational import _floats, _pinv_ints, scaled
 from .spectral import _eigenvalues, max_eigen_residual, null_basis
 
 
@@ -68,10 +68,10 @@ def run_checks(n: int, tol: float = 1e-9) -> list[CheckResult]:
     results.append(CheckResult("null-space", residual == 0.0, float(residual)))
 
     # 4. The u vector solves D u = 1 inside the row space, with mass 2/(n-1).
-    u = u_vector(n)
-    residuals = [*(dot(dist, u) - 1), *dot(nulls, u), u.sum() - beta(n)]
-    worst = max(abs(x) for x in residuals)
-    results.append(CheckResult("beta", worst == 0, float(worst)))
+    u, t = scaled(np.append(u_vector(n), -beta(n)))  # u, then -beta, as integers over one t
+    residuals = [*d_ints.dot(u[:-1]) - d_den * t, *d_den * nulls.dot(u[:-1]), d_den * sum(u)]
+    worst = max(map(abs, residuals))
+    results.append(CheckResult("beta", worst == 0, worst / (d_den * t)))
 
     # 5. Assembled matrix is PSD with zero row sums and rank n-1.
     row_sum = _sup(lap @ np.ones(2 * n - 1))

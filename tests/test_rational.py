@@ -1,6 +1,8 @@
 """Exact elimination, determinant, inverse and products on Fraction matrices."""
 
+import random
 from fractions import Fraction
+from itertools import combinations
 from math import isqrt, lcm, prod
 
 import numpy as np
@@ -26,6 +28,7 @@ from gearpinv.rational import (
     rational,
     rational_identity,
     rational_matrix,
+    rational_zeros,
     rref,
     scaled,
     unscaled,
@@ -212,6 +215,67 @@ def test_is_psd_on_gram_products(data):
     if gram[drop, drop] > 0:
         gram[drop, drop] = -gram[drop, drop]
         assert not is_psd(gram)
+
+
+def _principal_minors_nonnegative(matrix):
+    """PSD by definition's equivalent for symmetric input: every principal minor is >= 0.
+
+    ``det`` reduces each minor by ``_gauss_jordan``, not by the symmetric
+    elimination under test.
+    """
+    order = len(matrix)
+    return all(det(matrix[np.ix_(rows, rows)]) >= 0
+               for size in range(1, order + 1) for rows in combinations(range(order), size))
+
+
+def _symmetric(rng, order, draw):
+    """Off-diagonal entries from ``draw``, diagonal entries from 1 to 3."""
+    matrix = rational_zeros(order, order)
+    for i in range(order):
+        matrix[i, i] = F(rng.randint(1, 3))
+        for j in range(i + 1, order):
+            matrix[i, j] = matrix[j, i] = draw()
+    return matrix
+
+
+def _gram(order, rank, draw):
+    b = np.array([[draw() for _ in range(rank)] for _ in range(order)], dtype=object)
+    b = b.reshape(order, rank)
+    return b.dot(b.T)
+
+
+def _zero_pivot_block(rng, order):
+    """A PSD block and a hollow block with a nonzero pair, symmetrically permuted.
+
+    The elimination takes the PSD block's pivots first and then meets a
+    zero diagonal over a nonzero remaining block: not PSD.
+    """
+    psd = rng.randint(0, order - 2)
+    matrix = rational_zeros(order, order)
+    matrix[:psd, :psd] = _gram(psd, psd, lambda: F(rng.randint(-3, 3)))
+    hollow = _symmetric(rng, order - psd, lambda: F(rng.randint(-3, 3)))
+    np.fill_diagonal(hollow, F(0))
+    hollow[0, 1] = hollow[1, 0] = F(rng.choice([-2, -1, 1, 2]))
+    matrix[psd:, psd:] = hollow
+    perm = rng.sample(range(order), order)
+    return matrix[np.ix_(perm, perm)]
+
+
+@pytest.mark.parametrize("order", range(1, 6))
+def test_is_psd_agrees_with_principal_minors(order):
+    rng = random.Random(f"is_psd/{order}")
+    small = lambda: F(rng.randint(-3, 3))
+    fraction = lambda: F(rng.randint(-4, 4), rng.randint(1, 4))
+    cases = [_symmetric(rng, order, small) for _ in range(60)]
+    cases += [_symmetric(rng, order, fraction) for _ in range(30)]
+    grams = [_gram(order, rank, draw) for rank in range(order + 1)
+             for draw in (small, small, fraction)]
+    lowered = [gram - np.diag(np.eye(order, dtype=int)[rng.randrange(order)]) for gram in grams]
+    hollow = [_zero_pivot_block(rng, order) for _ in range(20)] if order >= 2 else []
+    for matrix in cases + grams + lowered + hollow:
+        assert is_psd(matrix) == _principal_minors_nonnegative(matrix), matrix
+    assert all(_principal_minors_nonnegative(gram) for gram in grams)
+    assert not any(_principal_minors_nonnegative(matrix) for matrix in hollow)
 
 
 def _first_primes(count):

@@ -1,6 +1,7 @@
 """The exact checks of run_checks against the same checks built from the public routes."""
 
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -11,8 +12,9 @@ import gearpinv.verify
 from gearpinv.edm import _edm_pinv_ints, balaji_bapat_pinv, gram_from_edm
 from gearpinv.graphs import gear_distance_closed
 from gearpinv.laplacian import special_laplacian
-from gearpinv.pinv import _pinv_ints, gear_pinv_formula, penrose_check, rational_pinv
+from gearpinv.pinv import _pinv_ints, beta, gear_pinv_formula, penrose_check, rational_pinv, u_vector
 from gearpinv.rational import _residuals_vanish, is_psd
+from gearpinv.spectral import null_basis
 from gearpinv.verify import CheckResult, run_checks
 
 
@@ -78,6 +80,21 @@ def test_check_9_tests_the_schoenberg_matrix_for_semidefiniteness(monkeypatch):
 
 def _failed(results):
     return {result.name for result in results if not result.passed}
+
+
+@pytest.mark.parametrize("n", [4, 7, 12])
+@pytest.mark.parametrize("vertex", ["hub", "rim", "subdivision"])
+def test_check_4_rejects_a_wrong_u_vector(n, vertex, monkeypatch):
+    u = u_vector(n)
+    u[{"hub": 0, "rim": 1, "subdivision": n}[vertex]] += Fraction(1, 7)
+    monkeypatch.setattr(gearpinv.verify, "u_vector", lambda size: u.copy())
+    results = run_checks(n)
+    assert _failed(results) == {"beta"}
+    # The largest of |Du - 1|, |Nu| and |1'u - beta|, in Fractions.
+    dist, nulls = gear_distance_closed(n).astype(object), np.array(null_basis(n), dtype=object)
+    worst = max(abs(x) for x in [*(dist.dot(u) - 1), *nulls.dot(u), u.sum() - beta(n)])
+    assert worst > 0
+    assert results[3].residual == float(worst)
 
 
 @pytest.mark.parametrize("n", [4, 7, 12])
