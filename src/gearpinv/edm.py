@@ -145,8 +145,10 @@ def _edm_pinv_ints(ints, scale: int, pinv, den: int) -> tuple[np.ndarray, int]:
     if (dw != k).any() or k <= 0:
         raise ValueError("formula needs a spherical D with 1' D+ 1 > 0")
     # So D+ = -1/2 G+ + u u' / (1' u) = -P / (2p) + s w w' / (w_den k), and
-    # 2 p w_den k D+ = 2 p s w w' - w_den k P: integers, for every spherical D.
-    pinv_ints = 2 * den * scale * np.outer(w, w) - w_den * k * pinv
-    pinv_den = 2 * den * w_den * k
+    # w_den = 2 m s p makes 2 m p k D+ = w w' - m k P: integers, for every spherical D.
+    pinv_ints = np.outer(w, w)
+    pinv_ints -= len(ints) * k * pinv
+    pinv_den = 2 * len(ints) * den * k
     content = math.gcd(pinv_den, *pinv_ints.flat)
-    return pinv_ints // content, pinv_den // content
+    pinv_ints //= content
+    return pinv_ints, pinv_den // content

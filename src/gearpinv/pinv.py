@@ -91,7 +91,9 @@ class PenroseReport:
 
     ``exact`` records whether both inputs carried exact entries, in
     which case every residual is either exactly 0.0 or a genuine
-    violation.  Float inputs get ordinary rounding-level residuals.
+    violation: a nonzero one too small for a double reads as the least
+    positive double, so ``all_exact`` holds exactly when every integer
+    residual is 0.  Float inputs get ordinary rounding-level residuals.
     """
 
     exact: bool
@@ -113,11 +115,14 @@ class PenroseReport:
 
 
 def _max_abs(ints, den) -> float:
+    largest = _largest(ints)
     try:
-        return float(_largest(ints) / den)
+        value = float(largest / den)
     except OverflowError:
         # An exact residual past the float range, where float input would give inf.
         return math.inf
+    # One below the float range reads as the least positive double, never as 0.0.
+    return value or (math.ulp(0.0) if largest else 0.0)
 
 
 def _penrose_residuals(exact: bool, a_ints, a, b_ints, b) -> PenroseReport:

@@ -27,7 +27,10 @@ comes from fraction-free elimination of the r pivot rows R that first
 pass picked: ``rref`` of them, then ``invert`` of the r x r matrix
 C' A R', C being A's pivot columns.  ``_residuals_vanish`` proves
 Penrose residuals zero from exact residue products (``_dot_mod``), for
-``pinv.penrose_check`` and as the symmetric route's certificate.
+``pinv.penrose_check`` and as the symmetric route's default certificate;
+``verify`` passes its own.  Given a proved pseudoinverse and the pivot
+columns, ``_psd_certified`` proves a symmetric matrix PSD by a float
+Cholesky of one block, where ``_psd_ints`` eliminates exactly.
 """
 
 from __future__ import annotations
@@ -425,7 +428,7 @@ def _crt(value, modulus: int, residue: np.ndarray, p: int):
 _PASSES_PER_PRIME = 4
 
 
-def _pinv_ints(ints, scale: int) -> tuple[np.ndarray, int]:
+def _pinv_ints(ints, scale: int, certificate=None) -> tuple[np.ndarray, int]:
     """The pseudoinverse of M = ints / scale as the pair (Y, d), M+ being Y / d.
 
     M = A g / s with A primitive, g the content of the integers, and
@@ -446,7 +449,9 @@ def _pinv_ints(ints, scale: int) -> tuple[np.ndarray, int]:
     A symmetric A of rank r modulo the first prime skips a prime that
     divides det BB', B = A[Q, :].  ``_residuals_vanish`` proves the four
     Penrose conditions for Y / d, which hold for A+ alone (Penrose, 1955),
-    so the rank needs no proof.  The route is budgeted by one cost
+    so the rank needs no proof.  A caller with a proof of its own passes
+    ``certificate`` instead: ``certificate(Y s, d g, Q)`` on the pair that
+    would be returned, and True returns it.  The route is budgeted by one cost
     comparison: a prime costs about ``_PASSES_PER_PRIME`` = 4 passes
     over the matrix in Python integers (reducing A, the output product,
     the Chinese remainder step and the reconstruction), where
@@ -492,8 +497,13 @@ def _pinv_ints(ints, scale: int) -> tuple[np.ndarray, int]:
         # P = p only when the first prime gave no residue: one prime is never reconstructed.
         if modulus == p or (found := _reconstruct(value, modulus)) is None:
             continue
-        if (_residual_bound(ints, *found) < modulus if full_rank
-                else _residuals_vanish(ints, *found)):
+        if full_rank:
+            proved = _residual_bound(ints, *found) < modulus
+        elif certificate is None:
+            proved = _residuals_vanish(ints, *found)
+        else:
+            proved = certificate(found[0] * scale, found[1] * content, cols)
+        if proved:
             pinv, den = found
             return pinv * scale, den * content
     reduced, cols = rref(ints[rows])
@@ -577,4 +587,50 @@ def _psd_ints(ints) -> bool:
             for j in remaining[start:]:
                 row[j] = rows[j][i] = (piv * row[j] - x * pivot_row[j]) // prev
         prev = piv
+    return True
+
+
+def _psd_certified(ints, scale: int, pinv, den: int, cols) -> bool:
+    """True when symmetric M = ints / scale is proved PSD from its proved M+ = pinv / den.
+
+    False means not proved, and the caller decides exactly (``_psd_ints``).
+    Three steps, none decided by a tolerance:
+
+    - rank M = trace(M M+), M M+ being the projector onto M's range, is
+      one integer sum, and must equal |Q| for the columns Q = ``cols``;
+    - K = M[Q, Q] must have integers below 2**53, so each is a double;
+    - K - cI must pass a floating-point Cholesky factorization, unblocked
+      and right-looking: r rank-one updates, r = |Q|.
+
+    Then K is positive definite (Rump, "Verification of positive
+    definiteness", BIT 46, 2006).  A Cholesky factorization of a
+    symmetric B that runs to completion gives R with R'R = B + E and
+    |E| <= g |R'| |R|, g = (r + 1) u / (1 - (r + 1) u) and u = 2**-53
+    (Higham, Accuracy and Stability of Numerical Algorithms, 2002,
+    Theorem 10.3, whose proof needs no definiteness);
+    by Cauchy-Schwarz ||E||_2 <= g/(1 - g) tr B, so B + E >= 0 gives
+    lambda_min(B) >= -g/(1 - g) tr B.  Here B is K with each diagonal
+    entry rounded after subtracting c, off by at most u (K_ii - c), and
+    B_ii > 0 on completion, so
+    lambda_min(K) >= c - g (1 + u) tr K / (1 - g) - u tr K.
+    c = 2 (r + 2) u tr K keeps that positive, its own rounding and
+    gradual underflow included, for r < 2**40.  K positive definite of
+    order rank M makes the columns Q a basis of M's range, so
+    M = M[:, Q] K^-1 M[Q, :] and x'Mx >= 0 for every x.
+    """
+    rank = len(cols)
+    # trace(M M+) sums M_ij M+_ji over i and j.
+    if (ints * pinv.T).sum() != rank * scale * den:
+        return False
+    block = ints[np.ix_(cols, cols)]
+    trace = sum(block.diagonal())
+    if trace <= 0 or _largest(block) >= 2**53:
+        return False
+    work = block.astype(float)
+    work[np.diag_indices(rank)] -= 2 * (rank + 2) * 2.0**-53 * float(trace)
+    for k in range(rank):
+        if not work[k, k] > 0:
+            return False
+        column = work[k, k + 1:] / np.sqrt(work[k, k])
+        work[k + 1:, k + 1:] -= np.outer(column, column)
     return True

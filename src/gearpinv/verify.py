@@ -13,7 +13,13 @@ a few dozen doubles deserve better).
 The exact oracle takes one residue pseudoinverse, of the centered Gram
 matrix G (check 6).  D+ follows from G+ in integers by the Balaji-Bapat
 identity, which holds for every spherical distance matrix, so no gear
-structure enters it; check 8's Penrose proof is its only certificate.
+structure enters it.  One exact proof carries both: the residue loop's
+certificate for G+ (``_OracleProof``) derives D+ from each candidate and
+proves it by check 8's Penrose conditions, and two exact identities turn
+that proof back into one of G+.  A proved G+ gives rank G, so check 9
+proves G PSD from a verified float Cholesky of one pivot block of G
+(``rational._psd_certified``) and runs the exact Schoenberg elimination
+only when that proves nothing.
 """
 
 from __future__ import annotations
@@ -28,7 +34,7 @@ from .eigen import jacobi_eigh, numerical_rank
 from .graphs import bfs_distances, build_gear, gear_distance_closed
 from .laplacian import special_laplacian
 from .pinv import _penrose_ints, beta, gear_pinv_formula, u_vector
-from .rational import _floats, _pinv_ints, scaled
+from .rational import _floats, _pinv_ints, _psd_certified, scaled
 from .spectral import _eigenvalues, max_eigen_residual, null_basis
 
 
@@ -41,6 +47,48 @@ class CheckResult:
 
 def _sup(matrix) -> float:
     return float(np.max(np.abs(matrix)))
+
+
+class _OracleProof:
+    """The certificate ``run_checks`` hands ``_pinv_ints`` for G+: check 8's proof of D+.
+
+    A candidate X for G+ is accepted when X 1 = 0 and 1'X = 0, D is
+    spherical for it (``_edm_pinv_ints`` raises otherwise), the Z that
+    ``_edm_pinv_ints`` derives from it has Z 1 = u, and Z meets the four
+    Penrose conditions with D exactly.  Then Z = D+, so u = D+ 1, and
+    1'X = 0 makes Z = -X/2 + uu'/(1'u) with 1'u > 0.  For every symmetric
+    D with 1 in its range and 1'D+ 1 nonzero, -2 (D+ - uu'/(1'u)) is
+    (-1/2 PDP)+: so X = G+ (Balaji and Bapat's identity read backwards).
+    ``kept`` gives the derived D+, its Penrose report and the pivot
+    columns of G when ``_pinv_ints`` returned the pair this proved.
+    """
+
+    def __init__(self, d_ints, d_den: int):
+        self.d_ints, self.d_den = d_ints, d_den
+        self.proved = None
+
+    def __call__(self, pinv, den: int, cols) -> bool:
+        if pinv.sum(axis=0).any() or pinv.sum(axis=1).any():
+            return False
+        try:
+            oracle = _edm_pinv_ints(self.d_ints, self.d_den, pinv, den)
+        except ValueError:
+            return False
+        # u = s w / k, with the numerator w of _edm_pinv_ints and A w = k 1 for D = A/s.
+        w = 2 * self.d_den * den + pinv.dot(self.d_ints.sum(axis=1))
+        if (self.d_ints[0].dot(w) * oracle[0].sum(axis=1) != oracle[1] * self.d_den * w).any():
+            return False
+        report = _penrose_ints(self.d_ints, self.d_den, *oracle)
+        if report.all_exact:
+            self.proved = (pinv, den), (oracle, report, cols)
+        return report.all_exact
+
+    def kept(self, pinv, den: int):
+        """(D+, report, Q) when (pinv, den) equals the G+ proved, else None."""
+        if self.proved is None:
+            return None
+        (proved, proved_den), kept = self.proved
+        return kept if den == proved_den and (pinv == proved).all() else None
 
 
 def run_checks(n: int, tol: float = 1e-9) -> list[CheckResult]:
@@ -84,30 +132,38 @@ def run_checks(n: int, tol: float = 1e-9) -> list[CheckResult]:
     )
 
     # 6. Assembled matrix equals the exact pseudoinverse of -1/2 P D P.
-    gram_pinv = _pinv_ints(*_gram_ints(d_ints, d_den))
+    proof = _OracleProof(d_ints, d_den)
+    gram = _gram_ints(d_ints, d_den)
+    gram_pinv = _pinv_ints(*gram, proof)
     residual = _sup(lap - _floats(*gram_pinv))
     results.append(CheckResult("laplacian-identity", residual <= tol, residual))
 
-    # The exact D+ from G+ in integers, the oracle of checks 7 and 8.  A D that
+    # The exact D+ from G+ in integers, the oracle of checks 7 and 8, as proved
+    # inside _pinv_ints, or else derived again from the G+ it returned.  A D that
     # is not spherical, or a wrong G+, leaves no D+ to judge and no proof of
     # sphericity: checks 7 to 9 fail.
-    try:
-        oracle = _edm_pinv_ints(d_ints, d_den, *gram_pinv)
-    except ValueError:
-        names = ("formula-vs-oracle", "penrose", "edm")
-        return results + [CheckResult(name, False, math.inf) for name in names]
+    kept = proof.kept(*gram_pinv)
+    if kept is not None:
+        oracle, report, cols = kept
+    else:
+        try:
+            oracle = _edm_pinv_ints(d_ints, d_den, *gram_pinv)
+        except ValueError:
+            names = ("formula-vs-oracle", "penrose", "edm")
+            return results + [CheckResult(name, False, math.inf) for name in names]
+        report = _penrose_ints(d_ints, d_den, *oracle)
 
     # 7. Formula route against the exact oracle.
     residual = _sup(gear_pinv_formula(n) - _floats(*oracle))
     results.append(CheckResult("formula-vs-oracle", residual <= tol, residual))
 
     # 8. The oracle satisfies all four Penrose conditions exactly, which D+
-    # alone does: the one certificate of the D+ derived from G+.
-    report = _penrose_ints(d_ints, d_den, *oracle)
+    # alone does: the one certificate of D+, and through _OracleProof of G+.
     results.append(CheckResult("penrose", report.all_exact, report.max_residual))
 
-    # 9. D is an EDM (Schoenberg), exactly.  D's sphericity was proved exactly
-    # on the way to D+, and check 8 proves D+ itself.
-    results.append(CheckResult("edm", _schoenberg_psd(d_ints), 0.0))
+    # 9. D is an EDM (Schoenberg) exactly when G is PSD: proved from the proved
+    # G+ when check 8 proved it, else by exact elimination of Schoenberg's matrix.
+    edm = kept is not None and _psd_certified(*gram, *gram_pinv, cols)
+    results.append(CheckResult("edm", edm or _schoenberg_psd(d_ints), 0.0))
 
     return results

@@ -436,8 +436,8 @@ def _no_constant(name):
 def test_verify_prints_valid_json_when_a_check_fails(monkeypatch):
     # G+ off by 1 in one entry leaves no D+ to judge: checks 7 to 9 fail with
     # an infinite residual, which the document carries as null.
-    def corrupted(ints, den):
-        pinv, pinv_den = _pinv_ints(ints, den)
+    def corrupted(ints, den, certificate):
+        pinv, pinv_den = _pinv_ints(ints, den, certificate)
         pinv = pinv.copy()
         pinv[1, 2] += pinv_den
         return pinv, pinv_den

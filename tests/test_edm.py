@@ -361,9 +361,9 @@ def test_verify_takes_one_pseudoinverse_of_g_and_none_of_d(monkeypatch):
     # D+ from G+ (_edm_pinv_ints), so its one residue pseudoinverse is of G.
     calls, gram_calls = [], []
 
-    def recording_pinv(ints, den):
+    def recording_pinv(ints, den, certificate=None):
         calls.append(unscaled(ints, den))
-        return _pinv_ints(ints, den)
+        return _pinv_ints(ints, den, certificate)
 
     def counted_gram(ints, den):
         gram_calls.append(ints)

@@ -795,6 +795,16 @@ def test_penrose_check_reports_inf_past_the_float_range():
         assert penrose_check(np.array([[1.0]]), np.array([[1e200]])).xmx == math.inf
 
 
+@pytest.mark.parametrize("exponent, residual", [(300, 1e-300), (400, 5e-324)])
+def test_penrose_check_flags_a_residual_below_the_float_range(exponent, residual):
+    # X = [1 + e] for M = [1] leaves e and e + e**2, e = 10**-exponent: not 0, and
+    # below the least positive double it reads as that double, never as 0.0.
+    candidate = rational_matrix([[1 + Fraction(1, 10**exponent)]])
+    report = penrose_check(rational_matrix([[1]]), candidate)
+    assert astuple(report) == (True, residual, residual, 0.0, 0.0)
+    assert not report.all_exact
+
+
 def test_penrose_certificate_is_not_fooled_by_a_product_of_its_primes():
     # With Q the product of the first primes the certificate draws, M = [1] and
     # X = [1 + Q] leave the residual Q, which is 0 modulo each of those primes.

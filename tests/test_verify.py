@@ -8,13 +8,21 @@ import pytest
 
 import gearpinv.edm
 import gearpinv.pinv
+import gearpinv.rational
 import gearpinv.verify
-from gearpinv.edm import _edm_pinv_ints, balaji_bapat_pinv, gram_from_edm
+from gearpinv.edm import (
+    _edm_pinv_ints, _gram_ints, _schoenberg_psd, balaji_bapat_pinv, gram_from_edm,
+)
 from gearpinv.graphs import gear_distance_closed
 from gearpinv.laplacian import special_laplacian
-from gearpinv.pinv import _pinv_ints, beta, gear_pinv_formula, penrose_check, rational_pinv, u_vector
-from gearpinv.rational import _residuals_vanish, is_psd
+from gearpinv.pinv import (
+    _penrose_ints, _pinv_ints, beta, gear_pinv_formula, penrose_check, rational_pinv, u_vector,
+)
+from gearpinv.rational import (
+    _pivots, _primes, _psd_certified, _psd_ints, _reconstruct, _residuals_vanish, is_psd, scaled,
+)
 from gearpinv.spectral import null_basis
+from gearpinv.trees import tree_distance
 from gearpinv.verify import CheckResult, run_checks
 
 
@@ -111,8 +119,8 @@ def test_check_8_rejects_a_wrong_derived_d_pinv(n, monkeypatch):
 
 @pytest.mark.parametrize("n", [4, 7, 12])
 def test_checks_6_and_8_reject_a_wrong_g_pinv(n, monkeypatch):
-    def corrupted(ints, den):
-        pinv, pinv_den = _pinv_ints(ints, den)
+    def corrupted(ints, den, certificate):
+        pinv, pinv_den = _pinv_ints(ints, den, certificate)
         pinv = pinv.copy()
         pinv[1, 2] += pinv_den  # off by 1
         return pinv, pinv_den
@@ -125,8 +133,8 @@ def test_checks_6_and_8_reject_a_wrong_g_pinv(n, monkeypatch):
 def test_check_8_alone_rejects_a_g_pinv_wrong_below_the_tolerance(n, monkeypatch):
     # G+ + E/den with E = vv', v = e1 - e2: rim vertices 1 and 2 have equal row sums R in D,
     # so E R = 0 leaves w and the sphericity guard unchanged, and D+ moves by -E/(2 den).
-    def corrupted(ints, den):
-        pinv, pinv_den = _pinv_ints(ints, den)
+    def corrupted(ints, den, certificate):
+        pinv, pinv_den = _pinv_ints(ints, den, certificate)
         pinv = pinv.copy()
         pinv[1, 1] += 1
         pinv[2, 2] += 1
@@ -138,3 +146,125 @@ def test_check_8_alone_rejects_a_g_pinv_wrong_below_the_tolerance(n, monkeypatch
     results = run_checks(n)
     assert _failed(results) == {"penrose"}
     assert 0 < results[7].residual < math.inf
+
+
+def _counting(calls, name, func):
+    def counted(*args):
+        calls.append(name)
+        return func(*args)
+
+    return counted
+
+
+def test_one_exact_proof_and_no_elimination_per_run_checks(monkeypatch):
+    # From N = 9 the residue loop's certificate for G+ is check 8's proof of D+, and a
+    # proved G+ lets check 9 prove G PSD with no exact elimination.
+    calls = []
+    for module in (gearpinv.rational, gearpinv.pinv):
+        monkeypatch.setattr(module, "_residuals_vanish",
+                            _counting(calls, "vanish", _residuals_vanish))
+    for module in (gearpinv.rational, gearpinv.edm):
+        monkeypatch.setattr(module, "_psd_ints", _counting(calls, "psd", _psd_ints))
+    for n in range(9, 41):
+        calls.clear()
+        assert all(result.passed for result in run_checks(n))
+        assert calls == ["vanish"], n
+
+
+def test_the_loop_certificate_refuses_a_wrong_g_pinv(monkeypatch):
+    # The first candidate for G+ gets E = vv', v = e1 - e2, over its denominator:
+    # E 1 = 0, and rim vertices 1 and 2 have equal row sums in D, so the sphericity
+    # guard and Z 1 = u hold as well.  Only the Penrose proof of Z can refuse it.
+    handed, reports, eliminations = [], [], []
+
+    def wrong_first(value, modulus):
+        found = _reconstruct(value, modulus)
+        if found is None or handed:
+            return found
+        pinv, den = found
+        pinv = pinv.copy()
+        pinv[1, 1] += 1
+        pinv[2, 2] += 1
+        pinv[1, 2] -= 1
+        pinv[2, 1] -= 1
+        handed.append(pinv)
+        return pinv, den
+
+    def recorded(*args):
+        reports.append(_penrose_ints(*args))
+        return reports[-1]
+
+    monkeypatch.setattr(gearpinv.rational, "_reconstruct", wrong_first)
+    monkeypatch.setattr(gearpinv.verify, "_penrose_ints", recorded)
+    monkeypatch.setattr(gearpinv.edm, "_psd_ints", _counting(eliminations, "psd", _psd_ints))
+    results = run_checks(12)
+    assert all(result.passed for result in results)
+    assert len(handed) == 1
+    # Refused in the loop, G+ comes from elimination, and checks 8 and 9 decide afresh.
+    assert [report.all_exact for report in reports] == [False, True]
+    assert eliminations == ["psd"]
+
+
+def _check_9_routes(dist):
+    """(fast verdict, exact verdict) of check 9 on D, from the exact G+ and G's pivot columns."""
+    d_ints, d_den = scaled(dist)
+    gram = _gram_ints(d_ints, d_den)
+    cols = _pivots(gram[0], next(_primes()))[1]
+    return _psd_certified(*gram, *_pinv_ints(*gram), cols), _schoenberg_psd(d_ints)
+
+
+def test_check_9_falls_back_when_the_pivot_block_is_below_the_shift():
+    # Three integer points off a line by one unit at 10**5: G is PSD of rank 2, but
+    # its pivot block K has lambda_min <= 2 det K / tr K, far below c = 2 (r + 2) u tr K.
+    points = [(0, 0), (1, 10**5), (2, 2 * 10**5 + 1)]
+    dist = np.array([[(p - r) ** 2 + (q - s) ** 2 for r, s in points] for p, q in points],
+                    dtype=object)
+    gram, _ = _gram_ints(dist, 1)
+    cols = _pivots(gram, next(_primes()))[1]
+    block = gram[np.ix_(cols, cols)]
+    trace, det = block[0, 0] + block[1, 1], block[0, 0] * block[1, 1] - block[0, 1] ** 2
+    assert len(cols) == 2 and det > 0
+    assert Fraction(2 * det, trace) < 2 * 4 * Fraction(1, 2**53) * trace
+    assert _check_9_routes(dist) == (False, True)
+
+
+@pytest.mark.parametrize("top", [2**53 - 1, 2**53])
+def test_check_9_falls_back_from_entries_past_the_doubles(top):
+    ints = np.array([[top, 0], [0, top]], dtype=object)
+    pinv = np.array([[1, 0], [0, 1]], dtype=object)
+    assert _psd_certified(ints, 1, pinv, top, [0, 1]) == (top < 2**53)
+    assert _psd_ints(ints)
+
+
+def test_check_9_falls_back_when_its_columns_miss_the_rank():
+    # diag(1, -1) is not PSD though its block on column 0 is: rank 2 is not |Q| = 1.
+    ints = np.diag(np.array([1, -1], dtype=object))
+    assert not _psd_certified(ints, 1, ints, 1, [0])
+    assert not _psd_certified(ints, 1, ints, 1, [0, 1])
+    ints[1, 1] = 0
+    assert _psd_certified(ints, 1, ints, 1, [0])
+
+
+def _mutants(dist):
+    """D with the pair (0, m - 1) raised by 1, and with the pair (0, 1) negated."""
+    raised, negated = dist.astype(object), dist.astype(object)
+    m = len(dist)
+    raised[0, m - 1] = raised[m - 1, 0] = dist[0, m - 1] + 1
+    negated[0, 1] = negated[1, 0] = -dist[0, 1]
+    return raised, negated
+
+
+def test_check_9_routes_agree_and_non_edm_mutants_reach_the_elimination(
+        unit_tree_corpus, weighted_tree_corpus):
+    trees = [tree_distance(tree) for tree in unit_tree_corpus + weighted_tree_corpus]
+    gears = [gear_distance_closed(n) for n in range(4, 31)]
+    rejected = 0
+    for dist in trees + gears:
+        assert _check_9_routes(dist) == (True, True)
+        for mutant in _mutants(dist):
+            fast, exact = _check_9_routes(mutant)
+            # The fast route proves only what the exact one accepts; a non-EDM falls back.
+            assert exact or not fast
+            rejected += not exact
+    # Every negated mutant, and every raised gear, is not an EDM.
+    assert rejected >= len(trees) + 2 * len(gears)
