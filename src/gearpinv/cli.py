@@ -46,12 +46,11 @@ from .trees import tree_distance, unit_tree, weighted_tree
 from .verify import run_checks
 
 
-# Largest n the exact routes (verify, pinv --method oracle|k4) accept: the
-# largest n at which verify takes about 10 s.  As processes on a 2-core machine
-# with default BLAS threads, verify --n N takes about 1.5 s at N = 100, 2.5 s
-# at 120, 5 s at 150, 9.6 s at 190 and 11.7 s at 200, so its cost grows about
-# like N^3 there; one BLAS thread is no faster.  pinv --n 190 --method oracle
-# takes 8.5 s and writes 24 MB, --method k4 7 s.
+# Largest n the exact routes (verify, pinv --method oracle|k4) accept.  As
+# processes on a 2-core machine with default BLAS threads, verify --n N takes
+# about 0.8 s at N = 100, 1 s at 120, 2 s at 150 and 4.2 s at 190, and
+# run_checks(200) 4.6 s, so its cost grows about like N^3 there.
+# pinv --n 190 --method oracle takes 4.1 s and writes 24 MB, --method k4 3.8 s.
 MAX_EXACT_N = 190
 
 # Largest n the dense commands (gen, pinv --method formula, spectrum,

@@ -78,8 +78,9 @@ def rational_pinv(matrix) -> np.ndarray:
 
     The input is split once into integers over a common denominator, and
     ``rational._pinv_ints`` gives the pseudoinverse from residues modulo
-    primes under a certificate, or else from fraction-free elimination of
-    the pivot rows.  All four Penrose conditions hold exactly for the
+    primes under a certificate, or else from the skeleton of a symmetric
+    matrix on its pivot columns or fraction-free elimination of the pivot
+    rows.  All four Penrose conditions hold exactly for the
     result.
     """
     return unscaled(*_pinv_ints(*scaled(matrix)))

@@ -21,12 +21,18 @@ residue on a rational reconstruction is returned once a certificate with
 no probability proves it.  The cost follows the size of the result
 rather than of the minors on the way to it, so residues win where the
 result is small, as for tree and gear distance matrices.  A symmetric
+matrix's residues are carried on one triangle.  A symmetric
 rank-deficient matrix gets a budget of primes tied to its rank; past
-it, and for every other rank-deficient or non-square matrix, the result
-comes from fraction-free elimination of the r pivot rows R that first
-pass picked: ``rref`` of them, then ``invert`` of the r x r matrix
-C' A R', C being A's pivot columns.  ``_residuals_vanish`` proves
-Penrose residuals zero from exact residue products (``_dot_mod``), for
+it, the result comes from the skeleton A = B' K^-1 B on the pivot
+columns Q (``_skeleton_pinv``: B = A[Q, :], K = A[Q, Q]), from two
+fraction-free passes of rank order (``_inverse_ints``, the core of
+``invert``) and one exact check.  Every other rank-deficient or
+non-square matrix, and a symmetric one that fails that check, gets
+fraction-free elimination of the r pivot rows R that first pass
+picked: ``rref`` of them, then ``invert`` of the r x r matrix C' A R',
+C being A's pivot columns.  ``_residuals_vanish`` proves Penrose
+residuals zero from exact residue products (``_dot_mod``), three per
+prime for a symmetric pair and four otherwise, for
 ``pinv.penrose_check`` and as the symmetric route's default certificate;
 ``verify`` passes its own.  Given a proved pseudoinverse and the pivot
 columns, ``_psd_certified`` proves a symmetric matrix PSD by a float
@@ -182,14 +188,26 @@ def invert(matrix) -> np.ndarray:
     if m != n:
         raise ValueError("inverse needs a square matrix")
     # A = scale * matrix / g in integers, with g their gcd, keeps the minors small
-    # (C' A R' from _pinv_ints has a content), and [A | I] reduces to [d I | d A^-1].
+    # (C' A R' from _pinv_ints has a content).
     g = gcd(*ints.flat) or 1
-    rows = [row + [int(i == j) for j in range(n)] for i, row in enumerate((ints // g).tolist())]
+    found = _inverse_ints(ints // g)
+    if found is None:
+        raise ValueError("matrix is singular")
+    inverse, d = found
+    return unscaled(inverse * scale, d * g)
+
+
+def _inverse_ints(ints) -> tuple[np.ndarray, int] | None:
+    """(Y, d) with Y / d the inverse of a square integer matrix A, or None when A is singular.
+
+    One fraction-free pass reduces [A | I] to [d I | Y].
+    """
+    n = len(ints)
+    rows = [row + [int(i == j) for j in range(n)] for i, row in enumerate(ints.tolist())]
     pivot_cols, _, d = _gauss_jordan(rows)
     if pivot_cols != list(range(n)):
-        raise ValueError("matrix is singular")
-    inverse = np.array([row[n:] for row in rows], dtype=object).reshape(n, n)
-    return unscaled(inverse * scale, d * g)
+        return None
+    return np.array([row[n:] for row in rows], dtype=object).reshape(n, n), d
 
 
 def _is_prime(candidate: int) -> bool:
@@ -314,6 +332,11 @@ def _largest(ints):
     return np.abs(np.asarray(ints)).max(initial=0)
 
 
+def _is_symmetric(ints) -> bool:
+    """True for a square matrix equal to its transpose."""
+    return ints.shape[0] == ints.shape[1] and not (ints != ints.T).any()
+
+
 def _dot_mod(left: np.ndarray, right: np.ndarray, p: int) -> np.ndarray:
     """left @ right modulo the prime p < 2**31, for int64 residues in [0, p).
 
@@ -346,19 +369,23 @@ def _residuals_vanish(a_ints: np.ndarray, b_ints: np.ndarray, ab: int) -> bool:
     the primes exceeds that bound.  A residual that is 0 modulo every
     prime is a multiple of P no larger than the bound, so it is 0: no
     probability is involved.  False, at the first prime with a residue
-    that is not 0, means some residual is not 0 either.
+    that is not 0, means some residual is not 0 either.  When A and B are
+    both symmetric, BA = (AB)', so AB is formed and tested for symmetry
+    once: three residue products per prime, not four.
     """
     k = max(a_ints.shape)
     big_a, big_b = _largest(a_ints), _largest(b_ints)
     bound = max(big_a, big_b) * (k * k * big_a * big_b + ab)
+    symmetric = _is_symmetric(a_ints) and _is_symmetric(b_ints)
     primes, modulus = _primes(), 1
     while modulus <= bound:
         p = next(primes)
         a, b = (a_ints % p).astype(np.int64), (b_ints % p).astype(np.int64)
-        mx, xm = _dot_mod(a, b, p), _dot_mod(b, a, p)
+        mx = _dot_mod(a, b, p)
+        xm = mx.T if symmetric else _dot_mod(b, a, p)
         if not (
             (mx == mx.T).all()
-            and (xm == xm.T).all()
+            and (symmetric or (xm == xm.T).all())
             and (_dot_mod(mx, a, p) == ab % p * a % p).all()
             and (_dot_mod(xm, b, p) == ab % p * b % p).all()
         ):
@@ -439,7 +466,11 @@ def _pinv_ints(ints, scale: int, certificate=None) -> tuple[np.ndarray, int]:
     the rows Q of A alone) or is skipped when it gives none, each residue
     is folded in by one Chinese remainder step, and from the second
     residue on X modulo the product of the primes is reconstructed as
-    Y over d and returned once a certificate proves it.
+    Y over d and returned once a certificate proves it.  A symmetric A has
+    a symmetric A+, so its residues are folded and reconstructed on the
+    upper triangle alone and each candidate is mirrored before its
+    certificate.  d is the lcm of the entries' denominators in any order
+    of the entries, so the pair is the one the whole matrix would give.
 
     A of full rank modulo the first prime takes that pass's inverse as
     its first residue and every later prime not dividing det A, and
@@ -457,55 +488,64 @@ def _pinv_ints(ints, scale: int, certificate=None) -> tuple[np.ndarray, int]:
     the Chinese remainder step and the reconstruction), where
     fraction-free elimination makes one per pivot step, r in all.  So it
     draws at most r // 4 primes, the first included, and none past the
-    first when that is below 2.
+    first when that is below 2.  Past the budget, or with none, A+ comes
+    from the skeleton A = B' K^-1 B (``_skeleton_pinv``) once an exact
+    check proves it.
 
     Every other A (rank-deficient and not symmetric, or not square), and
-    any A whose budget runs out, goes to fraction-free elimination of its
-    pivot rows.  A = C K G with K nonsingular and C, G of full rank gives
-    A+ = G' (C' A G')^-1 C' (Ben-Israel and Greville, 2003).  ``rref`` of
-    R = A[P, :] gives F over d and its pivot columns, and C is the
-    columns of A at them.  ``C F = d A`` holds on the rows P by
-    construction; once it is checked exactly on the others, A = C F / d
+    a symmetric A whose skeleton check fails, goes to fraction-free
+    elimination of its pivot rows.  A = C K G with K nonsingular and C, G
+    of full rank gives A+ = G' (C' A G')^-1 C' (Ben-Israel and Greville,
+    2003).  ``rref`` of R = A[P, :] gives F over d and its pivot columns,
+    and C is the columns of A at them.  ``C F = d A`` holds on the rows P
+    by construction; once it is checked exactly on the others, A = C F / d
     (the skeleton decomposition A = C A[P, Q]^-1 R of Goreinov,
     Tyrtyshnikov and Zamarashkin, 1997), and G = R.  An unlucky first
     prime, whose rank is below A's, gives residues that are not A+'s, so
-    no reconstruction passes a certificate, and rows P that fail the
-    check: C and G then come from ``rref`` of the whole of A, as they do
-    when ``rref`` finds rows P dependent.  At rank zero the factors are
-    empty and the product is the zero matrix.
+    no reconstruction passes a certificate, and rows P and columns Q that
+    fail their checks: C and G then come from ``rref`` of the whole of A,
+    as they do when ``rref`` finds rows P dependent.  At rank zero the
+    factors are empty and the product is the zero matrix.
     """
     content = gcd(*ints.flat) or 1
     ints = ints // content
     primes = _primes()
     first = next(primes)
     rows, cols, residue = _pivots(ints, first)
-    full_rank, block = residue is not None, ints
+    full_rank, block, symmetric = residue is not None, ints, _is_symmetric(ints)
     if not full_rank:
-        budget = len(cols) // _PASSES_PER_PRIME
-        if budget < 2 or ints.shape[0] != ints.shape[1] or (ints != ints.T).any():
+        budget = len(cols) // _PASSES_PER_PRIME if symmetric else 0
+        if budget < 2:
             primes = ()
         else:
             block = ints[cols]
             primes = islice(primes, budget - 1)
             residue = _pinv_mod(block, cols, first)
-    value, modulus = (0, 1) if residue is None else (residue.astype(object), first)
+    upper = np.triu_indices(len(ints)) if symmetric else ...  # the entries carried
+    value, modulus = (0, 1) if residue is None else (residue[upper].astype(object), first)
     for p in primes:
         residue = _pinv_mod(block, cols, p)
         if residue is None:
             continue
-        value, modulus = _crt(value, modulus, residue, p)
+        value, modulus = _crt(value, modulus, residue[upper], p)
         # P = p only when the first prime gave no residue: one prime is never reconstructed.
         if modulus == p or (found := _reconstruct(value, modulus)) is None:
             continue
+        pinv, den = found
+        if symmetric:
+            pinv = np.empty(ints.shape, dtype=object)
+            pinv[upper] = pinv.T[upper] = found[0]
         if full_rank:
-            proved = _residual_bound(ints, *found) < modulus
+            proved = _residual_bound(ints, pinv, den) < modulus
         elif certificate is None:
-            proved = _residuals_vanish(ints, *found)
+            proved = _residuals_vanish(ints, pinv, den)
         else:
-            proved = certificate(found[0] * scale, found[1] * content, cols)
+            proved = certificate(pinv * scale, den * content, cols)
         if proved:
-            pinv, den = found
             return pinv * scale, den * content
+    if symmetric and (found := _skeleton_pinv(ints, cols)) is not None:
+        pinv, den = found
+        return pinv * scale, den * content
     reduced, cols = rref(ints[rows])
     f_ints, d = scaled(reduced)
     others = np.delete(np.arange(len(ints)), rows)
@@ -518,6 +558,35 @@ def _pinv_ints(ints, scale: int, certificate=None) -> tuple[np.ndarray, int]:
     c_factor = ints[:, cols]
     pinv, den = _dot_ints(g_factor.T, invert(c_factor.T.dot(ints).dot(g_factor.T)), c_factor.T)
     return pinv * scale, den * content
+
+
+def _skeleton_pinv(ints, cols) -> tuple[np.ndarray, int] | None:
+    """A+ as (Y, d) for a symmetric integer A from its columns Q, or None if A is not B' K^-1 B.
+
+    B = A[Q, :] and K = A[Q, Q], nonsingular for pivot columns Q picked
+    modulo a prime: A = X' K X over that field, with A[:, Q] X = A, so
+    rank K = rank A there.  One fraction-free pass over [K | I]
+    (``_inverse_ints``) gives K^-1 = Y_K / d.  B' K^-1 B = A holds on the
+    rows and the columns Q by construction, so with E = B[:, others] the
+    exact check E' Y_K E = d A[others, others] proves A = B' K^-1 B (the
+    skeleton decomposition of Goreinov, Tyrtyshnikov and Zamarashkin,
+    1997), with B of full row rank.  Then A+ = B' S^-1 K S^-1 B for
+    S = BB', the formula ``_pinv_mod`` evaluates modulo each prime, here
+    with one more pass, over [S | I].  The r x r core S^-1 K S^-1 is
+    divided by its content before the two products of order m.  None when
+    the check fails, as it does for columns Q that miss A's rank.
+    """
+    block = ints[cols]
+    k_inverse, d = _inverse_ints(block[:, cols])
+    others = np.delete(np.arange(len(ints)), cols)
+    outside = block[:, others]
+    if (outside.T.dot(k_inverse.dot(outside)) != d * ints[np.ix_(others, others)]).any():
+        return None
+    s_inverse, s_den = _inverse_ints(block.dot(block.T))
+    core = s_inverse.dot(block[:, cols]).dot(s_inverse)
+    content = gcd(*core.flat) or 1
+    common = gcd(content, s_den * s_den)
+    return block.T.dot(core // content).dot(block) * (content // common), s_den * s_den // common
 
 
 def _ones_mass(ints, scale: int, symmetric: bool) -> Fraction:

@@ -33,8 +33,8 @@ from .edm import _edm_pinv_ints, _gram_ints, _schoenberg_psd
 from .eigen import jacobi_eigh, numerical_rank
 from .graphs import bfs_distances, build_gear, gear_distance_closed
 from .laplacian import special_laplacian
-from .pinv import _penrose_ints, beta, gear_pinv_formula, u_vector
-from .rational import _floats, _pinv_ints, _psd_certified, scaled
+from .pinv import PenroseReport, _penrose_ints, beta, gear_pinv_formula, u_vector
+from .rational import _floats, _pinv_ints, _psd_certified, _residuals_vanish, scaled
 from .spectral import _eigenvalues, max_eigen_residual, null_basis
 
 
@@ -55,11 +55,13 @@ class _OracleProof:
     A candidate X for G+ is accepted when X 1 = 0 and 1'X = 0, D is
     spherical for it (``_edm_pinv_ints`` raises otherwise), the Z that
     ``_edm_pinv_ints`` derives from it has Z 1 = u, and Z meets the four
-    Penrose conditions with D exactly.  Then Z = D+, so u = D+ 1, and
-    1'X = 0 makes Z = -X/2 + uu'/(1'u) with 1'u > 0.  For every symmetric
-    D with 1 in its range and 1'D+ 1 nonzero, -2 (D+ - uu'/(1'u)) is
-    (-1/2 PDP)+: so X = G+ (Balaji and Bapat's identity read backwards).
-    ``kept`` gives the derived D+, its Penrose report and the pivot
+    Penrose conditions with D exactly, proved from residues
+    (``_residuals_vanish``): a refused candidate's residuals are never
+    formed in full.  Then Z = D+, so u = D+ 1, and 1'X = 0 makes
+    Z = -X/2 + uu'/(1'u) with 1'u > 0.  For every symmetric D with 1 in
+    its range and 1'D+ 1 nonzero, -2 (D+ - uu'/(1'u)) is (-1/2 PDP)+:
+    so X = G+ (Balaji and Bapat's identity read backwards).
+    ``kept`` gives the derived D+, its all-zero Penrose report and the pivot
     columns of G when ``_pinv_ints`` returned the pair this proved.
     """
 
@@ -78,10 +80,10 @@ class _OracleProof:
         w = 2 * self.d_den * den + pinv.dot(self.d_ints.sum(axis=1))
         if (self.d_ints[0].dot(w) * oracle[0].sum(axis=1) != oracle[1] * self.d_den * w).any():
             return False
-        report = _penrose_ints(self.d_ints, self.d_den, *oracle)
-        if report.all_exact:
-            self.proved = (pinv, den), (oracle, report, cols)
-        return report.all_exact
+        if not _residuals_vanish(self.d_ints, oracle[0], self.d_den * oracle[1]):
+            return False
+        self.proved = (pinv, den), (oracle, PenroseReport(True, 0.0, 0.0, 0.0, 0.0), cols)
+        return True
 
     def kept(self, pinv, den: int):
         """(D+, report, Q) when (pinv, den) equals the G+ proved, else None."""

@@ -2,6 +2,7 @@
 
 import math
 import random
+from collections import Counter
 from dataclasses import astuple
 from fractions import Fraction
 
@@ -283,11 +284,15 @@ def test_rational_pinv_inverts_a_rank_deficient_input_once(kernel_calls, passes)
         kernel_calls["invert"].clear()
         passes.clear()
         pinv = rational_pinv(matrix)
-        # One pass modulo a prime over the input, one rref of its pivot rows alone, and one
-        # invert, of the rank-order matrix C' A R'.
+        # One pass modulo a prime over the input.  The product then takes one rref of its
+        # pivot rows alone and one invert, of the rank-order matrix C' A R'; the symmetric D
+        # takes neither, its skeleton B' K^-1 B giving D+ from two rank-order passes.
         assert passes == [matrix.shape]
-        assert [m.shape for m in kernel_calls["rref"]] == [(rank, matrix.shape[1])]
-        assert [m.shape for m in kernel_calls["invert"]] == [(rank, rank)]
+        if rank == 2:
+            assert [m.shape for m in kernel_calls["rref"]] == [(rank, matrix.shape[1])]
+            assert [m.shape for m in kernel_calls["invert"]] == [(rank, rank)]
+        else:
+            assert kernel_calls["rref"] == [] and kernel_calls["invert"] == []
         assert _same_fractions(pinv, _factorization_formula(matrix))
 
 
@@ -354,7 +359,8 @@ def test_rational_pinv_falls_back_when_the_first_prime_sees_a_lower_rank(
 
 
 def test_rational_pinv_leaves_a_low_rank_edm_to_elimination(kernel_calls, monkeypatch):
-    # Squared distances of 12 integer points in 4 dimensions: an EDM of rank 6.
+    # Squared distances of 12 integer points in 4 dimensions: an EDM of rank 6, below 8, so
+    # no residue is taken and the symmetric skeleton gives D+ with no rref and no invert.
     rng = random.Random(6)
     points = [[rng.randint(-50, 50) for _ in range(4)] for _ in range(12)]
     edm = np.array([[sum((a - b) ** 2 for a, b in zip(p, q)) for q in points] for p in points],
@@ -363,7 +369,7 @@ def test_rational_pinv_leaves_a_low_rank_edm_to_elimination(kernel_calls, monkey
     monkeypatch.setattr(gearpinv.rational, "_dot_mod", lambda *args: products.append(args))
     pinv = rational_pinv(edm)
     assert products == []
-    assert len(kernel_calls["rref"]) == 1 and kernel_calls["invert"][0].shape == (6, 6)
+    assert kernel_calls["rref"] == [] and kernel_calls["invert"] == []
     assert _same_fractions(pinv, _factorization_formula(edm))
 
 
@@ -414,12 +420,18 @@ def test_rational_pinv_matches_factorization_through_the_pivot_rows(kernel_calls
         want, rank = _factorization_formula(matrix), len(rank_factorization(matrix)[1])
         picked.clear()
         kernel_calls["rref"].clear()
+        kernel_calls["invert"].clear()
         assert _same_fractions(rational_pinv(matrix), want)
-        # Exactly one pass picks the rows, and one rref reduces them alone.
+        is_symmetric = matrix.shape == matrix.T.shape and (matrix == matrix.T).all()
+        # Exactly one pass picks the rows, and one rref reduces them alone; a symmetric
+        # matrix takes its skeleton on the pivot columns instead, with no rref and no invert.
         assert len(picked) == 1 and len(picked[0]) == rank
-        assert [m.shape for m in kernel_calls["rref"]] == [(rank, matrix.shape[1])]
+        if is_symmetric:
+            assert kernel_calls["rref"] == [] and kernel_calls["invert"] == []
+        else:
+            assert [m.shape for m in kernel_calls["rref"]] == [(rank, matrix.shape[1])]
         not_prefix += sorted(picked[0]) != list(range(rank))
-        symmetric += matrix.shape == matrix.T.shape and (matrix == matrix.T).all()
+        symmetric += is_symmetric
     assert not_prefix >= 10 and symmetric >= 10
 
 
@@ -435,12 +447,78 @@ def test_rational_pinv_is_exact_after_a_wrong_pivot_row_pick(pick, kernel_calls,
     # Rank 2 at least, so that a repeated row is dependent, and no residue is taken.
     corpus = [matrix for matrix in _pivot_corpus() if len(rank_factorization(matrix)[1]) >= 2]
     assert len(corpus) >= 12
+    symmetric = 0
     for matrix in corpus[:12] + [gear_distance_closed(7)]:
         want = _factorization_formula(matrix)
         kernel_calls["rref"].clear()
+        kernel_calls["invert"].clear()
         assert _same_fractions(rational_pinv(matrix), want)
-        # The wrong rows fail the check, and one rref of the whole input takes over.
-        assert len(kernel_calls["rref"]) == 2 and kernel_calls["rref"][1].shape == matrix.shape
+        if matrix.shape == matrix.T.shape and (matrix == matrix.T).all():
+            # A symmetric matrix's skeleton reads the pivot columns alone, so wrong rows do not
+            # reach it: no rref and no invert.
+            assert kernel_calls["rref"] == [] and kernel_calls["invert"] == []
+            symmetric += 1
+        else:
+            # The wrong rows fail the check, and one rref of the whole input takes over.
+            assert len(kernel_calls["rref"]) == 2
+            assert kernel_calls["rref"][1].shape == matrix.shape
+    assert symmetric >= 2
+
+
+def test_rational_pinv_falls_back_to_rref_when_the_skeleton_columns_miss_a_pivot(
+    kernel_calls, monkeypatch
+):
+    # A Gram matrix L L' of order 7 and rank 4: PSD, so every principal block of its
+    # positive definite pivot block is nonsingular, and a pivot column dropped leaves K so.
+    rng = random.Random("unlucky columns")
+    left = np.array([[rng.randint(-5, 5) for _ in range(4)] for _ in range(7)], dtype=object)
+    matrix = left.dot(left.T)
+    want = _factorization_formula(matrix)
+    assert len(rank_factorization(matrix)[1]) == 4
+    kept, skeletons = [], []
+    pivots, skeleton = gearpinv.rational._pivots, gearpinv.rational._skeleton_pinv
+
+    def one_pivot_short(ints, p):
+        rows, cols, inverse = pivots(ints, p)
+        kept.append(cols[:-1])
+        return rows[:-1], cols[:-1], inverse
+
+    def recording(ints, cols):
+        skeletons.append(skeleton(ints, cols))
+        return skeletons[-1]
+
+    monkeypatch.setattr(gearpinv.rational, "_pivots", one_pivot_short)
+    monkeypatch.setattr(gearpinv.rational, "_skeleton_pinv", recording)
+    kernel_calls["rref"].clear()
+    kernel_calls["invert"].clear()
+    pinv = rational_pinv(matrix)
+    (cols,) = kept
+    assert det(matrix[np.ix_(cols, cols)]) != 0 and skeletons == [None]
+    # The skeleton's check fails on the rows outside Q, the rows' check fails as well, and
+    # rref of the whole input takes over.
+    assert [m.shape for m in kernel_calls["rref"]] == [(3, 7), (7, 7)]
+    assert _same_fractions(pinv, want)
+
+
+def test_symmetric_residues_are_reconstructed_on_one_triangle(monkeypatch):
+    sizes, reconstruct = [], gearpinv.rational._reconstruct
+
+    def recording(value, modulus):
+        sizes.append(value.size)
+        return reconstruct(value, modulus)
+
+    rng = random.Random("one triangle")
+    general = rational_matrix([[rng.randint(-9, 9) for _ in range(6)] for _ in range(6)])
+    assert det(general) != 0 and (general != general.T).any()
+    tree = tree_distance(unit_tree([(i, i + 1) for i in range(1, 9)]))
+    cases = [(gram_from_edm(gear_distance_closed(12)), 23 * 24 // 2),  # rank 11 of 23
+             (tree, 9 * 10 // 2), (general, 6 * 6)]
+    wants = [_factorization_formula(matrix) for matrix, _ in cases]
+    monkeypatch.setattr(gearpinv.rational, "_reconstruct", recording)
+    for (matrix, entries), want in zip(cases, wants):
+        sizes.clear()
+        assert _same_fractions(rational_pinv(matrix), want)
+        assert sizes and set(sizes) == {entries}
 
 
 def _sylvester(order):
@@ -486,12 +564,16 @@ def _rank_corpus():
     return corpus
 
 
-def test_rational_pinv_matches_factorization_on_ranks_8_to_16(kernel_calls):
+def test_rational_pinv_matches_factorization_on_ranks_8_to_16(kernel_calls, monkeypatch):
     corpus = _rank_corpus()
-    ranks, small_grams = set(), 0
+    ranks, small_grams, skeletons = set(), 0, []
+    skeleton = gearpinv.rational._skeleton_pinv
+    monkeypatch.setattr(gearpinv.rational, "_skeleton_pinv",
+                        lambda *args: skeletons.append(args) or skeleton(*args))
     for matrix, small in corpus:
+        skeletons.clear()
         pinv = rational_pinv(matrix)
-        from_residues = kernel_calls["rref"] == []
+        from_residues = kernel_calls["rref"] == [] and skeletons == []
         rank = len(rank_factorization(matrix)[1])
         symmetric = matrix.shape == matrix.T.shape and (matrix == matrix.T).all()
         # Residues take a rank-deficient input only when it is symmetric.
@@ -577,11 +659,15 @@ def test_every_scaling_of_the_gram_matrix_takes_one_route(kernel_calls, monkeypa
                     lambda: rational_pinv(gram_from_edm(dist))):
             drawn.clear()
             kernel_calls["rref"].clear()
+            kernel_calls["invert"].clear()
             run()
-            counts.append((len(drawn), len(kernel_calls["rref"])))
+            counts.append((len(drawn), len(kernel_calls["rref"]), len(kernel_calls["invert"])))
         assert counts[0] == counts[1]
-        # From rank 8, n = 9, the budget allows 2 primes and G certifies within it.
-        assert counts[0][1] == (0 if n >= 9 else 1)
+        # From rank 8, n = 9, the budget allows 2 primes and G certifies within it; below, the
+        # first prime alone is drawn and G's skeleton takes over.  Neither route calls rref
+        # or invert.
+        assert counts[0][1:] == (0, 0)
+        assert (counts[0][0] == 1) == (n < 9)
 
 
 def test_no_reconstruction_from_one_prime(weighted_tree_corpus, monkeypatch):
@@ -836,6 +922,42 @@ def test_penrose_check_flags_a_generalized_inverse_that_is_not_symmetric():
     x = rational_matrix([[1, 1], [0, 0]])
     assert astuple(penrose_check(m, x)) == (True, 0.0, 0.0, 1.0, 0.0)
     assert astuple(penrose_check(m, x.T)) == (True, 0.0, 0.0, 0.0, 1.0)
+
+
+def test_penrose_check_flags_a_candidate_that_fails_only_xmx():
+    # M = diag(1, 0) and X = I: MXM = M and MX = XM = M are symmetric, but XMX = M.
+    report = penrose_check(_diagonal(1, 0), rational_identity(2))
+    assert astuple(report) == (True, 0.0, 1.0, 0.0, 0.0)
+    assert not report.all_exact
+
+
+def test_penrose_check_flags_a_symmetric_pair_whose_product_is_not_symmetric():
+    # M = diag(1, 0) and X = J, the all-ones matrix: MXM = M and XMX = X, MX = [[1, 1], [0, 0]].
+    report = penrose_check(_diagonal(1, 0), rational_matrix([[1, 1], [1, 1]]))
+    assert astuple(report) == (True, 0.0, 0.0, 1.0, 1.0)
+    assert not report.all_exact
+
+
+def test_penrose_proof_forms_three_residue_products_per_prime_for_a_symmetric_pair(
+    gear_oracle, monkeypatch
+):
+    left = rational_matrix([[1, "1/2"], [2, -1], [0, 3], ["-2/3", 1], [4, 0]])
+    product = dot(left, rational_matrix([[1, 0, "2/5", -3], [0, 2, 1, "1/4"]]))
+    square = dot(left, rational_matrix([[1, 0, "2/5", -3, 1], [0, 2, 1, "1/4", 0]]))
+    pairs = [(gear_distance_closed(9), gear_oracle(9), 3),
+             (product, rational_pinv(product), 4), (square, rational_pinv(square), 4)]
+    calls, dot_mod = [], gearpinv.rational._dot_mod
+
+    def recording(*args):
+        calls.append(args[-1])
+        return dot_mod(*args)
+
+    monkeypatch.setattr(gearpinv.rational, "_dot_mod", recording)
+    # BA = (AB)' when A and B are symmetric: AB, (AB)A and (AB)'B.  Otherwise BA as well.
+    for matrix, pinv, per_prime in pairs:
+        calls.clear()
+        assert penrose_check(matrix, pinv).all_exact
+        assert calls and set(Counter(calls).values()) == {per_prime}
 
 
 @pytest.fixture

@@ -66,7 +66,9 @@ def test_check_8_proves_the_penrose_conditions_itself(monkeypatch):
         calls.append(a_ints)
         return _residuals_vanish(a_ints, b_ints, ab)
 
-    monkeypatch.setattr(gearpinv.pinv, "_residuals_vanish", recording)
+    # The residue loop's certificate calls it from verify, check 8 from pinv otherwise.
+    for module in (gearpinv.pinv, gearpinv.verify):
+        monkeypatch.setattr(module, "_residuals_vanish", recording)
     run_checks(9)
     assert len(calls) == 1 and (calls[0] == gear_distance_closed(9)).all()
 
@@ -160,7 +162,7 @@ def test_one_exact_proof_and_no_elimination_per_run_checks(monkeypatch):
     # From N = 9 the residue loop's certificate for G+ is check 8's proof of D+, and a
     # proved G+ lets check 9 prove G PSD with no exact elimination.
     calls = []
-    for module in (gearpinv.rational, gearpinv.pinv):
+    for module in (gearpinv.rational, gearpinv.pinv, gearpinv.verify):
         monkeypatch.setattr(module, "_residuals_vanish",
                             _counting(calls, "vanish", _residuals_vanish))
     for module in (gearpinv.rational, gearpinv.edm):
@@ -175,7 +177,10 @@ def test_the_loop_certificate_refuses_a_wrong_g_pinv(monkeypatch):
     # The first candidate for G+ gets E = vv', v = e1 - e2, over its denominator:
     # E 1 = 0, and rim vertices 1 and 2 have equal row sums in D, so the sphericity
     # guard and Z 1 = u hold as well.  Only the Penrose proof of Z can refuse it.
-    handed, reports, eliminations = [], [], []
+    # G is symmetric, so the loop reconstructs its upper triangle alone, and the edit at
+    # (1, 1), (2, 2) and (1, 2) is mirrored to (2, 1).
+    handed, verdicts, reports, eliminations = [], [], [], []
+    upper = {pair: k for k, pair in enumerate(zip(*np.triu_indices(2 * 12 - 1)))}
 
     def wrong_first(value, modulus):
         found = _reconstruct(value, modulus)
@@ -183,25 +188,31 @@ def test_the_loop_certificate_refuses_a_wrong_g_pinv(monkeypatch):
             return found
         pinv, den = found
         pinv = pinv.copy()
-        pinv[1, 1] += 1
-        pinv[2, 2] += 1
-        pinv[1, 2] -= 1
-        pinv[2, 1] -= 1
+        pinv[upper[1, 1]] += 1
+        pinv[upper[2, 2]] += 1
+        pinv[upper[1, 2]] -= 1
         handed.append(pinv)
         return pinv, den
+
+    def certified(*args):
+        verdicts.append(_residuals_vanish(*args))
+        return verdicts[-1]
 
     def recorded(*args):
         reports.append(_penrose_ints(*args))
         return reports[-1]
 
     monkeypatch.setattr(gearpinv.rational, "_reconstruct", wrong_first)
+    monkeypatch.setattr(gearpinv.verify, "_residuals_vanish", certified)
     monkeypatch.setattr(gearpinv.verify, "_penrose_ints", recorded)
     monkeypatch.setattr(gearpinv.edm, "_psd_ints", _counting(eliminations, "psd", _psd_ints))
     results = run_checks(12)
     assert all(result.passed for result in results)
     assert len(handed) == 1
-    # Refused in the loop, G+ comes from elimination, and checks 8 and 9 decide afresh.
-    assert [report.all_exact for report in reports] == [False, True]
+    # Refused in the loop by the certificate's verdict, G+ comes from its skeleton, and
+    # checks 8 and 9 decide afresh.
+    assert verdicts == [False]
+    assert [report.all_exact for report in reports] == [True]
     assert eliminations == ["psd"]
 
 
