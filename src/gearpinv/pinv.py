@@ -24,7 +24,9 @@ import numpy as np
 
 from .circulant import _circulant_blocks, _require_wheel_size
 from .laplacian import _laplacian_rows
-from .rational import _largest, _pinv_ints, _residuals_vanish, is_exact, rref, scaled, unscaled
+from .rational import (
+    _largest, _matrix, _pinv_ints, _residuals_vanish, is_exact, rref, scaled, unscaled,
+)
 
 
 def u_vector(n: int) -> np.ndarray:
@@ -83,7 +85,7 @@ def rational_pinv(matrix) -> np.ndarray:
     rows.  All four Penrose conditions hold exactly for the
     result.
     """
-    return unscaled(*_pinv_ints(*scaled(matrix)))
+    return unscaled(*_pinv_ints(*scaled(_matrix(matrix))))
 
 
 @dataclass(frozen=True)
@@ -151,8 +153,7 @@ def penrose_check(matrix, candidate) -> PenroseReport:
     past the float range).  Float inputs take a = b = 1 and the full
     residuals.
     """
-    m_mat = np.asarray(matrix)
-    x_mat = np.asarray(candidate)
+    m_mat, x_mat = _matrix(matrix), _matrix(candidate)
     if m_mat.shape != x_mat.T.shape:
         raise ValueError("candidate shape must be the transpose of the input shape")
     if not (is_exact(m_mat) and is_exact(x_mat)):

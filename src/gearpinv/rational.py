@@ -99,6 +99,14 @@ def scaled(matrix) -> tuple[np.ndarray, int]:
     return np.array(ints, dtype=object).reshape(mat.shape), den
 
 
+def _matrix(matrix) -> np.ndarray:
+    """The input of a public function as an array; ValueError naming its shape unless it is 2-D."""
+    mat = np.asarray(matrix)
+    if mat.ndim != 2:
+        raise ValueError(f"expected a 2-D matrix, got an array of shape {mat.shape}")
+    return mat
+
+
 def unscaled(ints, den: int) -> np.ndarray:
     """The Fraction matrix ``ints / den``: one Fraction per distinct entry, shared."""
     ints = np.asarray(ints, dtype=object)
@@ -165,7 +173,7 @@ def _gauss_jordan(rows: list[list[int]]) -> tuple[list[int], int, int]:
 
 def rref(matrix) -> tuple[np.ndarray, list[int]]:
     """Reduced row echelon form and the pivot column indices."""
-    ints, _ = scaled(matrix)
+    ints, _ = scaled(_matrix(matrix))
     rows = ints.tolist()
     pivot_cols, _, d = _gauss_jordan(rows)
     return unscaled(np.array(rows, dtype=object).reshape(ints.shape), d), pivot_cols
@@ -173,7 +181,7 @@ def rref(matrix) -> tuple[np.ndarray, list[int]]:
 
 def det(matrix) -> Fraction:
     """Exact determinant by fraction-free elimination."""
-    ints, scale = scaled(matrix)
+    ints, scale = scaled(_matrix(matrix))
     m, n = ints.shape
     if m != n:
         raise ValueError("determinant needs a square matrix")
@@ -183,7 +191,7 @@ def det(matrix) -> Fraction:
 
 def invert(matrix) -> np.ndarray:
     """Exact inverse; raises on singular input."""
-    ints, scale = scaled(matrix)
+    ints, scale = scaled(_matrix(matrix))
     m, n = ints.shape
     if m != n:
         raise ValueError("inverse needs a square matrix")
@@ -371,16 +379,22 @@ def _residuals_vanish(a_ints: np.ndarray, b_ints: np.ndarray, ab: int) -> bool:
     probability is involved.  False, at the first prime with a residue
     that is not 0, means some residual is not 0 either.  When A and B are
     both symmetric, BA = (AB)', so AB is formed and tested for symmetry
-    once: three residue products per prime, not four.
+    once: three residue products per prime, not four; and only B's upper
+    triangle is reduced modulo each prime, then mirrored in int64.
     """
     k = max(a_ints.shape)
     big_a, big_b = _largest(a_ints), _largest(b_ints)
     bound = max(big_a, big_b) * (k * k * big_a * big_b + ab)
     symmetric = _is_symmetric(a_ints) and _is_symmetric(b_ints)
+    upper = np.triu_indices(len(b_ints)) if symmetric else ...  # the entries of B reduced
+    carried = b_ints[upper]
     primes, modulus = _primes(), 1
     while modulus <= bound:
         p = next(primes)
-        a, b = (a_ints % p).astype(np.int64), (b_ints % p).astype(np.int64)
+        a, b = (a_ints % p).astype(np.int64), np.empty(b_ints.shape, dtype=np.int64)
+        b[upper] = carried % p
+        if symmetric:
+            b.T[upper] = b[upper]
         mx = _dot_mod(a, b, p)
         xm = mx.T if symmetric else _dot_mod(b, a, p)
         if not (

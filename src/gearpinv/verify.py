@@ -13,11 +13,13 @@ a few dozen doubles deserve better).
 The exact oracle takes one residue pseudoinverse, of the centered Gram
 matrix G (check 6).  D+ follows from G+ in integers by the Balaji-Bapat
 identity, which holds for every spherical distance matrix, so no gear
-structure enters it.  One exact proof carries both: the residue loop's
-certificate for G+ (``_OracleProof``) derives D+ from each candidate and
-proves it by check 8's Penrose conditions, and two exact identities turn
-that proof back into one of G+.  A proved G+ gives rank G, so check 9
-proves G PSD from a verified float Cholesky of one pivot block of G
+structure enters it.  One proof object (``_OracleProof``) derives D+ and
+proves it by check 8's Penrose conditions for every G+ judged: each
+candidate of the residue loop, as its certificate, and the G+ that loop
+returned when it is not the last pair judged (for n <= 8 the skeleton's,
+which draws no residues).  The proof of D+ and G+ 1 = 0 make one of G+.
+A G+ proved in the loop comes with G's pivot columns and gives rank G,
+so check 9 proves G PSD from a verified float Cholesky of one pivot block
 (``rational._psd_certified``) and runs the exact Schoenberg elimination
 only when that proves nothing.
 """
@@ -50,47 +52,38 @@ def _sup(matrix) -> float:
 
 
 class _OracleProof:
-    """The certificate ``run_checks`` hands ``_pinv_ints`` for G+: check 8's proof of D+.
+    """The one derivation and proof of D+ in ``verify``, and ``_pinv_ints``'s certificate for G+.
 
-    A candidate X for G+ is accepted when X 1 = 0 and 1'X = 0, D is
-    spherical for it (``_edm_pinv_ints`` raises otherwise), the Z that
-    ``_edm_pinv_ints`` derives from it has Z 1 = u, and Z meets the four
-    Penrose conditions with D exactly, proved from residues
-    (``_residuals_vanish``): a refused candidate's residuals are never
-    formed in full.  Then Z = D+, so u = D+ 1, and 1'X = 0 makes
+    Each call judges a candidate X for G+ and records it, the Z that
+    ``_edm_pinv_ints`` derives from it (None when D is not spherical for
+    X), G's pivot columns ``cols`` and the verdict.  X is accepted when
+    X 1 = 0 and Z meets the four Penrose conditions with D exactly, proved
+    from residues (``_residuals_vanish``): a refused candidate's residuals
+    are never formed in full.  Then Z = D+, which is symmetric, so X is
+    too, and X 1 = 0 gives 1'X = 0.  That makes 1'w = w_den for the
+    numerator w of ``_edm_pinv_ints``, so Z 1 = s w / k = u and
     Z = -X/2 + uu'/(1'u) with 1'u > 0.  For every symmetric D with 1 in
-    its range and 1'D+ 1 nonzero, -2 (D+ - uu'/(1'u)) is (-1/2 PDP)+:
-    so X = G+ (Balaji and Bapat's identity read backwards).
-    ``kept`` gives the derived D+, its all-zero Penrose report and the pivot
-    columns of G when ``_pinv_ints`` returned the pair this proved.
+    its range and 1'D+ 1 nonzero, -2 (D+ - uu'/(1'u)) is (-1/2 PDP)+: so
+    X = G+ (Balaji and Bapat's identity read backwards).  X 1 = 0 is
+    needed: X = G+ + uu' derives D+ as well.
     """
 
     def __init__(self, d_ints, d_den: int):
-        self.d_ints, self.d_den = d_ints, d_den
-        self.proved = None
+        self.d_ints, self.d_den, self.pair = d_ints, d_den, None
 
-    def __call__(self, pinv, den: int, cols) -> bool:
-        if pinv.sum(axis=0).any() or pinv.sum(axis=1).any():
-            return False
+    def __call__(self, pinv, den: int, cols=None) -> bool:
+        self.pair, self.oracle, self.cols, self.proved = (pinv, den), None, cols, False
         try:
-            oracle = _edm_pinv_ints(self.d_ints, self.d_den, pinv, den)
+            self.oracle = _edm_pinv_ints(self.d_ints, self.d_den, pinv, den)
         except ValueError:
             return False
-        # u = s w / k, with the numerator w of _edm_pinv_ints and A w = k 1 for D = A/s.
-        w = 2 * self.d_den * den + pinv.dot(self.d_ints.sum(axis=1))
-        if (self.d_ints[0].dot(w) * oracle[0].sum(axis=1) != oracle[1] * self.d_den * w).any():
-            return False
-        if not _residuals_vanish(self.d_ints, oracle[0], self.d_den * oracle[1]):
-            return False
-        self.proved = (pinv, den), (oracle, PenroseReport(True, 0.0, 0.0, 0.0, 0.0), cols)
-        return True
+        self.proved = not pinv.sum(axis=1).any() and _residuals_vanish(
+            self.d_ints, self.oracle[0], self.d_den * self.oracle[1])
+        return self.proved
 
-    def kept(self, pinv, den: int):
-        """(D+, report, Q) when (pinv, den) equals the G+ proved, else None."""
-        if self.proved is None:
-            return None
-        (proved, proved_den), kept = self.proved
-        return kept if den == proved_den and (pinv == proved).all() else None
+    def judged(self, pinv, den: int) -> bool:
+        """Whether (pinv, den) is the last pair judged."""
+        return self.pair is not None and den == self.pair[1] and (pinv == self.pair[0]).all()
 
 
 def run_checks(n: int, tol: float = 1e-9) -> list[CheckResult]:
@@ -140,20 +133,16 @@ def run_checks(n: int, tol: float = 1e-9) -> list[CheckResult]:
     residual = _sup(lap - _floats(*gram_pinv))
     results.append(CheckResult("laplacian-identity", residual <= tol, residual))
 
-    # The exact D+ from G+ in integers, the oracle of checks 7 and 8, as proved
-    # inside _pinv_ints, or else derived again from the G+ it returned.  A D that
-    # is not spherical, or a wrong G+, leaves no D+ to judge and no proof of
-    # sphericity: checks 7 to 9 fail.
-    kept = proof.kept(*gram_pinv)
-    if kept is not None:
-        oracle, report, cols = kept
-    else:
-        try:
-            oracle = _edm_pinv_ints(d_ints, d_den, *gram_pinv)
-        except ValueError:
-            names = ("formula-vs-oracle", "penrose", "edm")
-            return results + [CheckResult(name, False, math.inf) for name in names]
-        report = _penrose_ints(d_ints, d_den, *oracle)
+    # The exact D+ from G+ in integers, the oracle of checks 7 and 8, as derived and
+    # proved by the certificate: the G+ that _pinv_ints returned is handed to it once
+    # more, with no pivot columns, unless it was the last pair judged.  A D that is not
+    # spherical for that G+ leaves no D+ to judge: checks 7 to 9 fail.
+    if not proof.judged(*gram_pinv):
+        proof(*gram_pinv)
+    oracle = proof.oracle
+    if oracle is None:
+        names = ("formula-vs-oracle", "penrose", "edm")
+        return results + [CheckResult(name, False, math.inf) for name in names]
 
     # 7. Formula route against the exact oracle.
     residual = _sup(gear_pinv_formula(n) - _floats(*oracle))
@@ -161,11 +150,17 @@ def run_checks(n: int, tol: float = 1e-9) -> list[CheckResult]:
 
     # 8. The oracle satisfies all four Penrose conditions exactly, which D+
     # alone does: the one certificate of D+, and through _OracleProof of G+.
+    # Only a refused pair has its residuals computed, to report them.
+    if proof.proved:
+        report = PenroseReport(True, 0.0, 0.0, 0.0, 0.0)
+    else:
+        report = _penrose_ints(d_ints, d_den, *oracle)
     results.append(CheckResult("penrose", report.all_exact, report.max_residual))
 
     # 9. D is an EDM (Schoenberg) exactly when G is PSD: proved from the proved
-    # G+ when check 8 proved it, else by exact elimination of Schoenberg's matrix.
-    edm = kept is not None and _psd_certified(*gram, *gram_pinv, cols)
+    # G+ and its pivot columns when the residue loop proved it, else by exact
+    # elimination of Schoenberg's matrix.
+    edm = proof.cols is not None and proof.proved and _psd_certified(*gram, *gram_pinv, proof.cols)
     results.append(CheckResult("edm", edm or _schoenberg_psd(d_ints), 0.0))
 
     return results

@@ -1,6 +1,7 @@
 """Exact elimination, determinant, inverse and products on Fraction matrices."""
 
 import random
+import re
 from fractions import Fraction
 from itertools import combinations
 from math import isqrt, lcm, prod
@@ -511,6 +512,16 @@ def test_invert_singular_raises():
         invert(rational_matrix([[1, 2], [2, 4]]))
     with pytest.raises(ValueError, match="square"):
         invert(rational_matrix([[1, 2, 3], [4, 5, 6]]))
+
+
+@pytest.mark.parametrize("func", [rref, det, invert, rational_pinv,
+                                  lambda matrix: penrose_check(matrix, matrix)])
+@pytest.mark.parametrize("shape", [(), (2,), (2, 2, 2)])
+def test_public_exact_functions_reject_input_that_is_not_a_matrix(func, shape):
+    array = np.arange(1, 1 + np.prod(shape, dtype=int)).reshape(shape)
+    for exact in (array, array.astype(object)):
+        with pytest.raises(ValueError, match=re.escape(f"got an array of shape {shape}")):
+            func(exact)
 
 
 @settings(deadline=None)

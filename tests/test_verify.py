@@ -20,10 +20,11 @@ from gearpinv.pinv import (
 )
 from gearpinv.rational import (
     _pivots, _primes, _psd_certified, _psd_ints, _reconstruct, _residuals_vanish, is_psd, scaled,
+    unscaled,
 )
 from gearpinv.spectral import null_basis
 from gearpinv.trees import tree_distance
-from gearpinv.verify import CheckResult, run_checks
+from gearpinv.verify import CheckResult, _OracleProof, run_checks
 
 
 def _sup(matrix):
@@ -58,19 +59,20 @@ def test_run_checks_matches_the_public_routes(n):
     assert [result.residual.hex() for result in got[5:]] == [r.residual.hex() for r in want]
 
 
-def test_check_8_proves_the_penrose_conditions_itself(monkeypatch):
-    # D+ is derived from G+ with no certificate of its own: check 8 proves it from D and D+.
+@pytest.mark.parametrize("n", [6, 9])
+def test_check_8_proves_the_penrose_conditions_itself(n, monkeypatch):
+    # D+ is derived from G+ with no certificate of its own: check 8 proves it from D and D+,
+    # inside the residue loop from N = 9 and on the skeleton's G+ below.
     calls = []
 
     def recording(a_ints, b_ints, ab):
         calls.append(a_ints)
         return _residuals_vanish(a_ints, b_ints, ab)
 
-    # The residue loop's certificate calls it from verify, check 8 from pinv otherwise.
     for module in (gearpinv.pinv, gearpinv.verify):
         monkeypatch.setattr(module, "_residuals_vanish", recording)
-    run_checks(9)
-    assert len(calls) == 1 and (calls[0] == gear_distance_closed(9)).all()
+    run_checks(n)
+    assert len(calls) == 1 and (calls[0] == gear_distance_closed(n)).all()
 
 
 def test_check_9_tests_the_schoenberg_matrix_for_semidefiniteness(monkeypatch):
@@ -150,6 +152,24 @@ def test_check_8_alone_rejects_a_g_pinv_wrong_below_the_tolerance(n, monkeypatch
     assert 0 < results[7].residual < math.inf
 
 
+@pytest.mark.parametrize("n", [6, 7, 12, 20])
+def test_check_8_alone_rejects_a_non_symmetric_g_pinv(n, monkeypatch):
+    # G+ + E/den with E = e1 (e2 - e3)': E 1 = 0 and E R = 0 for the equal row sums R of
+    # rim vertices 2 and 3, so w and the sphericity guard are unchanged, but 1'E is not 0
+    # and E is not symmetric, so neither is the derived D+.
+    def corrupted(ints, den, certificate):
+        pinv, pinv_den = _pinv_ints(ints, den, certificate)
+        pinv = pinv.copy()
+        pinv[1, 2] += 1
+        pinv[1, 3] -= 1
+        return pinv, pinv_den
+
+    monkeypatch.setattr(gearpinv.verify, "_pinv_ints", corrupted)
+    results = run_checks(n)
+    assert _failed(results) == {"penrose"}
+    assert 0 < results[7].residual < math.inf
+
+
 def _counting(calls, name, func):
     def counted(*args):
         calls.append(name)
@@ -176,7 +196,7 @@ def test_one_exact_proof_and_no_elimination_per_run_checks(monkeypatch):
 def test_the_loop_certificate_refuses_a_wrong_g_pinv(monkeypatch):
     # The first candidate for G+ gets E = vv', v = e1 - e2, over its denominator:
     # E 1 = 0, and rim vertices 1 and 2 have equal row sums in D, so the sphericity
-    # guard and Z 1 = u hold as well.  Only the Penrose proof of Z can refuse it.
+    # guard holds as well.  Only the Penrose proof of Z can refuse it.
     # G is symmetric, so the loop reconstructs its upper triangle alone, and the edit at
     # (1, 1), (2, 2) and (1, 2) is mirrored to (2, 1).
     handed, verdicts, reports, eliminations = [], [], [], []
@@ -209,11 +229,27 @@ def test_the_loop_certificate_refuses_a_wrong_g_pinv(monkeypatch):
     results = run_checks(12)
     assert all(result.passed for result in results)
     assert len(handed) == 1
-    # Refused in the loop by the certificate's verdict, G+ comes from its skeleton, and
-    # checks 8 and 9 decide afresh.
-    assert verdicts == [False]
-    assert [report.all_exact for report in reports] == [True]
+    # Refused in the loop by the certificate's verdict, G+ comes from its skeleton, which
+    # the same certificate proves; check 9 has no pivot columns for it and eliminates.
+    assert verdicts == [False, True]
+    assert reports == []
     assert eliminations == ["psd"]
+
+
+@pytest.mark.parametrize("n", [6, 9, 12])
+def test_the_certificate_refuses_a_g_pinv_whose_rows_do_not_sum_to_0(n):
+    # X = G+ + uu' derives D+ itself: u'R = s u'D 1 = s m for D = A/s with row sums R, so
+    # the numerator w of _edm_pinv_ints moves along u, D stays spherical for X and
+    # Z = -X/2 + uu'/(1'u) + uu'/2 = D+.  Only X 1 = (1'u) u, not 0, refuses X.
+    d_ints, d_den = scaled(gear_distance_closed(n))
+    pinv, den = _pinv_ints(*_gram_ints(d_ints, d_den))
+    u = u_vector(n)
+    wrong, wrong_den = scaled(unscaled(pinv, den) + np.outer(u, u))
+    proof = _OracleProof(d_ints, d_den)
+    assert proof(pinv, den)
+    oracle_ints, oracle_den = proof.oracle
+    assert not proof(wrong, wrong_den)
+    assert proof.oracle[1] == oracle_den and (proof.oracle[0] == oracle_ints).all()
 
 
 def _check_9_routes(dist):

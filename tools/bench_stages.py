@@ -7,8 +7,8 @@ Usage, from anywhere:
 The script times the gearpinv source of the checkout it sits in
 (``src/`` beside ``tools/``), builds its oracle ops with that checkout's
 ``perfbench/`` and writes ``BENCH_<LABEL>.json`` at its root.  N are gear
-sizes, 40 and 60 by default; CI runs ``ci 40 60 100`` (about 30 s on
-2 cores, N = 100 alone about 27 s).  For each N, with D the gear distance
+sizes, 40 and 60 by default; CI runs ``ci 40 60 100`` (about 20 s on
+2 cores).  For each N, with D the gear distance
 matrix (order 2N - 1) and G its Gram matrix, it takes the best of three
 in-process runs of rational_pinv(D), gram_from_edm(D), rational_pinv(G),
 is_psd(G), is_edm(D), penrose_check(D, D+), balaji_bapat_pinv(D) (the
@@ -17,13 +17,14 @@ suite run_checks(N), and rational_pinv(T) for the distance matrix T of a
 seeded rational-weight tree of the same order, built by the benchmark's
 own tree op.  Once, it times rational_pinv(H) for the Hilbert matrix H
 of order 30, whose inverse needs many primes, max_eigen_residual(N), the
-float check of the closed-form spectrum, at N = 300 and 1000, and the
-``run`` of three of the benchmark's own ``oracle`` ops, built by
+float check of the closed-form spectrum, at N = 300 and 1000, and, with
+fifteen runs each (``ORACLE_REPEATS``), since one takes only 5 to 16 ms,
+the ``run`` of three of the benchmark's own ``oracle`` ops, built by
 ``perfbench/workloads.py`` at that workload's largest sizes: a
 rational-weight tree on 40 vertices, the EDM of 40 integer points within
 +-1000 in 3 dimensions and a rank-10 40x30 product.
 
-Each stage runs only in its three timed runs; only T is also built, by
+Each stage runs only in its timed runs; only T is also built, by
 the tree op's run, outside them.  Later stages and the checks take the
 last run's result, and the primes each run draws from
 ``rational._primes`` are counted as it runs.  Every result is checked
@@ -36,7 +37,8 @@ script exits 1 if one is wrong, if the runs of a stage draw different
 numbers of primes, if a check of run_checks(N) fails or a
 max_eigen_residual(N) exceeds 1e-9, if a record is missing, or if a
 rational_pinv(D), rational_pinv(G) or penrose_check(D, D+) record counts
-no prime.  Each record carries the input's order and rank, the largest
+no prime.  Each record carries the best and the median of its runs'
+times beside all of them, the input's order and rank, the largest
 numerator and denominator bit lengths over the input and the result
 and, for a stage that draws primes, how many one run draws, certificates
 included.  The file also records the commit of the checkout, whether its
@@ -52,6 +54,7 @@ import os
 import platform
 import random
 import re
+import statistics
 import subprocess
 import sys
 import time
@@ -79,6 +82,7 @@ GEAR_STAGES = ("gram_from_edm(D)", "rational_pinv(D)", "rational_pinv(G)", "is_p
                "is_edm(D)", "penrose_check(D, D+)", "balaji_bapat_pinv(D)", "run_checks(N)")
 ORACLE_OPS = ("oracle tree op", "oracle edm op", "oracle product op")
 REPEATS = 3
+ORACLE_REPEATS = 15
 OP_SIZE = 40
 HILBERT_ORDER = 30
 RESIDUAL_SIZES = (300, 1000)
@@ -105,8 +109,8 @@ class Bench:
         self.records: list[dict] = []
         self.wrong: list[str] = []
 
-    def time(self, name: str, func, *args, size, order: int):
-        """Run func(*args) REPEATS times, the only runs the stage gets, and return the last result.
+    def time(self, name: str, func, *args, size, order: int, repeats: int = REPEATS):
+        """Run func(*args) ``repeats`` times, the stage's only runs, and return the last result.
 
         The record it appends counts the primes one run draws from
         ``rational._primes``, when there are any; the runs are
@@ -122,7 +126,7 @@ class Bench:
 
         gearpinv.rational._primes = counting
         try:
-            for _ in range(REPEATS):
+            for _ in range(repeats):
                 drawn.append(0)
                 start = time.perf_counter()
                 result = func(*args)
@@ -130,7 +134,8 @@ class Bench:
         finally:
             gearpinv.rational._primes = primes
         self.records.append({"name": name, "size": size, "order": order, "best_s": min(times),
-                             "times_s": times, **({"primes": drawn[0]} if drawn[0] else {})})
+                             "median_s": statistics.median(times), "times_s": times,
+                             **({"primes": drawn[0]} if drawn[0] else {})})
         self.check(f"{name} at size {size}: its runs drew {drawn} primes", len(set(drawn)) == 1)
         return result
 
@@ -231,7 +236,7 @@ def oracle_ops(bench: Bench, rng: random.Random) -> None:
 
 def _op_record(bench: Bench, name: str, op, size):
     """Time op.run, record the benchmark gate's verdict on the last result and return it."""
-    result = bench.time(name, op.run, size=size, order=OP_SIZE)
+    result = bench.time(name, op.run, size=size, order=OP_SIZE, repeats=ORACLE_REPEATS)
     bench.check(name, op.check(result) == gate.OK)
     return result
 
@@ -284,6 +289,7 @@ def main(argv: list[str]) -> int:
         "python": platform.python_version(),
         "numpy": np.__version__,
         "repeats": REPEATS,
+        "oracle_repeats": ORACLE_REPEATS,
         "correct": not bench.wrong,
         "wrong": bench.wrong,
         "records": bench.records,
@@ -291,6 +297,7 @@ def main(argv: list[str]) -> int:
     for record in bench.records:
         print(f"{record['name']:22s} {str(record['size']):6s} order {record['order']!s:4s} "
               f"rank {record['rank']!s:4s} best {record['best_s']:.4f} s  "
+              f"median {record['median_s']:.4f} s  "
               f"bits {record['max_num_bits']}/{record['max_den_bits']}"
               + (f"  primes {record['primes']}" if "primes" in record else ""))
     print(f"wrote {out}")
