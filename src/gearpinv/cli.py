@@ -31,6 +31,7 @@ import json
 import math
 import re
 import sys
+from collections.abc import Iterable, Iterator
 from fractions import Fraction
 
 import numpy as np
@@ -55,10 +56,11 @@ MAX_EXACT_N = 190
 
 # Largest n the dense commands (gen, pinv --method formula, spectrum,
 # laplacian) accept.  The output of gen, pinv and laplacian has (2n - 1)^2
-# entries.  At n = 1000 on a 2-core machine the gear matrices, written from three
-# generating rows, take 0.01 to 0.15 s and 70 to 210 MB; gen wheel-distance,
-# written from two, 4 ms and 44 MB; spectrum, whose eigen-residual check works
-# on the (2n - 1) x n matrix of eigenvectors, 0.1 s and 110 MB.  gen
+# entries, written a row at a time.  At n = 1000 on a 2-core machine, stdout to
+# a file, the gear matrices, written from three generating rows, take 0.03 to
+# 0.07 s and 31 MB (pinv writes 93 MB); gen wheel-distance, written from two,
+# 0.01 s and 30 MB; spectrum, whose eigen-residual check works on the
+# (2n - 1) x n matrix of eigenvectors, 0.1 s and 107 MB.  gen
 # tree-distance takes trees of up to that largest order, 2n - 1 vertices, within
 # MAX_TREE_TEXT below.
 MAX_DENSE_N = 1000
@@ -119,12 +121,23 @@ def _tokens(matrix, fmt: str) -> list[list[str]]:
     return np.array(tokens, dtype=object)[inverse].reshape(keys.shape).tolist()
 
 
+def _matrix_json(matrix, fmt: str) -> Iterator[str]:
+    """The JSON text of a matrix payload, one row a piece.
+
+    Every entry is formatted before the first piece is returned, so a
+    format error comes before any text.
+    """
+    rows = _tokens(matrix, fmt)
+    texts = (f"{', ' if i else ''}[{', '.join(row)}]" for i, row in enumerate(rows))
+    return itertools.chain(["["], texts, ["]"])
+
+
 def serialize_matrix(matrix, fmt: str) -> str:
     """The JSON text of a matrix payload: fraction strings or round-trip floats."""
-    return "[" + ", ".join(["[" + ", ".join(row) + "]" for row in _tokens(matrix, fmt)]) + "]"
+    return "".join(_matrix_json(matrix, fmt))
 
 
-def _rotations(tokens: list[str]) -> list[str]:
+def _rotations(tokens: list[str]) -> Iterator[str]:
     """Rows of the circulant whose first row is ``tokens``, as JSON text after a ", ".
 
     Row r is the first row rotated r places to the right: the slice of
@@ -133,35 +146,41 @@ def _rotations(tokens: list[str]) -> list[str]:
     size = len(tokens)
     doubled = ", " + ", ".join(tokens + tokens)
     starts = list(itertools.accumulate([len(t) + 2 for t in tokens + tokens], initial=0))
-    return [doubled[starts[size - r]:starts[2 * size - r]] for r in range(size)]
+    for r in range(size):
+        yield doubled[starts[size - r]:starts[2 * size - r]]
 
 
-def _rows_json(rows, fmt: str) -> list[str]:
-    """JSON text of ``circulant._circulant_blocks(rows)``, in pieces to be joined.
+def _rows_json(rows, fmt: str) -> Iterator[str]:
+    """JSON text of ``circulant._circulant_blocks(rows)``, in pieces.
 
-    Only the hub row and the first row of each ring are formatted; every
-    other ring row is its ring's first entry (the hub column) and one
-    rotation of block text per ring.
+    Only the hub row and the first row of each ring are formatted, all
+    before the first piece is returned; every other ring row is its
+    ring's first entry (the hub column) and one rotation of block text
+    per ring, formed as it is read.
     """
     hub, *rings = _tokens(rows, fmt)
     size = (len(hub) - 1) // len(rings)
-    pieces = ["[[", ", ".join(hub), "]"]
+    return itertools.chain(["[[", ", ".join(hub), "]"], _ring_rows(rings, size), ["]"])
+
+
+def _ring_rows(rings: list[list[str]], size: int) -> Iterator[str]:
+    """The text of every ring row, in pieces, from the first row of each ring."""
     for row in rings:
         head = f", [{row[0]}"
         for texts in zip(*[_rotations(row[b:b + size]) for b in range(1, len(row), size)]):
-            pieces += [head, *texts, "]"]
-    pieces.append("]")
-    return pieces
+            yield head
+            yield from texts
+            yield "]"
 
 
-def _document(kind, n, fmt, payload: list[str], parity=None, tolerance=None, checks=()) -> str:
-    """One compact line of JSON; ``payload`` is JSON text in pieces, copied once into the line."""
+def _document(kind, n, fmt, payload: Iterable[str], parity=None, tolerance=None,
+              checks=()) -> Iterator[str]:
+    """One compact line of JSON, ending in a newline, in pieces: header, ``payload``, trailer."""
     metadata = {"version": __version__, "parity": parity, "tolerance": tolerance}
-    return "".join([
-        '{"kind": ', json.dumps(kind), ', "n": ', json.dumps(n),
-        ', "format": ', json.dumps(fmt), ', "payload": ', *payload,
-        ', "metadata": ', json.dumps(metadata), ', "checks": ', json.dumps(list(checks)), "}",
-    ])
+    header = (f'{{"kind": {json.dumps(kind)}, "n": {json.dumps(n)}, '
+              f'"format": {json.dumps(fmt)}, "payload": ')
+    trailer = f', "metadata": {json.dumps(metadata)}, "checks": {json.dumps(list(checks))}}}\n'
+    return itertools.chain([header], payload, [trailer])
 
 
 def _parity(n: int) -> str:
@@ -214,18 +233,19 @@ def _parse_edges(text: str):
     return weighted_tree([(a, b, _parse_weight(w)) for a, b, w in items])
 
 
-def _matrix_document(args, n: int, matrix: np.ndarray, parity=None, rows=False) -> tuple[str, int]:
+def _matrix_document(args, n: int, matrix: np.ndarray, parity=None,
+                     rows=False) -> tuple[Iterator[str], int]:
     """The document of a matrix command; the format follows the payload.
 
     With ``rows`` the matrix is given by its generating rows alone
     (``circulant._circulant_blocks``) and written from them.
     """
     fmt = _pick_format(args.format, is_exact(matrix))
-    payload = _rows_json(matrix, fmt) if rows else [serialize_matrix(matrix, fmt)]
+    payload = _rows_json(matrix, fmt) if rows else _matrix_json(matrix, fmt)
     return _document("matrix", n, fmt, payload, parity=parity), 0
 
 
-def cmd_gen(args) -> tuple[str, int]:
+def cmd_gen(args) -> tuple[Iterator[str], int]:
     if args.kind == "tree-distance":
         if args.edges is None:
             raise DomainError("tree-distance needs --edges")
@@ -244,7 +264,7 @@ def cmd_gen(args) -> tuple[str, int]:
     return _matrix_document(args, args.n, rows_of[args.kind](args.n), _parity(args.n), rows=True)
 
 
-def cmd_pinv(args) -> tuple[str, int]:
+def cmd_pinv(args) -> tuple[Iterator[str], int]:
     if args.method in ("oracle", "k4"):
         _require_size(args.n, MAX_EXACT_N, "exact routes")
     else:
@@ -258,7 +278,7 @@ def cmd_pinv(args) -> tuple[str, int]:
     return _matrix_document(args, args.n, matrix, _parity(args.n))
 
 
-def cmd_spectrum(args) -> tuple[str, int]:
+def cmd_spectrum(args) -> tuple[Iterator[str], int]:
     n = args.n
     _require_size(n, MAX_DENSE_N, "dense commands")
     fmt = _pick_format(args.format, False)
@@ -272,7 +292,7 @@ def cmd_spectrum(args) -> tuple[str, int]:
     return _document("spectrum", n, fmt, [json.dumps(payload)], parity=_parity(n)), 0
 
 
-def cmd_laplacian(args) -> tuple[str, int]:
+def cmd_laplacian(args) -> tuple[Iterator[str], int]:
     n = args.n
     _require_size(n, MAX_DENSE_N, "dense commands")
     if args.part != "b" and args.k is not None:
@@ -284,7 +304,7 @@ def cmd_laplacian(args) -> tuple[str, int]:
     return _matrix_document(args, n, rows_of[args.part](n), _parity(n), rows=True)
 
 
-def cmd_verify(args) -> tuple[str, int]:
+def cmd_verify(args) -> tuple[Iterator[str], int]:
     if not 0 <= args.tol < math.inf:
         raise DomainError(f"--tol must be a finite number at least 0, got {args.tol}")
     _require_size(args.n, MAX_EXACT_N, "exact routes")
@@ -372,7 +392,10 @@ def main(argv=None) -> int:
     except (DomainError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    print(doc)
+    # Each piece is written as it comes: no whole document is ever held.
+    write = sys.stdout.write
+    for piece in doc:
+        write(piece)
     return code
 
 

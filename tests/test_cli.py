@@ -352,15 +352,49 @@ def test_laplacian_cosine_part_rejects_vanishing_cosine():
         assert (code, out) == (2, "") and "k must satisfy" in err
 
 
-@pytest.mark.parametrize("n", [4, 7, 12, 301])
+class RecordingStdout(io.StringIO):
+    """A stdout that also keeps the length of each write."""
+
+    def __init__(self):
+        super().__init__()
+        self.sizes = []
+
+    def write(self, text):
+        self.sizes.append(len(text))
+        return super().write(text)
+
+
+@pytest.mark.parametrize("n", [4, 7, 12, 60, 301])
 def test_row_written_commands_print_serialize_matrix_of_the_dense_matrix(n):
-    cases = [(("gen", "gear-distance"), gear_distance_closed(n), "rational")]
+    cases = [(("gen", "gear-distance"), gear_distance_closed(n), "rational"),
+             (("pinv",), gear_pinv_formula(n), "decimal"),
+             (("laplacian",), special_laplacian(n), "decimal")]
     for k in sorted({1, n - 2}):
         cases.append((("laplacian", "--part", "b", "--k", str(k)), b_matrix(n, k), "decimal"))
+    metadata = json.dumps({"version": __version__, "parity": "even" if n % 2 == 0 else "odd",
+                           "tolerance": None})
     for argv, matrix, fmt in cases:
-        code, out, err = run_cli(*argv, "--n", str(n))
-        assert code == 0, err
-        assert f', "payload": {serialize_matrix(matrix, fmt)}, "metadata": ' in out, argv
+        out = RecordingStdout()
+        with contextlib.redirect_stdout(out):
+            assert main([*argv, "--n", str(n)]) == 0
+        text = out.getvalue()
+        payload = serialize_matrix(matrix, fmt)
+        assert text == (f'{{"kind": "matrix", "n": {n}, "format": "{fmt}", "payload": {payload}, '
+                        f'"metadata": {metadata}, "checks": []}}\n'), argv
+        # Written row by row as it is formed: never the document, or the payload, in one piece.
+        if n >= 60:
+            assert len(out.sizes) >= 2 * n - 1, argv
+            assert max(out.sizes) < len(text) / 20, argv
+
+
+def test_decimal_overflow_is_refused_before_any_text():
+    out, err = RecordingStdout(), io.StringIO()
+    edges = json.dumps([[1, 2, "9" * 400], [2, 3, 1]])
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(["gen", "tree-distance", "--edges", edges, "--format", "decimal"])
+    assert code == 2
+    assert out.sizes == []
+    assert err.getvalue().startswith("error:") and "too large for decimal" in err.getvalue()
 
 
 @pytest.mark.parametrize(

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from gearpinv import spectral
-from gearpinv.circulant import circulant
+from gearpinv.circulant import _blocks_dot, circulant
 from gearpinv.eigen import jacobi_eigh, numerical_rank
 from gearpinv.graphs import gear_distance_closed, rim_to_sub_row
 from gearpinv.spectral import (
@@ -218,6 +218,20 @@ def test_q_vector_is_a_column_of_the_one_builder():
     for n in [*range(4, 41), 150, 151]:
         residual, scale = _looped_residual(n)
         assert abs(max_eigen_residual(n) - residual) <= 1e-12 * scale
+
+
+def _complex_residual(n):
+    # D applied to the complex X itself, each entry multiplied as a complex number.
+    vectors = np.empty((2 * n - 1, n), dtype=np.complex128)
+    vectors[:, 0], vectors[:, 1] = (vector for _, vector in lambda_pairs(n))
+    spectral._q_vectors(n, np.arange(1, n - 1), out=vectors[:, 2:])
+    residual = _blocks_dot(spectral._gear_distance_rows(n), vectors)
+    return float(np.max(np.abs(residual - vectors * spectral._eigenvalues(n))))
+
+
+def test_max_eigen_residual_on_the_real_view_equals_the_complex_product():
+    for n in [*range(4, 61), 150, 151, 300]:
+        assert max_eigen_residual(n) == _complex_residual(n), n
 
 
 @pytest.mark.parametrize("n", [11, 12])

@@ -16,9 +16,12 @@ exact D+ from G+, rounded, of ``pinv --method k4``), the whole check
 suite run_checks(N), and rational_pinv(T) for the distance matrix T of a
 seeded rational-weight tree of the same order, built by the benchmark's
 own tree op.  Once, it times rational_pinv(H) for the Hilbert matrix H
-of order 30, whose inverse needs many primes, max_eigen_residual(N), the
-float check of the closed-form spectrum, at N = 300 and 1000, and, with
-fifteen runs each (``ORACLE_REPEATS``), since one takes only 5 to 16 ms,
+of order 30, whose inverse needs many primes.  At N = 300 and 1000 it
+times max_eigen_residual(N), the float check of the closed-form
+spectrum, and ``cli pinv --n N``: the whole ``gearpinv pinv --n N``
+(formula, decimal JSON) through ``cli.main`` into a stream that counts
+the characters written and keeps none.  With fifteen runs each
+(``ORACLE_REPEATS``), since one takes only 5 to 16 ms, it times
 the ``run`` of three of the benchmark's own ``oracle`` ops, built by
 ``perfbench/workloads.py`` at that workload's largest sizes: a
 rational-weight tree on 40 vertices, the EDM of 40 integer points within
@@ -35,9 +38,11 @@ equal D+ rounded; at each N, is_edm and is_psd of the Gram matrix must
 both reject D with one symmetric pair of entries raised by 1.  The
 script exits 1 if one is wrong, if the runs of a stage draw different
 numbers of primes, if a check of run_checks(N) fails or a
-max_eigen_residual(N) exceeds 1e-9, if a record is missing, or if a
-rational_pinv(D), rational_pinv(G) or penrose_check(D, D+) record counts
-no prime.  Each record carries the best and the median of its runs'
+max_eigen_residual(N) exceeds 1e-9, if ``cli pinv --n N`` writes a
+text whose size is not that of its document around
+``serialize_matrix(gear_pinv_formula(N), "decimal")``, if a record is
+missing, or if a rational_pinv(D), rational_pinv(G) or
+penrose_check(D, D+) record counts no prime.  Each record carries the best and the median of its runs'
 times beside all of them, the input's order and rank, the largest
 numerator and denominator bit lengths over the input and the result
 and, for a stage that draws primes, how many one run draws, certificates
@@ -48,6 +53,7 @@ versions.
 
 from __future__ import annotations
 
+import contextlib
 import functools
 import json
 import os
@@ -67,9 +73,12 @@ sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]
 import numpy as np  # noqa: E402
 
 import gearpinv.rational  # noqa: E402
+from gearpinv import __version__, cli  # noqa: E402
 from gearpinv.edm import balaji_bapat_pinv, gram_from_edm, is_edm  # noqa: E402
 from gearpinv.graphs import gear_distance_closed  # noqa: E402
-from gearpinv.pinv import beta, penrose_check, rational_pinv, u_vector  # noqa: E402
+from gearpinv.pinv import (  # noqa: E402
+    beta, gear_pinv_formula, penrose_check, rational_pinv, u_vector,
+)
 from gearpinv.rational import is_psd, rational  # noqa: E402
 from gearpinv.spectral import max_eigen_residual  # noqa: E402
 from gearpinv.verify import run_checks  # noqa: E402
@@ -223,6 +232,44 @@ def residual_stage(bench: Bench) -> None:
                     residual <= 1e-9)
 
 
+class _Counter:
+    """A stdout that counts the characters written to it and keeps none."""
+
+    def __init__(self):
+        self.chars = 0
+
+    def write(self, text: str) -> int:
+        self.chars += len(text)
+        return len(text)
+
+    def flush(self) -> None:
+        pass
+
+
+def _cli_pinv(n: int) -> int:
+    out = _Counter()
+    with contextlib.redirect_stdout(out):
+        code = cli.main(["pinv", "--n", str(n)])
+    return out.chars if code == 0 else -1
+
+
+def cli_stage(bench: Bench) -> None:
+    for n in RESIDUAL_SIZES:
+        chars = bench.time("cli pinv --n N", _cli_pinv, n, size=n, order=2 * n - 1)
+        bench.describe(n)
+        bench.records[-1]["chars"] = chars
+        # The document's frame with a null payload, in the CLI's compact separators,
+        # plus the payload's text in place of the null and the closing newline.
+        frame = json.dumps({"kind": "matrix", "n": n, "format": "decimal", "payload": None,
+                            "metadata": {"version": __version__,
+                                         "parity": "even" if n % 2 == 0 else "odd",
+                                         "tolerance": None},
+                            "checks": []})
+        payload = cli.serialize_matrix(gear_pinv_formula(n), "decimal")
+        want = len(frame) - len("null") + len(payload) + 1
+        bench.check(f"cli pinv --n {n} wrote {chars} characters, not {want}", chars == want)
+
+
 def oracle_ops(bench: Bench, rng: random.Random) -> None:
     m = OP_SIZE
     tree, edm, product = _tree_op(rng, m), _edm_op(rng, m, 1000, 3), _product_op(rng, m, 30, 10)
@@ -242,7 +289,7 @@ def _op_record(bench: Bench, name: str, op, size):
 
 
 def check_records(bench: Bench, sizes) -> None:
-    """Every gear stage at every size, the T, H and oracle op records, and primes in D, G and D+."""
+    """Every gear stage at every size, the other records, and primes in D, G and D+."""
     have = {(record["name"], record["size"]) for record in bench.records}
     for n in sizes:
         for name in GEAR_STAGES:
@@ -250,8 +297,8 @@ def check_records(bench: Bench, sizes) -> None:
     for name in ("rational_pinv(T)", "rational_pinv(H)") + ORACLE_OPS:
         bench.check(f"missing record {name}", any(record[0] == name for record in have))
     for n in RESIDUAL_SIZES:
-        bench.check(f"missing record max_eigen_residual(N) at N = {n}",
-                    ("max_eigen_residual(N)", n) in have)
+        for name in ("max_eigen_residual(N)", "cli pinv --n N"):
+            bench.check(f"missing record {name} at N = {n}", (name, n) in have)
     for name in ("rational_pinv(D)", "rational_pinv(G)", "penrose_check(D, D+)"):
         bench.check(f"a {name} record counts no prime",
                     all(record.get("primes", 0) >= 1 for record in bench.records
@@ -278,6 +325,7 @@ def main(argv: list[str]) -> int:
         print(f"n = {n} done", file=sys.stderr)
     hilbert_stage(bench)
     residual_stage(bench)
+    cli_stage(bench)
     oracle_ops(bench, random.Random(f"bench_stages/{OP_SIZE}"))
     check_records(bench, sizes)
     out = ROOT / f"BENCH_{label}.json"
