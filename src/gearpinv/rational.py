@@ -496,15 +496,16 @@ def _pinv_ints(ints, scale: int, certificate=None) -> tuple[np.ndarray, int]:
     Penrose conditions for Y / d, which hold for A+ alone (Penrose, 1955),
     so the rank needs no proof.  A caller with a proof of its own passes
     ``certificate`` instead: ``certificate(Y s, d g, Q)`` on the pair that
-    would be returned, and True returns it.  The route is budgeted by one cost
-    comparison: a prime costs about ``_PASSES_PER_PRIME`` = 4 passes
-    over the matrix in Python integers (reducing A, the output product,
-    the Chinese remainder step and the reconstruction), where
-    fraction-free elimination makes one per pivot step, r in all.  So it
-    draws at most r // 4 primes, the first included, and none past the
-    first when that is below 2.  Past the budget, or with none, A+ comes
-    from the skeleton A = B' K^-1 B (``_skeleton_pinv``) once an exact
-    check proves it.
+    would be returned, and True returns it.  The routes below hand it their
+    pair and columns too, whatever the verdict: the last pair it judges is
+    the one returned.  The route is budgeted by one cost comparison: a
+    prime costs about ``_PASSES_PER_PRIME`` = 4 passes over the matrix in
+    Python integers (reducing A, the output product, the Chinese remainder
+    step and the reconstruction), where fraction-free elimination makes
+    one per pivot step, r in all.  So it draws at most r // 4 primes, the
+    first included, and none past the first when that is below 2.  Past
+    the budget, or with none, A+ comes from the skeleton A = B' K^-1 B
+    (``_skeleton_pinv``) once an exact check proves it.
 
     Every other A (rank-deficient and not symmetric, or not square), and
     a symmetric A whose skeleton check fails, goes to fraction-free
@@ -559,19 +560,22 @@ def _pinv_ints(ints, scale: int, certificate=None) -> tuple[np.ndarray, int]:
             return pinv * scale, den * content
     if symmetric and (found := _skeleton_pinv(ints, cols)) is not None:
         pinv, den = found
-        return pinv * scale, den * content
-    reduced, cols = rref(ints[rows])
-    f_ints, d = scaled(reduced)
-    others = np.delete(np.arange(len(ints)), rows)
-    if len(cols) == len(rows) and (
-            ints[np.ix_(others, cols)].dot(f_ints) == d * ints[others]).all():
-        g_factor = ints[rows]
     else:
-        reduced, cols = rref(ints)
-        g_factor = scaled(reduced[:len(cols)])[0]
-    c_factor = ints[:, cols]
-    pinv, den = _dot_ints(g_factor.T, invert(c_factor.T.dot(ints).dot(g_factor.T)), c_factor.T)
-    return pinv * scale, den * content
+        reduced, cols = rref(ints[rows])
+        f_ints, d = scaled(reduced)
+        others = np.delete(np.arange(len(ints)), rows)
+        if len(cols) == len(rows) and (
+                ints[np.ix_(others, cols)].dot(f_ints) == d * ints[others]).all():
+            g_ints = ints[rows]
+        else:
+            reduced, cols = rref(ints)
+            g_ints = scaled(reduced[:len(cols)])[0]
+        c_ints = ints[:, cols]
+        pinv, den = _dot_ints(g_ints.T, invert(c_ints.T.dot(ints).dot(g_ints.T)), c_ints.T)
+    pinv, den = pinv * scale, den * content
+    if certificate is not None:
+        certificate(pinv, den, cols)
+    return pinv, den
 
 
 def _skeleton_pinv(ints, cols) -> tuple[np.ndarray, int] | None:

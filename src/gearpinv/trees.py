@@ -105,10 +105,14 @@ def weighted_tree_inverse(tree: WeightedTree) -> np.ndarray:
     total = sum(weights)
     tau = np.array([2 - d for d in tree.degrees()])
     ints = np.outer(tau, tau).astype(object) * (q * total.denominator)
-    for a, b, w in tree.edges:
-        x = total.numerator * (q // w.numerator) * w.denominator
-        ints[[a - 1, b - 1], [a - 1, b - 1]] -= x
-        ints[[a - 1, b - 1], [b - 1, a - 1]] += x
+    a, b = np.array([(u - 1, v - 1) for u, v, _ in tree.edges]).T
+    x = total.numerator * np.array([q // w.numerator * w.denominator for w in weights],
+                                   dtype=object)
+    # Unbuffered scatters: a vertex repeated in a or b takes every edge's update.
+    np.subtract.at(ints, (a, a), x)
+    np.subtract.at(ints, (b, b), x)
+    np.add.at(ints, (a, b), x)
+    np.add.at(ints, (b, a), x)
     return unscaled(ints, 2 * q * total.numerator)
 
 

@@ -13,13 +13,12 @@ a few dozen doubles deserve better).
 The exact oracle takes one residue pseudoinverse, of the centered Gram
 matrix G (check 6).  D+ follows from G+ in integers by the Balaji-Bapat
 identity, which holds for every spherical distance matrix, so no gear
-structure enters it.  One proof object (``_OracleProof``) derives D+ and
-proves it by check 8's Penrose conditions for every G+ judged: each
-candidate of the residue loop, as its certificate, and the G+ that loop
-returned when it is not the last pair judged (for n <= 8 the skeleton's,
-which draws no residues).  The proof of D+ and G+ 1 = 0 make one of G+.
-A G+ proved in the loop comes with G's pivot columns and gives rank G,
-so check 9 proves G PSD from a verified float Cholesky of one pivot block
+structure enters it.  One proof object (``_OracleProof``), the
+certificate of ``_pinv_ints`` for G+, derives D+ from each pair it judges
+and proves it by check 8's Penrose conditions; the proof of D+ and
+G+ 1 = 0 make one of G+.  On every route the last pair it judges is the
+G+ returned, with G's pivot columns, which give rank G: so check 9 proves
+G PSD from a verified float Cholesky of one pivot block
 (``rational._psd_certified``) and runs the exact Schoenberg elimination
 only when that proves nothing.
 """
@@ -54,24 +53,25 @@ def _sup(matrix) -> float:
 class _OracleProof:
     """The one derivation and proof of D+ in ``verify``, and ``_pinv_ints``'s certificate for G+.
 
-    Each call judges a candidate X for G+ and records it, the Z that
-    ``_edm_pinv_ints`` derives from it (None when D is not spherical for
-    X), G's pivot columns ``cols`` and the verdict.  X is accepted when
-    X 1 = 0 and Z meets the four Penrose conditions with D exactly, proved
-    from residues (``_residuals_vanish``): a refused candidate's residuals
-    are never formed in full.  Then Z = D+, which is symmetric, so X is
-    too, and X 1 = 0 gives 1'X = 0.  That makes 1'w = w_den for the
+    Each call judges a candidate X for G+ and records it (``pair``), the Z
+    that ``_edm_pinv_ints`` derives from it (``oracle``, None when D is not
+    spherical for X), G's pivot columns (``cols``) and the verdict
+    (``proved``): once ``_pinv_ints`` returns, X is its G+.  X is accepted
+    when X 1 = 0 and Z meets the four Penrose conditions with D exactly,
+    proved from residues (``_residuals_vanish``): a refused candidate's
+    residuals are never formed in full.  Then Z = D+, which is symmetric,
+    so X is too, and X 1 = 0 gives 1'X = 0.  That makes 1'w = w_den for the
     numerator w of ``_edm_pinv_ints``, so Z 1 = s w / k = u and
-    Z = -X/2 + uu'/(1'u) with 1'u > 0.  For every symmetric D with 1 in
-    its range and 1'D+ 1 nonzero, -2 (D+ - uu'/(1'u)) is (-1/2 PDP)+: so
-    X = G+ (Balaji and Bapat's identity read backwards).  X 1 = 0 is
-    needed: X = G+ + uu' derives D+ as well.
+    Z = -X/2 + uu'/(1'u) with 1'u > 0.  For every symmetric D with 1 in its
+    range and 1'D+ 1 nonzero, -2 (D+ - uu'/(1'u)) is (-1/2 PDP)+: so X = G+
+    (Balaji and Bapat's identity read backwards).  X 1 = 0 is needed:
+    X = G+ + uu' derives D+ as well.
     """
 
     def __init__(self, d_ints, d_den: int):
-        self.d_ints, self.d_den, self.pair = d_ints, d_den, None
+        self.d_ints, self.d_den = d_ints, d_den
 
-    def __call__(self, pinv, den: int, cols=None) -> bool:
+    def __call__(self, pinv, den: int, cols) -> bool:
         self.pair, self.oracle, self.cols, self.proved = (pinv, den), None, cols, False
         try:
             self.oracle = _edm_pinv_ints(self.d_ints, self.d_den, pinv, den)
@@ -80,10 +80,6 @@ class _OracleProof:
         self.proved = not pinv.sum(axis=1).any() and _residuals_vanish(
             self.d_ints, self.oracle[0], self.d_den * self.oracle[1])
         return self.proved
-
-    def judged(self, pinv, den: int) -> bool:
-        """Whether (pinv, den) is the last pair judged."""
-        return self.pair is not None and den == self.pair[1] and (pinv == self.pair[0]).all()
 
 
 def run_checks(n: int, tol: float = 1e-9) -> list[CheckResult]:
@@ -129,16 +125,12 @@ def run_checks(n: int, tol: float = 1e-9) -> list[CheckResult]:
     # 6. Assembled matrix equals the exact pseudoinverse of -1/2 P D P.
     proof = _OracleProof(d_ints, d_den)
     gram = _gram_ints(d_ints, d_den)
-    gram_pinv = _pinv_ints(*gram, proof)
-    residual = _sup(lap - _floats(*gram_pinv))
+    _pinv_ints(*gram, proof)
+    residual = _sup(lap - _floats(*proof.pair))
     results.append(CheckResult("laplacian-identity", residual <= tol, residual))
 
-    # The exact D+ from G+ in integers, the oracle of checks 7 and 8, as derived and
-    # proved by the certificate: the G+ that _pinv_ints returned is handed to it once
-    # more, with no pivot columns, unless it was the last pair judged.  A D that is not
-    # spherical for that G+ leaves no D+ to judge: checks 7 to 9 fail.
-    if not proof.judged(*gram_pinv):
-        proof(*gram_pinv)
+    # The exact D+ derived from G+ and proved by the certificate, the oracle of checks
+    # 7 and 8.  A D that is not spherical for G+ leaves none: checks 7 to 9 fail.
     oracle = proof.oracle
     if oracle is None:
         names = ("formula-vs-oracle", "penrose", "edm")
@@ -158,9 +150,8 @@ def run_checks(n: int, tol: float = 1e-9) -> list[CheckResult]:
     results.append(CheckResult("penrose", report.all_exact, report.max_residual))
 
     # 9. D is an EDM (Schoenberg) exactly when G is PSD: proved from the proved
-    # G+ and its pivot columns when the residue loop proved it, else by exact
-    # elimination of Schoenberg's matrix.
-    edm = proof.cols is not None and proof.proved and _psd_certified(*gram, *gram_pinv, proof.cols)
+    # G+ and its pivot columns, else by exact elimination of Schoenberg's matrix.
+    edm = proof.proved and _psd_certified(*gram, *proof.pair, proof.cols)
     results.append(CheckResult("edm", edm or _schoenberg_psd(d_ints), 0.0))
 
     return results

@@ -469,12 +469,15 @@ def _no_constant(name):
 
 def test_verify_prints_valid_json_when_a_check_fails(monkeypatch):
     # G+ off by 1 in one entry leaves no D+ to judge: checks 7 to 9 fail with
-    # an infinite residual, which the document carries as null.
+    # an infinite residual, which the document carries as null.  verify reads G+ from
+    # the last pair its certificate judged, so the edit goes to each pair handed to it.
     def corrupted(ints, den, certificate):
-        pinv, pinv_den = _pinv_ints(ints, den, certificate)
-        pinv = pinv.copy()
-        pinv[1, 2] += pinv_den
-        return pinv, pinv_den
+        def edited(pinv, pinv_den, cols):
+            pinv = pinv.copy()
+            pinv[1, 2] += pinv_den
+            return certificate(pinv, pinv_den, cols)
+
+        return _pinv_ints(ints, den, edited)
 
     monkeypatch.setattr(gearpinv.verify, "_pinv_ints", corrupted)
     code, out, err = run_cli("verify", "--n", "6")

@@ -135,7 +135,11 @@ def _fraction_closed_form(tree):
 
 def test_weighted_inverse_matches_fraction_assembly(unit_tree_corpus, weighted_tree_corpus):
     pairs = [unit_tree([(1, 2)]), weighted_tree([(1, 2, "3/7")])]
-    for tree in unit_tree_corpus + weighted_tree_corpus + pairs:
+    # Every edge of a star meets its hub, first end or second: one diagonal entry takes
+    # every edge's update.
+    stars = [unit_tree([(1, v) for v in range(2, 9)]),
+             weighted_tree([(v, 4, Fraction(v, 3)) for v in (1, 2, 3, 5, 6)])]
+    for tree in unit_tree_corpus + weighted_tree_corpus + pairs + stars:
         got, want = weighted_tree_inverse(tree), _fraction_closed_form(tree)
         assert got.shape == want.shape
         assert all(type(x) is Fraction and x == y for x, y in zip(got.flat, want.flat))

@@ -1,6 +1,7 @@
 """The exact checks of run_checks against the same checks built from the public routes."""
 
 import math
+import random
 from fractions import Fraction
 
 import numpy as np
@@ -19,8 +20,8 @@ from gearpinv.pinv import (
     _penrose_ints, _pinv_ints, beta, gear_pinv_formula, penrose_check, rational_pinv, u_vector,
 )
 from gearpinv.rational import (
-    _pivots, _primes, _psd_certified, _psd_ints, _reconstruct, _residuals_vanish, is_psd, scaled,
-    unscaled,
+    _pivots, _primes, _psd_certified, _psd_ints, _reconstruct, _residuals_vanish, is_psd, rref,
+    scaled, unscaled,
 )
 from gearpinv.spectral import null_basis
 from gearpinv.trees import tree_distance
@@ -76,7 +77,10 @@ def test_check_8_proves_the_penrose_conditions_itself(n, monkeypatch):
 
 
 def test_check_9_tests_the_schoenberg_matrix_for_semidefiniteness(monkeypatch):
+    # The proved G+ and its pivot columns prove G PSD with no elimination; a block that
+    # proves nothing leaves the verdict to Schoenberg's matrix.
     seen = []
+    monkeypatch.setattr(gearpinv.verify, "_psd_certified", lambda *args: False)
     monkeypatch.setattr(gearpinv.edm, "_psd_ints", lambda ints: seen.append(ints) or False)
     results = {result.name: result for result in run_checks(6)}
     assert not results["edm"].passed
@@ -121,15 +125,29 @@ def test_check_8_rejects_a_wrong_derived_d_pinv(n, monkeypatch):
     assert "penrose" in _failed(run_checks(n))
 
 
+def _handing_edited(edit):
+    """A stand-in for _pinv_ints that hands its certificate each pair after ``edit``.
+
+    run_checks reads G+ from the last pair its certificate judged, so the edit reaches
+    every check; in the residue loop each edited candidate is refused.
+    """
+    def corrupted(ints, den, certificate):
+        def edited(pinv, pinv_den, cols):
+            pinv = pinv.copy()
+            edit(pinv, pinv_den)
+            return certificate(pinv, pinv_den, cols)
+
+        return _pinv_ints(ints, den, edited)
+
+    return corrupted
+
+
 @pytest.mark.parametrize("n", [4, 7, 12])
 def test_checks_6_and_8_reject_a_wrong_g_pinv(n, monkeypatch):
-    def corrupted(ints, den, certificate):
-        pinv, pinv_den = _pinv_ints(ints, den, certificate)
-        pinv = pinv.copy()
-        pinv[1, 2] += pinv_den  # off by 1
-        return pinv, pinv_den
+    def off_by_1(pinv, pinv_den):
+        pinv[1, 2] += pinv_den
 
-    monkeypatch.setattr(gearpinv.verify, "_pinv_ints", corrupted)
+    monkeypatch.setattr(gearpinv.verify, "_pinv_ints", _handing_edited(off_by_1))
     assert {"laplacian-identity", "penrose"} <= _failed(run_checks(n))
 
 
@@ -137,16 +155,13 @@ def test_checks_6_and_8_reject_a_wrong_g_pinv(n, monkeypatch):
 def test_check_8_alone_rejects_a_g_pinv_wrong_below_the_tolerance(n, monkeypatch):
     # G+ + E/den with E = vv', v = e1 - e2: rim vertices 1 and 2 have equal row sums R in D,
     # so E R = 0 leaves w and the sphericity guard unchanged, and D+ moves by -E/(2 den).
-    def corrupted(ints, den, certificate):
-        pinv, pinv_den = _pinv_ints(ints, den, certificate)
-        pinv = pinv.copy()
+    def plus_e(pinv, pinv_den):
         pinv[1, 1] += 1
         pinv[2, 2] += 1
         pinv[1, 2] -= 1
         pinv[2, 1] -= 1
-        return pinv, pinv_den
 
-    monkeypatch.setattr(gearpinv.verify, "_pinv_ints", corrupted)
+    monkeypatch.setattr(gearpinv.verify, "_pinv_ints", _handing_edited(plus_e))
     results = run_checks(n)
     assert _failed(results) == {"penrose"}
     assert 0 < results[7].residual < math.inf
@@ -157,14 +172,11 @@ def test_check_8_alone_rejects_a_non_symmetric_g_pinv(n, monkeypatch):
     # G+ + E/den with E = e1 (e2 - e3)': E 1 = 0 and E R = 0 for the equal row sums R of
     # rim vertices 2 and 3, so w and the sphericity guard are unchanged, but 1'E is not 0
     # and E is not symmetric, so neither is the derived D+.
-    def corrupted(ints, den, certificate):
-        pinv, pinv_den = _pinv_ints(ints, den, certificate)
-        pinv = pinv.copy()
+    def plus_e(pinv, pinv_den):
         pinv[1, 2] += 1
         pinv[1, 3] -= 1
-        return pinv, pinv_den
 
-    monkeypatch.setattr(gearpinv.verify, "_pinv_ints", corrupted)
+    monkeypatch.setattr(gearpinv.verify, "_pinv_ints", _handing_edited(plus_e))
     results = run_checks(n)
     assert _failed(results) == {"penrose"}
     assert 0 < results[7].residual < math.inf
@@ -179,18 +191,62 @@ def _counting(calls, name, func):
 
 
 def test_one_exact_proof_and_no_elimination_per_run_checks(monkeypatch):
-    # From N = 9 the residue loop's certificate for G+ is check 8's proof of D+, and a
-    # proved G+ lets check 9 prove G PSD with no exact elimination.
+    # The certificate for G+ is check 8's proof of D+, in the residue loop from N = 9 and
+    # on the skeleton's G+ below, and a proved G+ with its pivot columns lets check 9
+    # prove G PSD with no exact elimination.
     calls = []
     for module in (gearpinv.rational, gearpinv.pinv, gearpinv.verify):
         monkeypatch.setattr(module, "_residuals_vanish",
                             _counting(calls, "vanish", _residuals_vanish))
     for module in (gearpinv.rational, gearpinv.edm):
         monkeypatch.setattr(module, "_psd_ints", _counting(calls, "psd", _psd_ints))
-    for n in range(9, 41):
+    for n in range(4, 41):
         calls.clear()
         assert all(result.passed for result in run_checks(n))
         assert calls == ["vanish"], n
+
+
+@pytest.mark.parametrize("route", ["skeleton", "residues", "refused", "elimination"])
+def test_pinv_ints_hands_the_pair_it_returns_to_the_certificate_last(route, monkeypatch):
+    # Gear G takes the skeleton at N = 6 and the residue loop at N = 12; a certificate that
+    # refuses every pair spends N = 12's budget of primes and falls to the skeleton.  The
+    # Gram matrix L L' of order 7 and rank 4, with pivots one short, fails the skeleton's
+    # check and goes to elimination, whose columns are rref's of the whole matrix.
+    if route == "elimination":
+        rng = random.Random("unlucky columns")
+        left = np.array([[rng.randint(-5, 5) for _ in range(4)] for _ in range(7)], dtype=object)
+        ints, scale = left.dot(left.T), 1
+        pivots = gearpinv.rational._pivots
+
+        def one_pivot_short(ints, p):
+            rows, cols, inverse = pivots(ints, p)
+            return rows[:-1], cols[:-1], inverse
+
+        monkeypatch.setattr(gearpinv.rational, "_pivots", one_pivot_short)
+        want_cols = rref(ints)[1]
+    else:
+        ints, scale = _gram_ints(*scaled(gear_distance_closed(6 if route == "skeleton" else 12)))
+        want_cols = _pivots(ints // math.gcd(*ints.flat), next(_primes()))[1]
+    skeletons, skeleton = [], gearpinv.rational._skeleton_pinv
+    monkeypatch.setattr(gearpinv.rational, "_skeleton_pinv",
+                        lambda *args: skeletons.append(skeleton(*args)) or skeletons[-1])
+    handed = []
+
+    def recording(pinv, den, cols):
+        handed.append((pinv, den, list(cols)))
+        return route != "refused" and _residuals_vanish(ints, pinv, scale * den)
+
+    pinv, den = _pinv_ints(ints, scale, recording)
+    routes = {"skeleton": [True], "residues": [], "refused": [True], "elimination": [False]}
+    assert [found is not None for found in skeletons] == routes[route]
+    last_pinv, last_den, last_cols = handed[-1]
+    assert last_den == den and (last_pinv == pinv).all() and last_cols == list(want_cols)
+    plain, plain_den = _pinv_ints(ints, scale)
+    assert (plain * den == pinv * plain_den).all()
+    # Refused, the residue loop's pair gives way to the skeleton's, over another denominator.
+    assert (plain_den == den and (plain == pinv).all()) == (route != "refused")
+    assert {type(x) for x in pinv.flat} == {type(x) for x in plain.flat} == {int}
+    assert type(den) is type(plain_den) is int
 
 
 def test_the_loop_certificate_refuses_a_wrong_g_pinv(monkeypatch):
@@ -230,10 +286,10 @@ def test_the_loop_certificate_refuses_a_wrong_g_pinv(monkeypatch):
     assert all(result.passed for result in results)
     assert len(handed) == 1
     # Refused in the loop by the certificate's verdict, G+ comes from its skeleton, which
-    # the same certificate proves; check 9 has no pivot columns for it and eliminates.
+    # the same certificate proves with its pivot columns, so check 9 needs no elimination.
     assert verdicts == [False, True]
     assert reports == []
-    assert eliminations == ["psd"]
+    assert eliminations == []
 
 
 @pytest.mark.parametrize("n", [6, 9, 12])
@@ -242,13 +298,15 @@ def test_the_certificate_refuses_a_g_pinv_whose_rows_do_not_sum_to_0(n):
     # the numerator w of _edm_pinv_ints moves along u, D stays spherical for X and
     # Z = -X/2 + uu'/(1'u) + uu'/2 = D+.  Only X 1 = (1'u) u, not 0, refuses X.
     d_ints, d_den = scaled(gear_distance_closed(n))
-    pinv, den = _pinv_ints(*_gram_ints(d_ints, d_den))
+    gram = _gram_ints(d_ints, d_den)
+    pinv, den = _pinv_ints(*gram)
+    cols = _pivots(gram[0], next(_primes()))[1]
     u = u_vector(n)
     wrong, wrong_den = scaled(unscaled(pinv, den) + np.outer(u, u))
     proof = _OracleProof(d_ints, d_den)
-    assert proof(pinv, den)
+    assert proof(pinv, den, cols)
     oracle_ints, oracle_den = proof.oracle
-    assert not proof(wrong, wrong_den)
+    assert not proof(wrong, wrong_den, cols)
     assert proof.oracle[1] == oracle_den and (proof.oracle[0] == oracle_ints).all()
 
 

@@ -7,8 +7,10 @@ Usage, from anywhere:
 The script times the gearpinv source of the checkout it sits in
 (``src/`` beside ``tools/``), builds its oracle ops with that checkout's
 ``perfbench/`` and writes ``BENCH_<LABEL>.json`` at its root.  N are gear
-sizes, 40 and 60 by default; CI runs ``ci 40 60 100`` (about 20 s on
-2 cores).  For each N, with D the gear distance
+sizes, 40 and 60 by default; CI runs ``ci 8 40 60 100`` (about 20 s on
+2 cores), where N = 8, the largest whose G+ comes from its skeleton
+rather than from the residue loop, times that route of run_checks(N).
+For each N, with D the gear distance
 matrix (order 2N - 1) and G its Gram matrix, it takes the best of three
 in-process runs of rational_pinv(D), gram_from_edm(D), rational_pinv(G),
 is_psd(G), is_edm(D), penrose_check(D, D+), balaji_bapat_pinv(D) (the
