@@ -14,7 +14,6 @@ identity, gives D+ from G+ exactly, in integers, and
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -22,7 +21,8 @@ import numpy as np
 
 from .eigen import jacobi_eigh
 from .rational import (
-    _floats, _ones_mass, _pinv_ints, _psd_ints, is_exact, rational_identity, scaled, unscaled,
+    _floats, _lowest_terms, _ones_mass, _pinv_ints, _psd_ints, is_exact, rational_identity, scaled,
+    unscaled,
 )
 
 
@@ -148,7 +148,4 @@ def _edm_pinv_ints(ints, scale: int, pinv, den: int) -> tuple[np.ndarray, int]:
     # w_den = 2 m s p makes 2 m p k D+ = w w' - m k P: integers, for every spherical D.
     pinv_ints = np.outer(w, w)
     pinv_ints -= len(ints) * k * pinv
-    pinv_den = 2 * len(ints) * den * k
-    content = math.gcd(pinv_den, *pinv_ints.flat)
-    pinv_ints //= content
-    return pinv_ints, pinv_den // content
+    return _lowest_terms(pinv_ints, 2 * len(ints) * den * k)

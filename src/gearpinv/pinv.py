@@ -82,8 +82,8 @@ def rational_pinv(matrix) -> np.ndarray:
     ``rational._pinv_ints`` gives the pseudoinverse from residues modulo
     primes under a certificate, or else from the skeleton of a symmetric
     matrix on its pivot columns or fraction-free elimination of the pivot
-    rows.  All four Penrose conditions hold exactly for the
-    result.
+    rows of any other, picked again at the next prime if an exact check
+    fails.  All four Penrose conditions hold exactly for the result.
     """
     return unscaled(*_pinv_ints(*scaled(_matrix(matrix))))
 

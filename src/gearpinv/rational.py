@@ -27,12 +27,13 @@ it, the result comes from the skeleton A = B' K^-1 B on the pivot
 columns Q (``_skeleton_pinv``: B = A[Q, :], K = A[Q, Q]), from two
 fraction-free passes of rank order (``_inverse_ints``, the core of
 ``invert``) and one exact check.  Every other rank-deficient or
-non-square matrix, and a symmetric one that fails that check, gets
-fraction-free elimination of the r pivot rows R that first pass
-picked: ``rref`` of them, then ``invert`` of the r x r matrix C' A R',
-C being A's pivot columns.  ``_residuals_vanish`` proves Penrose
-residuals zero from exact residue products (``_dot_mod``), three per
-prime for a symmetric pair and four otherwise, for
+non-square matrix gets fraction-free elimination of the r pivot rows R
+that first pass picked: ``rref`` of them, then ``invert`` of the r x r
+matrix C' A R', C being A's pivot columns.  A failed check, as after
+an unlucky first prime, draws the next prime to pick the pivots again.
+Every pair returned is in lowest terms.  ``_residuals_vanish`` proves
+Penrose residuals zero from exact residue products (``_dot_mod``), three
+per prime for a symmetric pair and four otherwise, for
 ``pinv.penrose_check`` and as the symmetric route's default certificate;
 ``verify`` passes its own.  Given a proved pseudoinverse and the pivot
 columns, ``_psd_certified`` proves a symmetric matrix PSD by a float
@@ -469,6 +470,12 @@ def _crt(value, modulus: int, residue: np.ndarray, p: int):
 _PASSES_PER_PRIME = 4
 
 
+def _lowest_terms(ints, den: int) -> tuple[np.ndarray, int]:
+    """The pair (Y, d), d > 0, divided by gcd(d, *Y): Y / d in lowest terms."""
+    common = gcd(den, *ints.flat)
+    return ints // common, den // common
+
+
 def _pinv_ints(ints, scale: int, certificate=None) -> tuple[np.ndarray, int]:
     """The pseudoinverse of M = ints / scale as the pair (Y, d), M+ being Y / d.
 
@@ -483,8 +490,8 @@ def _pinv_ints(ints, scale: int, certificate=None) -> tuple[np.ndarray, int]:
     Y over d and returned once a certificate proves it.  A symmetric A has
     a symmetric A+, so its residues are folded and reconstructed on the
     upper triangle alone and each candidate is mirrored before its
-    certificate.  d is the lcm of the entries' denominators in any order
-    of the entries, so the pair is the one the whole matrix would give.
+    certificate.  Every pair handed to a certificate or returned is in
+    lowest terms (``_lowest_terms``), so it depends on M alone.
 
     A of full rank modulo the first prime takes that pass's inverse as
     its first residue and every later prime not dividing det A, and
@@ -495,32 +502,22 @@ def _pinv_ints(ints, scale: int, certificate=None) -> tuple[np.ndarray, int]:
     divides det BB', B = A[Q, :].  ``_residuals_vanish`` proves the four
     Penrose conditions for Y / d, which hold for A+ alone (Penrose, 1955),
     so the rank needs no proof.  A caller with a proof of its own passes
-    ``certificate`` instead: ``certificate(Y s, d g, Q)`` on the pair that
-    would be returned, and True returns it.  The routes below hand it their
-    pair and columns too, whatever the verdict: the last pair it judges is
-    the one returned.  The route is budgeted by one cost comparison: a
-    prime costs about ``_PASSES_PER_PRIME`` = 4 passes over the matrix in
-    Python integers (reducing A, the output product, the Chinese remainder
-    step and the reconstruction), where fraction-free elimination makes
-    one per pivot step, r in all.  So it draws at most r // 4 primes, the
-    first included, and none past the first when that is below 2.  Past
-    the budget, or with none, A+ comes from the skeleton A = B' K^-1 B
-    (``_skeleton_pinv``) once an exact check proves it.
+    ``certificate`` instead: ``certificate(Y, d, Q)`` on the pair that
+    would be returned, and True returns it.  The fallbacks below hand it
+    their pair and columns too, whatever the verdict: the last pair it
+    judges is the one returned.  The route is budgeted by one cost
+    comparison: a prime costs about ``_PASSES_PER_PRIME`` = 4 passes over
+    the matrix in Python integers (reducing A, the output product, the
+    Chinese remainder step and the reconstruction), where fraction-free
+    elimination makes one per pivot step, r in all.  So it draws at most
+    r // 4 primes, the first included, and none past the first when that
+    is below 2.
 
-    Every other A (rank-deficient and not symmetric, or not square), and
-    a symmetric A whose skeleton check fails, goes to fraction-free
-    elimination of its pivot rows.  A = C K G with K nonsingular and C, G
-    of full rank gives A+ = G' (C' A G')^-1 C' (Ben-Israel and Greville,
-    2003).  ``rref`` of R = A[P, :] gives F over d and its pivot columns,
-    and C is the columns of A at them.  ``C F = d A`` holds on the rows P
-    by construction; once it is checked exactly on the others, A = C F / d
-    (the skeleton decomposition A = C A[P, Q]^-1 R of Goreinov,
-    Tyrtyshnikov and Zamarashkin, 1997), and G = R.  An unlucky first
-    prime, whose rank is below A's, gives residues that are not A+'s, so
-    no reconstruction passes a certificate, and rows P and columns Q that
-    fail their checks: C and G then come from ``rref`` of the whole of A,
-    as they do when ``rref`` finds rows P dependent.  At rank zero the
-    factors are empty and the product is the zero matrix.
+    Past the budget, or with none, A+ comes from the columns Q of a
+    symmetric A (``_skeleton_pinv``) and from the rows P of any other
+    (``_eliminated_pinv``) once an exact check proves it.  An unlucky first
+    prime, whose rank is below A's, fails every certificate and that check:
+    then the next prime picks P and Q again (only finitely many are unlucky).
     """
     content = gcd(*ints.flat) or 1
     ints = ints // content
@@ -528,17 +525,14 @@ def _pinv_ints(ints, scale: int, certificate=None) -> tuple[np.ndarray, int]:
     first = next(primes)
     rows, cols, residue = _pivots(ints, first)
     full_rank, block, symmetric = residue is not None, ints, _is_symmetric(ints)
-    if not full_rank:
-        budget = len(cols) // _PASSES_PER_PRIME if symmetric else 0
-        if budget < 2:
-            primes = ()
-        else:
-            block = ints[cols]
-            primes = islice(primes, budget - 1)
-            residue = _pinv_mod(block, cols, first)
+    budget = len(cols) // _PASSES_PER_PRIME if symmetric else 0
+    lifting = primes if full_rank else islice(primes, max(budget - 1, 0))
+    if not full_rank and budget >= 2:
+        block = ints[cols]
+        residue = _pinv_mod(block, cols, first)
     upper = np.triu_indices(len(ints)) if symmetric else ...  # the entries carried
     value, modulus = (0, 1) if residue is None else (residue[upper].astype(object), first)
-    for p in primes:
+    for p in lifting:
         residue = _pinv_mod(block, cols, p)
         if residue is None:
             continue
@@ -550,29 +544,19 @@ def _pinv_ints(ints, scale: int, certificate=None) -> tuple[np.ndarray, int]:
         if symmetric:
             pinv = np.empty(ints.shape, dtype=object)
             pinv[upper] = pinv.T[upper] = found[0]
+        pair = _lowest_terms(pinv * scale, den * content)
         if full_rank:
             proved = _residual_bound(ints, pinv, den) < modulus
         elif certificate is None:
             proved = _residuals_vanish(ints, pinv, den)
         else:
-            proved = certificate(pinv * scale, den * content, cols)
+            proved = certificate(*pair, cols)
         if proved:
-            return pinv * scale, den * content
-    if symmetric and (found := _skeleton_pinv(ints, cols)) is not None:
-        pinv, den = found
-    else:
-        reduced, cols = rref(ints[rows])
-        f_ints, d = scaled(reduced)
-        others = np.delete(np.arange(len(ints)), rows)
-        if len(cols) == len(rows) and (
-                ints[np.ix_(others, cols)].dot(f_ints) == d * ints[others]).all():
-            g_ints = ints[rows]
-        else:
-            reduced, cols = rref(ints)
-            g_ints = scaled(reduced[:len(cols)])[0]
-        c_ints = ints[:, cols]
-        pinv, den = _dot_ints(g_ints.T, invert(c_ints.T.dot(ints).dot(g_ints.T)), c_ints.T)
-    pinv, den = pinv * scale, den * content
+            return pair
+    while (found := (_skeleton_pinv(ints, cols) if symmetric
+                     else _eliminated_pinv(ints, rows))) is None:
+        rows, cols, _ = _pivots(ints, next(primes))
+    pinv, den = _lowest_terms(found[0] * scale, found[1] * content)
     if certificate is not None:
         certificate(pinv, den, cols)
     return pinv, den
@@ -603,8 +587,27 @@ def _skeleton_pinv(ints, cols) -> tuple[np.ndarray, int] | None:
     s_inverse, s_den = _inverse_ints(block.dot(block.T))
     core = s_inverse.dot(block[:, cols]).dot(s_inverse)
     content = gcd(*core.flat) or 1
-    common = gcd(content, s_den * s_den)
-    return block.T.dot(core // content).dot(block) * (content // common), s_den * s_den // common
+    return block.T.dot(core // content).dot(block) * content, s_den * s_den
+
+
+def _eliminated_pinv(ints, rows) -> tuple[np.ndarray, int] | None:
+    """A+ as (Y, d) for an integer A from its rows P, or None if they do not span A's rows.
+
+    A = C K G with K nonsingular and C, G of full rank gives
+    A+ = G' (C' A G')^-1 C' (Ben-Israel and Greville, 2003).  ``rref`` of
+    R = A[P, :] gives F over d, its nonzero rows, and its pivot columns,
+    and C is A at them.  ``C F = d A`` holds on the rows P by construction;
+    checked exactly on the others, it proves A = C F / d (the skeleton
+    decomposition of Goreinov, Tyrtyshnikov and Zamarashkin, 1997), and
+    G = R.  At rank zero the factors are empty and the product is zero.
+    """
+    reduced, cols = rref(ints[rows])
+    f_ints, d = scaled(reduced[:len(cols)])
+    others = np.delete(np.arange(len(ints)), rows)
+    if (ints[np.ix_(others, cols)].dot(f_ints) != d * ints[others]).any():
+        return None
+    c_ints, g_ints = ints[:, cols], ints[rows]
+    return _dot_ints(g_ints.T, invert(c_ints.T.dot(ints).dot(g_ints.T)), c_ints.T)
 
 
 def _ones_mass(ints, scale: int, symmetric: bool) -> Fraction:

@@ -255,17 +255,21 @@ def test_is_edm_solves_on_the_pivot_block(dist, rank, monkeypatch):
 )
 def test_is_edm_certificate_rejects_a_short_pivot_set(dist, monkeypatch):
     calls, want = [], float(rational_pinv(dist).sum())
-    pivots = gearpinv.rational._pivots
+    pivots, picked = gearpinv.rational._pivots, []
 
-    def drop_last_pivot(ints, p):
+    def drop_last_pivot_first(ints, p):
         rows, cols, inverse = pivots(ints, p)
-        return rows[:-1], cols[:-1], inverse
+        if not picked:
+            rows, cols = rows[:-1], cols[:-1]
+        picked.append(cols)
+        return rows, cols, inverse
 
-    monkeypatch.setattr(gearpinv.rational, "_pivots", drop_last_pivot)
+    monkeypatch.setattr(gearpinv.rational, "_pivots", drop_last_pivot_first)
     monkeypatch.setattr(gearpinv.rational, "_pinv_ints", _recording(calls))
-    # K y = s 1 still solves on the short block, but A[:, Q] y = s d 1 fails.
+    # The first pass, as an unlucky prime would, misses a pivot: K y = s 1 still solves on the
+    # short block, but A[:, Q] y = s d 1 fails, and D+ is summed instead.
     assert is_edm(dist).beta == want
-    assert len(calls) == 1
+    assert len(calls) == 1 and len(picked[0]) + 1 == len(picked[1])
 
 
 @pytest.mark.parametrize(

@@ -5,6 +5,7 @@ import random
 from collections import Counter
 from dataclasses import astuple
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -30,6 +31,7 @@ from gearpinv.rational import (
     _echelon_mod,
     _pivots,
     _primes,
+    _residuals_vanish,
     det,
     dot,
     invert,
@@ -41,7 +43,7 @@ from gearpinv.rational import (
     scaled,
 )
 from gearpinv.spectral import null_basis
-from gearpinv.trees import tree_distance, unit_tree, weighted_tree_inverse
+from gearpinv.trees import tree_distance, unit_tree, weighted_tree, weighted_tree_inverse
 
 entries = st.fractions(min_value=-9, max_value=9, max_denominator=5)
 
@@ -244,16 +246,15 @@ def test_rational_pinv_falls_back_when_the_probe_prime_divides_the_determinant(
 ):
     # diag(p1, 1) and diag(p1 p2, 1) are singular modulo the first prime p1 but not over Q.
     p1, p2 = _first_primes(2)
-    for top in (p1, p1 * p2):
-        kernel_calls["rref"].clear()
+    for top, unlucky in ((p1, 1), (p1 * p2, 2)):
         matrix = _diagonal(top, 1)
         assert _pivots(scaled(matrix)[0], p1)[2] is None
         passes.clear()
         assert _same_fractions(rational_pinv(matrix), _diagonal(Fraction(1, top), 1))
-        # One pass modulo p1 finds the one pivot row 1, whose block cannot give row 0: the
-        # certificate fails, and a second rref reduces the whole input.
-        assert passes == [(2, 2)]
-        assert [m.shape for m in kernel_calls["rref"]] == [(1, 2), (2, 2)]
+        # A pass modulo p1 finds the one pivot column 1, whose skeleton cannot give row 0: its
+        # check fails, and the next prime picks the pivots again until one sees rank 2.
+        assert passes == [(2, 2)] * (unlucky + 1)
+        assert kernel_calls["rref"] == [] and kernel_calls["invert"] == []
 
 
 def test_rational_pinv_skips_primes_that_divide_the_determinant(kernel_calls, monkeypatch):
@@ -349,12 +350,12 @@ def test_rational_pinv_falls_back_when_the_first_prime_sees_a_lower_rank(
     monkeypatch.setattr(gearpinv.rational, "_residuals_vanish", recording)
     passes.clear()
     pinv = rational_pinv(matrix)
-    # The rank-9 reconstruction fails its certificate, and elimination takes over.
+    # The rank-9 reconstruction fails its certificate, and so does the skeleton on the 9
+    # pivot columns modulo p1, which miss column 0: the next prime picks them again.
     assert verdicts == [False]
-    # One pass over the input; the others are the rank-9 inverses of the residue route.
-    assert passes[0] == (11, 11) and set(passes[1:]) == {(9, 9)}
-    # The 9 pivot rows modulo p1 miss row 0: the certificate fails, and the whole input is reduced.
-    assert [m.shape for m in kernel_calls["rref"]] == [(9, 11), (11, 11)]
+    # One pass over the input, the rank-9 inverses of the budget's two primes, one more pass.
+    assert passes == [(11, 11), (9, 9), (9, 9), (11, 11)]
+    assert kernel_calls["rref"] == [] and kernel_calls["invert"] == []
     assert _same_fractions(pinv, _diagonal(Fraction(1, p1), *[1] * 9, 0))
 
 
@@ -437,35 +438,62 @@ def test_rational_pinv_matches_factorization_through_the_pivot_rows(kernel_calls
 
 @pytest.mark.parametrize("pick", ["one row dropped", "dependent rows"])
 def test_rational_pinv_is_exact_after_a_wrong_pivot_row_pick(pick, kernel_calls, monkeypatch):
-    pivots = gearpinv.rational._pivots
+    # The first pass picks wrong rows, as an unlucky first prime would; later passes do not.
+    pivots, picked = gearpinv.rational._pivots, []
 
-    def wrong(ints, p):
+    def wrong_first(ints, p):
         rows, cols, inverse = pivots(ints, p)
-        return (rows[:-1] if pick == "one row dropped" else [rows[0]] * len(rows)), cols, inverse
+        if not picked:
+            rows = rows[:-1] if pick == "one row dropped" else [rows[0]] * len(rows)
+        picked.append(rows)
+        return rows, cols, inverse
 
-    monkeypatch.setattr(gearpinv.rational, "_pivots", wrong)
+    monkeypatch.setattr(gearpinv.rational, "_pivots", wrong_first)
     # Rank 2 at least, so that a repeated row is dependent, and no residue is taken.
     corpus = [matrix for matrix in _pivot_corpus() if len(rank_factorization(matrix)[1]) >= 2]
     assert len(corpus) >= 12
     symmetric = 0
     for matrix in corpus[:12] + [gear_distance_closed(7)]:
-        want = _factorization_formula(matrix)
+        want, rank = _factorization_formula(matrix), len(rank_factorization(matrix)[1])
+        picked.clear()
         kernel_calls["rref"].clear()
         kernel_calls["invert"].clear()
         assert _same_fractions(rational_pinv(matrix), want)
         if matrix.shape == matrix.T.shape and (matrix == matrix.T).all():
             # A symmetric matrix's skeleton reads the pivot columns alone, so wrong rows do not
-            # reach it: no rref and no invert.
+            # reach it: one pass, no rref and no invert.
+            assert len(picked) == 1
             assert kernel_calls["rref"] == [] and kernel_calls["invert"] == []
             symmetric += 1
         else:
-            # The wrong rows fail the check, and one rref of the whole input takes over.
-            assert len(kernel_calls["rref"]) == 2
-            assert kernel_calls["rref"][1].shape == matrix.shape
+            # The wrong rows fail the check, and the next prime's rows pass it: one rref of the
+            # pivot rows per prime tried, none of the whole input, and one invert.
+            wrong_rows = len(picked[0])
+            assert len(picked) == 2 and len(picked[1]) == rank
+            assert [m.shape for m in kernel_calls["rref"]] == [
+                (wrong_rows, matrix.shape[1]), (rank, matrix.shape[1])]
+            assert [m.shape for m in kernel_calls["invert"]] == [(rank, rank)]
     assert symmetric >= 2
 
 
-def test_rational_pinv_falls_back_to_rref_when_the_skeleton_columns_miss_a_pivot(
+def _one_pivot_short_first(picked):
+    """``_pivots`` with its first pass one pivot short, as an unlucky first prime's could be.
+
+    ``picked`` gets the columns of each pass.
+    """
+    pivots = gearpinv.rational._pivots
+
+    def short_first(ints, p):
+        rows, cols, inverse = pivots(ints, p)
+        if not picked:
+            rows, cols = rows[:-1], cols[:-1]
+        picked.append(cols)
+        return rows, cols, inverse
+
+    return short_first
+
+
+def test_rational_pinv_retries_the_skeleton_when_its_columns_miss_a_pivot(
     kernel_calls, monkeypatch
 ):
     # A Gram matrix L L' of order 7 and rank 4: PSD, so every principal block of its
@@ -475,28 +503,23 @@ def test_rational_pinv_falls_back_to_rref_when_the_skeleton_columns_miss_a_pivot
     matrix = left.dot(left.T)
     want = _factorization_formula(matrix)
     assert len(rank_factorization(matrix)[1]) == 4
-    kept, skeletons = [], []
-    pivots, skeleton = gearpinv.rational._pivots, gearpinv.rational._skeleton_pinv
-
-    def one_pivot_short(ints, p):
-        rows, cols, inverse = pivots(ints, p)
-        kept.append(cols[:-1])
-        return rows[:-1], cols[:-1], inverse
+    kept, skeletons, skeleton = [], [], gearpinv.rational._skeleton_pinv
 
     def recording(ints, cols):
         skeletons.append(skeleton(ints, cols))
         return skeletons[-1]
 
-    monkeypatch.setattr(gearpinv.rational, "_pivots", one_pivot_short)
+    monkeypatch.setattr(gearpinv.rational, "_pivots", _one_pivot_short_first(kept))
     monkeypatch.setattr(gearpinv.rational, "_skeleton_pinv", recording)
     kernel_calls["rref"].clear()
     kernel_calls["invert"].clear()
     pinv = rational_pinv(matrix)
-    (cols,) = kept
-    assert det(matrix[np.ix_(cols, cols)]) != 0 and skeletons == [None]
-    # The skeleton's check fails on the rows outside Q, the rows' check fails as well, and
-    # rref of the whole input takes over.
-    assert [m.shape for m in kernel_calls["rref"]] == [(3, 7), (7, 7)]
+    short, cols = kept
+    assert det(matrix[np.ix_(short, short)]) != 0 and len(cols) == 4
+    # The skeleton's check fails on the rows outside the short Q, and the next prime's
+    # columns pass it: no rref and no invert.
+    assert [found is None for found in skeletons] == [True, False]
+    assert kernel_calls["rref"] == [] and kernel_calls["invert"] == []
     assert _same_fractions(pinv, want)
 
 
@@ -751,6 +774,94 @@ def test_symmetric_route_skips_a_prime_that_divides_det_bb(kernel_calls, monkeyp
     assert singular == [p2] and moduli[0] == p1 * p3
     assert got[1] == want[1] and (got[0] == want[0]).all()
     assert all(type(x) is int for x in got[0].flat)
+    assert kernel_calls["rref"] == [] and kernel_calls["invert"] == []
+
+
+def _swept_matrices(unit_tree_corpus, weighted_tree_corpus, monkeypatch):
+    """Both tree corpora, the pivot and rank corpora, gear D and G for n = 4..40, and the
+    input of every op in the first pass of the benchmark's ``oracle`` workload, seeds 1 to 5."""
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "perfbench"))
+    import workloads
+
+    matrices = [tree_distance(tree) for tree in unit_tree_corpus + weighted_tree_corpus]
+    matrices += _pivot_corpus() + [matrix for matrix, _ in _rank_corpus()]
+    for n in range(4, 41):
+        matrices += [gear_distance_closed(n), gram_from_edm(gear_distance_closed(n))]
+    for seed in range(1, 6):
+        for op in workloads.Oracle(seed).make_pass(0):
+            is_tree = op.kind == "tree"
+            matrices.append(tree_distance(weighted_tree(op.inputs)) if is_tree else op.inputs)
+    return matrices
+
+
+def _is_lowest_pair(pinv, den):
+    return den > 0 and math.gcd(den, *pinv.flat) == 1 and {type(x) for x in pinv.flat} <= {int}
+
+
+def test_pinv_ints_gives_one_pair_per_matrix(
+    unit_tree_corpus, weighted_tree_corpus, monkeypatch
+):
+    matrices = _swept_matrices(unit_tree_corpus, weighted_tree_corpus, monkeypatch)
+    assert len(matrices) == 40 + 43 + 54 + 74 + 100
+    for matrix in matrices:
+        ints, scale = scaled(matrix)
+        handed = []
+
+        def penrose(pinv, den, cols):
+            handed.append((pinv, den))
+            return _residuals_vanish(ints, pinv, scale * den)
+
+        pinv, den = _pinv_ints(ints, scale, penrose)
+        plain, plain_den = _pinv_ints(ints, scale)
+        # Every pair handed to a certificate or returned is in lowest terms, and the pair
+        # returned does not depend on whether a certificate was passed.
+        assert all(_is_lowest_pair(*pair) for pair in handed + [(pinv, den)])
+        assert den == plain_den and (pinv == plain).all()
+        assert not handed or (handed[-1][1] == den and (handed[-1][0] == pinv).all())
+    # Gear G at N = 12 (rank 11 of 23) from three routes: the residue loop; a certificate that
+    # refuses every pair, so that the skeleton gives it; and a first pass one pivot short, so
+    # that the residue loop and the skeleton on its columns fail and the next prime's retry
+    # gives it.
+    ints, scale = _gram_ints(*scaled(gear_distance_closed(12)))
+    skeletons, skeleton = [], gearpinv.rational._skeleton_pinv
+    monkeypatch.setattr(gearpinv.rational, "_skeleton_pinv",
+                        lambda *args: skeletons.append(skeleton(*args)) or skeletons[-1])
+    pairs, picked = [_pinv_ints(ints, scale), _pinv_ints(ints, scale, lambda *args: False)], []
+    monkeypatch.setattr(gearpinv.rational, "_pivots", _one_pivot_short_first(picked))
+    pairs.append(_pinv_ints(ints, scale))
+    assert [found is not None for found in skeletons] == [True, False, True] and len(picked) == 2
+    assert _is_lowest_pair(*pairs[0])
+    assert all(den == pairs[0][1] and (pinv == pairs[0][0]).all() for pinv, den in pairs[1:])
+
+
+def test_pinv_ints_calls_neither_rref_nor_invert_for_symmetric_input(
+    unit_tree_corpus, weighted_tree_corpus, kernel_calls, monkeypatch
+):
+    matrices = _swept_matrices(unit_tree_corpus, weighted_tree_corpus, monkeypatch)
+    symmetric = [matrix for matrix in matrices
+                 if matrix.shape == matrix.T.shape and (matrix == matrix.T).all()]
+    assert len(symmetric) >= 150
+    # Unlucky first primes: diag(p1, 1), diag(p1 p2, 1), unlucky at p1 and p2 in a row, and
+    # diag(p1, 1, ..., 1, 0) have a lower rank modulo p1 than over the rationals.
+    p1, p2 = _first_primes(2)
+    unlucky = [(_diagonal(p1, 1), _diagonal(Fraction(1, p1), 1)),
+               (_diagonal(p1 * p2, 1), _diagonal(Fraction(1, p1 * p2), 1)),
+               (_diagonal(p1, *[1] * 9, 0), _diagonal(Fraction(1, p1), *[1] * 9, 0))]
+    for matrix in symmetric:
+        kernel_calls["rref"].clear()
+        kernel_calls["invert"].clear()
+        rational_pinv(matrix)
+        assert kernel_calls["rref"] == [] and kernel_calls["invert"] == []
+    for matrix, want in unlucky:
+        assert _same_fractions(rational_pinv(matrix), want)
+        assert kernel_calls["rref"] == [] and kernel_calls["invert"] == []
+    # The Gram matrix L L' of order 7 and rank 4, one pivot short at the first prime only.
+    rng = random.Random("unlucky columns")
+    left = np.array([[rng.randint(-5, 5) for _ in range(4)] for _ in range(7)], dtype=object)
+    matrix, picked = left.dot(left.T), []
+    want = _factorization_formula(matrix)
+    monkeypatch.setattr(gearpinv.rational, "_pivots", _one_pivot_short_first(picked))
+    assert _same_fractions(rational_pinv(matrix), want) and len(picked) == 2
     assert kernel_calls["rref"] == [] and kernel_calls["invert"] == []
 
 

@@ -20,7 +20,7 @@ from gearpinv.pinv import (
     _penrose_ints, _pinv_ints, beta, gear_pinv_formula, penrose_check, rational_pinv, u_vector,
 )
 from gearpinv.rational import (
-    _pivots, _primes, _psd_certified, _psd_ints, _reconstruct, _residuals_vanish, is_psd, rref,
+    _pivots, _primes, _psd_certified, _psd_ints, _reconstruct, _residuals_vanish, is_psd,
     scaled, unscaled,
 )
 from gearpinv.spectral import null_basis
@@ -126,16 +126,14 @@ def test_check_8_rejects_a_wrong_derived_d_pinv(n, monkeypatch):
 
 
 def _handing_edited(edit):
-    """A stand-in for _pinv_ints that hands its certificate each pair after ``edit``.
+    """A stand-in for _pinv_ints that hands its certificate each pair as ``edit`` returns it.
 
     run_checks reads G+ from the last pair its certificate judged, so the edit reaches
     every check; in the residue loop each edited candidate is refused.
     """
     def corrupted(ints, den, certificate):
         def edited(pinv, pinv_den, cols):
-            pinv = pinv.copy()
-            edit(pinv, pinv_den)
-            return certificate(pinv, pinv_den, cols)
+            return certificate(*edit(pinv.copy(), pinv_den), cols)
 
         return _pinv_ints(ints, den, edited)
 
@@ -146,6 +144,7 @@ def _handing_edited(edit):
 def test_checks_6_and_8_reject_a_wrong_g_pinv(n, monkeypatch):
     def off_by_1(pinv, pinv_den):
         pinv[1, 2] += pinv_den
+        return pinv, pinv_den
 
     monkeypatch.setattr(gearpinv.verify, "_pinv_ints", _handing_edited(off_by_1))
     assert {"laplacian-identity", "penrose"} <= _failed(run_checks(n))
@@ -155,11 +154,14 @@ def test_checks_6_and_8_reject_a_wrong_g_pinv(n, monkeypatch):
 def test_check_8_alone_rejects_a_g_pinv_wrong_below_the_tolerance(n, monkeypatch):
     # G+ + E/den with E = vv', v = e1 - e2: rim vertices 1 and 2 have equal row sums R in D,
     # so E R = 0 leaves w and the sphericity guard unchanged, and D+ moves by -E/(2 den).
+    # The pair comes in lowest terms, so it is widened first to keep 1/den below the tolerance.
     def plus_e(pinv, pinv_den):
+        pinv, pinv_den = pinv * 2**40, pinv_den * 2**40
         pinv[1, 1] += 1
         pinv[2, 2] += 1
         pinv[1, 2] -= 1
         pinv[2, 1] -= 1
+        return pinv, pinv_den
 
     monkeypatch.setattr(gearpinv.verify, "_pinv_ints", _handing_edited(plus_e))
     results = run_checks(n)
@@ -171,10 +173,12 @@ def test_check_8_alone_rejects_a_g_pinv_wrong_below_the_tolerance(n, monkeypatch
 def test_check_8_alone_rejects_a_non_symmetric_g_pinv(n, monkeypatch):
     # G+ + E/den with E = e1 (e2 - e3)': E 1 = 0 and E R = 0 for the equal row sums R of
     # rim vertices 2 and 3, so w and the sphericity guard are unchanged, but 1'E is not 0
-    # and E is not symmetric, so neither is the derived D+.
+    # and E is not symmetric, so neither is the derived D+.  The pair is widened first, as above.
     def plus_e(pinv, pinv_den):
+        pinv, pinv_den = pinv * 2**40, pinv_den * 2**40
         pinv[1, 2] += 1
         pinv[1, 3] -= 1
+        return pinv, pinv_den
 
     monkeypatch.setattr(gearpinv.verify, "_pinv_ints", _handing_edited(plus_e))
     results = run_checks(n)
@@ -206,24 +210,26 @@ def test_one_exact_proof_and_no_elimination_per_run_checks(monkeypatch):
         assert calls == ["vanish"], n
 
 
-@pytest.mark.parametrize("route", ["skeleton", "residues", "refused", "elimination"])
+@pytest.mark.parametrize("route", ["skeleton", "residues", "refused", "retry"])
 def test_pinv_ints_hands_the_pair_it_returns_to_the_certificate_last(route, monkeypatch):
     # Gear G takes the skeleton at N = 6 and the residue loop at N = 12; a certificate that
     # refuses every pair spends N = 12's budget of primes and falls to the skeleton.  The
-    # Gram matrix L L' of order 7 and rank 4, with pivots one short, fails the skeleton's
-    # check and goes to elimination, whose columns are rref's of the whole matrix.
-    if route == "elimination":
+    # Gram matrix L L' of order 7 and rank 4, with pivots one short at the first prime,
+    # fails the skeleton's check and retries it on the second prime's columns.
+    if route == "retry":
         rng = random.Random("unlucky columns")
         left = np.array([[rng.randint(-5, 5) for _ in range(4)] for _ in range(7)], dtype=object)
         ints, scale = left.dot(left.T), 1
-        pivots = gearpinv.rational._pivots
+        primes, pivots, calls = _primes(), gearpinv.rational._pivots, []
 
-        def one_pivot_short(ints, p):
+        def one_pivot_short_first(ints, p):
             rows, cols, inverse = pivots(ints, p)
-            return rows[:-1], cols[:-1], inverse
+            calls.append(p)
+            return (rows[:-1], cols[:-1], inverse) if len(calls) == 1 else (rows, cols, inverse)
 
-        monkeypatch.setattr(gearpinv.rational, "_pivots", one_pivot_short)
-        want_cols = rref(ints)[1]
+        monkeypatch.setattr(gearpinv.rational, "_pivots", one_pivot_short_first)
+        next(primes)
+        want_cols = pivots(ints, next(primes))[1]
     else:
         ints, scale = _gram_ints(*scaled(gear_distance_closed(6 if route == "skeleton" else 12)))
         want_cols = _pivots(ints // math.gcd(*ints.flat), next(_primes()))[1]
@@ -237,14 +243,13 @@ def test_pinv_ints_hands_the_pair_it_returns_to_the_certificate_last(route, monk
         return route != "refused" and _residuals_vanish(ints, pinv, scale * den)
 
     pinv, den = _pinv_ints(ints, scale, recording)
-    routes = {"skeleton": [True], "residues": [], "refused": [True], "elimination": [False]}
+    routes = {"skeleton": [True], "residues": [], "refused": [True], "retry": [False, True]}
     assert [found is not None for found in skeletons] == routes[route]
     last_pinv, last_den, last_cols = handed[-1]
     assert last_den == den and (last_pinv == pinv).all() and last_cols == list(want_cols)
+    # Every route gives the one pair of the matrix, in lowest terms.
     plain, plain_den = _pinv_ints(ints, scale)
-    assert (plain * den == pinv * plain_den).all()
-    # Refused, the residue loop's pair gives way to the skeleton's, over another denominator.
-    assert (plain_den == den and (plain == pinv).all()) == (route != "refused")
+    assert plain_den == den and (plain == pinv).all() and math.gcd(den, *pinv.flat) == 1
     assert {type(x) for x in pinv.flat} == {type(x) for x in plain.flat} == {int}
     assert type(den) is type(plain_den) is int
 
