@@ -1,4 +1,20 @@
-"""Circulant matrices and their closed-form spectra."""
+"""Circulant matrices, their closed-form spectra, and the gear's hub-plus-rings matrices.
+
+The gear's D, L, D+, A, B and H, and the wheel's D, are each a hub plus
+equal rings (the cycle, and for the gear the subdivision), fixed by their
+generating rows 0, 1, 1 + size, ...  Four private operations own that
+representation:
+
+- ``_gear_rows`` builds the three generating rows of a symmetric hub
+  plus two rings from the hub row's three values and the first rows of
+  the rim, mixed and subdivision blocks;
+- ``_circulant_blocks`` gathers the dense matrix from generating rows;
+- ``_ring_stencils`` reads each ring block off them as a constant plus a
+  stencil, its symbol on the characters k != 0 (the circulant-symbol
+  view of Davis, *Circulant Matrices*, 1979);
+- ``_blocks_dot`` applies the matrix from those stencils without
+  building it.
+"""
 
 from __future__ import annotations
 
@@ -52,33 +68,79 @@ def _circulant_blocks(rows: np.ndarray) -> np.ndarray:
     return out
 
 
+def _gear_rows(hub, rim, mixed, sub) -> np.ndarray:
+    """Rows 0, 1 and 1 + size of a symmetric hub plus two rings of order size.
+
+    ``hub`` holds the hub row's entries on the hub, on a rim vertex and on
+    a subdivision vertex; ``rim``, ``mixed`` and ``sub`` are the first
+    rows of the rim, mixed (rim to subdivision) and subdivision blocks.
+    By symmetry the hub column repeats the hub row, and the subdivision
+    row's rim part is the mixed block's first column: its first row read
+    backwards from entry 0.
+    """
+    size = len(rim)
+    column = np.asarray(mixed)[-np.arange(size) % size]
+    return np.array([np.repeat(hub, [1, size, size]), np.concatenate([[hub[1]], rim, mixed]),
+                     np.concatenate([[hub[2]], column, sub])])
+
+
+def _ring_stencils(rows: np.ndarray) -> list[list[tuple]]:
+    """Each ring block of generating rows as (constant, stencil), ring by ring.
+
+    A block with first row c is ``constant`` times the all-ones circulant
+    plus the circulant of its stencil, the pairs ``(e, c[e] - constant)``
+    for the offsets e in [0, size) where c[e] differs from the constant.
+    So its symbol ``sum_e c[e] x**e`` is the stencil's plus the constant
+    times ``1 + x + ... + x**(size-1)``, which vanishes at ``x = w**k``
+    for every character k != 0: there the block acts as its stencil alone,
+    and on the constant character as its row sum.
+
+    The constant is the block's most common entry.  Where a block is an
+    all-ones part plus a few exceptions, as in the gear's D from n = 7 on,
+    that is the all-ones part, and the stencil is the block's integer
+    Laurent symbol exactly.  For n <= 6 a block of D has 3 to 5 entries
+    and its most common entry need not be that part: at n = 6 the
+    subdivision block reads constant 2 and stencil {0: -2, 2: 2, 3: 2}.
+    Its stencil is then the symbol only modulo ``1 + x + ... +
+    x**(size-1)``, that is on every character k != 0.
+    """
+    size = (rows.shape[1] - 1) // (len(rows) - 1)
+    stencils = []
+    for row in rows[1:].tolist():
+        blocks = []
+        for block in range(1, len(row), size):
+            entries = row[block:block + size]
+            common = max(set(entries), key=entries.count)
+            blocks.append((common, [(e, v - common) for e, v in enumerate(entries) if v != common]))
+        stencils.append(blocks)
+    return stencils
+
+
 def _blocks_dot(rows: np.ndarray, x: np.ndarray) -> np.ndarray:
     """``_circulant_blocks(rows) @ x`` without building the matrix.
 
     A ring block with first row c maps x's block to
-    ``(C x)[r] = sum_e c[e] x[(r + e) % size]``: the block's most common
-    entry times the column sums, plus one wrapped slice-add for each entry
-    that differs from it.  The cost is O(size * columns * exceptions), so
-    this is meant for rows with few distinct values, such as the gear's
-    D (eight slice-adds in all).
+    ``(C x)[r] = sum_e c[e] x[(r + e) % size]``: its constant from
+    ``_ring_stencils`` times the block's column sums, plus one slice-add,
+    or two where it wraps, for each stencil term.  The cost is
+    O(size * columns * terms), so this is meant for rows with few distinct
+    values, such as the gear's D: from n = 7, eight stencil terms and
+    twelve slice-adds in all, four of them wrapped.
     """
     size = (rows.shape[1] - 1) // (len(rows) - 1)
     out = np.empty(x.shape, dtype=np.result_type(rows, x))
     out[0] = rows[0] @ x
-    for first, row in zip(range(1, rows.shape[1], size), rows[1:].tolist()):
-        base, stencil = row[0] * x[0], []
-        for block in range(1, len(row), size):
-            entries, part = row[block:block + size], x[block:block + size]
-            common = max(set(entries), key=entries.count)
-            base = base + common * part.sum(axis=0)
-            stencil += [(entry - common, e, part)
-                        for e, entry in enumerate(entries) if entry != common]
+    starts = range(1, rows.shape[1], size)
+    parts = [x[start:start + size] for start in starts]
+    sums = [part.sum(axis=0) for part in parts]
+    for first, hub, blocks in zip(starts, rows[1:, 0].tolist(), _ring_stencils(rows)):
         ring = out[first:first + size]
-        ring[:] = base
-        for weight, e, part in stencil:
-            ring[:size - e] += weight * part[e:]
-            if e:
-                ring[size - e:] += weight * part[:e]
+        ring[:] = sum((common * total for (common, _), total in zip(blocks, sums)), hub * x[0])
+        for (_, stencil), part in zip(blocks, parts):
+            for e, weight in stencil:
+                ring[:size - e] += weight * part[e:]
+                if e:
+                    ring[size - e:] += weight * part[:e]
     return out
 
 

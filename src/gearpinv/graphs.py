@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .circulant import _circulant_blocks, _require_wheel_size
+from .circulant import _circulant_blocks, _gear_rows, _require_wheel_size
 
 
 @dataclass(frozen=True)
@@ -151,13 +151,7 @@ def sub_to_sub_row(n: int) -> list[int]:
 def _gear_distance_rows(n: int) -> np.ndarray:
     """Rows 0, 1 and n of :func:`gear_distance_closed`, as int64."""
     _require_wheel_size(n)
-    size = n - 1
-    mixed = np.array(rim_to_sub_row(n))
-    hub = np.repeat([0, 1, 2], [1, size, size])
-    rim = np.concatenate([[1, 0], np.full(size - 1, 2), mixed])
-    # The subdivision row's cycle part is the mixed block's first column.
-    sub = np.concatenate([[2], mixed[-np.arange(size) % size], sub_to_sub_row(n)])
-    return np.array([hub, rim, sub], dtype=np.int64)
+    return _gear_rows((0, 1, 2), [0] + [2] * (n - 2), rim_to_sub_row(n), sub_to_sub_row(n))
 
 
 def gear_distance_closed(n: int) -> np.ndarray:

@@ -16,8 +16,8 @@ from __future__ import annotations
 import numpy as np
 
 from .circulant import (
-    _circulant_blocks, _gear_symbols, _require_pair_index, _require_wheel_size, circulant,
-    unit_root_powers,
+    _circulant_blocks, _gear_rows, _gear_symbols, _require_pair_index, _require_wheel_size,
+    circulant, unit_root_powers,
 )
 from .rational import unscaled
 
@@ -110,9 +110,7 @@ def _b_rows(n: int, k: int) -> np.ndarray:
     spread = 2.0 * phi + 1.0 / (2.0 * phi)
     sub_weight = 2.0 / (size * (spread * spread))
     mixed = (row + np.roll(row, -1)) / quarter
-    rim = np.concatenate([[0.0], row / quarter, mixed])
-    sub = np.concatenate([[0.0], mixed[-np.arange(size) % size], row])  # mixed's first column
-    return sub_weight * np.array([np.zeros(2 * n - 1), rim, sub])
+    return sub_weight * _gear_rows((0.0, 0.0, 0.0), row / quarter, mixed, row)
 
 
 def b_matrix(n: int, k: int) -> np.ndarray:
@@ -142,12 +140,7 @@ def _laplacian_rows(n: int) -> np.ndarray:
     weights[0] = 0.0  # the constant character is the rank-one part's
     symbols = weights * np.stack([np.full(size, -2.0), sigma, tau])
     # A circulant's first row is the FFT of its eigenvalues over its order.
-    rim_row, mix_row, sub_row = np.fft.fft(symbols).real / size
-    rows = np.zeros((3, 2 * n - 1))
-    rows[1, 1:n] = rim_row
-    rows[1, n:] = mix_row
-    rows[2, 1:n] = mix_row[-np.arange(size) % size]  # the mixed block's first column
-    rows[2, n:] = sub_row
+    rows = _gear_rows((0.0, 0.0, 0.0), *np.fft.fft(symbols).real / size)
     # The rank-one part in float: 9(n-1)/(n+4)^2 * y y' with y = v / v[0].
     values, den, classes = _rank_one(n)
     y = (np.array(values) / values[0])[classes]

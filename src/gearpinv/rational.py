@@ -574,9 +574,8 @@ def _skeleton_pinv(ints, cols) -> tuple[np.ndarray, int] | None:
     skeleton decomposition of Goreinov, Tyrtyshnikov and Zamarashkin,
     1997), with B of full row rank.  Then A+ = B' S^-1 K S^-1 B for
     S = BB', the formula ``_pinv_mod`` evaluates modulo each prime, here
-    with one more pass, over [S | I].  The r x r core S^-1 K S^-1 is
-    divided by its content before the two products of order m.  None when
-    the check fails, as it does for columns Q that miss A's rank.
+    with one more pass, over [S | I].  None when the check fails, as it
+    does for columns Q that miss A's rank.
     """
     block = ints[cols]
     k_inverse, d = _inverse_ints(block[:, cols])
@@ -586,8 +585,7 @@ def _skeleton_pinv(ints, cols) -> tuple[np.ndarray, int] | None:
         return None
     s_inverse, s_den = _inverse_ints(block.dot(block.T))
     core = s_inverse.dot(block[:, cols]).dot(s_inverse)
-    content = gcd(*core.flat) or 1
-    return block.T.dot(core // content).dot(block) * content, s_den * s_den
+    return block.T.dot(core).dot(block), s_den * s_den
 
 
 def _eliminated_pinv(ints, rows) -> tuple[np.ndarray, int] | None:

@@ -10,6 +10,9 @@ from hypothesis import strategies as st
 from gearpinv.circulant import (
     _blocks_dot,
     _circulant_blocks,
+    _gear_rows,
+    _gear_symbols,
+    _ring_stencils,
     circ,
     circ_eigen,
     circulant,
@@ -112,6 +115,89 @@ def test_blocks_dot_of_complex_columns_matches_the_dense_product():
         x = rng.standard_normal((2 * n - 1, 6)) + 1j * rng.standard_normal((2 * n - 1, 6))
         scale = np.abs(dense) @ np.abs(x)
         assert np.all(np.abs(_blocks_dot(rows, x) - dense @ x) <= 1e-15 * scale)
+
+
+def test_gear_rows_gather_a_symmetric_matrix():
+    rng = np.random.default_rng(44)
+    for size in range(1, 13):
+        # Symmetric rim and subdivision blocks: c[e] = c[-e].
+        rim, sub = (row + row[-np.arange(size) % size] for row in rng.integers(-9, 10, (2, size)))
+        hub = tuple(rng.integers(-9, 10, 3))
+        rows = _gear_rows(hub, rim, rng.integers(-9, 10, size), sub)
+        dense = _circulant_blocks(rows)
+        assert rows.shape == (3, 2 * size + 1)
+        assert np.array_equal(dense, dense.T)
+        assert np.array_equal(dense[0], np.repeat(hub, [1, size, size]))
+
+
+def _symbol(size, terms):
+    """Coefficients of x**0 .. x**(size-1) of a Laurent polynomial {exponent: coefficient}."""
+    coeffs = np.zeros(size, dtype=np.int64)
+    for e, weight in terms.items():
+        coeffs[e % size] += weight
+    return coeffs
+
+
+def _times(a, b):
+    """The product of two symbols modulo x**size - 1."""
+    return sum((weight * np.roll(b, e) for e, weight in enumerate(a)), np.zeros_like(b))
+
+
+def _assert_symbol(got, want, exact):
+    # A block's constant adds a multiple of 1 + x + ... + x**(size-1): equal on every k != 0.
+    difference = got - want
+    assert (difference == difference[0]).all()
+    if exact:
+        assert not difference.any()
+
+
+def test_ring_stencils_read_the_gears_symbols():
+    # Rim -2, mixed -2(1 + x^-1), the subdivision row's cycle block -2(1 + x) and the
+    # subdivision block -4 - 2x - 2x^-1; their 2x2 symbol has det 0 and trace -6 - 2x - 2x^-1.
+    laurent = ({0: -2}, {0: -2, -1: -2}, {0: -2, 1: -2}, {0: -4, 1: -2, -1: -2})
+    for n in [*range(4, 61), 100, 300, 1000]:
+        size, exact = n - 1, n >= 7
+        (rim, mixed), (column, sub) = _ring_stencils(_gear_distance_rows(n))
+        blocks = (rim, mixed, column, sub)
+        got = [_symbol(size, dict(stencil)) for _, stencil in blocks]
+        for symbol, terms in zip(got, laurent):
+            _assert_symbol(symbol, _symbol(size, terms), exact)
+        det = _times(got[0], got[3]) - _times(got[1], got[2])
+        _assert_symbol(det, np.zeros(size, dtype=np.int64), exact)
+        _assert_symbol(got[0] + got[3], _symbol(size, {0: -6, 1: -2, -1: -2}), exact)
+        if exact:
+            # From n = 7 the constant is each block's all-ones part, the stencil the rest.
+            assert [constant for constant, _ in blocks] == [2, 3, 3, 4]
+            assert [stencil for _, stencil in blocks] == [
+                sorted((e % size, weight) for e, weight in terms.items()) for terms in laurent]
+    # Below n = 7 the most common entry need not be the all-ones part.
+    assert _ring_stencils(_gear_distance_rows(6))[1][1] == (2, [(0, -2), (2, 2), (3, 2)])
+
+
+def test_ring_stencils_read_the_wheels_symbol():
+    for n in range(4, 61):
+        size = n - 1
+        [[(constant, stencil)]] = _ring_stencils(_wheel_distance_rows(n))
+        _assert_symbol(_symbol(size, dict(stencil)), _symbol(size, {0: -2, 1: -1, -1: -1}),
+                       n >= 7)
+        assert constant * size + sum(weight for _, weight in stencil) == 2 * n - 6
+
+
+def test_gear_symbols_are_the_stencils_of_d_on_every_character():
+    # The float table of sigma_k and tau_k against D's integer rows: the mixed and
+    # subdivision stencils at w**k for k != 0, and the blocks' row sums at k = 0.
+    eps = np.finfo(float).eps
+    for n in [*range(4, 61), 1000]:
+        size = n - 1
+        _, sigma, tau = _gear_symbols(n)
+        (_, mixed), (_, sub) = _ring_stencils(_gear_distance_rows(n))
+        powers, k = unit_root_powers(size), np.arange(1, size)
+        for table, (constant, stencil) in ((sigma, mixed), (tau, sub)):
+            value = sum(weight * powers[k * e % size] for e, weight in stencil)
+            bound = 4 * eps * sum(abs(weight) for _, weight in stencil)
+            assert np.all(np.abs(table[1:] - value) <= bound)
+            assert table[0] == constant * size + sum(weight for _, weight in stencil)
+        assert (sigma[0], tau[0]) == (3 * n - 7, 4 * (n - 3))
 
 
 def test_circ_eigen_known_vanishing_value():

@@ -22,9 +22,12 @@ of order 30, whose inverse needs many primes.  At N = 300 and 1000 it
 times max_eigen_residual(N), the float check of the closed-form
 spectrum, and ``cli pinv --n N``: the whole ``gearpinv pinv --n N``
 (formula, decimal JSON) through ``cli.main`` into a stream that counts
-the characters written and keeps none.  With fifteen runs each
-(``ORACLE_REPEATS``), since one takes only 5 to 16 ms, it times
-the ``run`` of three of the benchmark's own ``oracle`` ops, built by
+the characters written and keeps none.  It also times
+max_eigen_residual(11), at a size that ``verify`` checks, where the
+fixed cost per call of applying D from its generating rows shows.  With
+fifteen runs each (``ORACLE_REPEATS``), since one takes only 0.1 to
+16 ms, it times that record and the ``run`` of three of the benchmark's
+own ``oracle`` ops, built by
 ``perfbench/workloads.py`` at that workload's largest sizes: a
 rational-weight tree on 40 vertices, the EDM of 40 integer points within
 +-1000 in 3 dimensions and a rank-10 40x30 product.
@@ -96,7 +99,9 @@ REPEATS = 3
 ORACLE_REPEATS = 15
 OP_SIZE = 40
 HILBERT_ORDER = 30
-RESIDUAL_SIZES = (300, 1000)
+CLI_SIZES = (300, 1000)
+VERIFY_RESIDUAL_SIZE = 11
+RESIDUAL_SIZES = (VERIFY_RESIDUAL_SIZE,) + CLI_SIZES
 
 
 def _bits(*values) -> tuple[int, int]:
@@ -226,8 +231,9 @@ def hilbert_stage(bench: Bench) -> None:
 
 def residual_stage(bench: Bench) -> None:
     for n in RESIDUAL_SIZES:
+        repeats = ORACLE_REPEATS if n == VERIFY_RESIDUAL_SIZE else REPEATS
         residual = bench.time("max_eigen_residual(N)", max_eigen_residual, n, size=n,
-                              order=2 * n - 1)
+                              order=2 * n - 1, repeats=repeats)
         bench.describe(n)
         bench.records[-1]["residual"] = residual
         bench.check(f"gear n={n}: max_eigen_residual(N) = {residual:.3g} is at most 1e-9",
@@ -256,7 +262,7 @@ def _cli_pinv(n: int) -> int:
 
 
 def cli_stage(bench: Bench) -> None:
-    for n in RESIDUAL_SIZES:
+    for n in CLI_SIZES:
         chars = bench.time("cli pinv --n N", _cli_pinv, n, size=n, order=2 * n - 1)
         bench.describe(n)
         bench.records[-1]["chars"] = chars
@@ -298,8 +304,9 @@ def check_records(bench: Bench, sizes) -> None:
             bench.check(f"missing record {name} at n = {n}", (name, n) in have)
     for name in ("rational_pinv(T)", "rational_pinv(H)") + ORACLE_OPS:
         bench.check(f"missing record {name}", any(record[0] == name for record in have))
-    for n in RESIDUAL_SIZES:
-        for name in ("max_eigen_residual(N)", "cli pinv --n N"):
+    for name, record_sizes in (("max_eigen_residual(N)", RESIDUAL_SIZES),
+                               ("cli pinv --n N", CLI_SIZES)):
+        for n in record_sizes:
             bench.check(f"missing record {name} at N = {n}", (name, n) in have)
     for name in ("rational_pinv(D)", "rational_pinv(G)", "penrose_check(D, D+)"):
         bench.check(f"a {name} record counts no prime",
